@@ -8,6 +8,7 @@ word <= 6.17*k + 7 and gates <= 148.5*k + 182, and no monomial word exceeded
 7 operators.  The frozen values add headroom; runs must stay under them.
 """
 
+import hashlib
 import time
 from itertools import combinations
 from pathlib import Path
@@ -35,6 +36,16 @@ CORPUS_TIME_LIMIT_S = 60.0
 LARGE_INSTANCE_TIME_LIMIT_S = 2.0
 
 GOLDEN = Path(__file__).parent / "data" / "tables_golden.txt"
+
+# sha256 over one digest_line per synthesized matrix, in corpus order and in
+# enumeration order: any change to k, a round's case chain or the word shows.
+CORPUS_DIGEST = "3b16d890f731f91ea610358b207b85fe6680d369e72a3a860bcace11ec7a9e90"
+ENUMERATED_DIGEST = "35b4803cc11e513ee135516a84216d0b75081c0e6390baf29d2430d9671cab6d"
+
+
+def digest_line(dec) -> str:
+    chains = "|".join(",".join(rnd.case_chain) for rnd in dec.rounds)
+    return f"{dec.source_k} {chains} {' '.join(map(str, dec.word))}\n"
 
 
 def corpus_specs():
@@ -82,6 +93,10 @@ def test_round_trip_random_instances(corpus):
     entries, ok, elapsed = corpus
     assert ok == len(entries) == 1000
     assert elapsed < CORPUS_TIME_LIMIT_S
+    digest = hashlib.sha256()
+    for _, _, dec in entries:
+        digest.update(digest_line(dec).encode())
+    assert digest.hexdigest() == CORPUS_DIGEST
     print(f"exact round trips: {ok}/1000 in {elapsed:.1f}s"
           f" (limit {CORPUS_TIME_LIMIT_S:.0f}s)")
 
@@ -193,12 +208,15 @@ def test_monomial_base_case_bounded():
 
 def test_enumerated_words_resynthesize():
     total = 0
+    digest = hashlib.sha256()
     for dim in (2, 3, 4):
         table = enumerate_words(dim, 3)
         for m, _ in table.items():
             dec = synthesize(m)
             assert word_matrix(dec.word, dim) == m
+            digest.update(digest_line(dec).encode())
         total += len(table)
+    assert digest.hexdigest() == ENUMERATED_DIGEST
     print(f"all {total} enumerated products resynthesize exactly")
 
 
