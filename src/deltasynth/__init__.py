@@ -1,4 +1,8 @@
-"""Exact synthesis of unitaries over D[w] into elementary-operator words."""
+"""Exact synthesis of unitaries over D[w] into elementary-operator words.
+
+The package exports the library API that README.md documents; the modules
+hold the rest.
+"""
 
 from .circuits import (
     Circuit,
@@ -10,87 +14,22 @@ from .circuits import (
     render_circuit,
     verify_templates,
 )
-from .engine import (
-    CasePattern,
-    CaseTag,
-    Decomposition,
-    ReductionRound,
-    classify_pattern,
-    phase_offset,
-    reduction_round,
-    solve_monomial,
-    synthesize,
-    verify_decomposition,
-)
-from .linalg import (
-    ElementaryOp,
-    ExactMatrix,
-    ResidueMatrix,
-    apply_elementary,
-    apply_word,
-    delta_exponent,
-    h_op,
-    invert_elementary,
-    is_unitary,
-    omega_op,
-    residue_matrix,
-    word_matrix,
-    x_op,
-)
-from .oracle import (
-    InstanceSpec,
-    draw_circuit,
-    enumerate_words,
-    gate_pool,
-    op_alphabet,
-    random_unitary,
-    search_gate_word,
-)
-from .ring import DOmega, ResidueClass, ZOmega, from_sqrt2_form, residue, to_sqrt2_form
+from .engine import Decomposition, ReductionRound, synthesize, verify_decomposition
+from .linalg import ElementaryOp, ExactMatrix
 
 __all__ = [
-    "CasePattern",
-    "CaseTag",
     "Circuit",
-    "DOmega",
     "Decomposition",
     "ElementaryOp",
     "ExactMatrix",
     "Gate",
-    "InstanceSpec",
     "ReductionRound",
-    "ResidueClass",
-    "ResidueMatrix",
-    "ZOmega",
-    "apply_elementary",
-    "apply_word",
     "circuit_to_matrix",
-    "classify_pattern",
-    "delta_exponent",
-    "draw_circuit",
     "emit",
-    "enumerate_words",
-    "from_sqrt2_form",
     "gate_counts",
-    "gate_pool",
-    "h_op",
-    "invert_elementary",
-    "is_unitary",
-    "omega_op",
-    "op_alphabet",
     "parse_circuit",
-    "phase_offset",
-    "random_unitary",
-    "reduction_round",
     "render_circuit",
-    "residue",
-    "residue_matrix",
-    "search_gate_word",
-    "solve_monomial",
     "synthesize",
-    "to_sqrt2_form",
     "verify_decomposition",
     "verify_templates",
-    "word_matrix",
-    "x_op",
 ]

@@ -23,7 +23,7 @@ from .errors import (
     UnsupportedDimError,
     VerificationError,
 )
-from .linalg import ElementaryOp, ExactMatrix
+from .linalg import ElementaryOp, ExactMatrix, row_surgery
 from .ring import D_INV_SQRT2, D_ONE, D_ZERO, DOmega, OMEGA_POWERS
 
 SINGLE_WIRE_GATES = frozenset({"H", "S", "SDG", "T", "TDG", "X"})
@@ -105,36 +105,24 @@ def _wire_mask(wire: int, n_wires: int) -> int:
 
 
 def _apply_gate(rows: list[list[DOmega]], gate: Gate, n_wires: int) -> None:
-    size = len(rows)
-    if gate.name == "W":
-        for i in range(size):
-            rows[i] = [e.mul_omega_power(gate.power) for e in rows[i]]
-        return
+    """Left-multiply rows by the gate, one row surgery per affected basis pair."""
     if gate.name in ("ANC_INIT", "ANC_FREE"):
         return
-    if gate.name == "CNOT":
-        cm = _wire_mask(gate.wires[0], n_wires)
-        tm = _wire_mask(gate.wires[1], n_wires)
-        for i in range(size):
-            if i & cm and not i & tm:
-                rows[i], rows[i | tm] = rows[i | tm], rows[i]
+    if gate.name == "W":
+        for i in range(len(rows)):
+            row_surgery(rows, "omega", i, power=gate.power)
         return
-    mask = _wire_mask(gate.wires[0], n_wires)
-    if gate.name == "X":
-        for i in range(size):
-            if not i & mask:
-                rows[i], rows[i | mask] = rows[i | mask], rows[i]
-    elif gate.name == "H":
-        for i in range(size):
-            if not i & mask:
-                lo, hi = rows[i], rows[i | mask]
-                rows[i] = [(a + b) * D_INV_SQRT2 for a, b in zip(lo, hi)]
-                rows[i | mask] = [(a - b) * D_INV_SQRT2 for a, b in zip(lo, hi)]
-    else:
-        power = _DIAG_POWER[gate.name]
-        for i in range(size):
-            if i & mask:
-                rows[i] = [e.mul_omega_power(power) for e in rows[i]]
+    target = _wire_mask(gate.wires[-1], n_wires)
+    control = _wire_mask(gate.wires[0], n_wires) if gate.name == "CNOT" else 0
+    kind = "X" if gate.name == "CNOT" else gate.name
+    for i in range(len(rows)):
+        if i & control != control:
+            continue
+        if kind in ("X", "H"):
+            if not i & target:
+                row_surgery(rows, kind, i, i | target)
+        elif i & target:
+            row_surgery(rows, "omega", i, power=_DIAG_POWER[kind])
 
 
 def _simulate(gates: Iterable[Gate], n_wires: int) -> list[list[DOmega]]:

@@ -162,7 +162,7 @@ def _global_phase_circuit(dec: Decomposition) -> Circuit:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    matrix = _load_unitary(args.input)
+    matrix = parse_matrix(_read_text(args.input))
     if args.debug:
         for i, row in enumerate(matrix.rows):
             internal = "  ".join(str(e) for e in row)
@@ -392,6 +392,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
         return 2
     except NotUnitaryError as exc:
         print(f"error: {exc}", file=sys.stderr)

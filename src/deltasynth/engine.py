@@ -1,12 +1,17 @@
 """Reduction of exact unitaries to elementary-operator words.
 
 The driver invariant: for a unitary with least delta-exponent k > 1, the
-mod-delta residue pattern of the scaled matrix must be one of a short list of
-shapes (unit entries pair up in rows and columns), and each shape admits a
-phase alignment after which a single two-level Hadamard either strictly drops
-two lines below k or hands off to a simpler shape at the same k.  At most
-four Hadamards later the whole matrix sits strictly below k; iterating
-reaches k = 0, where the matrix is a monomial unpicked by swaps and phases.
+mod-delta residue pattern of the scaled matrix must be one of seven shapes
+(unit entries pair up in rows and columns).  Every shape is reduced by one
+step, applied over and over: phase-align two lines of delta^k * U that are
+congruent mod delta^3 (or mod delta^2) and mix them with one two-level
+Hadamard.  Congruence mod delta^3 strictly drops both lines below k;
+congruence mod delta^2 hands off to a simpler shape at the same k.  Which
+two lines to mix is read off the shape, except for the all-units 4x4 shape:
+after normalising its first two rows, two tables keyed by the third row's
+phases name the pair.  At most four Hadamards later the whole matrix sits
+strictly below k; iterating reaches k = 0, where the matrix is a monomial
+unpicked by swaps and phases.
 
 Left ops act on rows, right ops on columns; inverting and re-ordering the
 applied ops yields a word whose exact product equals the input.
@@ -272,7 +277,11 @@ def _exponents(res: ResidueMatrix) -> list[list[int | None]]:
 
 
 class _Workspace:
-    """Mutable state for one reduction round."""
+    """Mutable state for one reduction round.
+
+    Lines are rows for side "L" (ops applied on the left) and columns for
+    side "R"; indices are 0-based.
+    """
 
     def __init__(self, m: ExactMatrix, k: int) -> None:
         self.m = m
@@ -288,141 +297,126 @@ class _Workspace:
     def exps(self) -> list[list[int | None]]:
         return _exponents(self.res3())
 
-    def phase_left(self, row: int, power: int) -> None:
-        if power % 8 == 0:
-            return
-        op = omega_op(row + 1, power)
-        self.left_ops.append(op)
-        self.m = apply_elementary(op, self.m)
-
-    def phase_right(self, col: int, power: int) -> None:
-        if power % 8 == 0:
-            return
-        op = omega_op(col + 1, power, side="R")
-        self.right_ops.append(op)
-        self.m = apply_elementary(op, self.m)
-
-    def swap_right(self, c1: int, c2: int) -> None:
-        if c1 == c2:
-            return
-        op = x_op(min(c1, c2) + 1, max(c1, c2) + 1, side="R")
-        self.right_ops.append(op)
-        self.m = apply_elementary(op, self.m)
-
-    def _lines_res(self, i1: int, i2: int, side: str) -> tuple:
+    def lines(self, a: int, b: int, side: str = "L",
+              support: Sequence[int] | None = None) -> tuple[tuple, tuple]:
+        """Residues mod delta^3 of lines a and b, restricted to support."""
         res = self.res3()
-        if side == "L":
-            return res.row(i1), res.row(i2)
-        return res.col(i1), res.col(i2)
+        line = res.row if side == "L" else res.col
+        la, lb = line(a), line(b)
+        if support is None:
+            return la, lb
+        return tuple(la[c] for c in support), tuple(lb[c] for c in support)
 
-    def hadamard(self, i1: int, i2: int, side: str = "L") -> None:
+    def congruence(self, a: int, b: int, side: str = "L") -> int:
+        """3 or 2 when lines a and b agree mod delta^3 or only mod delta^2, else 0."""
+        la, lb = self.lines(a, b, side)
+        if la == lb:
+            return 3
+        if all(x.bits[:2] == y.bits[:2] for x, y in zip(la, lb)):
+            return 2
+        return 0
+
+    def apply(self, op: ElementaryOp, side: str = "L") -> None:
+        (self.left_ops if side == "L" else self.right_ops).append(op)
+        self.m = apply_elementary(op, self.m, side)
+
+    def phase(self, line: int, power: int, side: str = "L") -> None:
+        if power % 8:
+            self.apply(omega_op(line + 1, power), side)
+
+    def hadamard(self, a: int, b: int, side: str = "L") -> None:
         """Mix two congruent lines; the congruence level fixes the outcome.
 
         Congruence mod delta^3 forces both lines strictly below k afterwards;
         congruence only mod delta^2 forces no increase.  Anything weaker means
-        a handler bug, not a property of the input.
+        a case-analysis bug, not a property of the input.
         """
-        line1, line2 = self._lines_res(i1, i2, side)
-        if line1 == line2:
-            strict = True
-        elif all(a.bits[:2] == b.bits[:2] for a, b in zip(line1, line2)):
-            strict = False
-        else:
+        level = self.congruence(a, b, side)
+        if level < 2:
             raise ImpossibleBranchError(
-                f"lines {i1},{i2} not congruent mod delta^2 before Hadamard")
+                f"lines {a},{b} not congruent mod delta^2 before Hadamard")
         if self.hadamards >= MAX_HADAMARDS_PER_ROUND:
             raise NoProgressError("Hadamard budget for one round exhausted")
         self.hadamards += 1
-        op = h_op(min(i1, i2) + 1, max(i1, i2) + 1, side=side)
-        (self.left_ops if side == "L" else self.right_ops).append(op)
-        self.m = apply_elementary(op, self.m)
-        if strict:
-            if side == "L":
-                worst = max(e.k for i in (i1, i2) for e in self.m.rows[i])
-            else:
-                worst = max(e.k for i in (i1, i2) for e in self.m.column(i))
-            if worst >= self.k:
+        self.apply(h_op(min(a, b) + 1, max(a, b) + 1), side)
+        if level == 3:
+            lines = self.m.rows if side == "L" else tuple(zip(*self.m.rows))
+            if max(e.k for i in (a, b) for e in lines[i]) >= self.k:
                 raise VerificationError("congruent lines failed to drop")
         elif delta_exponent(self.m) > self.k:
             raise VerificationError("Hadamard increased the delta-exponent")
 
 
-def _reduce_dense2(ws: _Workspace) -> None:
-    res = ws.res3()
-    ws.phase_left(0, phase_offset(res.row(0), res.row(1)))
-    ws.hadamard(0, 1)
+def _align(ws: _Workspace, a: int, b: int, support: Sequence[int], side: str) -> None:
+    """Phase line a so that it agrees with line b mod delta^3 over support."""
+    ws.phase(a, phase_offset(*ws.lines(a, b, side, support)), side)
 
 
-def _reduce_block3(ws: _Workspace, pat: CasePattern) -> None:
-    r1, r2 = pat.row_perm[:2]
-    c1, c2 = pat.col_perm[:2]
-    res = ws.res3()
-    block = lambda r: (res.grid[r][c1], res.grid[r][c2])
-    ws.phase_left(r1, phase_offset(block(r1), block(r2)))
-    ws.hadamard(r1, r2)
+def _align_and_mix(ws: _Workspace, a: int, b: int, support: Sequence[int],
+                   side: str = "L") -> None:
+    """The reduction step: align line a to line b over support, then mix them."""
+    _align(ws, a, b, support, side)
+    ws.hadamard(a, b, side)
 
 
-def _reduce_single_block(ws: _Workspace, pat: CasePattern) -> None:
-    r1, r2 = pat.row_perm[:2]
-    c1, c2 = pat.col_perm[:2]
-    res = ws.res3()
-    block = lambda r: (res.grid[r][c1], res.grid[r][c2])
-    ws.phase_left(r1, phase_offset(block(r1), block(r2)))
-    exps = ws.exps()
-    for c in (c1, c2):
-        ws.phase_right(c, (-exps[r2][c]) % 4)
-    ws.hadamard(r1, r2)
+def _reduce_lines(ws: _Workspace, pat: CasePattern) -> None:
+    """Every shape but dense4: align and mix the template's first two lines.
 
-
-def _reduce_full_rows(ws: _Workspace, pat: CasePattern) -> None:
-    res = ws.res3()
+    The support is the shape's unit block, or the whole line for full_rows.
+    """
     if pat.transposed:
-        c1, c2 = pat.col_perm[:2]
-        ws.phase_right(c1, phase_offset(res.col(c1), res.col(c2)))
-        ws.hadamard(c1, c2, side="R")
+        lines, cross, side = pat.col_perm, pat.row_perm, "R"
     else:
-        r1, r2 = pat.row_perm[:2]
-        ws.phase_left(r1, phase_offset(res.row(r1), res.row(r2)))
-        ws.hadamard(r1, r2)
+        lines, cross, side = pat.row_perm, pat.col_perm, "L"
+    a, b = lines[:2]
+    support = cross if pat.tag is CaseTag.FULL_ROWS else cross[:2]
+    if pat.tag is CaseTag.SINGLE_BLOCK:
+        # right phases make line b's block entries 1 mod delta^3
+        exps = ws.exps()
+        for c in support:
+            ws.phase(c, -exps[b][c] % 4, "R")
+    elif pat.tag is CaseTag.BLOCK_AND_ROWS:
+        _align(ws, a, b, support, side)
+        if ws.congruence(a, b, side) == 2:
+            # the light rows keep their defect; mix the full rows instead
+            a, b = lines[2:]
+    _align_and_mix(ws, a, b, support, side)
 
 
-def _reduce_double_block(ws: _Workspace, pat: CasePattern) -> None:
-    r1, r2 = pat.row_perm[:2]
-    c1, c2 = pat.col_perm[:2]
-    res = ws.res3()
-    block = lambda r: (res.grid[r][c1], res.grid[r][c2])
-    ws.phase_left(r1, phase_offset(block(r1), block(r2)))
-    ws.hadamard(r1, r2)
+# Third row (1, w^l, w^m, w^p), keyed by (l, m, p), against the rows
+# (1, 1, 1, 1) and (1, w, w^2, w^3): the pair of rows to mix.  Unitarity
+# excludes every other triple.
+_DENSE4_DISTINCT = {
+    (1, 2, 3): (1, 2), (3, 2, 1): (1, 2), (1, 0, 1): (1, 2), (3, 0, 3): (1, 2),
+    (0, 0, 0): (0, 2), (0, 2, 2): (0, 2), (2, 0, 2): (0, 2), (2, 2, 0): (0, 2),
+}
+# The same against the rows (1, 1, 1, 1) and (1, 1, w, w).
+_DENSE4_PAIRS = {
+    (2, 1, 3): (1, 2), (2, 3, 1): (1, 2), (0, 1, 1): (1, 2), (0, 3, 3): (1, 2),
+    (0, 0, 0): (0, 2), (0, 2, 2): (0, 2), (2, 0, 2): (0, 2), (2, 2, 0): (0, 2),
+}
 
 
-def _reduce_block_and_rows(ws: _Workspace, pat: CasePattern) -> None:
-    r1, r2, r3, r4 = pat.row_perm
-    c1, c2 = pat.col_perm[:2]
-    res = ws.res3()
-    block = lambda r: (res.grid[r][c1], res.grid[r][c2])
-    ws.phase_left(r1, phase_offset(block(r1), block(r2)))
-    res = ws.res3()
-    if res.row(r1) == res.row(r2):
-        ws.hadamard(r1, r2)
-        return
-    if not all(a.bits[:2] == b.bits[:2] for a, b in zip(res.row(r1), res.row(r2))):
-        raise ImpossibleBranchError("light rows not congruent mod delta^2")
-    # the light rows keep their defect; drop the full rows instead
-    ws.phase_left(r3, phase_offset(block(r3), block(r4)))
-    ws.hadamard(r3, r4)
+def _mix_by_third_row(ws: _Workspace, table: dict, first_rows: tuple[int, int]) -> None:
+    """Mix the pair the table names; first_rows hold the table's rows 0 and 1."""
+    third = tuple(ws.exps()[2][1:])
+    if third not in table:
+        raise ImpossibleBranchError(f"unit triple {third} excluded by unitarity")
+    rows = (*first_rows, 2)
+    a, b = table[third]
+    ws.hadamard(rows[a], rows[b])
 
 
 def _reduce_dense4(ws: _Workspace) -> None:
     exps = ws.exps()
     diffs = [(exps[1][j] - exps[0][j]) % 4 for j in range(4)]
-    values = set(diffs)
-    if len(values) == 1:
-        ws.phase_left(0, diffs[0])
-        ws.hadamard(0, 1)
-    elif len(values) == 4:
+    split = sorted(diffs.count(v) for v in set(diffs))
+    if split == [4]:
+        _align_and_mix(ws, 0, 1, range(4))
+    elif split == [1, 1, 1, 1]:
         _dense4_all_distinct(ws)
-    elif len(values) == 2 and all(diffs.count(v) == 2 for v in values):
-        _dense4_two_pairs(ws)
+    elif split == [2, 2]:
+        _dense4_two_pairs(ws, diffs)
     else:
         raise ImpossibleBranchError(
             f"row phase differences {diffs} split 3/1, excluded by unitarity")
@@ -431,118 +425,55 @@ def _reduce_dense4(ws: _Workspace) -> None:
 def _dense4_all_distinct(ws: _Workspace) -> None:
     exps = ws.exps()
     for j in range(4):
-        ws.phase_right(j, (-exps[0][j]) % 4)
+        ws.phase(j, -exps[0][j] % 4, "R")
     exps = ws.exps()
-    ws.phase_left(1, (-exps[1][0]) % 4)
+    ws.phase(1, -exps[1][0] % 4)
     exps = ws.exps()
     # sort the second row to (1, w, w^2, w^3) with column swaps
     if exps[1][1] != 1:
-        target = next(c for c in (2, 3) if exps[1][c] == 1)
-        ws.swap_right(1, target)
+        ws.apply(x_op(2, exps[1].index(1) + 1), "R")
         exps = ws.exps()
     if exps[1][2] != 2:
-        ws.swap_right(2, 3)
+        ws.apply(x_op(3, 4), "R")
         exps = ws.exps()
-    if exps[1][:4] != [0, 1, 2, 3]:
+    if exps[1] != [0, 1, 2, 3]:
         raise ImpossibleBranchError(f"distinct differences failed to sort: {exps[1]}")
-    ws.phase_left(2, (-exps[2][0]) % 4)
-    exps = ws.exps()
-    l, mm, p = exps[2][1], exps[2][2], exps[2][3]
-
-    if sorted((l, mm, p)) == [1, 2, 3]:
-        if (l, mm, p) in ((1, 2, 3), (3, 2, 1)):
-            ws.hadamard(1, 2)
-        else:
-            raise ImpossibleBranchError(f"ordering {(l, mm, p)} excluded by unitarity")
-    elif l == mm == p == 0:
-        ws.hadamard(0, 2)
-    elif l == 0 and mm == p != 0:
-        if mm % 2 == 0:
-            ws.hadamard(0, 2)
-        else:
-            raise ImpossibleBranchError("odd pair against sorted row excluded")
-    elif mm == 0 and l == p != 0:
-        if l % 2 == 1:
-            ws.hadamard(1, 2)
-        else:
-            ws.hadamard(0, 2)
-    elif p == 0 and l == mm != 0:
-        if l % 2 == 0:
-            ws.hadamard(0, 2)
-        else:
-            raise ImpossibleBranchError("odd pair against sorted row excluded")
-    else:
-        raise ImpossibleBranchError(f"unit triple {(l, mm, p)} excluded by unitarity")
+    ws.phase(2, -exps[2][0] % 4)
+    _mix_by_third_row(ws, _DENSE4_DISTINCT, (0, 1))
 
 
-def _dense4_two_pairs(ws: _Workspace) -> None:
-    exps = ws.exps()
-    diffs = [(exps[1][j] - exps[0][j]) % 4 for j in range(4)]
-    partner = next(j for j in range(1, 4) if diffs[j] == diffs[0])
+def _dense4_two_pairs(ws: _Workspace, diffs: list[int]) -> None:
+    partner = diffs.index(diffs[0], 1)
     if partner != 1:
-        ws.swap_right(1, partner)
+        ws.apply(x_op(2, partner + 1), "R")
     exps = ws.exps()
     for j in range(4):
-        ws.phase_right(j, (-exps[0][j]) % 4)
+        ws.phase(j, -exps[0][j] % 4, "R")
     exps = ws.exps()
-    ws.phase_left(1, (-exps[1][0]) % 4)
-    ws.phase_left(2, (-exps[2][0]) % 4)
+    ws.phase(1, -exps[1][0] % 4)
+    ws.phase(2, -exps[2][0] % 4)
     exps = ws.exps()
     if exps[1][1] != 0 or exps[1][2] != exps[1][3]:
         raise ImpossibleBranchError(f"pair structure lost: {exps[1]}")
-    g = exps[1][2]
-    if g == 2:
+    gap = exps[1][2]
+    if gap == 2:
         ws.hadamard(0, 1)
         return
-    if g == 3:
-        # shift the light columns so the g-row becomes the all-ones row
-        ws.phase_right(2, 1)
-        ws.phase_right(3, 1)
-        exps = ws.exps()
-        ones_row, g_row = 1, 0
+    first_rows = (0, 1)
+    if gap == 3:
+        # shift the light columns: row 1 becomes the all-ones row
+        ws.phase(2, 1, "R")
+        ws.phase(3, 1, "R")
+        first_rows = (1, 0)
+    _mix_by_third_row(ws, _DENSE4_PAIRS, first_rows)
+
+
+def _reduce(ws: _Workspace, pat: CasePattern) -> None:
+    """One case step on the workspace for the matched shape."""
+    if pat.tag is CaseTag.DENSE_4:
+        _reduce_dense4(ws)
     else:
-        ones_row, g_row = 0, 1
-    _pairs_tree(ws, ones_row, g_row, 2, exps[2][1], exps[2][2], exps[2][3])
-
-
-def _pairs_tree(ws: _Workspace, ones_row: int, g_row: int, third: int,
-                l: int, mm: int, p: int) -> None:
-    """Sub-cases against rows (1,1,1,1) and (1,1,w,w); third row is (1,w^l,w^mm,w^p)."""
-    if sorted((l, mm, p)) == [1, 2, 3]:
-        if (l, mm, p) in ((2, 1, 3), (2, 3, 1)):
-            ws.hadamard(g_row, third)
-        else:
-            raise ImpossibleBranchError(f"ordering {(l, mm, p)} excluded by unitarity")
-    elif l == mm == p == 0:
-        ws.hadamard(ones_row, third)
-    elif l == 0 and mm == p != 0:
-        if mm % 2 == 0:
-            ws.hadamard(ones_row, third)
-        else:
-            ws.hadamard(g_row, third)
-    elif mm == 0 and l == p != 0:
-        if l % 2 == 0:
-            ws.hadamard(ones_row, third)
-        else:
-            raise ImpossibleBranchError("odd diagonal pair excluded by unitarity")
-    elif p == 0 and l == mm != 0:
-        if l % 2 == 0:
-            ws.hadamard(ones_row, third)
-        else:
-            raise ImpossibleBranchError("odd diagonal pair excluded by unitarity")
-    else:
-        raise ImpossibleBranchError(f"unit triple {(l, mm, p)} excluded by unitarity")
-
-
-_HANDLERS = {
-    CaseTag.DENSE_2: lambda ws, pat: _reduce_dense2(ws),
-    CaseTag.BLOCK_3: _reduce_block3,
-    CaseTag.SINGLE_BLOCK: _reduce_single_block,
-    CaseTag.FULL_ROWS: _reduce_full_rows,
-    CaseTag.DOUBLE_BLOCK: _reduce_double_block,
-    CaseTag.BLOCK_AND_ROWS: _reduce_block_and_rows,
-    CaseTag.DENSE_4: lambda ws, pat: _reduce_dense4(ws),
-}
+        _reduce_lines(ws, pat)
 
 
 def reduction_round(m: ExactMatrix, k: int | None = None, *,
@@ -565,19 +496,13 @@ def reduction_round(m: ExactMatrix, k: int | None = None, *,
         pattern = residue_matrix(ws.m, 1, k).pattern()
         pat = classify_pattern(pattern)
         ws.case_chain.append(pat.tag.value)
-        _HANDLERS[pat.tag](ws, pat)
+        _reduce(ws, pat)
     k_after = delta_exponent(ws.m)
     if k_after >= k:
         raise NoProgressError(f"round ended at exponent {k_after} >= {k}")
     rnd = ReductionRound(tuple(ws.left_ops), tuple(ws.right_ops),
                          k, k_after, tuple(ws.case_chain))
     return rnd, ws.m
-
-
-def _as_left(op: ElementaryOp) -> ElementaryOp:
-    if op.side == "L":
-        return op
-    return ElementaryOp(op.kind, op.j, op.m, op.power, "L")
 
 
 def synthesize(m: ExactMatrix, *, debug: bool = False) -> Decomposition:
@@ -608,9 +533,9 @@ def synthesize(m: ExactMatrix, *, debug: bool = False) -> Decomposition:
 
     word: list[ElementaryOp] = []
     for op in lefts:
-        word.extend(_as_left(inv) for inv in invert_elementary(op))
+        word.extend(invert_elementary(op))
     for op in reversed(rights):
-        word.extend(_as_left(inv) for inv in invert_elementary(op))
+        word.extend(invert_elementary(op))
     dec = Decomposition(tuple(word), tuple(rounds), source_k, m.dim)
     if debug and not verify_decomposition(m, dec):
         raise VerificationError("decomposition product mismatch")

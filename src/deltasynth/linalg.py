@@ -58,10 +58,6 @@ class ExactMatrix:
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows!r})"
 
-    def key(self) -> str:
-        """Canonical text key; collision-free because entries are canonical."""
-        return ";".join(" ".join(str(e) for e in row) for row in self.rows)
-
 
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.dim != b.dim:
@@ -131,16 +127,15 @@ Side = Literal["L", "R"]
 class ElementaryOp:
     """One-level phase (w^power on basis vector j) or a two-level H / X.
 
-    Indices are 1-based, j < m for two-level kinds.  side records whether the
-    operator was applied on the left (rows) or right (columns) during a
-    reduction; the op's matrix is the same either way.
+    Indices are 1-based, j < m for two-level kinds.  All three kinds have
+    symmetric matrices, so an op means the same matrix whether it is applied
+    to rows (on the left) or to columns (on the right).
     """
 
     kind: OpKind
     j: int
     m: int = 0
     power: int = 0
-    side: Side = "L"
 
     def __post_init__(self) -> None:
         if self.j < 1:
@@ -162,23 +157,40 @@ class ElementaryOp:
         return f"{self.kind}[{self.j},{self.m}]"
 
 
-def omega_op(j: int, power: int, side: Side = "L") -> ElementaryOp:
-    return ElementaryOp("omega", j, 0, power % 8, side)
+def omega_op(j: int, power: int) -> ElementaryOp:
+    return ElementaryOp("omega", j, 0, power % 8)
 
 
-def h_op(j: int, m: int, side: Side = "L") -> ElementaryOp:
-    return ElementaryOp("H", j, m, 0, side)
+def h_op(j: int, m: int) -> ElementaryOp:
+    return ElementaryOp("H", j, m)
 
 
-def x_op(j: int, m: int, side: Side = "L") -> ElementaryOp:
-    return ElementaryOp("X", j, m, 0, side)
+def x_op(j: int, m: int) -> ElementaryOp:
+    return ElementaryOp("X", j, m)
 
 
 def invert_elementary(op: ElementaryOp) -> list[ElementaryOp]:
     """A word for op^-1 (H and X are involutions, phases invert mod 8)."""
     if op.kind == "omega":
-        return [omega_op(op.j, 8 - op.power, op.side)]
+        return [omega_op(op.j, 8 - op.power)]
     return [op]
+
+
+def row_surgery(rows: list, kind: OpKind, i: int, j: int = 0, power: int = 0) -> None:
+    """Apply an elementary op to a list of rows in place (0-based indices).
+
+    "omega" multiplies row i by w^power, "X" swaps rows i and j, and "H"
+    replaces them by (x + y)/sqrt(2) and (x - y)/sqrt(2).  Changed rows
+    become lists.
+    """
+    if kind == "omega":
+        rows[i] = [e.mul_omega_power(power) for e in rows[i]]
+    elif kind == "X":
+        rows[i], rows[j] = rows[j], rows[i]
+    else:
+        top, bot = rows[i], rows[j]
+        rows[i] = [(x + y) * D_INV_SQRT2 for x, y in zip(top, bot)]
+        rows[j] = [(x - y) * D_INV_SQRT2 for x, y in zip(top, bot)]
 
 
 def _check_indices(op: ElementaryOp, dim: int) -> None:
@@ -187,68 +199,32 @@ def _check_indices(op: ElementaryOp, dim: int) -> None:
         raise ValueError(f"op {op} out of range for dimension {dim}")
 
 
-def apply_elementary(op: ElementaryOp, m: ExactMatrix) -> ExactMatrix:
-    """op @ m for side L, m @ op for side R, via two-line surgery."""
+def apply_elementary(op: ElementaryOp, m: ExactMatrix, side: Side = "L") -> ExactMatrix:
+    """op @ m for side L, m @ op for side R.
+
+    A column op is the row op on the transpose, since op's matrix is
+    symmetric: m @ op = (op @ m^T)^T.
+    """
     _check_indices(op, m.dim)
-    rows = list(m.rows)
-    if op.side == "L":
-        if op.kind == "omega":
-            i = op.j - 1
-            rows[i] = tuple(e.mul_omega_power(op.power) for e in rows[i])
-        elif op.kind == "X":
-            i, j = op.j - 1, op.m - 1
-            rows[i], rows[j] = rows[j], rows[i]
-        else:
-            i, j = op.j - 1, op.m - 1
-            top, bot = rows[i], rows[j]
-            rows[i] = tuple((x + y) * D_INV_SQRT2 for x, y in zip(top, bot))
-            rows[j] = tuple((x - y) * D_INV_SQRT2 for x, y in zip(top, bot))
-    else:
-        if op.kind == "omega":
-            c = op.j - 1
-            rows = [row[:c] + (row[c].mul_omega_power(op.power),) + row[c + 1:]
-                    for row in rows]
-        elif op.kind == "X":
-            c, d = op.j - 1, op.m - 1
-            rows = [_swapped(row, c, d) for row in rows]
-        else:
-            c, d = op.j - 1, op.m - 1
-            new_rows = []
-            for row in rows:
-                x, y = row[c], row[d]
-                row = list(row)
-                row[c] = (x + y) * D_INV_SQRT2
-                row[d] = (x - y) * D_INV_SQRT2
-                new_rows.append(tuple(row))
-            rows = new_rows
-    return ExactMatrix(rows)
-
-
-def _swapped(row: Sequence[DOmega], c: int, d: int) -> tuple[DOmega, ...]:
-    out = list(row)
-    out[c], out[d] = out[d], out[c]
-    return tuple(out)
+    rows = list(m.rows) if side == "L" else list(zip(*m.rows))
+    row_surgery(rows, op.kind, op.j - 1, op.m - 1, op.power)
+    return ExactMatrix(rows if side == "L" else zip(*rows))
 
 
 def elementary_matrix(op: ElementaryOp, dim: int) -> ExactMatrix:
-    """The dim x dim matrix of op (side-independent)."""
-    left = op if op.side == "L" else ElementaryOp(op.kind, op.j, op.m, op.power, "L")
-    return apply_elementary(left, ExactMatrix.identity(dim))
+    """The dim x dim matrix of op."""
+    return apply_elementary(op, ExactMatrix.identity(dim))
 
 
 def apply_word(word: Sequence[ElementaryOp], m: ExactMatrix,
                side: Side = "L") -> ExactMatrix:
-    """Multiply m by a left-to-right product of ops, ignoring their side tags.
+    """Multiply m by a left-to-right product of ops.
 
     side "L": (w1 w2 ... wn) @ m, so the word is applied last-first.
     side "R": m @ (w1 w2 ... wn).
     """
-    if side == "L":
-        for op in reversed(word):
-            m = apply_elementary(ElementaryOp(op.kind, op.j, op.m, op.power, "L"), m)
-    else:
-        for op in word:
-            m = apply_elementary(ElementaryOp(op.kind, op.j, op.m, op.power, "R"), m)
+    for op in (reversed(word) if side == "L" else word):
+        m = apply_elementary(op, m, side)
     return m
 
 

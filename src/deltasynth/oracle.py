@@ -12,8 +12,16 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .circuits import Circuit, Gate, _apply_gate, circuit_to_matrix
-from .linalg import ElementaryOp, ExactMatrix, apply_elementary, h_op, omega_op, x_op
+from .circuits import Circuit, Gate, circuit_to_matrix
+from .linalg import (
+    ElementaryOp,
+    ExactMatrix,
+    apply_elementary,
+    h_op,
+    mat_mul,
+    omega_op,
+    x_op,
+)
 
 ONE_QUBIT_POOL = (
     Gate("H", (0,)),
@@ -109,15 +117,15 @@ def search_gate_word(target: ExactMatrix, max_len: int,
     identity = ExactMatrix.identity(target.dim)
     if target == identity:
         return ()
+    gate_matrices = [(gate, circuit_to_matrix(Circuit(qubits, False, (gate,))))
+                     for gate in pool]
     seen = {identity}
     frontier: dict[ExactMatrix, tuple[Gate, ...]] = {identity: ()}
     for _ in range(max_len):
         fresh: dict[ExactMatrix, tuple[Gate, ...]] = {}
         for matrix, word in frontier.items():
-            for gate in pool:
-                rows = [list(r) for r in matrix.rows]
-                _apply_gate(rows, gate, qubits)
-                grown = ExactMatrix(rows)
+            for gate, gate_matrix in gate_matrices:
+                grown = mat_mul(gate_matrix, matrix)
                 if grown in seen:
                     continue
                 seen.add(grown)

@@ -136,12 +136,6 @@ class ZOmega:
         return ZOmega(self.a + rot.a, self.b + rot.b,
                       self.c + rot.c, self.d + rot.d)
 
-    def approx(self) -> complex:
-        """Floating-point value, for debug display only."""
-        inv = 2.0 ** -0.5
-        return complex(self.d + (self.c - self.a) * inv,
-                       self.b + (self.c + self.a) * inv)
-
 
 ZW_ZERO = ZOmega(0, 0, 0, 0)
 ZW_ONE = ZOmega(0, 0, 0, 1)
@@ -199,21 +193,6 @@ class ResidueClass:
         if len(self.bits) != self.n or any(b not in (0, 1) for b in self.bits):
             raise ValueError(f"need {self.n} bits, got {self.bits!r}")
 
-    def lift(self) -> ZOmega:
-        """The canonical representative x0 + x1*delta + x2*delta^2."""
-        z = ZW_ZERO
-        if self.bits[0]:
-            z = z + ZW_ONE
-        if self.n > 1 and self.bits[1]:
-            z = z + ZW_DELTA
-        if self.n > 2 and self.bits[2]:
-            z = z + ZW_DELTA2
-        return z
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.bits)
-
     @property
     def is_unit(self) -> bool:
         return self.bits[0] == 1
@@ -223,18 +202,6 @@ class ResidueClass:
         if self.n != 3 or not self.bits[0]:
             raise ValueError(f"{self!r} is not a unit class mod delta^3")
         return self.bits[1] + 2 * self.bits[2]
-
-    def _binop(self, other: ResidueClass, mul: bool) -> ResidueClass:
-        if not isinstance(other, ResidueClass) or other.n != self.n:
-            raise ValueError("mismatched moduli")
-        x, y = self.lift(), other.lift()
-        return residue(x * y if mul else x + y, self.n)
-
-    def __add__(self, other: ResidueClass) -> ResidueClass:
-        return self._binop(other, mul=False)
-
-    def __mul__(self, other: ResidueClass) -> ResidueClass:
-        return self._binop(other, mul=True)
 
 
 def residue(x: ZOmega, n: int) -> ResidueClass:
@@ -275,10 +242,6 @@ class DOmega:
         self.num = num
         self.k = k
         return self
-
-    @classmethod
-    def from_zomega(cls, num: ZOmega) -> DOmega:
-        return cls._raw(num, 0)
 
     @classmethod
     def from_int(cls, d: int) -> DOmega:
@@ -350,13 +313,6 @@ class DOmega:
         for _ in range(shift):
             num = num.times_delta()
         return residue(num, n)
-
-    def approx(self) -> complex:
-        """Floating-point value, for debug display only."""
-        return self.num.approx() / _DELTA_APPROX ** self.k
-
-
-_DELTA_APPROX = 1 + (2 ** -0.5) * (1 + 1j)
 
 D_ZERO = DOmega._raw(ZW_ZERO, 0)
 D_ONE = DOmega._raw(ZW_ONE, 0)

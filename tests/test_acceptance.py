@@ -8,6 +8,7 @@ word <= 6.17*k + 7 and gates <= 148.5*k + 182, and no monomial word exceeded
 7 operators.  The frozen values add headroom; runs must stay under them.
 """
 
+import ast
 import hashlib
 import time
 from itertools import combinations
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import deltasynth
 from deltasynth.circuits import circuit_to_matrix, emit, gate_counts, verify_templates
 from deltasynth.cli import residue_tables
 from deltasynth.engine import MONOMIAL_WORD_MAX, synthesize, verify_decomposition
@@ -234,3 +236,20 @@ def test_large_instance_fast():
     assert gate_counts(circuit)["total"] <= GATE_SLOPE * k + GATE_OFFSET
     print(f"k={k} instance: word {len(dec.word)}, {len(circuit.gates)} gates"
           f" in {elapsed:.2f}s (limit {LARGE_INSTANCE_TIME_LIMIT_S:.0f}s)")
+
+
+def test_no_floating_point_in_package():
+    """The README promises exact arithmetic throughout: no module of the
+    package may hold a float or complex literal or call float() or complex()."""
+    offences = []
+    modules = sorted(Path(deltasynth.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                offences.append(f"{path.name}:{node.lineno}: literal {node.value!r}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("float", "complex")):
+                offences.append(f"{path.name}:{node.lineno}: call to {node.func.id}()")
+    assert offences == []
+    print(f"no floating point in {len(modules)} modules")

@@ -1,3 +1,4 @@
+import io
 from pathlib import Path
 
 import pytest
@@ -235,6 +236,31 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(matrix), str(circuit))
         assert code == 2
         assert "line 2" in err
+
+
+NOT_UTF8 = b"dim 2\n1 0\n0 \xff\n"
+
+
+def assert_one_line_error(result):
+    code, _, err = result
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_utf8_input_exit_2(capsys, tmp_path, monkeypatch):
+    matrix = tmp_path / "m.txt"
+    matrix.write_bytes(NOT_UTF8)
+    assert_one_line_error(run(capsys, "synth", str(matrix)))
+
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8),
+                                                      encoding="utf-8"))
+    assert_one_line_error(run(capsys, "synth", "-"))
+
+    matrix.write_text(IDENTITY_2)
+    circuit = tmp_path / "c.txt"
+    circuit.write_bytes(b"qubits 1\nH \xfe0\n")
+    assert_one_line_error(run(capsys, "verify", str(matrix), str(circuit)))
 
 
 class TestBench:

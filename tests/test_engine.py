@@ -8,8 +8,7 @@ from deltasynth.engine import (
     CaseTag,
     MONOMIAL_WORD_MAX,
     _Workspace,
-    _reduce_block_and_rows,
-    _reduce_dense4,
+    _reduce,
     classify_pattern,
     phase_offset,
     reduction_round,
@@ -52,9 +51,9 @@ def unit_class(power):
     return residue(OMEGA_POWERS[power % 8], 3)
 
 
-def replay(ops, m):
+def replay(ops, m, side="L"):
     for op in ops:
-        m = apply_elementary(op, m)
+        m = apply_elementary(op, m, side)
     return m
 
 
@@ -300,7 +299,7 @@ class TestReductionRound:
             assert rnd.hadamard_count <= 4
             assert delta_exponent(out) == rnd.k_after
             assert is_unitary(out)
-            assert replay(rnd.left_ops + rnd.right_ops, m) == out
+            assert replay(rnd.right_ops, replay(rnd.left_ops, m), "R") == out
             done += 1
         assert done > 20
 
@@ -340,7 +339,6 @@ class TestSynthesize:
             dec = synthesize(m, debug=True)
             assert verify_decomposition(m, dec)
             assert dec.source_k == delta_exponent(m)
-            assert all(op.side == "L" for op in dec.word)
             k = dec.source_k
             for rnd in dec.rounds:
                 assert rnd.k_before == k
@@ -380,10 +378,21 @@ def forged(*rows):
     return ExactMatrix(out)
 
 
-def run_dense4(m):
+DENSE_4 = classify_pattern([[1] * 4 for _ in range(4)])
+BLOCK_AND_ROWS = classify_pattern([[1, 1, 0, 0],
+                                   [1, 1, 0, 0],
+                                   [1, 1, 1, 1],
+                                   [1, 1, 1, 1]])
+
+
+def run_case(m, pat):
     ws = _Workspace(m, 2)
-    _reduce_dense4(ws)
+    _reduce(ws, pat)
     return ws
+
+
+def run_dense4(m):
+    return run_case(m, DENSE_4)
 
 
 class TestDenseFourBranches:
@@ -419,7 +428,7 @@ class TestDenseFourBranches:
     def test_distinct_needs_column_sort(self):
         ws = run_dense4(forged((0, 0, 0, 0), (0, 2, 3, 1),
                                (0, 2, 3, 1), (0, 0, 0, 0)))
-        assert ws.right_ops == [x_op(2, 4, side="R"), x_op(3, 4, side="R")]
+        assert ws.right_ops == [x_op(2, 4), x_op(3, 4)]
         assert ws.left_ops == [h_op(2, 3)]
 
     @pytest.mark.parametrize("third", [(0, 1, 3, 2), (0, 2, 1, 3),
@@ -458,7 +467,7 @@ class TestDenseFourBranches:
     def test_pairs_needs_column_pairing(self):
         ws = run_dense4(forged((0, 0, 0, 0), (0, 2, 0, 2),
                                (0, 0, 0, 0), (0, 0, 0, 0)))
-        assert ws.right_ops == [x_op(2, 3, side="R")]
+        assert ws.right_ops == [x_op(2, 3)]
         assert ws.left_ops == [h_op(1, 2)]
 
     @pytest.mark.parametrize("third,ops", [
@@ -488,7 +497,7 @@ class TestDenseFourBranches:
     def test_pairs_inverse_gap_shifts_columns(self):
         ws = run_dense4(forged((0, 0, 0, 0), (0, 0, 3, 3),
                                (0, 0, 0, 0), (0, 0, 0, 0)))
-        assert ws.right_ops == [omega_op(3, 1, side="R"), omega_op(4, 1, side="R")]
+        assert ws.right_ops == [omega_op(3, 1), omega_op(4, 1)]
         assert ws.left_ops == [h_op(1, 3)]
 
 
@@ -498,11 +507,7 @@ class TestBlockAndRowsBranches:
                    (0, 0, ("sub", 0), ("sub", 0)),
                    (0, 0, 0, 0),
                    (0, 0, 0, 0))
-        ws = _Workspace(m, 2)
-        _reduce_block_and_rows(ws, classify_pattern([[1, 1, 0, 0],
-                                                     [1, 1, 0, 0],
-                                                     [1, 1, 1, 1],
-                                                     [1, 1, 1, 1]]))
+        ws = run_case(m, BLOCK_AND_ROWS)
         assert ws.left_ops == [h_op(1, 2)]
 
     def test_defective_light_rows_mix_full_rows(self):
@@ -510,9 +515,5 @@ class TestBlockAndRowsBranches:
                    (0, 0, ("sub", 1), ("sub", 1)),
                    (0, 0, 0, 0),
                    (0, 0, 2, 2))
-        ws = _Workspace(m, 2)
-        _reduce_block_and_rows(ws, classify_pattern([[1, 1, 0, 0],
-                                                     [1, 1, 0, 0],
-                                                     [1, 1, 1, 1],
-                                                     [1, 1, 1, 1]]))
+        ws = run_case(m, BLOCK_AND_ROWS)
         assert ws.left_ops == [h_op(3, 4)]

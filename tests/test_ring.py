@@ -149,35 +149,30 @@ class TestResidues:
 
     @given(x=zomega)
     def test_bits_name_the_class(self, x):
-        # independent oracle: x minus the lifted representative must be
-        # divisible by delta three times
-        rep = residue(x, 3).lift()
-        diff = x - rep
+        # independent oracle: x minus the representative
+        # bits[0] + bits[1]*delta + bits[2]*delta^2 must be divisible by
+        # delta three times
+        bits = residue(x, 3).bits
+        diff = x
+        for bit, basis in zip(bits, (ZW_ONE, ZW_DELTA, ZW_DELTA2)):
+            if bit:
+                diff = diff - basis
         for _ in range(3):
             diff = divide_by_delta(diff)
             assert diff is not None
-
-    @given(x=zomega, y=zomega)
-    def test_residue_is_a_ring_hom(self, x, y):
-        for n in (1, 2, 3):
-            assert residue(x, n) + residue(y, n) == residue(x + y, n)
-            assert residue(x, n) * residue(y, n) == residue(x * y, n)
 
     def test_quotient_sizes(self):
         for n in (1, 2, 3):
             classes = {residue(element, n) for element, _ in BASIS_TABLE}
             assert len(classes) == 2 ** n
-            # every class is its own lift's class
-            for cls in classes:
-                assert residue(cls.lift(), n) == cls
 
     def test_additive_exponent_two(self):
         # x + x = 2x = 0 mod delta^3 since 2 is delta^4 times a unit
         for element, _ in BASIS_TABLE:
-            assert residue(element + element, 3).is_zero
+            assert not any(residue(element + element, 3).bits)
 
     def test_key_congruences(self):
-        assert residue(ZOmega.from_int(2), 3).is_zero
+        assert not any(residue(ZOmega.from_int(2), 3).bits)
         assert residue(ZOmega.from_int(-1), 3) == residue(ZW_ONE, 3)
         assert residue(ZW_ONE.mul_omega_power(4), 3) == residue(ZW_ONE, 3)
 
@@ -194,7 +189,7 @@ class TestResidues:
         for x in range(8):
             for y in range(8):
                 total = OMEGA_POWERS[x] + OMEGA_POWERS[y]
-                assert residue(total, 3).is_zero == ((x - y) % 4 == 0)
+                assert (not any(residue(total, 3).bits)) == ((x - y) % 4 == 0)
 
     def test_residue_class_validation(self):
         with pytest.raises(ValueError):
@@ -256,7 +251,7 @@ class TestDOmega:
         # scaled H entry: delta^2 * (1/sqrt(2)) = unit in the w^3 class
         assert D_INV_SQRT2.residue_at(2, 3) == ResidueClass(3, (1, 1, 1))
         assert D_INV_SQRT2.residue_at(2, 1) == ResidueClass(1, (1,))
-        assert D_ONE.residue_at(3, 3).is_zero
+        assert not any(D_ONE.residue_at(3, 3).bits)
         assert D_ONE.residue_at(2, 3) == residue(ZW_DELTA2, 3)
         with pytest.raises(ValueError):
             D_INV_SQRT2.residue_at(1, 3)
