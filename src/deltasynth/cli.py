@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -43,11 +44,15 @@ from .ring import (
     ZW_ONE,
     ZW_ZERO,
     from_sqrt2_form,
-    residue,
+    residue_bits,
     to_sqrt2_form,
 )
 
 _TOKEN = re.compile(r"\S+")
+# Bounds on one entry that keep parsing cheap on hostile files; no matrix
+# the tool writes comes near them.
+MAX_SQRT2_EXPONENT = 4096
+MAX_COEFFICIENT_DIGITS = 1000
 
 
 def _parse_entry(token: str, line: int, column: int):
@@ -60,6 +65,10 @@ def _parse_entry(token: str, line: int, column: int):
     if len(parts) != 4:
         raise MatrixParseError(
             f"entry must be a,b,c,d/m or 0 or 1, got {token!r}", line, column)
+    if any(len(p.lstrip("+-")) > MAX_COEFFICIENT_DIGITS for p in (*parts, tail)):
+        raise MatrixParseError(
+            f"entry numbers must have at most {MAX_COEFFICIENT_DIGITS} digits,"
+            f" got {token[:40]!r}", line, column)
     try:
         a, b, c, d = (int(p) for p in parts)
         m = int(tail) if slash else 0
@@ -69,6 +78,10 @@ def _parse_entry(token: str, line: int, column: int):
     if m < 0:
         raise MatrixParseError(
             f"denominator exponent must be >= 0, got {token!r}", line, column)
+    if m > MAX_SQRT2_EXPONENT:
+        raise MatrixParseError(
+            f"sqrt(2) exponent must be at most {MAX_SQRT2_EXPONENT},"
+            f" got {token[:40]!r}", line, column)
     return from_sqrt2_form(a, b, c, d, m)
 
 
@@ -246,7 +259,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _stats(xs: Sequence[int]) -> str:
-    return f"{sum(xs) / len(xs):.1f} {max(xs)}"
+    """Exact mean, rounded half-even to one decimal, and the maximum."""
+    whole, tenths = divmod(round(Fraction(10 * sum(xs), len(xs))), 10)
+    return f"{whole}.{tenths} {max(xs)}"
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -290,7 +305,7 @@ def residue_tables() -> str:
     for n in (1, 2, 3):
         classes = {}
         for name, z in _named_representatives():
-            classes.setdefault(residue(z, n), name)
+            classes.setdefault(residue_bits(z)[:n], name)
         if len(classes) != 2 ** n:
             raise VerificationError(f"expected {2 ** n} classes mod delta^{n}")
         power = "" if n == 1 else f"^{n}"
@@ -299,9 +314,8 @@ def residue_tables() -> str:
         lines.append("")
         names = classes
     lines.append("basis {1, delta, delta^2} decomposition mod delta^3:")
-    by_bits = {cls.bits: name for cls, name in names.items()}
-    for bits in sorted(by_bits, key=lambda b: (b[0], b[1] + 2 * b[2])):
-        name = by_bits[bits]
+    for bits in sorted(names, key=lambda b: (b[0], b[1] + 2 * b[2])):
+        name = names[bits]
         lines.append(f"  {name:<6} -> {bits[0]} + {bits[1]}*delta"
                      f" + {bits[2]}*delta^2")
     return "\n".join(lines) + "\n"

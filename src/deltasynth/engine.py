@@ -1,12 +1,13 @@
 """Reduction of exact unitaries to elementary-operator words.
 
-The driver invariant: for a unitary with least delta-exponent k > 1, the
-mod-delta residue pattern of the scaled matrix must be one of seven shapes
-(unit entries pair up in rows and columns).  Every shape is reduced by one
-step, applied over and over: phase-align two lines of delta^k * U that are
-congruent mod delta^3 (or mod delta^2) and mix them with one two-level
-Hadamard.  Congruence mod delta^3 strictly drops both lines below k;
-congruence mod delta^2 hands off to a simpler shape at the same k.  Which
+A round holds the Z[w] numerators of delta^k * U, for the unitary's least
+delta-exponent k > 1, and reads residues off them as residue bits.  The
+mod-delta pattern must be one of seven shapes (unit entries pair up in rows
+and columns).  Every shape is reduced by one step, applied over and over:
+phase-align two lines that are congruent mod delta^3 (or mod delta^2) and
+mix them with one two-level Hadamard, which divides their sum and difference
+exactly by sqrt(2).  Congruence mod delta^3 strictly drops both lines below
+k; congruence mod delta^2 hands off to a simpler shape at the same k.  Which
 two lines to mix is read off the shape, except for the all-units 4x4 shape:
 after normalising its first two rows, two tables keyed by the third row's
 phases name the pair.  At most four Hadamards later the whole matrix sits
@@ -37,18 +38,18 @@ from .errors import (
 from .linalg import (
     ElementaryOp,
     ExactMatrix,
-    ResidueMatrix,
-    apply_elementary,
     delta_exponent,
     h_op,
     invert_elementary,
     is_unitary,
     omega_op,
     residue_matrix,
+    row_surgery,
+    scaled,
     word_matrix,
     x_op,
 )
-from .ring import OMEGA_POWERS, ResidueClass
+from .ring import OMEGA_POWERS, ZW_SQRT2, Bits, DOmega, ZOmega, residue_bits
 
 MAX_HADAMARDS_PER_ROUND = 4
 # monomial cleanup needs at most dim-1 swaps and dim phases
@@ -213,21 +214,21 @@ def classify_pattern(pattern: Sequence[Sequence[int]]) -> CasePattern:
         f"weights {row_w}/{col_w} match no reducible shape")
 
 
-def phase_offset(row1: Sequence[ResidueClass], row2: Sequence[ResidueClass]) -> int:
-    """x mod 4 with w^x * row1 = row2 as unit classes mod delta^3."""
+def _omega_exponent(bits: Bits) -> int:
+    """s with w^s in the unit class mod delta^3 that bits name."""
+    return bits[1] + 2 * bits[2]
+
+
+def phase_offset(row1: Sequence[Bits], row2: Sequence[Bits]) -> int:
+    """x mod 4 with w^x * row1 = row2 as unit classes mod delta^3 (residue bits)."""
     if not row1 or len(row1) != len(row2):
         raise ValueError("need equal-length nonempty unit rows")
-    offset = None
-    for r1, r2 in zip(row1, row2):
-        if r1.n != 3 or r2.n != 3 or not (r1.is_unit and r2.is_unit):
-            raise PhaseAlignmentError("phase alignment needs unit classes mod delta^3")
-        diff = (r2.omega_exponent() - r1.omega_exponent()) % 4
-        if offset is None:
-            offset = diff
-        elif diff != offset:
-            raise PhaseAlignmentError(
-                f"no single omega power aligns {row1!r} with {row2!r}")
-    return offset
+    if not all(bits[0] for bits in (*row1, *row2)):
+        raise PhaseAlignmentError("phase alignment needs unit classes mod delta^3")
+    offsets = {(_omega_exponent(r2) - _omega_exponent(r1)) % 4 for r1, r2 in zip(row1, row2)}
+    if len(offsets) != 1:
+        raise PhaseAlignmentError(f"no single omega power aligns {row1!r} with {row2!r}")
+    return offsets.pop()
 
 
 _UNIT_EXPONENT = {z: p for p, z in enumerate(OMEGA_POWERS)}
@@ -243,82 +244,83 @@ def solve_monomial(m: ExactMatrix, *, unitary_checked: bool = False) -> list[Ele
         raise NotUnitaryError("matrix is not unitary")
     if delta_exponent(m) != 0:
         raise NonMonomialError("delta-exponent must be 0")
+    rows = scaled(m, 0)
     dim = m.dim
     for i in range(dim):
-        row_units = sum(1 for e in m.rows[i] if e.num)
-        col_units = sum(1 for e in m.column(i) if e.num)
+        row_units = sum(1 for z in rows[i] if z)
+        col_units = sum(1 for row in rows if row[i])
         if row_units != 1 or col_units != 1:
             raise NonMonomialError("not one unit per row and column")
 
     ops: list[ElementaryOp] = []
-    work = m
     for c in range(dim):
-        r = next(i for i in range(dim) if work.rows[i][c].num)
+        r = next(i for i in range(dim) if rows[i][c])
         if r != c:
-            op = x_op(c + 1, r + 1)
-            ops.append(op)
-            work = apply_elementary(op, work)
-        entry = work.rows[c][c]
-        power = _UNIT_EXPONENT.get(entry.num)
-        if power is None or entry.k:
-            raise NonMonomialError(f"entry {entry!r} is not a power of w")
+            ops.append(x_op(c + 1, r + 1))
+            row_surgery(rows, "X", c, r)
+        power = _UNIT_EXPONENT.get(rows[c][c])
+        if power is None:
+            raise NonMonomialError(f"entry {rows[c][c]!r} is not a power of w")
         if power:
-            op = omega_op(c + 1, 8 - power)
-            ops.append(op)
-            work = apply_elementary(op, work)
-    if work != ExactMatrix.identity(dim):
+            ops.append(omega_op(c + 1, 8 - power))
+            row_surgery(rows, "omega", c, power=8 - power)
+    if rows != scaled(ExactMatrix.identity(dim), 0):
         raise NonMonomialError("monomial cleanup did not reach the identity")
     return ops
 
 
-def _exponents(res: ResidueMatrix) -> list[list[int | None]]:
-    return [[cls.omega_exponent() if cls.is_unit else None for cls in row]
-            for row in res.grid]
+def _div_sqrt2(z: ZOmega) -> ZOmega:
+    """The Hadamard's mix z / sqrt(2) = z / delta^2 * UNIT_SQRT2, when exact."""
+    y = z * ZW_SQRT2
+    if (y.a | y.b | y.c | y.d) & 1:
+        raise VerificationError("Hadamard increased the delta-exponent")
+    return ZOmega(y.a >> 1, y.b >> 1, y.c >> 1, y.d >> 1)
 
 
 class _Workspace:
-    """Mutable state for one reduction round.
+    """Mutable state for one reduction round: rows holds the Z[w] numerators
+    of delta^k * U at the round's fixed k.
 
     Lines are rows for side "L" (ops applied on the left) and columns for
     side "R"; indices are 0-based.
     """
 
     def __init__(self, m: ExactMatrix, k: int) -> None:
-        self.m = m
-        self.k = k
+        self.rows = scaled(m, k)
         self.left_ops: list[ElementaryOp] = []
         self.right_ops: list[ElementaryOp] = []
         self.case_chain: list[str] = []
         self.hadamards = 0
 
-    def res3(self) -> ResidueMatrix:
-        return residue_matrix(self.m, 3, self.k)
+    def _lines(self, side: str) -> list:
+        return self.rows if side == "L" else list(zip(*self.rows))
 
     def exps(self) -> list[list[int | None]]:
-        return _exponents(self.res3())
+        return [[_omega_exponent(bits) if bits[0] else None for bits in row]
+                for row in residue_matrix(self.rows)]
 
     def lines(self, a: int, b: int, side: str = "L",
               support: Sequence[int] | None = None) -> tuple[tuple, tuple]:
-        """Residues mod delta^3 of lines a and b, restricted to support."""
-        res = self.res3()
-        line = res.row if side == "L" else res.col
-        la, lb = line(a), line(b)
-        if support is None:
-            return la, lb
-        return tuple(la[c] for c in support), tuple(lb[c] for c in support)
+        """Residue bits of lines a and b, restricted to support."""
+        lines = self._lines(side)
+        cells = range(len(lines)) if support is None else support
+        return residue_matrix([[lines[i][c] for c in cells] for i in (a, b)])
 
     def congruence(self, a: int, b: int, side: str = "L") -> int:
         """3 or 2 when lines a and b agree mod delta^3 or only mod delta^2, else 0."""
         la, lb = self.lines(a, b, side)
         if la == lb:
             return 3
-        if all(x.bits[:2] == y.bits[:2] for x, y in zip(la, lb)):
+        if all(x[:2] == y[:2] for x, y in zip(la, lb)):
             return 2
         return 0
 
     def apply(self, op: ElementaryOp, side: str = "L") -> None:
         (self.left_ops if side == "L" else self.right_ops).append(op)
-        self.m = apply_elementary(op, self.m, side)
+        lines = self._lines(side)
+        row_surgery(lines, op.kind, op.j - 1, op.m - 1, op.power, _div_sqrt2)
+        if side == "R":
+            self.rows = list(zip(*lines))
 
     def phase(self, line: int, power: int, side: str = "L") -> None:
         if power % 8:
@@ -339,12 +341,8 @@ class _Workspace:
             raise NoProgressError("Hadamard budget for one round exhausted")
         self.hadamards += 1
         self.apply(h_op(min(a, b) + 1, max(a, b) + 1), side)
-        if level == 3:
-            lines = self.m.rows if side == "L" else tuple(zip(*self.m.rows))
-            if max(e.k for i in (a, b) for e in lines[i]) >= self.k:
-                raise VerificationError("congruent lines failed to drop")
-        elif delta_exponent(self.m) > self.k:
-            raise VerificationError("Hadamard increased the delta-exponent")
+        if level == 3 and any(bits[0] for line in self.lines(a, b, side) for bits in line):
+            raise VerificationError("congruent lines failed to drop")
 
 
 def _align(ws: _Workspace, a: int, b: int, support: Sequence[int], side: str) -> None:
@@ -492,17 +490,20 @@ def reduction_round(m: ExactMatrix, k: int | None = None, *,
         raise ValueError("nothing to reduce at exponent 0")
 
     ws = _Workspace(m, k)
-    while delta_exponent(ws.m) == k:
-        pattern = residue_matrix(ws.m, 1, k).pattern()
+    # the exponent is still k while some numerator is a unit mod delta
+    while any(residue_bits(z)[0] for row in ws.rows for z in row):
+        pattern = tuple(tuple(bits[0] for bits in row)
+                        for row in residue_matrix(ws.rows))
         pat = classify_pattern(pattern)
         ws.case_chain.append(pat.tag.value)
         _reduce(ws, pat)
-    k_after = delta_exponent(ws.m)
+    out = ExactMatrix([[DOmega(num, k) for num in row] for row in ws.rows])
+    k_after = delta_exponent(out)
     if k_after >= k:
         raise NoProgressError(f"round ended at exponent {k_after} >= {k}")
     rnd = ReductionRound(tuple(ws.left_ops), tuple(ws.right_ops),
                          k, k_after, tuple(ws.case_chain))
-    return rnd, ws.m
+    return rnd, out
 
 
 def synthesize(m: ExactMatrix, *, debug: bool = False) -> Decomposition:

@@ -1,19 +1,21 @@
 """Exact matrices over D[w] and the elementary 1- and 2-level operators.
 
-Matrices are immutable tuples of tuples of DOmega, dimensions 1 through 4.
-Elementary operators (a phase w^p on one basis vector, or a Hadamard-type or
-swap-type mixing of two basis vectors) are what the synthesis engine emits;
-applying one touches at most two rows or columns, so application is O(dim)
-ring operations instead of a full matrix product.
+Matrices are immutable tuples of tuples of DOmega, dimensions 1 through 4;
+`scaled` gives the Z[w] numerators of delta^k * m and `residue_matrix` their
+residue bits.  Elementary operators (a phase w^p on one basis vector, or a
+Hadamard-type or swap-type mixing of two basis vectors) are what the
+synthesis engine emits.  One row-surgery kernel applies them to rows of D[w]
+entries or of numerators; it touches at most two rows, so application is
+O(dim) ring operations instead of a full matrix product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 from .errors import UnsupportedDimError
-from .ring import D_INV_SQRT2, D_ONE, D_ZERO, DOmega, ResidueClass
+from .ring import D_INV_SQRT2, D_ONE, D_ZERO, Bits, DOmega, ZOmega, residue_bits
 
 MAX_DIM = 4
 
@@ -91,32 +93,17 @@ def delta_exponent(m: ExactMatrix) -> int:
     return max(e.k for row in m.rows for e in row)
 
 
-@dataclass(frozen=True)
-class ResidueMatrix:
-    """Entrywise classes of delta^k * m in Z[w]/(delta^n)."""
-
-    dim: int
-    n: int
-    k: int
-    grid: tuple[tuple[ResidueClass, ...], ...]
-
-    def row(self, i: int) -> tuple[ResidueClass, ...]:
-        return self.grid[i]
-
-    def col(self, j: int) -> tuple[ResidueClass, ...]:
-        return tuple(row[j] for row in self.grid)
-
-    def pattern(self) -> tuple[tuple[int, ...], ...]:
-        """Unit-indicator bits (the mod-delta pattern)."""
-        return tuple(tuple(cls.bits[0] for cls in row) for row in self.grid)
-
-
-def residue_matrix(m: ExactMatrix, n: int, k: int) -> ResidueMatrix:
+def scaled(m: ExactMatrix, k: int) -> list[list[ZOmega]]:
+    """Z[w] numerators of delta^k * m (k at least the matrix's delta-exponent)."""
     if k < delta_exponent(m):
         raise ValueError(
             f"scaling exponent {k} below matrix delta-exponent {delta_exponent(m)}")
-    grid = tuple(tuple(e.residue_at(k, n) for e in row) for row in m.rows)
-    return ResidueMatrix(m.dim, n, k, grid)
+    return [[e.lift_to(k) for e in row] for row in m.rows]
+
+
+def residue_matrix(rows: Sequence[Sequence[ZOmega]]) -> tuple[tuple[Bits, ...], ...]:
+    """Residue bits mod delta^3 of every numerator; bit 0 is the unit pattern."""
+    return tuple(tuple(residue_bits(z) for z in row) for row in rows)
 
 
 OpKind = Literal["omega", "H", "X"]
@@ -176,12 +163,13 @@ def invert_elementary(op: ElementaryOp) -> list[ElementaryOp]:
     return [op]
 
 
-def row_surgery(rows: list, kind: OpKind, i: int, j: int = 0, power: int = 0) -> None:
+def row_surgery(rows: list, kind: OpKind, i: int, j: int = 0, power: int = 0,
+                mix: Callable = lambda x: x * D_INV_SQRT2) -> None:
     """Apply an elementary op to a list of rows in place (0-based indices).
 
     "omega" multiplies row i by w^power, "X" swaps rows i and j, and "H"
-    replaces them by (x + y)/sqrt(2) and (x - y)/sqrt(2).  Changed rows
-    become lists.
+    replaces them by mix(x + y) and mix(x - y), where mix divides by sqrt(2):
+    by default a D[w] product with 1/sqrt(2).  Changed rows become lists.
     """
     if kind == "omega":
         rows[i] = [e.mul_omega_power(power) for e in rows[i]]
@@ -189,8 +177,8 @@ def row_surgery(rows: list, kind: OpKind, i: int, j: int = 0, power: int = 0) ->
         rows[i], rows[j] = rows[j], rows[i]
     else:
         top, bot = rows[i], rows[j]
-        rows[i] = [(x + y) * D_INV_SQRT2 for x, y in zip(top, bot)]
-        rows[j] = [(x - y) * D_INV_SQRT2 for x, y in zip(top, bot)]
+        rows[i] = [mix(x + y) for x, y in zip(top, bot)]
+        rows[j] = [mix(x - y) for x, y in zip(top, bot)]
 
 
 def _check_indices(op: ElementaryOp, dim: int) -> None:

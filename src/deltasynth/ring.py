@@ -4,16 +4,15 @@ Elements are integer coefficient vectors (a, b, c, d) standing for
 a*w^3 + b*w^2 + c*w + d.  The distinguished element delta = 1 + w satisfies
 delta^2 = sqrt(2) * (unit) and generates the prime ideal above 2, so every
 element of D[w] = Z[1/sqrt(2), i] is num / delta^k for a unique minimal k.
-That exponent is the complexity measure the synthesis engine reduces, and the
-residue rings Z[w]/(delta^n) for n <= 3 drive its case analysis.
+That exponent is the complexity measure the synthesis engine reduces; the
+residue bits of the Z[w] numerators of delta^k * U (their classes mod
+delta^3, read off the coefficients) drive its case analysis.
 
 Everything here is exact: coefficients are arbitrary-precision ints and
 nothing is ever rounded.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 
 class ZOmega:
@@ -165,48 +164,19 @@ def divide_by_delta(x: ZOmega) -> ZOmega | None:
     return ZOmega(y.a >> 1, y.b >> 1, y.c >> 1, y.d >> 1)
 
 
-def residue_bits(x: ZOmega) -> tuple[int, int, int]:
+Bits = tuple[int, int, int]
+
+
+def residue_bits(x: ZOmega) -> Bits:
     """Coordinates of x mod delta^3 in the additive basis {1, delta, delta^2}.
 
     Z[w]/(delta^3) has 8 elements and exponent-2 additive group, so the
-    coordinates are bits and are linear in the coefficients mod 2.
+    coordinates are bits and are linear in the coefficients mod 2.  The
+    first n bits are the class mod delta^n.  x is a unit exactly when the
+    first bit is 1, and a unit is w^s mod delta^3 with s = bits[1] + 2*bits[2].
     """
     a, b, c, d = x.a, x.b, x.c, x.d
     return (a + b + c + d) & 1, (a + c) & 1, (a + b) & 1
-
-
-@dataclass(frozen=True)
-class ResidueClass:
-    """Element of Z[w]/(delta^n) for n in {1, 2, 3}.
-
-    bits are the coordinates over the basis (1, delta, delta^2) truncated
-    to length n.  The classes with bits[0] == 1 are exactly the units, and
-    for n == 3 a unit equals w^s with s = bits[1] + 2*bits[2].
-    """
-
-    n: int
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.n not in (1, 2, 3):
-            raise ValueError(f"modulus exponent must be 1..3, got {self.n}")
-        if len(self.bits) != self.n or any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"need {self.n} bits, got {self.bits!r}")
-
-    @property
-    def is_unit(self) -> bool:
-        return self.bits[0] == 1
-
-    def omega_exponent(self) -> int:
-        """s with self == class of w^s; only units (n == 3) have one."""
-        if self.n != 3 or not self.bits[0]:
-            raise ValueError(f"{self!r} is not a unit class mod delta^3")
-        return self.bits[1] + 2 * self.bits[2]
-
-
-def residue(x: ZOmega, n: int) -> ResidueClass:
-    """The class of x in Z[w]/(delta^n)."""
-    return ResidueClass(n, residue_bits(x)[:n])
 
 
 class DOmega:
@@ -264,7 +234,7 @@ class DOmega:
     def __hash__(self) -> int:
         return hash((self.num, self.k))
 
-    def _lift_to(self, k: int) -> ZOmega:
+    def lift_to(self, k: int) -> ZOmega:
         """num scaled so the value equals result / delta^k (k >= self.k)."""
         num = self.num
         for _ in range(k - self.k):
@@ -273,11 +243,11 @@ class DOmega:
 
     def __add__(self, other: DOmega) -> DOmega:
         k = self.k if self.k >= other.k else other.k
-        return DOmega(self._lift_to(k) + other._lift_to(k), k)
+        return DOmega(self.lift_to(k) + other.lift_to(k), k)
 
     def __sub__(self, other: DOmega) -> DOmega:
         k = self.k if self.k >= other.k else other.k
-        return DOmega(self._lift_to(k) - other._lift_to(k), k)
+        return DOmega(self.lift_to(k) - other.lift_to(k), k)
 
     def __neg__(self) -> DOmega:
         return DOmega._raw(-self.num, self.k)
@@ -302,17 +272,6 @@ class DOmega:
         # contributes a factor w^k to the numerator.
         return DOmega._raw(self.num.conj().mul_omega_power(self.k), self.k)
 
-    def residue_at(self, k: int, n: int) -> ResidueClass:
-        """Class of delta^k * self mod delta^n (requires k >= self.k)."""
-        if k < self.k:
-            raise ValueError(f"delta-exponent {k} below least exponent {self.k}")
-        shift = k - self.k
-        if shift >= 3:
-            return ResidueClass(n, (0,) * n)
-        num = self.num
-        for _ in range(shift):
-            num = num.times_delta()
-        return residue(num, n)
 
 D_ZERO = DOmega._raw(ZW_ZERO, 0)
 D_ONE = DOmega._raw(ZW_ONE, 0)
@@ -339,9 +298,7 @@ def from_sqrt2_form(a: int, b: int, c: int, d: int, m: int) -> DOmega:
 def to_sqrt2_form(x: DOmega) -> tuple[int, int, int, int, int]:
     """Inverse of from_sqrt2_form: (a, b, c, d, m) with x equal to that value."""
     m = (x.k + 1) // 2
-    num = x.num
-    if 2 * m > x.k:
-        num = num.times_delta()
+    num = x.lift_to(2 * m)
     for _ in range(m):
         num = num * UNIT_SQRT2_INV
     if (num.a ^ num.c) & 1:

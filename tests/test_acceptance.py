@@ -24,6 +24,7 @@ from deltasynth.linalg import (
     ExactMatrix,
     delta_exponent,
     residue_matrix,
+    scaled,
     word_matrix,
 )
 from deltasynth.oracle import InstanceSpec, enumerate_words, random_unitary
@@ -159,7 +160,8 @@ def test_residue_parity_invariants(corpus):
         k = delta_exponent(m)
         if k == 0:
             continue
-        pattern = residue_matrix(m, 1, k).pattern()
+        pattern = [[bits[0] for bits in row]
+                   for row in residue_matrix(scaled(m, k))]
         dim = len(pattern)
         for row in pattern:
             assert sum(row) % 2 == 0
@@ -240,7 +242,8 @@ def test_large_instance_fast():
 
 def test_no_floating_point_in_package():
     """The README promises exact arithmetic throughout: no module of the
-    package may hold a float or complex literal or call float() or complex()."""
+    package may hold a float or complex literal, call float() or complex(),
+    or use true division (/ or /=)."""
     offences = []
     modules = sorted(Path(deltasynth.__file__).parent.glob("*.py"))
     assert len(modules) > 5
@@ -251,5 +254,8 @@ def test_no_floating_point_in_package():
             elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id in ("float", "complex")):
                 offences.append(f"{path.name}:{node.lineno}: call to {node.func.id}()")
+            elif (isinstance(node, (ast.BinOp, ast.AugAssign))
+                  and isinstance(node.op, ast.Div)):
+                offences.append(f"{path.name}:{node.lineno}: true division")
     assert offences == []
     print(f"no floating point in {len(modules)} modules")

@@ -3,7 +3,16 @@ from pathlib import Path
 
 import pytest
 
-from deltasynth.cli import format_entry, main, parse_matrix, render_matrix, residue_tables
+from deltasynth.cli import (
+    MAX_COEFFICIENT_DIGITS,
+    MAX_SQRT2_EXPONENT,
+    _stats,
+    format_entry,
+    main,
+    parse_matrix,
+    render_matrix,
+    residue_tables,
+)
 from deltasynth.errors import MatrixParseError
 from deltasynth.linalg import ExactMatrix
 from deltasynth.oracle import InstanceSpec, random_unitary
@@ -263,7 +272,36 @@ def test_non_utf8_input_exit_2(capsys, tmp_path, monkeypatch):
     assert_one_line_error(run(capsys, "verify", str(matrix), str(circuit)))
 
 
+@pytest.mark.parametrize("entry, limit", [
+    ("1,0,0,0/200000", str(MAX_SQRT2_EXPONENT)),
+    ("1,0,0,0/" + "9" * 5000, f"{MAX_COEFFICIENT_DIGITS} digits"),
+    ("1" * 5000 + ",0,0,0/1", f"{MAX_COEFFICIENT_DIGITS} digits"),
+    ("0,0,-" + "7" * 1001 + ",0", f"{MAX_COEFFICIENT_DIGITS} digits"),
+])
+def test_entry_limits_exit_2(capsys, tmp_path, entry, limit):
+    matrix = tmp_path / "m.txt"
+    matrix.write_text(f"dim 1\n{entry}\n")
+    result = run(capsys, "synth", str(matrix))
+    assert_one_line_error(result)
+    assert limit in result[2]
+    assert len(result[2]) < 200
+
+
+def test_entries_at_the_limits_parse():
+    big = "9" * MAX_COEFFICIENT_DIGITS
+    m = parse_matrix(f"dim 1\n-{big},{big},0,0/{MAX_SQRT2_EXPONENT}\n")
+    assert m.entry(0, 0) == from_sqrt2_form(-int(big), int(big), 0, 0,
+                                             MAX_SQRT2_EXPONENT)
+
+
 class TestBench:
+    def test_mean_is_exact(self):
+        # 3/20 = 0.15 rounds half-even to 0.2; a binary float reads 0.1499...
+        assert _stats([0] * 19 + [3]) == "0.2 3"
+        assert _stats([0] * 19 + [1]) == "0.0 1"
+        assert _stats([1, 1, 2]) == "1.3 2"
+        assert _stats([7]) == "7.0 7"
+
     def test_zero_budget_row(self, capsys):
         code, out, _ = run(capsys, "bench", "--qubits", "2", "--budgets", "0",
                            "--trials", "1", "--seed", "3")

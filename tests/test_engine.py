@@ -8,6 +8,7 @@ from deltasynth.engine import (
     CaseTag,
     MONOMIAL_WORD_MAX,
     _Workspace,
+    _div_sqrt2,
     _reduce,
     classify_pattern,
     phase_offset,
@@ -24,12 +25,15 @@ from deltasynth.errors import (
     PhaseAlignmentError,
     UnreachablePatternError,
     UnsupportedDimError,
+    VerificationError,
 )
 from deltasynth.linalg import (
     ExactMatrix,
+    adjoint,
     apply_elementary,
     delta_exponent,
     h_op,
+    invert_elementary,
     is_unitary,
     omega_op,
     word_matrix,
@@ -40,15 +44,19 @@ from deltasynth.ring import (
     D_ZERO,
     DOmega,
     OMEGA_POWERS,
+    UNIT_SQRT2,
+    ZOmega,
     ZW_DELTA,
+    ZW_DELTA2,
     ZW_ONE,
-    residue,
+    ZW_SQRT2,
+    residue_bits,
 )
 from helpers import H_EXACT, T_EXACT, alphabet, random_word_matrix
 
 
 def unit_class(power):
-    return residue(OMEGA_POWERS[power % 8], 3)
+    return residue_bits(OMEGA_POWERS[power % 8])
 
 
 def replay(ops, m, side="L"):
@@ -204,11 +212,7 @@ class TestPhaseOffset:
 
     def test_non_unit_rejected(self):
         with pytest.raises(PhaseAlignmentError):
-            phase_offset([residue(ZW_DELTA, 3)], [unit_class(0)])
-
-    def test_wrong_modulus_rejected(self):
-        with pytest.raises(PhaseAlignmentError):
-            phase_offset([residue(ZW_ONE, 2)], [residue(ZW_ONE, 2)])
+            phase_offset([residue_bits(ZW_DELTA)], [unit_class(0)])
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -304,6 +308,25 @@ class TestReductionRound:
         assert done > 20
 
 
+class TestExactMix:
+    @given(st.builds(ZOmega, *[st.integers(min_value=-50, max_value=50)] * 4))
+    def test_mix_divides_by_delta_squared(self, z):
+        # z * delta^2 / sqrt(2) = z * UNIT_SQRT2
+        assert _div_sqrt2(z * ZW_DELTA2) == z * UNIT_SQRT2
+        assert _div_sqrt2(z * ZW_SQRT2) == z
+
+    def test_non_divisible_sum_rejected(self):
+        # 1 + w = delta is not a multiple of delta^2
+        with pytest.raises(VerificationError, match="increased the delta-exponent"):
+            _div_sqrt2(OMEGA_POWERS[0] + OMEGA_POWERS[1])
+
+    def test_workspace_mix_of_incongruent_rows_rejected(self):
+        # rows (1, 1) and (w, w) at exponent 2 differ by a unit mod delta^2
+        ws = _Workspace(forged((0, 0), (1, 1)), 2)
+        with pytest.raises(VerificationError):
+            ws.apply(h_op(1, 2))
+
+
 class TestSynthesize:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_identity(self, dim):
@@ -356,6 +379,24 @@ class TestSynthesize:
             for rnd in dec.rounds:
                 seen.update(rnd.case_chain)
         assert seen == {tag.value for tag in CaseTag}
+
+    def test_adjoint_metamorphic(self):
+        # the reversed word with every op inverted is exactly U^dagger, and
+        # U^dagger resynthesizes at the same least exponent
+        reduced = 0
+        for dim in (2, 3, 4):
+            for seed in range(17):
+                m = random_word_matrix(dim, 10 + 3 * seed, 1000 * dim + seed)
+                dec = synthesize(m)
+                inverse = [inv for op in reversed(dec.word)
+                           for inv in invert_elementary(op)]
+                dagger = adjoint(m)
+                assert word_matrix(inverse, dim) == dagger
+                dec_dagger = synthesize(dagger)
+                assert dec_dagger.source_k == dec.source_k
+                assert verify_decomposition(dagger, dec_dagger)
+                reduced += dec.source_k > 0
+        assert reduced > 40
 
     def test_verify_rejects_mismatch(self):
         dec = synthesize(T_EXACT)

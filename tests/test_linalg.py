@@ -16,6 +16,7 @@ from deltasynth.linalg import (
     mat_mul,
     omega_op,
     residue_matrix,
+    scaled,
     word_matrix,
     x_op,
 )
@@ -24,6 +25,7 @@ from deltasynth.ring import (
     D_ONE,
     D_ZERO,
     DOmega,
+    UNIT_SQRT2,
     ZW_OMEGA,
     from_sqrt2_form,
 )
@@ -143,35 +145,46 @@ class TestElementaryOps:
         assert apply_word(word, m, "R") == mat_mul(m, product)
 
 
+def unit_pattern(m, k):
+    """Unit-indicator bits of delta^k * m: the mod-delta residue pattern."""
+    return tuple(tuple(bits[0] for bits in row)
+                 for row in residue_matrix(scaled(m, k)))
+
+
 class TestResidueMatrix:
     def test_hadamard_patterns(self):
-        r1 = residue_matrix(H_EXACT, 1, 2)
-        assert r1.pattern() == ((1, 1), (1, 1))
-        r3 = residue_matrix(H_EXACT, 3, 2)
-        for row in r3.grid:
-            for cls in row:
-                assert cls.bits == (1, 1, 1)
+        assert unit_pattern(H_EXACT, 2) == ((1, 1), (1, 1))
+        for row in residue_matrix(scaled(H_EXACT, 2)):
+            for bits in row:
+                assert bits == (1, 1, 1)
 
     def test_identity_pattern(self):
-        r = residue_matrix(ExactMatrix.identity(3), 1, 0)
-        assert r.pattern() == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert unit_pattern(ExactMatrix.identity(3), 0) == (
+            (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_rejects_small_exponent(self):
         with pytest.raises(ValueError):
-            residue_matrix(H_EXACT, 1, 1)
+            scaled(H_EXACT, 1)
 
     def test_scaling_invariance_through_ingest(self):
         # the same values written with a wider denominator give the same
-        # residues once ingested
+        # numerators and residues once ingested
         narrow = ExactMatrix([[from_sqrt2_form(1, 0, 0, 0, 1)]])
         wide = ExactMatrix([[from_sqrt2_form(2, 0, 0, 0, 3)]])
         assert narrow == wide
-        assert residue_matrix(narrow, 3, 2) == residue_matrix(wide, 3, 2)
+        assert scaled(narrow, 2) == scaled(wide, 2)
+        assert residue_matrix(scaled(narrow, 3)) == residue_matrix(scaled(wide, 3))
 
     def test_rows_and_cols(self):
-        r = residue_matrix(H_EXACT, 2, 2)
-        assert r.row(0) == r.row(1)[:1] + r.row(0)[1:]
-        assert r.col(0) == tuple(row[0] for row in r.grid)
+        rows = scaled(H_EXACT, 2)
+        assert rows == [[UNIT_SQRT2, UNIT_SQRT2], [UNIT_SQRT2, -UNIT_SQRT2]]
+        r = residue_matrix(rows)
+        assert r[0] == r[1]  # -u = u mod delta^3, as 2 = 0 there
+        m = random_word_matrix(4, 12, seed=5)
+        k = delta_exponent(m)
+        transpose = ExactMatrix(zip(*m.rows))
+        assert residue_matrix(scaled(transpose, k)) == tuple(
+            zip(*residue_matrix(scaled(m, k))))
 
 
 class TestUnitaryResidueInvariants:
@@ -185,7 +198,7 @@ class TestUnitaryResidueInvariants:
                 assert k != 1  # exponent one cannot occur for a unitary
                 if k == 0:
                     continue
-                pattern = residue_matrix(m, 1, k).pattern()
+                pattern = unit_pattern(m, k)
                 for row in pattern:
                     assert sum(row) % 2 == 0
                 for j in range(dim):
@@ -198,7 +211,7 @@ class TestUnitaryResidueInvariants:
                 k = delta_exponent(m)
                 if k == 0:
                     continue
-                pattern = residue_matrix(m, 1, k).pattern()
+                pattern = unit_pattern(m, k)
                 for i in range(dim):
                     for j in range(i + 1, dim):
                         overlap = sum(a & b for a, b in zip(pattern[i], pattern[j]))

@@ -2,6 +2,7 @@ from hypothesis import given, strategies as st
 
 import pytest
 
+from deltasynth.linalg import ExactMatrix, residue_matrix, scaled
 from deltasynth.ring import (
     D_INV_SQRT2,
     D_ONE,
@@ -20,10 +21,8 @@ from deltasynth.ring import (
     ZW_ZERO,
     divide_by_delta,
     from_sqrt2_form,
-    residue,
     residue_bits,
     to_sqrt2_form,
-    ResidueClass,
 )
 
 coeff = st.integers(min_value=-30, max_value=30)
@@ -126,7 +125,7 @@ class TestDeltaDivisibility:
     @given(x=zomega)
     def test_divisible_iff_reducible_class(self, x):
         # mod delta^3 the non-unit classes are exactly the multiples of delta
-        assert (divide_by_delta(x) is not None) == (not residue(x, 3).is_unit)
+        assert (divide_by_delta(x) is not None) == (residue_bits(x)[0] == 0)
 
 
 # the eight classes mod delta^3, as (element, basis bits)
@@ -152,7 +151,7 @@ class TestResidues:
         # independent oracle: x minus the representative
         # bits[0] + bits[1]*delta + bits[2]*delta^2 must be divisible by
         # delta three times
-        bits = residue(x, 3).bits
+        bits = residue_bits(x)
         diff = x
         for bit, basis in zip(bits, (ZW_ONE, ZW_DELTA, ZW_DELTA2)):
             if bit:
@@ -163,41 +162,33 @@ class TestResidues:
 
     def test_quotient_sizes(self):
         for n in (1, 2, 3):
-            classes = {residue(element, n) for element, _ in BASIS_TABLE}
+            classes = {residue_bits(element)[:n] for element, _ in BASIS_TABLE}
             assert len(classes) == 2 ** n
 
     def test_additive_exponent_two(self):
         # x + x = 2x = 0 mod delta^3 since 2 is delta^4 times a unit
         for element, _ in BASIS_TABLE:
-            assert not any(residue(element + element, 3).bits)
+            assert not any(residue_bits(element + element))
 
     def test_key_congruences(self):
-        assert not any(residue(ZOmega.from_int(2), 3).bits)
-        assert residue(ZOmega.from_int(-1), 3) == residue(ZW_ONE, 3)
-        assert residue(ZW_ONE.mul_omega_power(4), 3) == residue(ZW_ONE, 3)
+        assert not any(residue_bits(ZOmega.from_int(2)))
+        assert residue_bits(ZOmega.from_int(-1)) == residue_bits(ZW_ONE)
+        assert residue_bits(ZW_ONE.mul_omega_power(4)) == residue_bits(ZW_ONE)
 
     def test_unit_exponents(self):
+        # a unit is w^s mod delta^3 with s = bits[1] + 2*bits[2]
         for s in range(8):
-            assert residue(OMEGA_POWERS[s], 3).omega_exponent() == s % 4
-        with pytest.raises(ValueError):
-            residue(ZW_DELTA, 3).omega_exponent()
-        with pytest.raises(ValueError):
-            residue(ZW_ONE, 2).omega_exponent()
+            bits = residue_bits(OMEGA_POWERS[s])
+            assert bits[0] == 1
+            assert bits[1] + 2 * bits[2] == s % 4
+        assert residue_bits(ZW_DELTA)[0] == 0
 
     def test_unit_sum_cancellation(self):
         # w^x + w^y = 0 mod delta^3 exactly when x = y mod 4
         for x in range(8):
             for y in range(8):
                 total = OMEGA_POWERS[x] + OMEGA_POWERS[y]
-                assert (not any(residue(total, 3).bits)) == ((x - y) % 4 == 0)
-
-    def test_residue_class_validation(self):
-        with pytest.raises(ValueError):
-            ResidueClass(4, (0, 0, 0, 0))
-        with pytest.raises(ValueError):
-            ResidueClass(2, (1,))
-        with pytest.raises(ValueError):
-            ResidueClass(1, (2,))
+                assert (not any(residue_bits(total))) == ((x - y) % 4 == 0)
 
 
 class TestDOmega:
@@ -249,21 +240,30 @@ class TestDOmega:
 
     def test_residue_at(self):
         # scaled H entry: delta^2 * (1/sqrt(2)) = unit in the w^3 class
-        assert D_INV_SQRT2.residue_at(2, 3) == ResidueClass(3, (1, 1, 1))
-        assert D_INV_SQRT2.residue_at(2, 1) == ResidueClass(1, (1,))
-        assert not any(D_ONE.residue_at(3, 3).bits)
-        assert D_ONE.residue_at(2, 3) == residue(ZW_DELTA2, 3)
+        assert scaled(ExactMatrix([[D_INV_SQRT2]]), 2) == [[UNIT_SQRT2]]
+        assert residue_bits(D_INV_SQRT2.lift_to(2)) == (1, 1, 1)
+        assert not any(residue_bits(D_ONE.lift_to(3)))
+        assert D_ONE.lift_to(2) == ZW_DELTA2
         with pytest.raises(ValueError):
-            D_INV_SQRT2.residue_at(1, 3)
+            scaled(ExactMatrix([[D_INV_SQRT2]]), 1)
 
     @given(x=domega, n=st.integers(min_value=1, max_value=3),
            extra=st.integers(min_value=0, max_value=4))
     def test_residue_at_matches_scaling(self, x, n, extra):
+        # residues at exponent k are those of the numerator times delta^extra
         k = x.k + extra
         num = x.num
         for _ in range(extra):
             num = num.times_delta()
-        assert x.residue_at(k, n) == residue(num, n)
+        rows = scaled(ExactMatrix([[x]]), k)
+        assert rows == [[num]]
+        assert DOmega(rows[0][0], k) == x
+        bits = residue_matrix(rows)[0][0]
+        assert bits[:n] == residue_bits(num)[:n]
+        if extra == 0 and x.k > 0:
+            assert bits[0] == 1  # a canonical numerator is a unit mod delta
+        if extra >= 3:
+            assert not any(bits)
 
 
 class TestSqrt2Form:
