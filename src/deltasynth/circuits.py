@@ -351,7 +351,8 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitParseError("duplicate qubits header", line=lineno)
             if gates:
                 raise CircuitParseError("qubits header must come first", line=lineno)
-            if len(parts) != 2 or not parts[1].isdigit():
+            # int() takes any short decimal string; "²" is a digit, not decimal
+            if len(parts) != 2 or not parts[1].isdecimal() or len(parts[1]) > 9:
                 raise CircuitParseError("expected: qubits <1|2>", line=lineno)
             qubits = int(parts[1])
             continue

@@ -64,7 +64,7 @@ def _parse_entry(token: str, line: int, column: int):
     parts = body.split(",")
     if len(parts) != 4:
         raise MatrixParseError(
-            f"entry must be a,b,c,d/m or 0 or 1, got {token!r}", line, column)
+            f"entry must be a,b,c,d/m or 0 or 1, got {token[:40]!r}", line, column)
     if any(len(p.lstrip("+-")) > MAX_COEFFICIENT_DIGITS for p in (*parts, tail)):
         raise MatrixParseError(
             f"entry numbers must have at most {MAX_COEFFICIENT_DIGITS} digits,"
@@ -74,10 +74,10 @@ def _parse_entry(token: str, line: int, column: int):
         m = int(tail) if slash else 0
     except ValueError:
         raise MatrixParseError(
-            f"entry must use integers, got {token!r}", line, column) from None
+            f"entry must use integers, got {token[:40]!r}", line, column) from None
     if m < 0:
         raise MatrixParseError(
-            f"denominator exponent must be >= 0, got {token!r}", line, column)
+            f"denominator exponent must be >= 0, got {token[:40]!r}", line, column)
     if m > MAX_SQRT2_EXPONENT:
         raise MatrixParseError(
             f"sqrt(2) exponent must be at most {MAX_SQRT2_EXPONENT},"

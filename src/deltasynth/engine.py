@@ -1,18 +1,18 @@
 """Reduction of exact unitaries to elementary-operator words.
 
-A round holds the Z[w] numerators of delta^k * U, for the unitary's least
-delta-exponent k > 1, and reads residues off them as residue bits.  The
-mod-delta pattern must be one of seven shapes (unit entries pair up in rows
-and columns).  Every shape is reduced by one step, applied over and over:
-phase-align two lines that are congruent mod delta^3 (or mod delta^2) and
-mix them with one two-level Hadamard, which divides their sum and difference
-exactly by sqrt(2).  Congruence mod delta^3 strictly drops both lines below
-k; congruence mod delta^2 hands off to a simpler shape at the same k.  Which
-two lines to mix is read off the shape, except for the all-units 4x4 shape:
-after normalising its first two rows, two tables keyed by the third row's
-phases name the pair.  At most four Hadamards later the whole matrix sits
-strictly below k; iterating reaches k = 0, where the matrix is a monomial
-unpicked by swaps and phases.
+The engine builds the Z[w] numerators of delta^k * U once, at the least
+delta-exponent k, and reduces them in place, reading residue bits off
+them.  While k > 1, the mod-delta pattern must be one of seven shapes (unit
+entries pair up in rows and columns).  Every shape is reduced by one step,
+applied over and over: phase-align two lines that are congruent mod
+delta^3 (or mod delta^2) and mix them with one two-level Hadamard, which
+divides their sum and difference exactly by sqrt(2).  Congruence mod
+delta^3 strictly drops both lines below k; congruence mod delta^2 hands off
+to a simpler shape at the same k.  Which two lines to mix is read off the
+shape, except for the all-units 4x4 shape: after normalising its first two
+rows, two tables keyed by the third row's phases name the pair.  At most
+four Hadamards later delta divides every numerator, and dividing it out
+lowers k; at k = 0 the matrix is a monomial unpicked by swaps and phases.
 
 Left ops act on rows, right ops on columns; inverting and re-ordering the
 applied ops yields a word whose exact product equals the input.
@@ -41,7 +41,7 @@ from .linalg import (
     delta_exponent,
     h_op,
     invert_elementary,
-    is_unitary,
+    is_scaled_unitary,
     omega_op,
     residue_matrix,
     row_surgery,
@@ -49,7 +49,7 @@ from .linalg import (
     word_matrix,
     x_op,
 )
-from .ring import OMEGA_POWERS, ZW_SQRT2, Bits, DOmega, ZOmega, residue_bits
+from .ring import OMEGA_POWERS, ZW_SQRT2, Bits, ZOmega, divide_by_delta, residue_bits
 
 MAX_HADAMARDS_PER_ROUND = 4
 # monomial cleanup needs at most dim-1 swaps and dim phases
@@ -234,39 +234,30 @@ def phase_offset(row1: Sequence[Bits], row2: Sequence[Bits]) -> int:
 _UNIT_EXPONENT = {z: p for p, z in enumerate(OMEGA_POWERS)}
 
 
-def solve_monomial(m: ExactMatrix, *, unitary_checked: bool = False) -> list[ElementaryOp]:
-    """Ops (in application order) reducing a delta-exponent-0 unitary to I.
+def solve_monomial(ws: _Workspace) -> list[ElementaryOp]:
+    """Left ops (in application order) reducing the workspace at k = 0 to I.
 
     At exponent 0 a unitary has exactly one entry per row and column, a power
     of w; one swap per column plus one phase per diagonal slot clears it.
     """
-    if not unitary_checked and not is_unitary(m):
-        raise NotUnitaryError("matrix is not unitary")
-    if delta_exponent(m) != 0:
+    if ws.k != 0:
         raise NonMonomialError("delta-exponent must be 0")
-    rows = scaled(m, 0)
-    dim = m.dim
-    for i in range(dim):
-        row_units = sum(1 for z in rows[i] if z)
-        col_units = sum(1 for row in rows if row[i])
-        if row_units != 1 or col_units != 1:
-            raise NonMonomialError("not one unit per row and column")
-
-    ops: list[ElementaryOp] = []
+    if any(sum(map(bool, line)) != 1 for line in (*ws.rows, *zip(*ws.rows))):
+        raise NonMonomialError("not one unit per row and column")
+    dim = len(ws.rows)
+    start = len(ws.left_ops)
     for c in range(dim):
-        r = next(i for i in range(dim) if rows[i][c])
+        r = next(i for i in range(dim) if ws.rows[i][c])
         if r != c:
-            ops.append(x_op(c + 1, r + 1))
-            row_surgery(rows, "X", c, r)
-        power = _UNIT_EXPONENT.get(rows[c][c])
+            ws.apply(x_op(c + 1, r + 1))
+        power = _UNIT_EXPONENT.get(ws.rows[c][c])
         if power is None:
-            raise NonMonomialError(f"entry {rows[c][c]!r} is not a power of w")
-        if power:
-            ops.append(omega_op(c + 1, 8 - power))
-            row_surgery(rows, "omega", c, power=8 - power)
-    if rows != scaled(ExactMatrix.identity(dim), 0):
+            raise NonMonomialError(f"entry {ws.rows[c][c]!r} is not a power of w")
+        ws.phase(c, -power)
+    if any(z != OMEGA_POWERS[0] if i == j else z
+           for i, row in enumerate(ws.rows) for j, z in enumerate(row)):
         raise NonMonomialError("monomial cleanup did not reach the identity")
-    return ops
+    return ws.left_ops[start:]
 
 
 def _div_sqrt2(z: ZOmega) -> ZOmega:
@@ -278,19 +269,28 @@ def _div_sqrt2(z: ZOmega) -> ZOmega:
 
 
 class _Workspace:
-    """Mutable state for one reduction round: rows holds the Z[w] numerators
-    of delta^k * U at the round's fixed k.
-
-    Lines are rows for side "L" (ops applied on the left) and columns for
-    side "R"; indices are 0-based.
+    """The synthesis state: rows holds the Z[w] numerators of delta^k * U,
+    built from the input at its least delta-exponent k and reduced in place
+    to k = 0, and the ops applied so far.  k stays least (0, or some
+    numerator is a unit mod delta).  Lines are rows for side "L" (ops
+    applied on the left) and columns for side "R"; indices are 0-based.
     """
 
-    def __init__(self, m: ExactMatrix, k: int) -> None:
-        self.rows = scaled(m, k)
+    def __init__(self, m: ExactMatrix) -> None:
+        self.k = delta_exponent(m)
+        self.rows = scaled(m, self.k)
         self.left_ops: list[ElementaryOp] = []
         self.right_ops: list[ElementaryOp] = []
-        self.case_chain: list[str] = []
         self.hadamards = 0
+
+    def has_unit(self) -> bool:
+        return any(residue_bits(z)[0] for row in self.rows for z in row)
+
+    def divide_out_delta(self) -> None:
+        """Divide every numerator by delta, lowering k, while all of them divide."""
+        while self.k and not self.has_unit():
+            self.rows = [[divide_by_delta(z) for z in row] for row in self.rows]
+            self.k -= 1
 
     def _lines(self, side: str) -> list:
         return self.rows if side == "L" else list(zip(*self.rows))
@@ -474,36 +474,28 @@ def _reduce(ws: _Workspace, pat: CasePattern) -> None:
         _reduce_lines(ws, pat)
 
 
-def reduction_round(m: ExactMatrix, k: int | None = None, *,
-                    unitary_checked: bool = False) -> tuple[ReductionRound, ExactMatrix]:
-    """Apply ops until the delta-exponent strictly drops; return (round, result)."""
-    if not unitary_checked and not is_unitary(m):
-        raise NotUnitaryError("matrix is not unitary")
-    measured = delta_exponent(m)
-    if k is None:
-        k = measured
-    elif k != measured:
-        raise ValueError(f"stated exponent {k} but matrix has {measured}")
+def reduction_round(ws: _Workspace) -> ReductionRound:
+    """Apply ops to the workspace until its delta-exponent strictly drops."""
+    k = ws.k
     if k == 1:
         raise ExponentOneError("delta-exponent 1 cannot occur for a unitary")
     if k < 1:
         raise ValueError("nothing to reduce at exponent 0")
-
-    ws = _Workspace(m, k)
+    lefts, rights = len(ws.left_ops), len(ws.right_ops)
+    chain: list[str] = []
+    ws.hadamards = 0
     # the exponent is still k while some numerator is a unit mod delta
-    while any(residue_bits(z)[0] for row in ws.rows for z in row):
+    while ws.has_unit():
         pattern = tuple(tuple(bits[0] for bits in row)
                         for row in residue_matrix(ws.rows))
         pat = classify_pattern(pattern)
-        ws.case_chain.append(pat.tag.value)
+        chain.append(pat.tag.value)
         _reduce(ws, pat)
-    out = ExactMatrix([[DOmega(num, k) for num in row] for row in ws.rows])
-    k_after = delta_exponent(out)
-    if k_after >= k:
-        raise NoProgressError(f"round ended at exponent {k_after} >= {k}")
-    rnd = ReductionRound(tuple(ws.left_ops), tuple(ws.right_ops),
-                         k, k_after, tuple(ws.case_chain))
-    return rnd, out
+    ws.divide_out_delta()
+    if ws.k >= k:
+        raise NoProgressError(f"round ended at exponent {ws.k} >= {k}")
+    return ReductionRound(tuple(ws.left_ops[lefts:]), tuple(ws.right_ops[rights:]),
+                          k, ws.k, tuple(chain))
 
 
 def synthesize(m: ExactMatrix, *, debug: bool = False) -> Decomposition:
@@ -512,31 +504,19 @@ def synthesize(m: ExactMatrix, *, debug: bool = False) -> Decomposition:
     The word multiplies out (left factor first) to exactly m.  debug re-checks
     unitarity after every round and the final product.
     """
-    if not is_unitary(m):
+    ws = _Workspace(m)
+    if not is_scaled_unitary(ws.rows, ws.k):
         raise NotUnitaryError("input matrix is not unitary")
-    source_k = delta_exponent(m)
-    work = m
+    source_k = ws.k
     rounds: list[ReductionRound] = []
-    lefts: list[ElementaryOp] = []
-    rights: list[ElementaryOp] = []
-    k = source_k
-    while k > 1:
-        rnd, work = reduction_round(work, k, unitary_checked=True)
-        if debug and not is_unitary(work):
+    while ws.k:
+        rounds.append(reduction_round(ws))
+        if debug and not is_scaled_unitary(ws.rows, ws.k):
             raise VerificationError("round output lost unitarity")
-        rounds.append(rnd)
-        lefts.extend(rnd.left_ops)
-        rights.extend(rnd.right_ops)
-        k = rnd.k_after
-    if k == 1:
-        raise ExponentOneError("delta-exponent 1 cannot occur for a unitary")
-    lefts.extend(solve_monomial(work, unitary_checked=True))
+    solve_monomial(ws)
 
-    word: list[ElementaryOp] = []
-    for op in lefts:
-        word.extend(invert_elementary(op))
-    for op in reversed(rights):
-        word.extend(invert_elementary(op))
+    word = [inv for op in (*ws.left_ops, *reversed(ws.right_ops))
+            for inv in invert_elementary(op)]
     dec = Decomposition(tuple(word), tuple(rounds), source_k, m.dim)
     if debug and not verify_decomposition(m, dec):
         raise VerificationError("decomposition product mismatch")

@@ -1,12 +1,12 @@
 """Exact matrices over D[w] and the elementary 1- and 2-level operators.
 
 Matrices are immutable tuples of tuples of DOmega, dimensions 1 through 4;
-`scaled` gives the Z[w] numerators of delta^k * m and `residue_matrix` their
-residue bits.  Elementary operators (a phase w^p on one basis vector, or a
-Hadamard-type or swap-type mixing of two basis vectors) are what the
-synthesis engine emits.  One row-surgery kernel applies them to rows of D[w]
-entries or of numerators; it touches at most two rows, so application is
-O(dim) ring operations instead of a full matrix product.
+`scaled` gives the Z[w] numerators of delta^k * m, `residue_matrix` their
+residue bits, and `is_scaled_unitary` checks unitarity on them.  Elementary
+operators (a phase w^p on one basis vector, or a Hadamard-type or swap-type
+mixing of two basis vectors) are what the synthesis engine emits.  One
+row-surgery kernel applies them to rows of D[w] entries or of numerators;
+it touches at most two rows, so application is O(dim) ring operations.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Literal, Sequence
 
 from .errors import UnsupportedDimError
-from .ring import D_INV_SQRT2, D_ONE, D_ZERO, Bits, DOmega, ZOmega, residue_bits
+from .ring import (D_INV_SQRT2, D_ONE, D_ZERO, TWO_PLUS_SQRT2, ZW_ZERO, Bits, DOmega,
+                   ZOmega, residue_bits)
 
 MAX_DIM = 4
 
@@ -46,9 +47,6 @@ class ExactMatrix:
     def entry(self, i: int, j: int) -> DOmega:
         return self.rows[i][j]
 
-    def column(self, j: int) -> tuple[DOmega, ...]:
-        return tuple(row[j] for row in self.rows)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -64,7 +62,7 @@ class ExactMatrix:
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
-    cols = [b.column(j) for j in range(b.dim)]
+    cols = list(zip(*b.rows))
     out = []
     for row in a.rows:
         out_row = []
@@ -84,13 +82,29 @@ def adjoint(m: ExactMatrix) -> ExactMatrix:
                              for i in range(dim)))
 
 
-def is_unitary(m: ExactMatrix) -> bool:
-    return mat_mul(adjoint(m), m) == ExactMatrix.identity(m.dim)
-
-
 def delta_exponent(m: ExactMatrix) -> int:
     """Least k with delta^k * m integral: the max entry exponent."""
     return max(e.k for row in m.rows for e in row)
+
+
+def is_unitary(m: ExactMatrix) -> bool:
+    """U^dagger U = I, checked over Z[w] on the numerators of delta^k * m."""
+    k = delta_exponent(m)
+    return is_scaled_unitary(scaled(m, k), k)
+
+
+def is_scaled_unitary(rows: Sequence[Sequence[ZOmega]], k: int) -> bool:
+    """Whether rows, the Z[w] numerators N of delta^k * U, make U unitary.
+
+    U^dagger U = I exactly when conj(N)^T N = (conj(delta) * delta)^k * I,
+    and conj(delta) * delta = 2 + sqrt(2), so the check stays in Z[w].  The
+    Gram matrix is Hermitian: its upper triangle decides.
+    """
+    cols = list(zip(*rows))
+    scale = TWO_PLUS_SQRT2 ** k
+    return all(
+        sum((x.conj() * y for x, y in zip(a, b)), ZW_ZERO) == (scale if i == j else ZW_ZERO)
+        for i, a in enumerate(cols) for j, b in enumerate(cols) if i <= j)
 
 
 def scaled(m: ExactMatrix, k: int) -> list[list[ZOmega]]:

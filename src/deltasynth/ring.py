@@ -129,6 +129,15 @@ class ZOmega:
         return (a * a + b * b + c * c + d * d) ** 2 \
             - 2 * (c * d + b * c + a * b - d * a) ** 2
 
+    def __pow__(self, n: int) -> ZOmega:
+        """self^n for n >= 0, by repeated squaring."""
+        if n < 0:
+            raise ValueError("exponent must be >= 0")
+        if n == 0:
+            return ZOmega(0, 0, 0, 1)
+        half = self ** (n >> 1)
+        return half * half * self if n & 1 else half * half
+
     def times_delta(self) -> ZOmega:
         """Multiply by delta = 1 + w."""
         rot = self.mul_omega_power(1)
@@ -142,6 +151,7 @@ ZW_OMEGA = ZOmega(0, 0, 1, 0)
 ZW_DELTA = ZW_ONE + ZW_OMEGA
 ZW_DELTA2 = ZW_DELTA * ZW_DELTA
 ZW_SQRT2 = ZOmega(-1, 0, 1, 0)  # w - w^3
+TWO_PLUS_SQRT2 = ZOmega(-1, 0, 1, 2)  # conj(delta) * delta
 # 2/delta: times_delta gives exactly 2.
 TWO_OVER_DELTA = ZOmega(-1, 1, -1, 1)
 # delta^2 = UNIT_SQRT2 * sqrt(2); UNIT_SQRT2 has norm 1.
@@ -289,18 +299,13 @@ def from_sqrt2_form(a: int, b: int, c: int, d: int, m: int) -> DOmega:
         raise ValueError("sqrt(2) exponent must be >= 0")
     # 1 = w^0, i = w^2, sqrt(2) = w - w^3, i*sqrt(2) = w + w^3.
     num = ZOmega(d - b, c, b + d, a)
-    unit = ZW_ONE
-    for _ in range(m):
-        unit = unit * UNIT_SQRT2
-    return DOmega(num * unit, 2 * m)
+    return DOmega(num * UNIT_SQRT2 ** m, 2 * m)
 
 
 def to_sqrt2_form(x: DOmega) -> tuple[int, int, int, int, int]:
     """Inverse of from_sqrt2_form: (a, b, c, d, m) with x equal to that value."""
     m = (x.k + 1) // 2
-    num = x.lift_to(2 * m)
-    for _ in range(m):
-        num = num * UNIT_SQRT2_INV
+    num = x.lift_to(2 * m) * UNIT_SQRT2_INV ** m
     if (num.a ^ num.c) & 1:
         # Real and imaginary parts sit on half-integer sqrt(2) multiples;
         # widen the denominator by one sqrt(2) to clear them.

@@ -1,7 +1,9 @@
 import io
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from deltasynth.cli import (
     MAX_COEFFICIENT_DIGITS,
@@ -13,6 +15,7 @@ from deltasynth.cli import (
     render_matrix,
     residue_tables,
 )
+from deltasynth.circuits import parse_circuit
 from deltasynth.errors import MatrixParseError
 from deltasynth.linalg import ExactMatrix
 from deltasynth.oracle import InstanceSpec, random_unitary
@@ -272,19 +275,73 @@ def test_non_utf8_input_exit_2(capsys, tmp_path, monkeypatch):
     assert_one_line_error(run(capsys, "verify", str(matrix), str(circuit)))
 
 
-@pytest.mark.parametrize("entry, limit", [
+@pytest.mark.parametrize("entry, message", [
     ("1,0,0,0/200000", str(MAX_SQRT2_EXPONENT)),
     ("1,0,0,0/" + "9" * 5000, f"{MAX_COEFFICIENT_DIGITS} digits"),
     ("1" * 5000 + ",0,0,0/1", f"{MAX_COEFFICIENT_DIGITS} digits"),
     ("0,0,-" + "7" * 1001 + ",0", f"{MAX_COEFFICIENT_DIGITS} digits"),
+    ("x" * 5000, "entry must be a,b,c,d/m"),
+    ("1,0,0," + "x" * MAX_COEFFICIENT_DIGITS, "entry must use integers"),
 ])
-def test_entry_limits_exit_2(capsys, tmp_path, entry, limit):
+def test_entry_limits_exit_2(capsys, tmp_path, entry, message):
     matrix = tmp_path / "m.txt"
     matrix.write_text(f"dim 1\n{entry}\n")
     result = run(capsys, "synth", str(matrix))
     assert_one_line_error(result)
-    assert limit in result[2]
+    assert message in result[2]
     assert len(result[2]) < 200
+
+
+SEED_FILES = [IDENTITY_2.encode(), H_FILE.encode(), NOT_UNITARY.encode(),
+              b"dim 1\n1,0,1,0/1\n", b"qubits 1\nH 0\n",
+              b"qubits 2\nANC_INIT 2\nCNOT 0 1\nT 1\nANC_FREE 2\n"]
+
+
+@st.composite
+def fuzzed_files(draw):
+    """Arbitrary bytes, or a well-formed file with a few byte runs replaced."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    data = bytearray(draw(st.sampled_from(SEED_FILES)))
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        size = draw(st.integers(min_value=0, max_value=3))
+        data[at:at + size] = draw(st.binary(max_size=4))
+    return bytes(data)
+
+
+def run_on_bytes(tmp_dir, argv, *files):
+    paths = []
+    for i, data in enumerate(files):
+        paths.append(tmp_dir / f"in{i}")
+        paths[-1].write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*argv, *map(str, paths)])
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err
+    assert err.count("\n") == (code != 0) and err.endswith("\n") == (code != 0)
+    return code
+
+
+FUZZ = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(matrix=fuzzed_files())
+def test_synth_fuzz(tmp_path, matrix):
+    assert run_on_bytes(tmp_path, ["synth", "--verify"], matrix) != 1
+
+
+@FUZZ
+@given(matrix=fuzzed_files(), circuit=fuzzed_files())
+@example(matrix=IDENTITY_2.encode(), circuit="qubits ²\n".encode())
+def test_verify_fuzz(tmp_path, matrix, circuit):
+    code = run_on_bytes(tmp_path, ["verify"], matrix, circuit)
+    if code == 1:
+        parse_circuit(circuit.decode("utf-8"))  # a mismatch needs a parsed circuit
 
 
 def test_entries_at_the_limits_parse():

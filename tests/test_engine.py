@@ -35,6 +35,7 @@ from deltasynth.linalg import (
     h_op,
     invert_elementary,
     is_unitary,
+    mat_mul,
     omega_op,
     word_matrix,
     x_op,
@@ -63,6 +64,11 @@ def replay(ops, m, side="L"):
     for op in ops:
         m = apply_elementary(op, m, side)
     return m
+
+
+def matrix_of(ws):
+    """The D[w] matrix whose delta^k-scaled numerators the workspace holds."""
+    return ExactMatrix([[DOmega(z, ws.k) for z in row] for row in ws.rows])
 
 
 def monomial(dim, perm, phases):
@@ -224,14 +230,14 @@ class TestPhaseOffset:
 class TestSolveMonomial:
     @pytest.mark.parametrize("dim", [1, 2, 3, 4])
     def test_identity_needs_nothing(self, dim):
-        assert solve_monomial(ExactMatrix.identity(dim)) == []
+        assert solve_monomial(_Workspace(ExactMatrix.identity(dim))) == []
 
     def test_every_two_dim_monomial(self):
         longest = 0
         for perm in itertools.permutations(range(2)):
             for phases in itertools.product(range(8), repeat=2):
                 m = monomial(2, perm, phases)
-                ops = solve_monomial(m)
+                ops = solve_monomial(_Workspace(m))
                 assert len(ops) <= MONOMIAL_WORD_MAX[2]
                 assert replay(ops, m) == ExactMatrix.identity(2)
                 longest = max(longest, len(ops))
@@ -245,48 +251,38 @@ class TestSolveMonomial:
             rng.shuffle(perm)
             phases = [rng.randrange(8) for _ in range(dim)]
             m = monomial(dim, perm, phases)
-            ops = solve_monomial(m)
+            ops = solve_monomial(_Workspace(m))
             assert len(ops) <= MONOMIAL_WORD_MAX[dim]
             assert replay(ops, m) == ExactMatrix.identity(dim)
 
     def test_rejects_positive_exponent(self):
         with pytest.raises(NonMonomialError):
-            solve_monomial(H_EXACT, unitary_checked=True)
+            solve_monomial(_Workspace(H_EXACT))
 
     def test_rejects_dense_row(self):
         with pytest.raises(NonMonomialError):
-            solve_monomial(NOT_UNITARY_2, unitary_checked=True)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(NotUnitaryError):
-            solve_monomial(NOT_UNITARY_2)
+            solve_monomial(_Workspace(NOT_UNITARY_2))
 
 
 class TestReductionRound:
     def test_hadamard_in_one_step(self):
-        rnd, out = reduction_round(H_EXACT)
+        ws = _Workspace(H_EXACT)
+        rnd = reduction_round(ws)
         assert rnd.left_ops == (h_op(1, 2),)
         assert rnd.right_ops == ()
         assert (rnd.k_before, rnd.k_after) == (2, 0)
         assert rnd.case_chain == (CaseTag.DENSE_2.value,)
-        assert out == ExactMatrix.identity(2)
+        assert ws.k == 0
+        assert matrix_of(ws) == ExactMatrix.identity(2)
 
     def test_exponent_one_rejected(self):
         forged = ExactMatrix([[DOmega(ZW_ONE, 1), D_ZERO], [D_ZERO, D_ONE]])
         with pytest.raises(ExponentOneError):
-            reduction_round(forged, unitary_checked=True)
+            reduction_round(_Workspace(forged))
 
     def test_exponent_zero_rejected(self):
         with pytest.raises(ValueError):
-            reduction_round(ExactMatrix.identity(2), unitary_checked=True)
-
-    def test_stated_exponent_must_match(self):
-        with pytest.raises(ValueError):
-            reduction_round(H_EXACT, 4)
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(NotUnitaryError):
-            reduction_round(NOT_UNITARY_2)
+            reduction_round(_Workspace(ExactMatrix.identity(2)))
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_progress_on_random_words(self, dim):
@@ -296,7 +292,9 @@ class TestReductionRound:
             k = delta_exponent(m)
             if k <= 1:
                 continue
-            rnd, out = reduction_round(m)
+            ws = _Workspace(m)
+            rnd = reduction_round(ws)
+            out = matrix_of(ws)
             assert rnd.k_before == k
             assert rnd.k_after < k
             assert rnd.k_after != 1
@@ -322,7 +320,7 @@ class TestExactMix:
 
     def test_workspace_mix_of_incongruent_rows_rejected(self):
         # rows (1, 1) and (w, w) at exponent 2 differ by a unit mod delta^2
-        ws = _Workspace(forged((0, 0), (1, 1)), 2)
+        ws = _Workspace(forged((0, 0), (1, 1)))
         with pytest.raises(VerificationError):
             ws.apply(h_op(1, 2))
 
@@ -349,6 +347,19 @@ class TestSynthesize:
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitaryError):
             synthesize(NOT_UNITARY_2)
+
+    def test_debug_checks_every_round(self, monkeypatch):
+        # a round that phased one entry would leave a non-unitary workspace
+        divide = _Workspace.divide_out_delta
+
+        def divide_and_phase(ws):
+            divide(ws)
+            ws.rows[0] = [ws.rows[0][0].mul_omega_power(1), *ws.rows[0][1:]]
+
+        monkeypatch.setattr(_Workspace, "divide_out_delta", divide_and_phase)
+        m = random_word_matrix(4, 40, 54)
+        with pytest.raises(VerificationError, match="round output lost unitarity"):
+            synthesize(m, debug=True)
 
     def test_deterministic(self):
         m = random_word_matrix(4, 50, 1234)
@@ -382,7 +393,8 @@ class TestSynthesize:
 
     def test_adjoint_metamorphic(self):
         # the reversed word with every op inverted is exactly U^dagger, and
-        # U^dagger resynthesizes at the same least exponent
+        # U^dagger resynthesizes at the same least exponent; so does P U Q
+        # for monomial P and Q, which permute and phase entries only
         reduced = 0
         for dim in (2, 3, 4):
             for seed in range(17):
@@ -395,6 +407,14 @@ class TestSynthesize:
                 dec_dagger = synthesize(dagger)
                 assert dec_dagger.source_k == dec.source_k
                 assert verify_decomposition(dagger, dec_dagger)
+                rng = random.Random(seed)
+                p, q = (monomial(dim, rng.sample(range(dim), dim),
+                                 [rng.randrange(8) for _ in range(dim)])
+                        for _ in range(2))
+                puq = mat_mul(mat_mul(p, m), q)
+                dec_puq = synthesize(puq)
+                assert dec_puq.source_k == dec.source_k
+                assert word_matrix(dec_puq.word, dim) == puq
                 reduced += dec.source_k > 0
         assert reduced > 40
 
@@ -427,7 +447,7 @@ BLOCK_AND_ROWS = classify_pattern([[1, 1, 0, 0],
 
 
 def run_case(m, pat):
-    ws = _Workspace(m, 2)
+    ws = _Workspace(m)
     _reduce(ws, pat)
     return ws
 

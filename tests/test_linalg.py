@@ -84,6 +84,29 @@ class TestExactMatrix:
         assert not is_unitary(ExactMatrix([[DOmega.from_int(2)]]))
         assert not is_unitary(ExactMatrix([[D_ONE, D_ONE], [D_ZERO, D_ONE]]))
 
+    @given(dim=st.integers(min_value=1, max_value=4),
+           length=st.integers(min_value=0, max_value=30),
+           seed=st.integers(min_value=0, max_value=10 ** 6),
+           data=st.data())
+    @settings(max_examples=60)
+    def test_is_unitary_matches_adjoint_product(self, dim, length, seed, data):
+        # the Z[w] Gram check against U^dagger U = I over D[w], on a random
+        # word's unitary, on it with one entry shifted or phased (a phase
+        # keeps every column's norm, so only orthogonality can fail), and
+        # on any matrix
+        def reference(m):
+            return mat_mul(adjoint(m), m) == ExactMatrix.identity(m.dim)
+
+        m = random_word_matrix(dim, length, seed)
+        assert is_unitary(m) and reference(m)
+        i, j = data.draw(st.tuples(*[st.integers(min_value=0, max_value=dim - 1)] * 2))
+        shifted = [list(row) for row in m.rows]
+        shifted[i][j] = shifted[i][j] + data.draw(entries)
+        phased = [list(row) for row in m.rows]
+        phased[i][j] = phased[i][j].mul_omega_power(data.draw(st.integers(1, 7)))
+        for other in (ExactMatrix(shifted), ExactMatrix(phased), data.draw(matrices(dim))):
+            assert is_unitary(other) == reference(other)
+
     def test_delta_exponent(self):
         assert delta_exponent(ExactMatrix.identity(4)) == 0
         assert delta_exponent(H_EXACT) == 2

@@ -1,4 +1,4 @@
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import pytest
 
@@ -55,6 +55,15 @@ class TestZOmega:
         assert x + ZW_ZERO == x
         assert x * ZW_ONE == x
         assert x - x == ZW_ZERO
+
+    @given(x=zomega, n=st.integers(min_value=0, max_value=12))
+    def test_power_is_repeated_product(self, x, n):
+        product = ZW_ONE
+        for _ in range(n):
+            product = product * x
+        assert x ** n == product
+        with pytest.raises(ValueError):
+            x ** -1
 
     @given(x=zomega)
     def test_conjugations_are_involutions(self, x):
@@ -281,7 +290,8 @@ class TestSqrt2Form:
         assert from_sqrt2_form(1, 0, 1, 0, 1) == DOmega(ZW_OMEGA, 0)
 
     @given(a=coeff, b=coeff, c=coeff, d=coeff,
-           m=st.integers(min_value=0, max_value=8))
+           m=st.integers(min_value=0, max_value=4096))
+    @example(a=1, b=-2, c=3, d=5, m=4096)
     def test_round_trip_from_components(self, a, b, c, d, m):
         x = from_sqrt2_form(a, b, c, d, m)
         assert from_sqrt2_form(*to_sqrt2_form(x)) == x
