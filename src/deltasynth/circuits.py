@@ -8,8 +8,17 @@ qubits lower to controlled-S powers when the phase is a power of i; odd
 powers of w borrow one ancilla, flip it on the targeted basis state, rotate
 it with T gates, and flip it back, so the ancilla always returns to zero.
 
-All gate templates are verified against their exact matrices once, the first
-time a circuit is emitted.
+Circuits are simulated exactly as Z[w] numerators N over one shared power
+of sqrt(2), the unitary being N / sqrt(2)^e.  Phases and W multiply rows by
+powers of w, X and CNOT swap rows, and H replaces every amplitude pair by
+its sum and difference and raises e by one, after which every numerator is
+divided by sqrt(2) while all of them divide, so e stays least.  The entries
+become D[w] values once, at the end.  With a borrowed ancilla only the
+ancilla-|0> input columns are simulated; the rest of the unitary does not
+bear on the data block or on the ancilla's return to zero.
+
+All gate templates are verified against their exact matrices, on all
+columns, once, the first time a circuit is emitted.
 """
 
 from __future__ import annotations
@@ -24,7 +33,8 @@ from .errors import (
     VerificationError,
 )
 from .linalg import ElementaryOp, ExactMatrix, row_surgery
-from .ring import D_INV_SQRT2, D_ONE, D_ZERO, DOmega, OMEGA_POWERS
+from .ring import (D_INV_SQRT2, D_ONE, D_ZERO, OMEGA_POWERS, UNIT_SQRT2, ZW_ONE, ZW_ZERO,
+                   DOmega, ZOmega, divide_by_sqrt2)
 
 SINGLE_WIRE_GATES = frozenset({"H", "S", "SDG", "T", "TDG", "X"})
 GATE_NAMES = SINGLE_WIRE_GATES | {"CNOT", "W", "ANC_INIT", "ANC_FREE"}
@@ -104,8 +114,14 @@ def _wire_mask(wire: int, n_wires: int) -> int:
     return 1 << (n_wires - 1 - wire)
 
 
-def _apply_gate(rows: list[list[DOmega]], gate: Gate, n_wires: int) -> None:
-    """Left-multiply rows by the gate, one row surgery per affected basis pair."""
+def _keep(z: ZOmega) -> ZOmega:
+    return z
+
+
+def _apply_gate(rows: list[list[ZOmega]], gate: Gate, n_wires: int) -> None:
+    """Left-multiply numerator rows by the gate, one row surgery per affected
+    basis pair.  H leaves x + y and x - y undivided: the caller raises the
+    shared power of sqrt(2) instead."""
     if gate.name in ("ANC_INIT", "ANC_FREE"):
         return
     if gate.name == "W":
@@ -120,17 +136,51 @@ def _apply_gate(rows: list[list[DOmega]], gate: Gate, n_wires: int) -> None:
             continue
         if kind in ("X", "H"):
             if not i & target:
-                row_surgery(rows, kind, i, i | target)
+                row_surgery(rows, kind, i, i | target, mix=_keep)
         elif i & target:
             row_surgery(rows, "omega", i, power=_DIAG_POWER[kind])
 
 
-def _simulate(gates: Iterable[Gate], n_wires: int) -> list[list[DOmega]]:
+def _halved(rows: list[list[ZOmega]]) -> list[list[ZOmega]] | None:
+    """Every numerator divided by sqrt(2), or None when one does not divide."""
+    out = []
+    for row in rows:
+        half = []
+        for z in row:
+            q = divide_by_sqrt2(z)
+            if q is None:
+                return None
+            half.append(q)
+        out.append(half)
+    return out
+
+
+def _simulate(gates: Iterable[Gate], n_wires: int,
+              cols: Sequence[int] | None = None) -> tuple[list[list[ZOmega]], int]:
+    """(N, e) with N / sqrt(2)^e the circuit's unitary on the input columns
+    cols (all by default), N over Z[w] and e least.
+
+    Only H changes e: it mixes every amplitude pair, so all entries become
+    x + y or x - y over one more power of sqrt(2), which is divided out
+    again while every numerator allows it.
+    """
     size = 1 << n_wires
-    rows = [[D_ONE if i == j else D_ZERO for j in range(size)] for i in range(size)]
+    cols = range(size) if cols is None else cols
+    rows = [[ZW_ONE if i == j else ZW_ZERO for j in cols] for i in range(size)]
+    e = 0
     for gate in gates:
         _apply_gate(rows, gate, n_wires)
-    return rows
+        if gate.name == "H":
+            e += 1
+            while e and (halves := _halved(rows)) is not None:
+                rows, e = halves, e - 1
+    return rows, e
+
+
+def _as_domega(rows: list[list[ZOmega]], e: int) -> list[list[DOmega]]:
+    """The entries N / sqrt(2)^e, as N * UNIT_SQRT2^e / delta^(2e)."""
+    unit = UNIT_SQRT2 ** e
+    return [[DOmega(z * unit, 2 * e) for z in row] for row in rows]
 
 
 def _phase_gates(wire: int, power: int) -> list[Gate]:
@@ -209,7 +259,7 @@ def verify_templates() -> None:
     """Check every gate template against its exact matrix; raise on mismatch."""
     global _templates_verified
     for name, gates, target, n_wires in _template_targets():
-        if _simulate(gates, n_wires) != target:
+        if _as_domega(*_simulate(gates, n_wires)) != target:
             raise TemplateError(f"{name} template does not match its matrix")
     _templates_verified = True
 
@@ -300,19 +350,18 @@ def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
 def circuit_to_matrix(circuit: Circuit) -> ExactMatrix:
     """Exact unitary on the data qubits.
 
-    With an ancilla, the ancilla-0 block is extracted; any amplitude leaking
-    from ancilla-0 inputs to ancilla-1 outputs is an error.
+    With an ancilla, only the ancilla-0 input columns are simulated and
+    their ancilla-0 rows are the result; any amplitude they leave on
+    ancilla-1 outputs is an error.
     """
-    rows = _simulate(circuit.gates, circuit.wire_count)
+    n_wires = circuit.wire_count
     if not circuit.uses_ancilla:
-        return ExactMatrix(rows)
-    size = circuit.dim
-    for j in range(size):
-        for i in range(size):
-            if rows[2 * i + 1][2 * j].num:
-                raise VerificationError("circuit does not return the ancilla to zero")
-    return ExactMatrix([[rows[2 * i][2 * j] for j in range(size)]
-                        for i in range(size)])
+        return ExactMatrix(_as_domega(*_simulate(circuit.gates, n_wires)))
+    # the ancilla is the last wire, so its value is the basis index's low bit
+    rows, e = _simulate(circuit.gates, n_wires, range(0, 1 << n_wires, 2))
+    if any(any(row) for row in rows[1::2]):
+        raise VerificationError("circuit does not return the ancilla to zero")
+    return ExactMatrix(_as_domega(rows[0::2], e))
 
 
 def gate_counts(circuit: Circuit) -> dict:

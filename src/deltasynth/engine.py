@@ -49,7 +49,8 @@ from .linalg import (
     word_matrix,
     x_op,
 )
-from .ring import OMEGA_POWERS, ZW_SQRT2, Bits, ZOmega, divide_by_delta, residue_bits
+from .ring import (OMEGA_POWERS, Bits, ZOmega, divide_by_delta, divide_by_sqrt2,
+                   residue_bits)
 
 MAX_HADAMARDS_PER_ROUND = 4
 # monomial cleanup needs at most dim-1 swaps and dim phases
@@ -262,10 +263,10 @@ def solve_monomial(ws: _Workspace) -> list[ElementaryOp]:
 
 def _div_sqrt2(z: ZOmega) -> ZOmega:
     """The Hadamard's mix z / sqrt(2) = z / delta^2 * UNIT_SQRT2, when exact."""
-    y = z * ZW_SQRT2
-    if (y.a | y.b | y.c | y.d) & 1:
+    q = divide_by_sqrt2(z)
+    if q is None:
         raise VerificationError("Hadamard increased the delta-exponent")
-    return ZOmega(y.a >> 1, y.b >> 1, y.c >> 1, y.d >> 1)
+    return q
 
 
 class _Workspace:

@@ -14,6 +14,8 @@ nothing is ever rounded.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 class ZOmega:
     """Element a*w^3 + b*w^2 + c*w + d of Z[w]."""
@@ -174,6 +176,25 @@ def divide_by_delta(x: ZOmega) -> ZOmega | None:
     return ZOmega(y.a >> 1, y.b >> 1, y.c >> 1, y.d >> 1)
 
 
+def divide_by_sqrt2(x: ZOmega) -> ZOmega | None:
+    """x / sqrt(2) when sqrt(2) divides x, else None.
+
+    sqrt(2) * sqrt(2) = 2, so x * sqrt(2) has all-even coefficients exactly
+    when sqrt(2) | x, and halving that product is the quotient.
+    """
+    # x * (w - w^3), written out
+    a, b, c, d = x.b - x.d, x.a + x.c, x.b + x.d, x.c - x.a
+    if (a | b | c | d) & 1:
+        return None
+    return ZOmega(a >> 1, b >> 1, c >> 1, d >> 1)
+
+
+@lru_cache(maxsize=64)
+def _delta_power(n: int) -> ZOmega:
+    """delta^n; recent powers are kept, so the memo stays small."""
+    return ZW_DELTA ** n
+
+
 Bits = tuple[int, int, int]
 
 
@@ -246,10 +267,8 @@ class DOmega:
 
     def lift_to(self, k: int) -> ZOmega:
         """num scaled so the value equals result / delta^k (k >= self.k)."""
-        num = self.num
-        for _ in range(k - self.k):
-            num = num.times_delta()
-        return num
+        gap = k - self.k
+        return self.num * _delta_power(gap) if gap else self.num
 
     def __add__(self, other: DOmega) -> DOmega:
         k = self.k if self.k >= other.k else other.k

@@ -1,4 +1,4 @@
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
@@ -20,6 +20,7 @@ from deltasynth.ring import (
     ZW_SQRT2,
     ZW_ZERO,
     divide_by_delta,
+    divide_by_sqrt2,
     from_sqrt2_form,
     residue_bits,
     to_sqrt2_form,
@@ -137,6 +138,28 @@ class TestDeltaDivisibility:
         assert (divide_by_delta(x) is not None) == (residue_bits(x)[0] == 0)
 
 
+class TestSqrt2Divisibility:
+    def test_frozen_quotients(self):
+        assert divide_by_sqrt2(ZOmega.from_int(2)) == ZW_SQRT2
+        assert divide_by_sqrt2(ZW_DELTA2) == UNIT_SQRT2
+        assert divide_by_sqrt2(ZW_DELTA) is None
+        assert divide_by_sqrt2(ZW_ZERO) == ZW_ZERO
+
+    @given(x=zomega)
+    def test_inverts_times_sqrt2(self, x):
+        assert divide_by_sqrt2(x * ZW_SQRT2) == x
+
+    @given(x=zomega)
+    def test_none_iff_sqrt2_does_not_divide(self, x):
+        # sqrt(2) is delta^2 times a unit
+        once = divide_by_delta(x)
+        twice = None if once is None else divide_by_delta(once)
+        q = divide_by_sqrt2(x)
+        assert (q is None) == (twice is None)
+        if q is not None:
+            assert q * ZW_SQRT2 == x
+
+
 # the eight classes mod delta^3, as (element, basis bits)
 BASIS_TABLE = [
     (ZW_ZERO, (0, 0, 0)),
@@ -246,6 +269,16 @@ class TestDOmega:
         assert D_INV_SQRT2.conj() == D_INV_SQRT2
         t = DOmega(ZW_OMEGA, 0)
         assert t.conj() == DOmega(-ZOmega(1, 0, 0, 0), 0)
+
+    @settings(max_examples=20)
+    @given(x=domega)
+    def test_lift_is_stepwise_product(self, x):
+        step = x.num
+        for gap in range(301):
+            assert x.lift_to(x.k + gap) == step
+            step = step.times_delta()
+        with pytest.raises(ValueError):
+            x.lift_to(x.k - 1)
 
     def test_residue_at(self):
         # scaled H entry: delta^2 * (1/sqrt(2)) = unit in the w^3 class

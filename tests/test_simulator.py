@@ -1,0 +1,99 @@
+"""The circuit simulator against the benchmark's independent reference.
+
+`benchmark/reference.py` simulates circuits on coefficient lists with its own
+arithmetic and imports nothing from deltasynth; the program's matrix reaches
+it through the matrix file format.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from deltasynth.circuits import SINGLE_WIRE_GATES, Circuit, Gate, _simulate, circuit_to_matrix
+from deltasynth.cli import render_matrix
+from deltasynth.errors import VerificationError
+from deltasynth.ring import ZW_ONE, ZW_ZERO, divide_by_sqrt2
+
+REFERENCE = Path(__file__).resolve().parents[1] / "benchmark" / "reference.py"
+
+
+def load_reference():
+    spec = importlib.util.spec_from_file_location("benchmark_reference", REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+reference = load_reference()
+
+
+@st.composite
+def circuits(draw):
+    """Gate lists on 1 or 2 data qubits, with or without a borrowed ancilla;
+    with one, gates may also act on the ancilla wire."""
+    qubits = draw(st.sampled_from((1, 2)))
+    ancilla = draw(st.booleans())
+    reach = qubits + (1 if ancilla and draw(st.booleans()) else 0)
+    wire = st.integers(min_value=0, max_value=reach - 1)
+    options = [
+        st.builds(lambda name, w: Gate(name, (w,)),
+                  st.sampled_from(sorted(SINGLE_WIRE_GATES)), wire),
+        st.builds(lambda p: Gate("W", (), p), st.integers(min_value=1, max_value=7)),
+    ]
+    if reach > 1:
+        options.append(st.builds(lambda pair: Gate("CNOT", tuple(pair[:2])),
+                                 st.permutations(range(reach))))
+    if ancilla:
+        options.append(st.sampled_from([Gate("ANC_INIT", (qubits,)),
+                                        Gate("ANC_FREE", (qubits,))]))
+    gates = draw(st.lists(st.one_of(options), max_size=40))
+    return Circuit(qubits, ancilla, tuple(gates))
+
+
+def anc_circuit(*gates):
+    return Circuit(1, True, (Gate("ANC_INIT", (1,)), *gates, Gate("ANC_FREE", (1,))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuit=circuits())
+@example(circuit=anc_circuit(Gate("X", (1,)), Gate("X", (1,))))
+@example(circuit=anc_circuit(Gate("H", (1,)), Gate("T", (1,)), Gate("H", (1,))))
+@example(circuit=anc_circuit(Gate("H", (1,)), Gate("H", (1,))))
+@example(circuit=anc_circuit(Gate("H", (0,)), Gate("CNOT", (0, 1))))
+@example(circuit=anc_circuit(Gate("CNOT", (0, 1)), Gate("CNOT", (0, 1))))
+def test_matches_reference(circuit):
+    gates = [(g.name, g.wires, g.power) for g in circuit.gates]
+    expected = reference.simulate_circuit(circuit.data_qubits, gates, circuit.uses_ancilla)
+    if expected is None:
+        with pytest.raises(VerificationError):
+            circuit_to_matrix(circuit)
+        return
+    actual = circuit_to_matrix(circuit)
+    assert reference.parse_matrix(render_matrix(actual)) == expected
+    if not circuit.uses_ancilla:
+        # the shared exponent is the reference's least one
+        rows, e = _simulate(circuit.gates, circuit.wire_count)
+        assert e == expected.e
+        assert e == 0 or any(divide_by_sqrt2(z) is None for row in rows for z in row)
+
+
+def test_exponent_stays_least():
+    h = Gate("H", (0,))
+    identity = [[ZW_ONE, ZW_ZERO], [ZW_ZERO, ZW_ONE]]
+    assert _simulate([h] * 2000, 1) == (identity, 0)
+    one = ZW_ONE
+    assert _simulate([h] * 2001, 1) == ([[one, one], [one, -one]], 1)
+    # H on both wires of two qubits: entries +-1 over sqrt(2)^2
+    rows, e = _simulate([h, Gate("H", (1,))] * 1000 + [h], 2)
+    assert e == 1
+    assert all(z in (ZW_ZERO, one, -one) for row in rows for z in row)
+
+
+def test_ancilla_columns_only():
+    circuit = anc_circuit(Gate("H", (1,)), Gate("H", (1,)), Gate("X", (0,)))
+    rows, e = _simulate(circuit.gates, 2, range(0, 4, 2))
+    assert e == 0
+    assert rows == [[ZW_ZERO, ZW_ONE], [ZW_ZERO, ZW_ZERO],
+                    [ZW_ONE, ZW_ZERO], [ZW_ZERO, ZW_ZERO]]

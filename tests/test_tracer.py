@@ -30,7 +30,8 @@ def test_tracer_wraps_and_restores():
     tracing = load_tracing()
     wrapped = [(deltasynth, "synthesize"), (deltasynth.engine, "synthesize"),
                (deltasynth.engine, "reduction_round"),
-               (deltasynth.engine, "solve_monomial"), (deltasynth, "emit"),
+               (deltasynth.engine, "solve_monomial"),
+               (deltasynth.engine, "verify_decomposition"), (deltasynth, "emit"),
                (deltasynth.circuits, "emit"), (deltasynth.circuits, "circuit_to_matrix")]
     originals = {(module, name): getattr(module, name) for module, name in wrapped}
     ring_ops = (DOmega.__add__, DOmega.__sub__, DOmega.__mul__)
@@ -43,6 +44,8 @@ def test_tracer_wraps_and_restores():
         assert deltasynth.engine.reduction_round is not originals[
             (deltasynth.engine, "reduction_round")]
         dec = deltasynth.engine.synthesize(m)
+        # the word check multiplies out in D[w]; the circuit simulator does not
+        assert deltasynth.engine.verify_decomposition(m, dec)
         circuit = deltasynth.circuits.emit(dec.word, 4)
         assert deltasynth.circuits.circuit_to_matrix(circuit) == m
     finally:
@@ -52,6 +55,7 @@ def test_tracer_wraps_and_restores():
     assert tracer.calls["engine.synthesize"] == 1
     assert tracer.calls["engine.reduction_round"] == len(dec.rounds)
     assert tracer.calls["engine.solve_monomial"] == 1
+    assert tracer.calls["engine.verify_decomposition"] == 1
     assert tracer.calls["circuits.emit"] == 1
     assert tracer.calls["circuits.circuit_to_matrix"] == 1
     assert tracer.decompositions == [dec]
