@@ -8,17 +8,18 @@ qubits lower to controlled-S powers when the phase is a power of i; odd
 powers of w borrow one ancilla, flip it on the targeted basis state, rotate
 it with T gates, and flip it back, so the ancilla always returns to zero.
 
-Circuits are simulated exactly as Z[w] numerators N over one shared power
-of sqrt(2), the unitary being N / sqrt(2)^e.  Phases and W multiply rows by
-powers of w, X and CNOT swap rows, and H replaces every amplitude pair by
-its sum and difference and raises e by one, after which every numerator is
-divided by sqrt(2) while all of them divide, so e stays least.  The entries
-become D[w] values once, at the end.  With a borrowed ancilla only the
-ancilla-|0> input columns are simulated; the rest of the unitary does not
-bear on the data block or on the ancilla's return to zero.
+Circuits are simulated exactly on linalg's product form, Z[w] numerators N
+over one least power of sqrt(2), the unitary being N / sqrt(2)^e.  Phases
+and W multiply rows by powers of w, X and CNOT swap rows, and H replaces
+every amplitude pair by its sum and difference and raises e by one, which
+`least` lowers again while it can.  The entries become D[w] values once, at
+the end.  With a borrowed ancilla only the ancilla-|0> input columns are
+simulated; the rest of the unitary does not bear on the data block or on
+the ancilla's return to zero.
 
-All gate templates are verified against their exact matrices, on all
-columns, once, the first time a circuit is emitted.
+Every gate template is compared as (N, e), on all columns, with the
+elementary-operator word it implements, once, the first time a circuit is
+emitted.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from .errors import (
     UnsupportedDimError,
     VerificationError,
 )
-from .linalg import ElementaryOp, ExactMatrix, row_surgery
-from .ring import (D_INV_SQRT2, D_ONE, D_ZERO, OMEGA_POWERS, UNIT_SQRT2, ZW_ONE, ZW_ZERO,
-                   DOmega, ZOmega, divide_by_sqrt2)
+from .linalg import (ElementaryOp, ExactMatrix, as_matrix, h_op, least, omega_op,
+                     row_surgery, word_product, x_op)
+from .ring import ZW_ONE, ZW_ZERO, ZOmega
 
 SINGLE_WIRE_GATES = frozenset({"H", "S", "SDG", "T", "TDG", "X"})
 GATE_NAMES = SINGLE_WIRE_GATES | {"CNOT", "W", "ANC_INIT", "ANC_FREE"}
@@ -114,20 +115,18 @@ def _wire_mask(wire: int, n_wires: int) -> int:
     return 1 << (n_wires - 1 - wire)
 
 
-def _keep(z: ZOmega) -> ZOmega:
-    return z
-
-
-def _apply_gate(rows: list[list[ZOmega]], gate: Gate, n_wires: int) -> None:
-    """Left-multiply numerator rows by the gate, one row surgery per affected
-    basis pair.  H leaves x + y and x - y undivided: the caller raises the
-    shared power of sqrt(2) instead."""
+def apply_gate(gate: Gate, rows: Sequence[Sequence[ZOmega]], e: int,
+               n_wires: int) -> tuple[list, int]:
+    """gate @ (N / sqrt(2)^e) as a new (N, e), one row surgery per affected
+    basis pair.  H mixes every pair, so it leaves x + y and x - y undivided
+    and raises e instead, which is then lowered again while it can be."""
+    rows = list(rows)
     if gate.name in ("ANC_INIT", "ANC_FREE"):
-        return
+        return rows, e
     if gate.name == "W":
         for i in range(len(rows)):
             row_surgery(rows, "omega", i, power=gate.power)
-        return
+        return rows, e
     target = _wire_mask(gate.wires[-1], n_wires)
     control = _wire_mask(gate.wires[0], n_wires) if gate.name == "CNOT" else 0
     kind = "X" if gate.name == "CNOT" else gate.name
@@ -136,51 +135,23 @@ def _apply_gate(rows: list[list[ZOmega]], gate: Gate, n_wires: int) -> None:
             continue
         if kind in ("X", "H"):
             if not i & target:
-                row_surgery(rows, kind, i, i | target, mix=_keep)
+                row_surgery(rows, kind, i, i | target)
         elif i & target:
             row_surgery(rows, "omega", i, power=_DIAG_POWER[kind])
-
-
-def _halved(rows: list[list[ZOmega]]) -> list[list[ZOmega]] | None:
-    """Every numerator divided by sqrt(2), or None when one does not divide."""
-    out = []
-    for row in rows:
-        half = []
-        for z in row:
-            q = divide_by_sqrt2(z)
-            if q is None:
-                return None
-            half.append(q)
-        out.append(half)
-    return out
+    return least(rows, e + 1) if kind == "H" else (rows, e)
 
 
 def _simulate(gates: Iterable[Gate], n_wires: int,
               cols: Sequence[int] | None = None) -> tuple[list[list[ZOmega]], int]:
     """(N, e) with N / sqrt(2)^e the circuit's unitary on the input columns
-    cols (all by default), N over Z[w] and e least.
-
-    Only H changes e: it mixes every amplitude pair, so all entries become
-    x + y or x - y over one more power of sqrt(2), which is divided out
-    again while every numerator allows it.
-    """
+    cols (all by default), N over Z[w] and e least."""
     size = 1 << n_wires
     cols = range(size) if cols is None else cols
     rows = [[ZW_ONE if i == j else ZW_ZERO for j in cols] for i in range(size)]
     e = 0
     for gate in gates:
-        _apply_gate(rows, gate, n_wires)
-        if gate.name == "H":
-            e += 1
-            while e and (halves := _halved(rows)) is not None:
-                rows, e = halves, e - 1
+        rows, e = apply_gate(gate, rows, e, n_wires)
     return rows, e
-
-
-def _as_domega(rows: list[list[ZOmega]], e: int) -> list[list[DOmega]]:
-    """The entries N / sqrt(2)^e, as N * UNIT_SQRT2^e / delta^(2e)."""
-    unit = UNIT_SQRT2 ** e
-    return [[DOmega(z * unit, 2 * e) for z in row] for row in rows]
 
 
 def _phase_gates(wire: int, power: int) -> list[Gate]:
@@ -222,51 +193,30 @@ def _lambda2_minus_ix(c1: int, c2: int, t: int) -> list[Gate]:
     return _lambda_s_dag(c1, c2) + _toffoli(c1, c2, t)
 
 
-def _controlled_target_block(dim: int, pair: tuple[int, int],
-                             block: Sequence[Sequence[DOmega]]) -> list[list[DOmega]]:
-    rows = [[D_ONE if i == j else D_ZERO for j in range(dim)] for i in range(dim)]
-    a, b = pair
-    rows[a][a], rows[a][b] = block[0][0], block[0][1]
-    rows[b][a], rows[b][b] = block[1][0], block[1][1]
-    return rows
-
-
-def _template_targets() -> list[tuple[str, list[Gate], list[list[DOmega]], int]]:
-    s = DOmega(OMEGA_POWERS[2], 0)
-    h = D_INV_SQRT2
-    ix = DOmega(OMEGA_POWERS[2], 0)
-    mix = DOmega(OMEGA_POWERS[6], 0)
-    return [
-        ("controlled-S", _lambda_s(0, 1),
-         _controlled_target_block(4, (2, 3), [[D_ONE, D_ZERO], [D_ZERO, s]]), 2),
-        ("controlled-Sdg", _lambda_s_dag(0, 1),
-         _controlled_target_block(4, (2, 3), [[D_ONE, D_ZERO], [D_ZERO, mix]]), 2),
-        ("controlled-H", _lambda_h(0, 1),
-         _controlled_target_block(4, (2, 3), [[h, h], [h, -h]]), 2),
-        ("toffoli", _toffoli(0, 1, 2),
-         _controlled_target_block(8, (6, 7), [[D_ZERO, D_ONE], [D_ONE, D_ZERO]]), 3),
-        ("doubly-controlled iX", _lambda2_ix(0, 1, 2),
-         _controlled_target_block(8, (6, 7), [[D_ZERO, ix], [ix, D_ZERO]]), 3),
-        ("doubly-controlled -iX", _lambda2_minus_ix(0, 1, 2),
-         _controlled_target_block(8, (6, 7), [[D_ZERO, mix], [mix, D_ZERO]]), 3),
-    ]
+# Each template against the word it implements, on 2 or 3 wires.
+_TEMPLATES = (
+    ("controlled-S", _lambda_s(0, 1), [omega_op(4, 2)], 2),
+    ("controlled-Sdg", _lambda_s_dag(0, 1), [omega_op(4, 6)], 2),
+    ("controlled-H", _lambda_h(0, 1), [h_op(3, 4)], 2),
+    ("toffoli", _toffoli(0, 1, 2), [x_op(7, 8)], 3),
+    ("doubly-controlled iX", _lambda2_ix(0, 1, 2),
+     [x_op(7, 8), omega_op(7, 2), omega_op(8, 2)], 3),
+    ("doubly-controlled -iX", _lambda2_minus_ix(0, 1, 2),
+     [x_op(7, 8), omega_op(7, 6), omega_op(8, 6)], 3),
+)
 
 
 _templates_verified = False
 
 
 def verify_templates() -> None:
-    """Check every gate template against its exact matrix; raise on mismatch."""
+    """Check every gate template, on all columns, against the word it
+    implements; raise on mismatch."""
     global _templates_verified
-    for name, gates, target, n_wires in _template_targets():
-        if _as_domega(*_simulate(gates, n_wires)) != target:
-            raise TemplateError(f"{name} template does not match its matrix")
+    for name, gates, word, n_wires in _TEMPLATES:
+        if _simulate(gates, n_wires) != word_product(word, 1 << n_wires):
+            raise TemplateError(f"{name} template does not match its word")
     _templates_verified = True
-
-
-def _ensure_templates() -> None:
-    if not _templates_verified:
-        verify_templates()
 
 
 def _lower_one_qubit(op: ElementaryOp) -> list[Gate]:
@@ -328,7 +278,8 @@ def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
     """
     if dim not in (2, 4):
         raise UnsupportedDimError(f"no qubit layout for dimension {dim}")
-    _ensure_templates()
+    if not _templates_verified:
+        verify_templates()
     qubits = 1 if dim == 2 else 2
     body: list[Gate] = []
     uses_ancilla = False
@@ -356,12 +307,12 @@ def circuit_to_matrix(circuit: Circuit) -> ExactMatrix:
     """
     n_wires = circuit.wire_count
     if not circuit.uses_ancilla:
-        return ExactMatrix(_as_domega(*_simulate(circuit.gates, n_wires)))
+        return as_matrix(*_simulate(circuit.gates, n_wires))
     # the ancilla is the last wire, so its value is the basis index's low bit
     rows, e = _simulate(circuit.gates, n_wires, range(0, 1 << n_wires, 2))
     if any(any(row) for row in rows[1::2]):
         raise VerificationError("circuit does not return the ancilla to zero")
-    return ExactMatrix(_as_domega(rows[0::2], e))
+    return as_matrix(rows[0::2], e)
 
 
 def gate_counts(circuit: Circuit) -> dict:

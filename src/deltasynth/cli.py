@@ -248,8 +248,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"mismatch: {exc}", file=sys.stderr)
         return 1
     if actual.dim != expected.dim:
+        # a 1x1 matrix is checked as a global phase on one qubit
+        needs = " (needs a 1-qubit circuit)" if matrix.dim == 1 else ""
         print(f"mismatch: circuit acts on dimension {actual.dim}, "
-              f"matrix has dimension {expected.dim}", file=sys.stderr)
+              f"matrix has dimension {matrix.dim}{needs}", file=sys.stderr)
         return 1
     if actual != expected:
         print("mismatch: circuit does not equal the matrix", file=sys.stderr)

@@ -319,7 +319,10 @@ class _Workspace:
     def apply(self, op: ElementaryOp, side: str = "L") -> None:
         (self.left_ops if side == "L" else self.right_ops).append(op)
         lines = self._lines(side)
-        row_surgery(lines, op.kind, op.j - 1, op.m - 1, op.power, _div_sqrt2)
+        row_surgery(lines, op.kind, op.j - 1, op.m - 1, op.power)
+        if op.kind == "H":
+            for i in (op.j - 1, op.m - 1):
+                lines[i] = [_div_sqrt2(z) for z in lines[i]]
         if side == "R":
             self.rows = list(zip(*lines))
 

@@ -1,22 +1,26 @@
-"""Exact matrices over D[w] and the elementary 1- and 2-level operators.
+"""Exact matrices over D[w], the elementary 1- and 2-level operators, and
+the one product kernel.
 
 Matrices are immutable tuples of tuples of DOmega, dimensions 1 through 4;
 `scaled` gives the Z[w] numerators of delta^k * m, `residue_matrix` their
 residue bits, and `is_scaled_unitary` checks unitarity on them.  Elementary
 operators (a phase w^p on one basis vector, or a Hadamard-type or swap-type
-mixing of two basis vectors) are what the synthesis engine emits.  One
-row-surgery kernel applies them to rows of D[w] entries or of numerators;
-it touches at most two rows, so application is O(dim) ring operations.
+mixing of two basis vectors) are what the synthesis engine emits.
+
+Words, circuits and the oracle's searches multiply out as Z[w] numerators N
+over one least power of sqrt(2), the value N / sqrt(2)^e, changed by one
+row-surgery kernel and kept least by `least`.  D[w] entries are built only
+to parse, print and compare; `mat_mul` and `adjoint` are the tests' reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .errors import UnsupportedDimError
-from .ring import (D_INV_SQRT2, D_ONE, D_ZERO, TWO_PLUS_SQRT2, ZW_ZERO, Bits, DOmega,
-                   ZOmega, residue_bits)
+from .ring import (D_ONE, D_ZERO, TWO_PLUS_SQRT2, UNIT_SQRT2, UNIT_SQRT2_INV, ZW_ONE,
+                   ZW_SQRT2, ZW_ZERO, Bits, DOmega, ZOmega, divide_by_sqrt2, residue_bits)
 
 MAX_DIM = 4
 
@@ -121,7 +125,6 @@ def residue_matrix(rows: Sequence[Sequence[ZOmega]]) -> tuple[tuple[Bits, ...], 
 
 
 OpKind = Literal["omega", "H", "X"]
-Side = Literal["L", "R"]
 
 
 @dataclass(frozen=True)
@@ -177,13 +180,12 @@ def invert_elementary(op: ElementaryOp) -> list[ElementaryOp]:
     return [op]
 
 
-def row_surgery(rows: list, kind: OpKind, i: int, j: int = 0, power: int = 0,
-                mix: Callable = lambda x: x * D_INV_SQRT2) -> None:
+def row_surgery(rows: list, kind: OpKind, i: int, j: int = 0, power: int = 0) -> None:
     """Apply an elementary op to a list of rows in place (0-based indices).
 
     "omega" multiplies row i by w^power, "X" swaps rows i and j, and "H"
-    replaces them by mix(x + y) and mix(x - y), where mix divides by sqrt(2):
-    by default a D[w] product with 1/sqrt(2).  Changed rows become lists.
+    replaces them by x + y and x - y, leaving the division by sqrt(2) to the
+    caller.  Changed rows become lists.
     """
     if kind == "omega":
         rows[i] = [e.mul_omega_power(power) for e in rows[i]]
@@ -191,45 +193,78 @@ def row_surgery(rows: list, kind: OpKind, i: int, j: int = 0, power: int = 0,
         rows[i], rows[j] = rows[j], rows[i]
     else:
         top, bot = rows[i], rows[j]
-        rows[i] = [mix(x + y) for x, y in zip(top, bot)]
-        rows[j] = [mix(x - y) for x, y in zip(top, bot)]
+        rows[i] = [x + y for x, y in zip(top, bot)]
+        rows[j] = [x - y for x, y in zip(top, bot)]
 
 
-def _check_indices(op: ElementaryOp, dim: int) -> None:
+def _halved(rows: list[list[ZOmega]]) -> list[list[ZOmega]] | None:
+    """Every numerator divided by sqrt(2), or None when one does not divide."""
+    out = []
+    for row in rows:
+        half = []
+        for z in row:
+            q = divide_by_sqrt2(z)
+            if q is None:
+                return None
+            half.append(q)
+        out.append(half)
+    return out
+
+
+def least(rows: list[list[ZOmega]], e: int) -> tuple[list[list[ZOmega]], int]:
+    """The same value N / sqrt(2)^e with e least: every numerator is divided
+    by sqrt(2) while all of them divide."""
+    while e and (halves := _halved(rows)) is not None:
+        rows, e = halves, e - 1
+    return rows, e
+
+
+def as_matrix(rows: Sequence[Sequence[ZOmega]], e: int) -> ExactMatrix:
+    """The entries N / sqrt(2)^e, as N * UNIT_SQRT2^e / delta^(2e)."""
+    unit = UNIT_SQRT2 ** e
+    return ExactMatrix([DOmega(z * unit, 2 * e) for z in row] for row in rows)
+
+
+def numerators(m: ExactMatrix) -> tuple[list[list[ZOmega]], int]:
+    """(N, e) with N / sqrt(2)^e = m and e least: the inverse of as_matrix.
+
+    sqrt(2)^e * m is integral exactly when 2e reaches m's delta-exponent.
+    """
+    e = (delta_exponent(m) + 1) // 2
+    unit = UNIT_SQRT2_INV ** e
+    return [[z * unit for z in row] for row in scaled(m, 2 * e)], e
+
+
+def apply_elementary(op: ElementaryOp, rows: Sequence[Sequence[ZOmega]],
+                     e: int) -> tuple[list, int]:
+    """op @ (N / sqrt(2)^e) as a new (N, e), e least when it was least before.
+
+    H[j,m] is (x + y, x - y) / sqrt(2) on rows j and m; over the shared
+    exponent every other row is multiplied by sqrt(2) instead, and e rises
+    by one.  rows itself is not changed.
+    """
     top = op.m if op.kind != "omega" else op.j
-    if top > dim:
-        raise ValueError(f"op {op} out of range for dimension {dim}")
+    if top > len(rows):
+        raise ValueError(f"op {op} out of range for dimension {len(rows)}")
+    rows = list(rows)
+    if op.kind != "H":
+        row_surgery(rows, op.kind, op.j - 1, op.m - 1, op.power)
+        return rows, e
+    rows = [row if i in (op.j - 1, op.m - 1) else [z * ZW_SQRT2 for z in row]
+            for i, row in enumerate(rows)]
+    row_surgery(rows, "H", op.j - 1, op.m - 1)
+    return least(rows, e + 1)
 
 
-def apply_elementary(op: ElementaryOp, m: ExactMatrix, side: Side = "L") -> ExactMatrix:
-    """op @ m for side L, m @ op for side R.
-
-    A column op is the row op on the transpose, since op's matrix is
-    symmetric: m @ op = (op @ m^T)^T.
-    """
-    _check_indices(op, m.dim)
-    rows = list(m.rows) if side == "L" else list(zip(*m.rows))
-    row_surgery(rows, op.kind, op.j - 1, op.m - 1, op.power)
-    return ExactMatrix(rows if side == "L" else zip(*rows))
-
-
-def elementary_matrix(op: ElementaryOp, dim: int) -> ExactMatrix:
-    """The dim x dim matrix of op."""
-    return apply_elementary(op, ExactMatrix.identity(dim))
-
-
-def apply_word(word: Sequence[ElementaryOp], m: ExactMatrix,
-               side: Side = "L") -> ExactMatrix:
-    """Multiply m by a left-to-right product of ops.
-
-    side "L": (w1 w2 ... wn) @ m, so the word is applied last-first.
-    side "R": m @ (w1 w2 ... wn).
-    """
-    for op in (reversed(word) if side == "L" else word):
-        m = apply_elementary(op, m, side)
-    return m
+def word_product(word: Sequence[ElementaryOp], dim: int) -> tuple[list, int]:
+    """(N, e) of the word's product as written, left factor first."""
+    rows = [[ZW_ONE if i == j else ZW_ZERO for j in range(dim)] for i in range(dim)]
+    e = 0
+    for op in reversed(word):
+        rows, e = apply_elementary(op, rows, e)
+    return rows, e
 
 
 def word_matrix(word: Sequence[ElementaryOp], dim: int) -> ExactMatrix:
     """Exact product of the word as written, left factor first."""
-    return apply_word(word, ExactMatrix.identity(dim), side="R")
+    return as_matrix(*word_product(word, dim))

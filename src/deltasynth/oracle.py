@@ -3,7 +3,9 @@
 Instances are drawn as Clifford+T gate words, so their exact unitaries are
 known to be in range of the reduction by construction.  Enumeration and
 breadth-first gate search provide independent ground truth for short words:
-everything the generators can reach in a few steps must round-trip.
+everything the generators can reach in a few steps must round-trip.  Both
+searches key their frontiers by exact products in linalg's (N, e) form; a
+D[w] matrix is built only for each product that enumeration returns.
 """
 
 from __future__ import annotations
@@ -12,14 +14,16 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .circuits import Circuit, Gate, circuit_to_matrix
+from .circuits import Circuit, Gate, apply_gate, circuit_to_matrix
 from .linalg import (
     ElementaryOp,
     ExactMatrix,
     apply_elementary,
+    as_matrix,
     h_op,
-    mat_mul,
+    numerators,
     omega_op,
+    word_product,
     x_op,
 )
 
@@ -83,30 +87,34 @@ def op_alphabet(dim: int) -> list[ElementaryOp]:
     return ops
 
 
+def _state(rows, e: int) -> tuple:
+    """Hashable form of (N, e); with e least it names the product exactly."""
+    return tuple(map(tuple, rows)), e
+
+
 def enumerate_words(dim: int, max_len: int) -> dict[ExactMatrix, tuple[ElementaryOp, ...]]:
     """All products of at most max_len elementary operators, with a shortest
     left-to-right word for each.  Grows fast; intended for max_len <= 3."""
     ops = op_alphabet(dim)
-    found: dict[ExactMatrix, tuple[ElementaryOp, ...]] = {
-        ExactMatrix.identity(dim): ()}
+    found = {_state(*word_product((), dim)): ()}
     frontier = dict(found)
     for _ in range(max_len):
-        fresh: dict[ExactMatrix, tuple[ElementaryOp, ...]] = {}
-        for matrix, word in frontier.items():
+        fresh = {}
+        for (rows, e), word in frontier.items():
             for op in ops:
-                grown = apply_elementary(op, matrix)
+                grown = _state(*apply_elementary(op, rows, e))
                 if grown not in found and grown not in fresh:
                     fresh[grown] = (op, *word)
         found.update(fresh)
         frontier = fresh
-    return found
+    return {as_matrix(*state): word for state, word in found.items()}
 
 
 def search_gate_word(target: ExactMatrix, max_len: int,
                      pool: Sequence[Gate] | None = None) -> tuple[Gate, ...] | None:
     """Shortest gate word (in application order) whose circuit equals target.
 
-    Breadth-first over the pool, deduplicating by exact matrix; None when no
+    Breadth-first over the pool, deduplicating by exact product; None when no
     word of length at most max_len reaches the target.
     """
     if target.dim not in (2, 4):
@@ -114,22 +122,21 @@ def search_gate_word(target: ExactMatrix, max_len: int,
     qubits = 1 if target.dim == 2 else 2
     if pool is None:
         pool = gate_pool(qubits)
-    identity = ExactMatrix.identity(target.dim)
-    if target == identity:
+    identity = _state(*word_product((), target.dim))
+    goal = _state(*numerators(target))
+    if goal == identity:
         return ()
-    gate_matrices = [(gate, circuit_to_matrix(Circuit(qubits, False, (gate,))))
-                     for gate in pool]
     seen = {identity}
-    frontier: dict[ExactMatrix, tuple[Gate, ...]] = {identity: ()}
+    frontier = {identity: ()}
     for _ in range(max_len):
-        fresh: dict[ExactMatrix, tuple[Gate, ...]] = {}
-        for matrix, word in frontier.items():
-            for gate, gate_matrix in gate_matrices:
-                grown = mat_mul(gate_matrix, matrix)
+        fresh = {}
+        for (rows, e), word in frontier.items():
+            for gate in pool:
+                grown = _state(*apply_gate(gate, rows, e, qubits))
                 if grown in seen:
                     continue
                 seen.add(grown)
-                if grown == target:
+                if grown == goal:
                     return (*word, gate)
                 fresh[grown] = (*word, gate)
         frontier = fresh

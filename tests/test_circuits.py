@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import deltasynth.circuits
 from deltasynth.circuits import (
     Circuit,
     Gate,
@@ -14,10 +15,11 @@ from deltasynth.circuits import (
 )
 from deltasynth.errors import (
     CircuitParseError,
+    TemplateError,
     UnsupportedDimError,
     VerificationError,
 )
-from deltasynth.linalg import elementary_matrix, h_op, omega_op, word_matrix, x_op
+from deltasynth.linalg import h_op, omega_op, word_matrix, x_op
 from helpers import alphabet, random_word
 
 
@@ -72,13 +74,23 @@ class TestTemplates:
     def test_all_templates_exact(self):
         verify_templates()
 
+    @pytest.mark.parametrize("index, other", [(0, 1), (4, 5)])
+    def test_wrong_word_is_rejected(self, monkeypatch, index, other):
+        # controlled-S against controlled-Sdg's word, iX against -iX's
+        templates = deltasynth.circuits._TEMPLATES
+        name, gates, _, n_wires = templates[index]
+        wrong = ((name, gates, templates[other][2], n_wires),)
+        monkeypatch.setattr(deltasynth.circuits, "_TEMPLATES", wrong)
+        with pytest.raises(TemplateError, match=name):
+            verify_templates()
+
 
 class TestLowering:
     @pytest.mark.parametrize("dim", [2, 4])
     def test_every_elementary_op(self, dim):
         for op in alphabet(dim):
             circ = emit([op], dim)
-            assert circuit_to_matrix(circ) == elementary_matrix(op, dim)
+            assert circuit_to_matrix(circ) == word_matrix([op], dim)
 
     def test_odd_phase_borrows_ancilla(self):
         circ = emit([omega_op(1, 1)], 4)
@@ -190,4 +202,4 @@ class TestTextFormat:
         assert circ.uses_ancilla
         again = parse_circuit(render_circuit(circ))
         assert again == circ
-        assert circuit_to_matrix(again) == elementary_matrix(omega_op(3, 1), 4)
+        assert circuit_to_matrix(again) == word_matrix([omega_op(3, 1)], 4)

@@ -231,6 +231,16 @@ class TestVerify:
         assert code == 1
         assert "dimension" in err
 
+    def test_one_by_one_mismatch_names_file_dimension(self, capsys, tmp_path):
+        matrix = tmp_path / "m.txt"
+        matrix.write_text("dim 1\n1,0,1,0/1\n")
+        circuit = tmp_path / "c.txt"
+        circuit.write_text("qubits 2\nH 0\n")
+        code, _, err = run(capsys, "verify", str(matrix), str(circuit))
+        assert code == 1
+        assert "matrix has dimension 1" in err
+        assert "1-qubit circuit" in err
+
     def test_leaked_ancilla_fails(self, capsys, tmp_path):
         matrix = tmp_path / "m.txt"
         matrix.write_text("dim 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")

@@ -30,7 +30,6 @@ from deltasynth.errors import (
 from deltasynth.linalg import (
     ExactMatrix,
     adjoint,
-    apply_elementary,
     delta_exponent,
     h_op,
     invert_elementary,
@@ -62,7 +61,8 @@ def unit_class(power):
 
 def replay(ops, m, side="L"):
     for op in ops:
-        m = apply_elementary(op, m, side)
+        op_mat = word_matrix([op], m.dim)
+        m = mat_mul(op_mat, m) if side == "L" else mat_mul(m, op_mat)
     return m
 
 

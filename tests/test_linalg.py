@@ -6,10 +6,7 @@ from deltasynth.linalg import (
     ElementaryOp,
     ExactMatrix,
     adjoint,
-    apply_elementary,
-    apply_word,
     delta_exponent,
-    elementary_matrix,
     h_op,
     invert_elementary,
     is_unitary,
@@ -127,9 +124,9 @@ class TestElementaryOps:
             ElementaryOp("Y", 1, 2)
 
     def test_frozen_matrices(self):
-        assert elementary_matrix(h_op(1, 2), 2) == H_EXACT
-        assert elementary_matrix(omega_op(2, 1), 2) == T_EXACT
-        swap = elementary_matrix(x_op(3, 4), 4)
+        assert word_matrix([h_op(1, 2)], 2) == H_EXACT
+        assert word_matrix([omega_op(2, 1)], 2) == T_EXACT
+        swap = word_matrix([x_op(3, 4)], 4)
         ident = ExactMatrix.identity(4)
         assert swap.rows[0] == ident.rows[0]
         assert swap.rows[1] == ident.rows[1]
@@ -138,17 +135,17 @@ class TestElementaryOps:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            apply_elementary(h_op(1, 3), ExactMatrix.identity(2))
+            word_matrix([h_op(1, 3)], 2)
         with pytest.raises(ValueError):
-            apply_elementary(omega_op(4, 1), ExactMatrix.identity(3))
+            word_matrix([omega_op(4, 1)], 3)
 
-    @given(m=matrices(3), data=st.data())
+    @given(data=st.data())
     @settings(max_examples=40)
-    def test_apply_matches_mat_mul(self, m, data):
-        op = data.draw(st.sampled_from(alphabet(3)))
-        op_mat = elementary_matrix(op, 3)
-        assert apply_elementary(op, m) == mat_mul(op_mat, m)
-        assert apply_elementary(op, m, "R") == mat_mul(m, op_mat)
+    def test_apply_matches_mat_mul(self, data):
+        dim = data.draw(st.integers(min_value=1, max_value=4))
+        u, v = (data.draw(st.lists(st.sampled_from(alphabet(dim)), max_size=8))
+                for _ in range(2))
+        assert word_matrix(u + v, dim) == mat_mul(word_matrix(u, dim), word_matrix(v, dim))
 
     def test_invert_elementary(self):
         for dim in (2, 3, 4):
@@ -158,14 +155,7 @@ class TestElementaryOps:
 
     def test_elementary_ops_are_unitary(self):
         for op in alphabet(4):
-            assert is_unitary(elementary_matrix(op, 4))
-
-    def test_apply_word_sides(self):
-        word = [h_op(1, 2), omega_op(2, 3), x_op(1, 2)]
-        m = random_word_matrix(2, 5, seed=11)
-        product = word_matrix(word, 2)
-        assert apply_word(word, m, "L") == mat_mul(product, m)
-        assert apply_word(word, m, "R") == mat_mul(m, product)
+            assert is_unitary(word_matrix([op], 4))
 
 
 def unit_pattern(m, k):

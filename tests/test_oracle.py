@@ -3,7 +3,6 @@ import pytest
 from deltasynth.circuits import Circuit, Gate, circuit_to_matrix
 from deltasynth.linalg import (
     ExactMatrix,
-    elementary_matrix,
     h_op,
     is_unitary,
     word_matrix,
@@ -92,7 +91,7 @@ class TestSearchGateWord:
             search_gate_word(ExactMatrix.identity(3), 1)
 
     def test_controlled_mixing_needs_seven_gates(self):
-        target = elementary_matrix(h_op(3, 4), 4)
+        target = word_matrix([h_op(3, 4)], 4)
         pool = [
             Gate("SDG", (1,)),
             Gate("H", (1,)),

@@ -1,4 +1,5 @@
-"""The circuit simulator against the benchmark's independent reference.
+"""The circuit simulator and the word product against the benchmark's
+independent reference.
 
 `benchmark/reference.py` simulates circuits on coefficient lists with its own
 arithmetic and imports nothing from deltasynth; the program's matrix reaches
@@ -14,6 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 from deltasynth.circuits import SINGLE_WIRE_GATES, Circuit, Gate, _simulate, circuit_to_matrix
 from deltasynth.cli import render_matrix
 from deltasynth.errors import VerificationError
+from deltasynth.linalg import h_op, word_matrix, word_product
+from deltasynth.oracle import op_alphabet
 from deltasynth.ring import ZW_ONE, ZW_ZERO, divide_by_sqrt2
 
 REFERENCE = Path(__file__).resolve().parents[1] / "benchmark" / "reference.py"
@@ -77,6 +80,24 @@ def test_matches_reference(circuit):
         rows, e = _simulate(circuit.gates, circuit.wire_count)
         assert e == expected.e
         assert e == 0 or any(divide_by_sqrt2(z) is None for row in rows for z in row)
+
+
+@st.composite
+def words(draw):
+    dim = draw(st.integers(min_value=1, max_value=4))
+    return dim, draw(st.lists(st.sampled_from(op_alphabet(dim)), max_size=60))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=words())
+@example(case=(2, [h_op(1, 2)] * 57))
+@example(case=(4, [h_op(1, 2)] * 60))
+def test_word_product_matches_reference(case):
+    dim, word = case
+    expected = reference.word_product([(op.kind, op.j, op.m, op.power) for op in word], dim)
+    assert reference.parse_matrix(render_matrix(word_matrix(word, dim))) == expected
+    # the shared exponent is the reference's least one
+    assert word_product(word, dim)[1] == expected.e
 
 
 def test_exponent_stays_least():

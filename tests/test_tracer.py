@@ -13,6 +13,7 @@ import deltasynth
 import deltasynth.circuits
 import deltasynth.cli  # noqa: F401  (the tracer wraps cli functions too)
 import deltasynth.engine
+from deltasynth.linalg import ExactMatrix, adjoint, mat_mul
 from deltasynth.ring import DOmega
 from helpers import random_word_matrix
 
@@ -38,13 +39,16 @@ def test_tracer_wraps_and_restores():
     tracer = tracing.LayerTracer(time.perf_counter)
     counter = tracing.RingCounter()
     m = random_word_matrix(4, 30, seed=3)
+    # emit checks its templates on first use; do that outside the count
+    deltasynth.verify_templates()
     tracer.install()
     counter.install()
     try:
         assert deltasynth.engine.reduction_round is not originals[
             (deltasynth.engine, "reduction_round")]
         dec = deltasynth.engine.synthesize(m)
-        # the word check multiplies out in D[w]; the circuit simulator does not
+        # the program does no D[w] arithmetic; the reference product does
+        assert mat_mul(adjoint(m), m) == ExactMatrix.identity(4)
         assert deltasynth.engine.verify_decomposition(m, dec)
         circuit = deltasynth.circuits.emit(dec.word, 4)
         assert deltasynth.circuits.circuit_to_matrix(circuit) == m
@@ -56,6 +60,7 @@ def test_tracer_wraps_and_restores():
     assert tracer.calls["engine.reduction_round"] == len(dec.rounds)
     assert tracer.calls["engine.solve_monomial"] == 1
     assert tracer.calls["engine.verify_decomposition"] == 1
+    assert tracer.calls["linalg.apply_elementary"] == len(dec.word)
     assert tracer.calls["circuits.emit"] == 1
     assert tracer.calls["circuits.circuit_to_matrix"] == 1
     assert tracer.decompositions == [dec]
