@@ -8,14 +8,13 @@ qubits lower to controlled-S powers when the phase is a power of i; odd
 powers of w borrow one ancilla, flip it on the targeted basis state, rotate
 it with T gates, and flip it back, so the ancilla always returns to zero.
 
-Circuits are simulated exactly on linalg's product form, Z[w] numerators N
+Circuits are simulated exactly on linalg's matrix form, Z[w] numerators N
 over one least power of sqrt(2), the unitary being N / sqrt(2)^e.  Phases
 and W multiply rows by powers of w, X and CNOT swap rows, and H replaces
 every amplitude pair by its sum and difference and raises e by one, which
-`least` lowers again while it can.  The entries become D[w] values once, at
-the end.  With a borrowed ancilla only the ancilla-|0> input columns are
-simulated; the rest of the unitary does not bear on the data block or on
-the ancilla's return to zero.
+`least` lowers again while it can.  With a borrowed ancilla only the
+ancilla-|0> input columns are simulated; the rest of the unitary does not
+bear on the data block or on the ancilla's return to zero.
 
 Every gate template is compared as (N, e), on all columns, with the
 elementary-operator word it implements, once, the first time a circuit is
@@ -33,8 +32,8 @@ from .errors import (
     UnsupportedDimError,
     VerificationError,
 )
-from .linalg import (ElementaryOp, ExactMatrix, as_matrix, h_op, least, omega_op,
-                     row_surgery, word_product, x_op)
+from .linalg import (ElementaryOp, ExactMatrix, h_op, least, omega_op, row_surgery,
+                     word_product, x_op)
 from .ring import ZW_ONE, ZW_ZERO, ZOmega
 
 SINGLE_WIRE_GATES = frozenset({"H", "S", "SDG", "T", "TDG", "X"})
@@ -307,12 +306,12 @@ def circuit_to_matrix(circuit: Circuit) -> ExactMatrix:
     """
     n_wires = circuit.wire_count
     if not circuit.uses_ancilla:
-        return as_matrix(*_simulate(circuit.gates, n_wires))
+        return ExactMatrix(*_simulate(circuit.gates, n_wires))
     # the ancilla is the last wire, so its value is the basis index's low bit
     rows, e = _simulate(circuit.gates, n_wires, range(0, 1 << n_wires, 2))
     if any(any(row) for row in rows[1::2]):
         raise VerificationError("circuit does not return the ancilla to zero")
-    return as_matrix(rows[0::2], e)
+    return ExactMatrix(rows[0::2], e)
 
 
 def gate_counts(circuit: Circuit) -> dict:

@@ -1,8 +1,9 @@
 """Command-line surface: synthesize, verify, generate, benchmark, tables.
 
 Matrix files use the square-root form (a + b*sqrt(2) + i*(c + d*sqrt(2))) /
-sqrt(2)^m per entry, which is how such matrices are usually stated; they are
-converted exactly to the internal delta-denominator form on load.  Circuit
+sqrt(2)^m per entry, which is how such matrices are usually stated; on load
+every entry is brought to the largest m, which the matrix then lowers while
+it can, and each printed entry is written over its own least m.  Circuit
 files are the text format of the circuits module, so everything this tool
 writes it can also read back and re-check.
 """
@@ -37,11 +38,10 @@ from .errors import (
 from .linalg import ExactMatrix, is_unitary
 from .oracle import InstanceSpec, draw_circuit
 from .ring import (
-    D_ONE,
-    D_ZERO,
     OMEGA_POWERS,
     ZOmega,
     ZW_ONE,
+    ZW_SQRT2,
     ZW_ZERO,
     from_sqrt2_form,
     residue_bits,
@@ -55,11 +55,12 @@ MAX_SQRT2_EXPONENT = 4096
 MAX_COEFFICIENT_DIGITS = 1000
 
 
-def _parse_entry(token: str, line: int, column: int):
+def _parse_entry(token: str, line: int, column: int) -> tuple[ZOmega, int]:
+    """(z, m) with z / sqrt(2)^m the entry's value."""
     if token == "0":
-        return D_ZERO
+        return ZW_ZERO, 0
     if token == "1":
-        return D_ONE
+        return ZW_ONE, 0
     body, slash, tail = token.partition("/")
     parts = body.split(",")
     if len(parts) != 4:
@@ -82,7 +83,7 @@ def _parse_entry(token: str, line: int, column: int):
         raise MatrixParseError(
             f"sqrt(2) exponent must be at most {MAX_SQRT2_EXPONENT},"
             f" got {token[:40]!r}", line, column)
-    return from_sqrt2_form(a, b, c, d, m)
+    return from_sqrt2_form(a, b, c, d), m
 
 
 def parse_matrix(text: str) -> ExactMatrix:
@@ -125,11 +126,12 @@ def parse_matrix(text: str) -> ExactMatrix:
         raise MatrixParseError("empty matrix file")
     if len(rows) != dim:
         raise MatrixParseError(f"expected {dim} rows, got {len(rows)}")
-    return ExactMatrix(rows)
+    e = max(m for row in rows for _, m in row)
+    return ExactMatrix(([z * ZW_SQRT2 ** (e - m) for z, m in row] for row in rows), e)
 
 
-def format_entry(value) -> str:
-    a, b, c, d, m = to_sqrt2_form(value)
+def format_entry(z: ZOmega, e: int) -> str:
+    a, b, c, d, m = to_sqrt2_form(z, e)
     if m == 0 and (b, c, d) == (0, 0, 0) and a in (0, 1):
         return str(a)
     return f"{a},{b},{c},{d}/{m}"
@@ -138,7 +140,7 @@ def format_entry(value) -> str:
 def render_matrix(m: ExactMatrix, comments: Sequence[str] = ()) -> str:
     lines = [f"# {comment}" for comment in comments]
     lines.append(f"dim {m.dim}")
-    lines.extend(" ".join(format_entry(e) for e in row) for row in m.rows)
+    lines.extend(" ".join(format_entry(z, m.e) for z in row) for row in m.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -162,8 +164,10 @@ def _load_unitary(path: str) -> ExactMatrix:
     return matrix
 
 
-def _scalar_identity(scalar) -> ExactMatrix:
-    return ExactMatrix([[scalar, D_ZERO], [D_ZERO, scalar]])
+def _scalar_identity(m: ExactMatrix) -> ExactMatrix:
+    """The 1x1 matrix m's entry times the 2x2 identity."""
+    z = m.rows[0][0]
+    return ExactMatrix([[z, ZW_ZERO], [ZW_ZERO, z]], m.e)
 
 
 def _global_phase_circuit(dec: Decomposition) -> Circuit:
@@ -177,8 +181,9 @@ def _global_phase_circuit(dec: Decomposition) -> Circuit:
 def cmd_synth(args: argparse.Namespace) -> int:
     matrix = parse_matrix(_read_text(args.input))
     if args.debug:
+        print(f"debug: numerators over sqrt(2)^{matrix.e}", file=sys.stderr)
         for i, row in enumerate(matrix.rows):
-            internal = "  ".join(str(e) for e in row)
+            internal = "  ".join(map(str, row))
             print(f"debug: row {i + 1}: {internal}", file=sys.stderr)
     dec = synthesize(matrix, debug=args.debug)
     if args.verify and not verify_decomposition(matrix, dec):
@@ -212,8 +217,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         lines.append(f"# t-count {counts['t_count']}")
         lines.append(f"# ancilla {'yes' if counts['uses_ancilla'] else 'no'}")
         if args.verify:
-            expected = (_scalar_identity(matrix.entry(0, 0))
-                        if dec.dim == 1 else matrix)
+            expected = _scalar_identity(matrix) if dec.dim == 1 else matrix
             if circuit_to_matrix(circuit) != expected:
                 raise VerificationError("circuit does not reproduce the input")
     if args.verify:
@@ -241,7 +245,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if matrix.dim == 3:
         raise UnsupportedDimError("dimension 3 has no circuit form to verify")
     circuit = parse_circuit(_read_text(args.circuit))
-    expected = _scalar_identity(matrix.entry(0, 0)) if matrix.dim == 1 else matrix
+    expected = _scalar_identity(matrix) if matrix.dim == 1 else matrix
     try:
         actual = circuit_to_matrix(circuit)
     except VerificationError as exc:

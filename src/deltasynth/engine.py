@@ -1,12 +1,13 @@
 """Reduction of exact unitaries to elementary-operator words.
 
 The engine builds the Z[w] numerators of delta^k * U once, at the least
-delta-exponent k, and reduces them in place, reading residue bits off
-them.  While k > 1, the mod-delta pattern must be one of seven shapes (unit
-entries pair up in rows and columns).  Every shape is reduced by one step,
-applied over and over: phase-align two lines that are congruent mod
-delta^3 (or mod delta^2) and mix them with one two-level Hadamard, which
-divides their sum and difference exactly by sqrt(2).  Congruence mod
+delta-exponent k, from the matrix's numerators over sqrt(2)^e, and reduces
+them in place, reading residue bits off them.  While k > 1, the mod-delta
+pattern must be one of seven shapes (unit entries pair up in rows and
+columns).  Every shape is reduced by one step, applied over and over:
+phase-align two lines that are congruent mod delta^3 (or mod delta^2) and
+mix them with one two-level Hadamard, which divides their sum and
+difference exactly by sqrt(2).  Congruence mod
 delta^3 strictly drops both lines below k; congruence mod delta^2 hands off
 to a simpler shape at the same k.  Which two lines to mix is read off the
 shape, except for the all-units 4x4 shape: after normalising its first two
@@ -38,19 +39,17 @@ from .errors import (
 from .linalg import (
     ElementaryOp,
     ExactMatrix,
-    delta_exponent,
     h_op,
     invert_elementary,
     is_scaled_unitary,
     omega_op,
     residue_matrix,
     row_surgery,
-    scaled,
     word_matrix,
     x_op,
 )
-from .ring import (OMEGA_POWERS, Bits, ZOmega, divide_by_delta, divide_by_sqrt2,
-                   residue_bits)
+from .ring import (OMEGA_POWERS, TWO_PLUS_SQRT2, UNIT_SQRT2, Bits, ZOmega,
+                   divide_by_delta, divide_by_sqrt2, residue_bits)
 
 MAX_HADAMARDS_PER_ROUND = 4
 # monomial cleanup needs at most dim-1 swaps and dim phases
@@ -278,8 +277,12 @@ class _Workspace:
     """
 
     def __init__(self, m: ExactMatrix) -> None:
-        self.k = delta_exponent(m)
-        self.rows = scaled(m, self.k)
+        # sqrt(2)^e = delta^(2e) / UNIT_SQRT2^e; with e least, delta^2 does
+        # not divide every numerator, so k drops by at most one
+        unit = UNIT_SQRT2 ** m.e
+        self.rows = [[z * unit for z in row] for row in m.rows]
+        self.k = 2 * m.e
+        self.divide_out_delta()
         self.left_ops: list[ElementaryOp] = []
         self.right_ops: list[ElementaryOp] = []
         self.hadamards = 0
@@ -509,13 +512,13 @@ def synthesize(m: ExactMatrix, *, debug: bool = False) -> Decomposition:
     unitarity after every round and the final product.
     """
     ws = _Workspace(m)
-    if not is_scaled_unitary(ws.rows, ws.k):
+    if not is_scaled_unitary(ws.rows, TWO_PLUS_SQRT2 ** ws.k):
         raise NotUnitaryError("input matrix is not unitary")
     source_k = ws.k
     rounds: list[ReductionRound] = []
     while ws.k:
         rounds.append(reduction_round(ws))
-        if debug and not is_scaled_unitary(ws.rows, ws.k):
+        if debug and not is_scaled_unitary(ws.rows, TWO_PLUS_SQRT2 ** ws.k):
             raise VerificationError("round output lost unitarity")
     solve_monomial(ws)
 

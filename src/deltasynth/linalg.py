@@ -1,16 +1,18 @@
 """Exact matrices over D[w], the elementary 1- and 2-level operators, and
 the one product kernel.
 
-Matrices are immutable tuples of tuples of DOmega, dimensions 1 through 4;
-`scaled` gives the Z[w] numerators of delta^k * m, `residue_matrix` their
-residue bits, and `is_scaled_unitary` checks unitarity on them.  Elementary
+A matrix, dimension 1 through 4, is Z[w] numerators N over one least power
+of sqrt(2): `ExactMatrix(rows, e)` is N / sqrt(2)^e, the paper's entries
+(a + b*sqrt(2) + i*(c + d*sqrt(2))) / sqrt(2)^k over one shared k.  The
+constructor lowers e while sqrt(2) divides every numerator, so equality and
+hashing are structural.  `is_unitary` checks conj(N)^T N = 2^e * I over
+Z[w], and `residue_matrix` reads residue bits off numerators.  Elementary
 operators (a phase w^p on one basis vector, or a Hadamard-type or swap-type
 mixing of two basis vectors) are what the synthesis engine emits.
 
-Words, circuits and the oracle's searches multiply out as Z[w] numerators N
-over one least power of sqrt(2), the value N / sqrt(2)^e, changed by one
-row-surgery kernel and kept least by `least`.  D[w] entries are built only
-to parse, print and compare; `mat_mul` and `adjoint` are the tests' reference.
+Words, circuits and the oracle's searches change (N, e) with one
+row-surgery kernel and keep e least with `least`.  `mat_mul` and `adjoint`
+are the tests' reference.
 """
 
 from __future__ import annotations
@@ -19,104 +21,93 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 from .errors import UnsupportedDimError
-from .ring import (D_ONE, D_ZERO, TWO_PLUS_SQRT2, UNIT_SQRT2, UNIT_SQRT2_INV, ZW_ONE,
-                   ZW_SQRT2, ZW_ZERO, Bits, DOmega, ZOmega, divide_by_sqrt2, residue_bits)
+from .ring import ZW_ONE, ZW_SQRT2, ZW_ZERO, Bits, ZOmega, divide_by_sqrt2, residue_bits
 
 MAX_DIM = 4
 
 
 class ExactMatrix:
-    """Square matrix over D[w], dim 1..4, immutable."""
+    """Square matrix N / sqrt(2)^e over D[w], dim 1..4, immutable.
 
-    __slots__ = ("rows",)
+    rows holds the Z[w] numerators N, and e is least: 0, or sqrt(2) does
+    not divide every numerator.
+    """
 
-    def __init__(self, rows: Iterable[Iterable[DOmega]]) -> None:
-        grid = tuple(tuple(row) for row in rows)
+    __slots__ = ("rows", "e")
+
+    def __init__(self, rows: Iterable[Iterable[ZOmega]], e: int = 0) -> None:
+        grid = [list(row) for row in rows]
         dim = len(grid)
         if not 1 <= dim <= MAX_DIM:
             raise UnsupportedDimError(f"dimension {dim} not supported")
         if any(len(row) != dim for row in grid):
             raise ValueError("matrix must be square")
-        self.rows = grid
+        if e < 0:
+            raise ValueError("sqrt(2) exponent must be >= 0")
+        grid, self.e = least(grid, e)
+        self.rows = tuple(map(tuple, grid))
 
     @classmethod
     def identity(cls, dim: int) -> ExactMatrix:
-        return cls(tuple(tuple(D_ONE if i == j else D_ZERO for j in range(dim))
-                         for i in range(dim)))
+        return cls([ZW_ONE if i == j else ZW_ZERO for j in range(dim)]
+                   for i in range(dim))
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> DOmega:
-        return self.rows[i][j]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        return self.e == other.e and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.rows, self.e))
 
     def __repr__(self) -> str:
-        return f"ExactMatrix({self.rows!r})"
+        return f"ExactMatrix({self.rows!r}, {self.e})"
 
 
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     if a.dim != b.dim:
         raise ValueError("dimension mismatch")
     cols = list(zip(*b.rows))
-    out = []
-    for row in a.rows:
-        out_row = []
-        for col in cols:
-            acc = D_ZERO
-            for x, y in zip(row, col):
-                if x.num and y.num:
-                    acc = acc + x * y
-            out_row.append(acc)
-        out.append(out_row)
-    return ExactMatrix(out)
+    return ExactMatrix(([sum((x * y for x, y in zip(row, col)), ZW_ZERO) for col in cols]
+                        for row in a.rows), a.e + b.e)
 
 
 def adjoint(m: ExactMatrix) -> ExactMatrix:
-    dim = m.dim
-    return ExactMatrix(tuple(tuple(m.rows[j][i].conj() for j in range(dim))
-                             for i in range(dim)))
+    return ExactMatrix(([z.conj() for z in col] for col in zip(*m.rows)), m.e)
 
 
 def delta_exponent(m: ExactMatrix) -> int:
-    """Least k with delta^k * m integral: the max entry exponent."""
-    return max(e.k for row in m.rows for e in row)
+    """Least k with delta^k * m integral.
+
+    sqrt(2)^e is delta^(2e) over a unit, and with e least delta^2 does not
+    divide every numerator: k is 2e, or 2e - 1 when delta divides them all.
+    """
+    if any(residue_bits(z)[0] for row in m.rows for z in row):
+        return 2 * m.e
+    return max(2 * m.e - 1, 0)
 
 
 def is_unitary(m: ExactMatrix) -> bool:
-    """U^dagger U = I, checked over Z[w] on the numerators of delta^k * m."""
-    k = delta_exponent(m)
-    return is_scaled_unitary(scaled(m, k), k)
+    """U^dagger U = I, checked over Z[w] as conj(N)^T N = 2^e * I."""
+    return is_scaled_unitary(m.rows, ZOmega.from_int(1 << m.e))
 
 
-def is_scaled_unitary(rows: Sequence[Sequence[ZOmega]], k: int) -> bool:
-    """Whether rows, the Z[w] numerators N of delta^k * U, make U unitary.
+def is_scaled_unitary(rows: Sequence[Sequence[ZOmega]], scale: ZOmega) -> bool:
+    """Whether conj(N)^T N = scale * I for the Z[w] numerators N in rows.
 
-    U^dagger U = I exactly when conj(N)^T N = (conj(delta) * delta)^k * I,
-    and conj(delta) * delta = 2 + sqrt(2), so the check stays in Z[w].  The
-    Gram matrix is Hermitian: its upper triangle decides.
+    U = N / s is unitary exactly when that holds with scale = conj(s) * s:
+    2^e for s = sqrt(2)^e, or (2 + sqrt(2))^k for s = delta^k, since
+    conj(delta) * delta = 2 + sqrt(2).  The Gram matrix is Hermitian: its
+    upper triangle decides.
     """
     cols = list(zip(*rows))
-    scale = TWO_PLUS_SQRT2 ** k
     return all(
         sum((x.conj() * y for x, y in zip(a, b)), ZW_ZERO) == (scale if i == j else ZW_ZERO)
         for i, a in enumerate(cols) for j, b in enumerate(cols) if i <= j)
-
-
-def scaled(m: ExactMatrix, k: int) -> list[list[ZOmega]]:
-    """Z[w] numerators of delta^k * m (k at least the matrix's delta-exponent)."""
-    if k < delta_exponent(m):
-        raise ValueError(
-            f"scaling exponent {k} below matrix delta-exponent {delta_exponent(m)}")
-    return [[e.lift_to(k) for e in row] for row in m.rows]
 
 
 def residue_matrix(rows: Sequence[Sequence[ZOmega]]) -> tuple[tuple[Bits, ...], ...]:
@@ -219,41 +210,28 @@ def least(rows: list[list[ZOmega]], e: int) -> tuple[list[list[ZOmega]], int]:
     return rows, e
 
 
-def as_matrix(rows: Sequence[Sequence[ZOmega]], e: int) -> ExactMatrix:
-    """The entries N / sqrt(2)^e, as N * UNIT_SQRT2^e / delta^(2e)."""
-    unit = UNIT_SQRT2 ** e
-    return ExactMatrix([DOmega(z * unit, 2 * e) for z in row] for row in rows)
-
-
-def numerators(m: ExactMatrix) -> tuple[list[list[ZOmega]], int]:
-    """(N, e) with N / sqrt(2)^e = m and e least: the inverse of as_matrix.
-
-    sqrt(2)^e * m is integral exactly when 2e reaches m's delta-exponent.
-    """
-    e = (delta_exponent(m) + 1) // 2
-    unit = UNIT_SQRT2_INV ** e
-    return [[z * unit for z in row] for row in scaled(m, 2 * e)], e
-
-
 def apply_elementary(op: ElementaryOp, rows: Sequence[Sequence[ZOmega]],
                      e: int) -> tuple[list, int]:
     """op @ (N / sqrt(2)^e) as a new (N, e), e least when it was least before.
 
-    H[j,m] is (x + y, x - y) / sqrt(2) on rows j and m; over the shared
-    exponent every other row is multiplied by sqrt(2) instead, and e rises
-    by one.  rows itself is not changed.
+    H[j,m] is (x + y, x - y) / sqrt(2) on rows j and m.  When sqrt(2) does
+    not divide both sums, every other row is multiplied by sqrt(2) instead
+    and e rises by one.  rows itself is not changed.
     """
     top = op.m if op.kind != "omega" else op.j
     if top > len(rows):
         raise ValueError(f"op {op} out of range for dimension {len(rows)}")
+    i, j = op.j - 1, op.m - 1
     rows = list(rows)
+    row_surgery(rows, op.kind, i, j, op.power)
     if op.kind != "H":
-        row_surgery(rows, op.kind, op.j - 1, op.m - 1, op.power)
         return rows, e
-    rows = [row if i in (op.j - 1, op.m - 1) else [z * ZW_SQRT2 for z in row]
-            for i, row in enumerate(rows)]
-    row_surgery(rows, "H", op.j - 1, op.m - 1)
-    return least(rows, e + 1)
+    halves = _halved([rows[i], rows[j]])
+    if halves is None:
+        return [row if r in (i, j) else [z * ZW_SQRT2 for z in row]
+                for r, row in enumerate(rows)], e + 1
+    rows[i], rows[j] = halves
+    return least(rows, e)
 
 
 def word_product(word: Sequence[ElementaryOp], dim: int) -> tuple[list, int]:
@@ -267,4 +245,4 @@ def word_product(word: Sequence[ElementaryOp], dim: int) -> tuple[list, int]:
 
 def word_matrix(word: Sequence[ElementaryOp], dim: int) -> ExactMatrix:
     """Exact product of the word as written, left factor first."""
-    return as_matrix(*word_product(word, dim))
+    return ExactMatrix(*word_product(word, dim))

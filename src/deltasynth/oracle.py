@@ -4,8 +4,7 @@ Instances are drawn as Clifford+T gate words, so their exact unitaries are
 known to be in range of the reduction by construction.  Enumeration and
 breadth-first gate search provide independent ground truth for short words:
 everything the generators can reach in a few steps must round-trip.  Both
-searches key their frontiers by exact products in linalg's (N, e) form; a
-D[w] matrix is built only for each product that enumeration returns.
+searches key their frontiers by exact products, linalg's ExactMatrix.
 """
 
 from __future__ import annotations
@@ -19,11 +18,8 @@ from .linalg import (
     ElementaryOp,
     ExactMatrix,
     apply_elementary,
-    as_matrix,
     h_op,
-    numerators,
     omega_op,
-    word_product,
     x_op,
 )
 
@@ -87,27 +83,22 @@ def op_alphabet(dim: int) -> list[ElementaryOp]:
     return ops
 
 
-def _state(rows, e: int) -> tuple:
-    """Hashable form of (N, e); with e least it names the product exactly."""
-    return tuple(map(tuple, rows)), e
-
-
 def enumerate_words(dim: int, max_len: int) -> dict[ExactMatrix, tuple[ElementaryOp, ...]]:
     """All products of at most max_len elementary operators, with a shortest
     left-to-right word for each.  Grows fast; intended for max_len <= 3."""
     ops = op_alphabet(dim)
-    found = {_state(*word_product((), dim)): ()}
+    found = {ExactMatrix.identity(dim): ()}
     frontier = dict(found)
     for _ in range(max_len):
         fresh = {}
-        for (rows, e), word in frontier.items():
+        for m, word in frontier.items():
             for op in ops:
-                grown = _state(*apply_elementary(op, rows, e))
+                grown = ExactMatrix(*apply_elementary(op, m.rows, m.e))
                 if grown not in found and grown not in fresh:
                     fresh[grown] = (op, *word)
         found.update(fresh)
         frontier = fresh
-    return {as_matrix(*state): word for state, word in found.items()}
+    return found
 
 
 def search_gate_word(target: ExactMatrix, max_len: int,
@@ -122,21 +113,20 @@ def search_gate_word(target: ExactMatrix, max_len: int,
     qubits = 1 if target.dim == 2 else 2
     if pool is None:
         pool = gate_pool(qubits)
-    identity = _state(*word_product((), target.dim))
-    goal = _state(*numerators(target))
-    if goal == identity:
+    identity = ExactMatrix.identity(target.dim)
+    if target == identity:
         return ()
     seen = {identity}
     frontier = {identity: ()}
     for _ in range(max_len):
         fresh = {}
-        for (rows, e), word in frontier.items():
+        for m, word in frontier.items():
             for gate in pool:
-                grown = _state(*apply_gate(gate, rows, e, qubits))
+                grown = ExactMatrix(*apply_gate(gate, m.rows, m.e, qubits))
                 if grown in seen:
                     continue
                 seen.add(grown)
-                if grown == goal:
+                if grown == target:
                     return (*word, gate)
                 fresh[grown] = (*word, gate)
         frontier = fresh

@@ -1,4 +1,4 @@
-"""Exact arithmetic in Z[w] and D[w] for w = exp(i*pi/4).
+"""Exact arithmetic in Z[w] for w = exp(i*pi/4), and the D[w] reference.
 
 Elements are integer coefficient vectors (a, b, c, d) standing for
 a*w^3 + b*w^2 + c*w + d.  The distinguished element delta = 1 + w satisfies
@@ -8,13 +8,17 @@ That exponent is the complexity measure the synthesis engine reduces; the
 residue bits of the Z[w] numerators of delta^k * U (their classes mod
 delta^3, read off the coefficients) drive its case analysis.
 
+The package holds D[w] values as Z[w] numerators over a power of sqrt(2);
+`from_sqrt2_form` and `to_sqrt2_form` convert one numerator to and from the
+(a + b*sqrt(2) + i*(c + d*sqrt(2))) / sqrt(2)^m form of matrix files.
+`DOmega`, one value as num / delta^k, is the tests' independent reference
+and has no caller in the package.
+
 Everything here is exact: coefficients are arbitrary-precision ints and
 nothing is ever rounded.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 
 class ZOmega:
@@ -189,12 +193,6 @@ def divide_by_sqrt2(x: ZOmega) -> ZOmega | None:
     return ZOmega(a >> 1, b >> 1, c >> 1, d >> 1)
 
 
-@lru_cache(maxsize=64)
-def _delta_power(n: int) -> ZOmega:
-    """delta^n; recent powers are kept, so the memo stays small."""
-    return ZW_DELTA ** n
-
-
 Bits = tuple[int, int, int]
 
 
@@ -211,7 +209,7 @@ def residue_bits(x: ZOmega) -> Bits:
 
 
 class DOmega:
-    """num / delta^k in D[w], kept in canonical form.
+    """num / delta^k in D[w], kept in canonical form: the tests' reference.
 
     Canonical: k == 0, or delta does not divide num; and num == 0 forces
     k == 0.  The constructor reduces any (num, k) pair, so k afterwards is
@@ -236,18 +234,6 @@ class DOmega:
         self.num = num
         self.k = k
 
-    @classmethod
-    def _raw(cls, num: ZOmega, k: int) -> DOmega:
-        """Skip reduction for a result known to be canonical already."""
-        self = object.__new__(cls)
-        self.num = num
-        self.k = k
-        return self
-
-    @classmethod
-    def from_int(cls, d: int) -> DOmega:
-        return cls._raw(ZOmega(0, 0, 0, d), 0)
-
     def __repr__(self) -> str:
         return f"DOmega({self.num!r}, {self.k})"
 
@@ -267,8 +253,7 @@ class DOmega:
 
     def lift_to(self, k: int) -> ZOmega:
         """num scaled so the value equals result / delta^k (k >= self.k)."""
-        gap = k - self.k
-        return self.num * _delta_power(gap) if gap else self.num
+        return self.num * ZW_DELTA ** (k - self.k)
 
     def __add__(self, other: DOmega) -> DOmega:
         k = self.k if self.k >= other.k else other.k
@@ -279,55 +264,40 @@ class DOmega:
         return DOmega(self.lift_to(k) - other.lift_to(k), k)
 
     def __neg__(self) -> DOmega:
-        return DOmega._raw(-self.num, self.k)
+        return DOmega(-self.num, self.k)
 
     def __mul__(self, other: DOmega) -> DOmega:
-        num = self.num * other.num
-        k = self.k + other.k
-        if not num:
-            return D_ZERO
-        if k == 0 or (self.k and other.k):
-            # delta is prime, so a product of delta-free numerators stays
-            # delta-free and no reduction pass is needed.
-            return DOmega._raw(num, k)
-        return DOmega(num, k)
+        return DOmega(self.num * other.num, self.k + other.k)
 
     def mul_omega_power(self, p: int) -> DOmega:
-        return DOmega._raw(self.num.mul_omega_power(p), self.k)
+        return DOmega(self.num.mul_omega_power(p), self.k)
 
     def conj(self) -> DOmega:
         """Complex conjugation."""
         # conj(delta) = 1 + w^-1 = w^-1 * delta, so the denominator
         # contributes a factor w^k to the numerator.
-        return DOmega._raw(self.num.conj().mul_omega_power(self.k), self.k)
+        return DOmega(self.num.conj().mul_omega_power(self.k), self.k)
 
 
-D_ZERO = DOmega._raw(ZW_ZERO, 0)
-D_ONE = DOmega._raw(ZW_ONE, 0)
+D_ZERO = DOmega(ZW_ZERO, 0)
+D_ONE = DOmega(ZW_ONE, 0)
 # 1/sqrt(2) = UNIT_SQRT2 / delta^2.
-D_INV_SQRT2 = DOmega._raw(UNIT_SQRT2, 2)
+D_INV_SQRT2 = DOmega(UNIT_SQRT2, 2)
 
 
-def from_sqrt2_form(a: int, b: int, c: int, d: int, m: int) -> DOmega:
-    """Value of (a + b*sqrt(2) + i*(c + d*sqrt(2))) / sqrt(2)^m.
-
-    This is the interchange representation of D[w] entries; internally
-    sqrt(2)^m becomes delta^(2m) divided by the norm-1 unit UNIT_SQRT2^m.
-    """
-    if m < 0:
-        raise ValueError("sqrt(2) exponent must be >= 0")
+def from_sqrt2_form(a: int, b: int, c: int, d: int) -> ZOmega:
+    """a + b*sqrt(2) + i*(c + d*sqrt(2)) as an element of Z[w]."""
     # 1 = w^0, i = w^2, sqrt(2) = w - w^3, i*sqrt(2) = w + w^3.
-    num = ZOmega(d - b, c, b + d, a)
-    return DOmega(num * UNIT_SQRT2 ** m, 2 * m)
+    return ZOmega(d - b, c, b + d, a)
 
 
-def to_sqrt2_form(x: DOmega) -> tuple[int, int, int, int, int]:
-    """Inverse of from_sqrt2_form: (a, b, c, d, m) with x equal to that value."""
-    m = (x.k + 1) // 2
-    num = x.lift_to(2 * m) * UNIT_SQRT2_INV ** m
-    if (num.a ^ num.c) & 1:
+def to_sqrt2_form(z: ZOmega, e: int) -> tuple[int, int, int, int, int]:
+    """(a, b, c, d, m) with (a + b*sqrt(2) + i*(c + d*sqrt(2))) / sqrt(2)^m
+    equal to z / sqrt(2)^e and m least."""
+    while e and (half := divide_by_sqrt2(z)) is not None:
+        z, e = half, e - 1
+    if (z.a ^ z.c) & 1:
         # Real and imaginary parts sit on half-integer sqrt(2) multiples;
         # widen the denominator by one sqrt(2) to clear them.
-        num = num * ZW_SQRT2
-        m += 1
-    return (num.d, (num.c - num.a) >> 1, num.b, (num.c + num.a) >> 1, m)
+        z, e = z * ZW_SQRT2, e + 1
+    return (z.d, (z.c - z.a) >> 1, z.b, (z.c + z.a) >> 1, e)

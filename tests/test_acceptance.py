@@ -20,15 +20,10 @@ import deltasynth
 from deltasynth.circuits import circuit_to_matrix, emit, gate_counts, verify_templates
 from deltasynth.cli import residue_tables
 from deltasynth.engine import MONOMIAL_WORD_MAX, synthesize, verify_decomposition
-from deltasynth.linalg import (
-    ExactMatrix,
-    delta_exponent,
-    residue_matrix,
-    scaled,
-    word_matrix,
-)
+from deltasynth.linalg import ExactMatrix, delta_exponent, residue_matrix, word_matrix
 from deltasynth.oracle import InstanceSpec, enumerate_words, random_unitary
 from deltasynth.ring import D_ZERO, DOmega, OMEGA_POWERS
+from helpers import exact, scaled
 
 WORD_SLOPE = 8
 WORD_OFFSET = 7
@@ -73,7 +68,7 @@ def monomial(dim: int, perm, powers) -> ExactMatrix:
     rows = [[D_ZERO] * dim for _ in range(dim)]
     for i, (j, p) in enumerate(zip(perm, powers)):
         rows[i][j] = DOmega(OMEGA_POWERS[p], 0)
-    return ExactMatrix(rows)
+    return exact(rows)
 
 
 def all_dim2_monomials():
@@ -259,3 +254,24 @@ def test_no_floating_point_in_package():
                 offences.append(f"{path.name}:{node.lineno}: true division")
     assert offences == []
     print(f"no floating point in {len(modules)} modules")
+
+
+def test_d_omega_only_in_ring():
+    """Matrices are held as Z[w] numerators over a power of sqrt(2) alone:
+    D[w] values (DOmega and its constants) are the tests' reference, and
+    no module of the package but ring.py may name them."""
+    reference = {"DOmega", "D_ZERO", "D_ONE", "D_INV_SQRT2"}
+    offences = []
+    modules = sorted(Path(deltasynth.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        if path.name == "ring.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+            offences += [f"{path.name}:{node.lineno}: {name}"
+                         for name in sorted(names & reference)]
+    assert offences == []
+    print(f"no D[w] reference names in {len(modules) - 1} modules")

@@ -1,4 +1,5 @@
 import io
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -17,9 +18,10 @@ from deltasynth.cli import (
 )
 from deltasynth.circuits import parse_circuit
 from deltasynth.errors import MatrixParseError
-from deltasynth.linalg import ExactMatrix
+from deltasynth.linalg import ExactMatrix, is_unitary
 from deltasynth.oracle import InstanceSpec, random_unitary
-from deltasynth.ring import D_ONE, D_ZERO, from_sqrt2_form
+from deltasynth.ring import ZW_ONE, ZW_ZERO, ZOmega, from_sqrt2_form
+from helpers import domega
 
 GOLDEN = Path(__file__).parent / "data" / "tables_golden.txt"
 
@@ -40,8 +42,8 @@ class TestParseMatrix:
 
     def test_sqrt2_form_entries(self):
         m = parse_matrix(H_FILE)
-        assert m.entry(0, 0) == from_sqrt2_form(1, 0, 0, 0, 1)
-        assert m.entry(1, 1) == from_sqrt2_form(-1, 0, 0, 0, 1)
+        assert m.rows == ((ZW_ONE, ZW_ONE), (ZW_ONE, -ZW_ONE))
+        assert m.e == 1
 
     def test_comments_and_blanks(self):
         text = "# heading\n\ndim 2\n1 0  # trailing\n\n0 1\n"
@@ -49,7 +51,13 @@ class TestParseMatrix:
 
     def test_exponent_defaults_to_zero(self):
         m = parse_matrix("dim 1\n1,0,0,0\n")
-        assert m.entry(0, 0) == D_ONE
+        assert m == ExactMatrix.identity(1)
+
+    def test_entries_share_the_largest_exponent(self):
+        # 2/sqrt(2)^3 is 1/sqrt(2), and 1 is sqrt(2)/sqrt(2)
+        m = parse_matrix("dim 2\n1,0,0,0/1 0\n2,0,0,0/3 1\n")
+        assert m.rows == ((ZW_ONE, ZW_ZERO), (ZW_ONE, from_sqrt2_form(0, 1, 0, 0)))
+        assert m.e == 1
 
     @pytest.mark.parametrize("text, line, column", [
         ("dim 2\n1,2/x 0\n0 1\n", 2, 1),
@@ -87,9 +95,12 @@ class TestParseMatrix:
         assert parse_matrix(render_matrix(m)) == m
 
     def test_format_entry_shorthands(self):
-        assert format_entry(D_ZERO) == "0"
-        assert format_entry(D_ONE) == "1"
-        assert format_entry(from_sqrt2_form(1, 0, 0, 0, 1)) == "1,0,0,0/1"
+        assert format_entry(ZW_ZERO, 0) == "0"
+        assert format_entry(ZW_ONE, 0) == "1"
+        assert format_entry(ZW_ONE, 1) == "1,0,0,0/1"
+        # each entry is printed over its own least power of sqrt(2)
+        assert format_entry(ZW_ZERO, 5) == "0"
+        assert format_entry(ZOmega.from_int(2), 2) == "1"
 
 
 class TestSynth:
@@ -165,6 +176,7 @@ class TestSynth:
         path.write_text(H_FILE)
         code, _, err = run(capsys, "synth", str(path), "--debug")
         assert code == 0
+        assert "debug: numerators over sqrt(2)^1" in err
         assert "debug: row 1" in err
         assert "k 2 -> 0" in err
 
@@ -357,8 +369,29 @@ def test_verify_fuzz(tmp_path, matrix, circuit):
 def test_entries_at_the_limits_parse():
     big = "9" * MAX_COEFFICIENT_DIGITS
     m = parse_matrix(f"dim 1\n-{big},{big},0,0/{MAX_SQRT2_EXPONENT}\n")
-    assert m.entry(0, 0) == from_sqrt2_form(-int(big), int(big), 0, 0,
-                                             MAX_SQRT2_EXPONENT)
+    assert domega(m.rows[0][0], m.e) == domega(
+        from_sqrt2_form(-int(big), int(big), 0, 0), MAX_SQRT2_EXPONENT)
+
+
+HOSTILE_PARSE_LIMIT_S = 0.3
+
+
+def test_hostile_matrix_at_the_limits_is_cheap(capsys, tmp_path):
+    # every entry divides by sqrt(2) about 2000 times: the matrix lowers its
+    # shared exponent once, not each entry on its own
+    big = "1" + "0" * (MAX_COEFFICIENT_DIGITS - 1)
+    entry = f"{big},{big},{big},{big}/{MAX_SQRT2_EXPONENT}"
+    text = "dim 4\n" + "".join(" ".join([entry] * 4) + "\n" for _ in range(4))
+    start = time.perf_counter()
+    assert not is_unitary(parse_matrix(text))
+    elapsed = time.perf_counter() - start
+    assert elapsed < HOSTILE_PARSE_LIMIT_S
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "synth", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == "error: input matrix is not unitary\n"
 
 
 class TestBench:

@@ -39,6 +39,7 @@ from deltasynth.linalg import (
     word_matrix,
     x_op,
 )
+import deltasynth.engine
 from deltasynth.ring import (
     D_ONE,
     D_ZERO,
@@ -52,7 +53,7 @@ from deltasynth.ring import (
     ZW_SQRT2,
     residue_bits,
 )
-from helpers import H_EXACT, T_EXACT, alphabet, random_word_matrix
+from helpers import H_EXACT, T_EXACT, alphabet, exact, random_word_matrix
 
 
 def unit_class(power):
@@ -68,17 +69,17 @@ def replay(ops, m, side="L"):
 
 def matrix_of(ws):
     """The D[w] matrix whose delta^k-scaled numerators the workspace holds."""
-    return ExactMatrix([[DOmega(z, ws.k) for z in row] for row in ws.rows])
+    return exact([[DOmega(z, ws.k) for z in row] for row in ws.rows])
 
 
 def monomial(dim, perm, phases):
     rows = [[D_ZERO] * dim for _ in range(dim)]
     for c in range(dim):
         rows[perm[c]][c] = DOmega(OMEGA_POWERS[phases[c] % 8], 0)
-    return ExactMatrix(rows)
+    return exact(rows)
 
 
-NOT_UNITARY_2 = ExactMatrix([[D_ONE, D_ONE], [D_ZERO, D_ONE]])
+NOT_UNITARY_2 = exact([[D_ONE, D_ONE], [D_ZERO, D_ONE]])
 
 
 class TestClassifyPattern:
@@ -276,7 +277,7 @@ class TestReductionRound:
         assert matrix_of(ws) == ExactMatrix.identity(2)
 
     def test_exponent_one_rejected(self):
-        forged = ExactMatrix([[DOmega(ZW_ONE, 1), D_ZERO], [D_ZERO, D_ONE]])
+        forged = exact([[DOmega(ZW_ONE, 1), D_ZERO], [D_ZERO, D_ONE]])
         with pytest.raises(ExponentOneError):
             reduction_round(_Workspace(forged))
 
@@ -341,7 +342,7 @@ class TestSynthesize:
         assert synthesize(H_EXACT).word == (h_op(1, 2),)
 
     def test_scalar(self):
-        m = ExactMatrix([[DOmega(OMEGA_POWERS[3], 0)]])
+        m = exact([[DOmega(OMEGA_POWERS[3], 0)]])
         assert synthesize(m).word == (omega_op(1, 3),)
 
     def test_rejects_non_unitary(self):
@@ -350,13 +351,12 @@ class TestSynthesize:
 
     def test_debug_checks_every_round(self, monkeypatch):
         # a round that phased one entry would leave a non-unitary workspace
-        divide = _Workspace.divide_out_delta
-
-        def divide_and_phase(ws):
-            divide(ws)
+        def round_and_phase(ws):
+            rnd = reduction_round(ws)
             ws.rows[0] = [ws.rows[0][0].mul_omega_power(1), *ws.rows[0][1:]]
+            return rnd
 
-        monkeypatch.setattr(_Workspace, "divide_out_delta", divide_and_phase)
+        monkeypatch.setattr(deltasynth.engine, "reduction_round", round_and_phase)
         m = random_word_matrix(4, 40, 54)
         with pytest.raises(VerificationError, match="round output lost unitarity"):
             synthesize(m, debug=True)
@@ -436,7 +436,7 @@ def forged(*rows):
             else:
                 cells.append(DOmega(OMEGA_POWERS[spec % 8], 2))
         out.append(cells)
-    return ExactMatrix(out)
+    return exact(out)
 
 
 DENSE_4 = classify_pattern([[1] * 4 for _ in range(4)])

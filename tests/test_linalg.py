@@ -13,30 +13,32 @@ from deltasynth.linalg import (
     mat_mul,
     omega_op,
     residue_matrix,
-    scaled,
     word_matrix,
     x_op,
 )
 from deltasynth.ring import (
-    D_INV_SQRT2,
     D_ONE,
     D_ZERO,
     DOmega,
     UNIT_SQRT2,
+    ZOmega,
+    ZW_ONE,
     ZW_OMEGA,
+    ZW_SQRT2,
+    ZW_ZERO,
     from_sqrt2_form,
 )
-from helpers import H_EXACT, T_EXACT, alphabet, random_word_matrix
+from helpers import H_EXACT, T_EXACT, alphabet, exact, random_word_matrix, scaled
 
 
 small = st.integers(min_value=-3, max_value=3)
-entries = st.builds(from_sqrt2_form, small, small, small, small,
-                    st.integers(min_value=0, max_value=3))
+entries = st.builds(from_sqrt2_form, small, small, small, small)
 
 
 def matrices(dim):
-    return st.lists(st.lists(entries, min_size=dim, max_size=dim),
-                    min_size=dim, max_size=dim).map(ExactMatrix)
+    grid = st.lists(st.lists(entries, min_size=dim, max_size=dim),
+                    min_size=dim, max_size=dim)
+    return st.builds(ExactMatrix, grid, st.integers(min_value=0, max_value=3))
 
 
 class TestExactMatrix:
@@ -44,14 +46,21 @@ class TestExactMatrix:
         ExactMatrix.identity(1)
         ExactMatrix.identity(4)
         with pytest.raises(UnsupportedDimError):
-            ExactMatrix([[D_ONE] * 5] * 5)
+            ExactMatrix([[ZW_ONE] * 5] * 5)
         with pytest.raises(ValueError):
-            ExactMatrix([[D_ONE, D_ZERO]])
+            ExactMatrix([[ZW_ONE, ZW_ZERO]])
+        with pytest.raises(ValueError):
+            ExactMatrix([[ZW_ONE]], -1)
 
     def test_equality_and_hash(self):
         assert ExactMatrix.identity(2) == ExactMatrix.identity(2)
         assert H_EXACT != ExactMatrix.identity(2)
-        assert hash(H_EXACT) == hash(ExactMatrix(H_EXACT.rows))
+        assert hash(H_EXACT) == hash(ExactMatrix(H_EXACT.rows, H_EXACT.e))
+        # the constructor lowers e: sqrt(2) * I / sqrt(2) is I
+        widened = ExactMatrix([[ZW_SQRT2, ZW_ZERO], [ZW_ZERO, ZW_SQRT2]], 1)
+        assert widened == ExactMatrix.identity(2)
+        assert hash(widened) == hash(ExactMatrix.identity(2))
+        assert H_EXACT != ExactMatrix(H_EXACT.rows, H_EXACT.e + 2)
 
     @given(a=matrices(2), b=matrices(2), c=matrices(2))
     @settings(max_examples=25)
@@ -68,7 +77,7 @@ class TestExactMatrix:
         assert adjoint(mat_mul(a, b)) == mat_mul(adjoint(b), adjoint(a))
 
     def test_adjoint_of_t(self):
-        expected = ExactMatrix([
+        expected = exact([
             [D_ONE, D_ZERO],
             [D_ZERO, DOmega(ZW_OMEGA, 0).conj()],
         ])
@@ -78,8 +87,11 @@ class TestExactMatrix:
         assert is_unitary(H_EXACT)
         assert is_unitary(T_EXACT)
         assert is_unitary(ExactMatrix.identity(3))
-        assert not is_unitary(ExactMatrix([[DOmega.from_int(2)]]))
-        assert not is_unitary(ExactMatrix([[D_ONE, D_ONE], [D_ZERO, D_ONE]]))
+        assert not is_unitary(ExactMatrix([[ZOmega.from_int(2)]]))
+        assert not is_unitary(exact([[D_ONE, D_ONE], [D_ZERO, D_ONE]]))
+        # 2 / sqrt(2)^2 is 1, and sqrt(2) / sqrt(2)^2 is not unitary
+        assert is_unitary(ExactMatrix([[ZOmega.from_int(2)]], 2))
+        assert not is_unitary(ExactMatrix([[ZW_SQRT2]], 2))
 
     @given(dim=st.integers(min_value=1, max_value=4),
            length=st.integers(min_value=0, max_value=30),
@@ -101,13 +113,17 @@ class TestExactMatrix:
         shifted[i][j] = shifted[i][j] + data.draw(entries)
         phased = [list(row) for row in m.rows]
         phased[i][j] = phased[i][j].mul_omega_power(data.draw(st.integers(1, 7)))
-        for other in (ExactMatrix(shifted), ExactMatrix(phased), data.draw(matrices(dim))):
+        for other in (ExactMatrix(shifted, m.e), ExactMatrix(phased, m.e),
+                      data.draw(matrices(dim))):
             assert is_unitary(other) == reference(other)
 
     def test_delta_exponent(self):
         assert delta_exponent(ExactMatrix.identity(4)) == 0
         assert delta_exponent(H_EXACT) == 2
         assert delta_exponent(T_EXACT) == 0
+        # delta / sqrt(2): delta divides every numerator, so k is 2e - 1
+        assert delta_exponent(exact([[DOmega(ZW_ONE, 1)]])) == 1
+        assert delta_exponent(ExactMatrix([[ZW_ZERO]], 3)) == 0
 
 
 class TestElementaryOps:
@@ -182,8 +198,8 @@ class TestResidueMatrix:
     def test_scaling_invariance_through_ingest(self):
         # the same values written with a wider denominator give the same
         # numerators and residues once ingested
-        narrow = ExactMatrix([[from_sqrt2_form(1, 0, 0, 0, 1)]])
-        wide = ExactMatrix([[from_sqrt2_form(2, 0, 0, 0, 3)]])
+        narrow = ExactMatrix([[from_sqrt2_form(1, 0, 0, 0)]], 1)
+        wide = ExactMatrix([[from_sqrt2_form(2, 0, 0, 0)]], 3)
         assert narrow == wide
         assert scaled(narrow, 2) == scaled(wide, 2)
         assert residue_matrix(scaled(narrow, 3)) == residue_matrix(scaled(wide, 3))
@@ -195,7 +211,7 @@ class TestResidueMatrix:
         assert r[0] == r[1]  # -u = u mod delta^3, as 2 = 0 there
         m = random_word_matrix(4, 12, seed=5)
         k = delta_exponent(m)
-        transpose = ExactMatrix(zip(*m.rows))
+        transpose = ExactMatrix(zip(*m.rows), m.e)
         assert residue_matrix(scaled(transpose, k)) == tuple(
             zip(*residue_matrix(scaled(m, k))))
 

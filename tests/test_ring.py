@@ -2,7 +2,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
-from deltasynth.linalg import ExactMatrix, residue_matrix, scaled
+from deltasynth.cli import parse_matrix, render_matrix
+from deltasynth.linalg import ExactMatrix, residue_matrix
 from deltasynth.ring import (
     D_INV_SQRT2,
     D_ONE,
@@ -25,10 +26,14 @@ from deltasynth.ring import (
     residue_bits,
     to_sqrt2_form,
 )
+from helpers import domega, exact, scaled
 
 coeff = st.integers(min_value=-30, max_value=30)
 zomega = st.builds(ZOmega, coeff, coeff, coeff, coeff)
-domega = st.builds(DOmega, zomega, st.integers(min_value=0, max_value=6))
+domega_values = st.builds(DOmega, zomega, st.integers(min_value=0, max_value=6))
+# numerators that sqrt(2) divides a few times, so halving has work to do
+sqrt2_multiples = st.builds(lambda z, s: z * ZW_SQRT2 ** s, zomega,
+                            st.integers(min_value=0, max_value=3))
 
 
 class TestZOmega:
@@ -235,12 +240,12 @@ class TestDOmega:
     def test_inv_sqrt2(self):
         assert D_INV_SQRT2.k == 2
         assert D_INV_SQRT2.num == UNIT_SQRT2
-        assert D_INV_SQRT2 * D_INV_SQRT2 == from_sqrt2_form(1, 0, 0, 0, 2)
-        sqrt2 = from_sqrt2_form(0, 1, 0, 0, 0)
+        assert D_INV_SQRT2 * D_INV_SQRT2 == domega(from_sqrt2_form(1, 0, 0, 0), 2)
+        sqrt2 = domega(from_sqrt2_form(0, 1, 0, 0), 0)
         assert D_INV_SQRT2 + D_INV_SQRT2 == sqrt2
         assert D_INV_SQRT2 * sqrt2 == D_ONE
 
-    @given(x=domega, y=domega, z=domega)
+    @given(x=domega_values, y=domega_values, z=domega_values)
     def test_ring_laws(self, x, y, z):
         assert x + y == y + x
         assert (x + y) + z == x + (y + z)
@@ -249,17 +254,17 @@ class TestDOmega:
         assert (x + y) - y == x
         assert x * D_ONE == x and x + D_ZERO == x
 
-    @given(x=domega)
+    @given(x=domega_values)
     def test_results_are_canonical(self, x):
         assert x.k == 0 or divide_by_delta(x.num) is None
 
-    @given(x=domega, p=st.integers(min_value=0, max_value=7))
+    @given(x=domega_values, p=st.integers(min_value=0, max_value=7))
     def test_omega_scaling(self, x, p):
         scaled = x.mul_omega_power(p)
         assert scaled.k == x.k
         assert scaled == x * DOmega(OMEGA_POWERS[p], 0)
 
-    @given(x=domega, y=domega)
+    @given(x=domega_values, y=domega_values)
     def test_conj(self, x, y):
         assert x.conj().conj() == x
         assert (x * y).conj() == x.conj() * y.conj()
@@ -271,7 +276,7 @@ class TestDOmega:
         assert t.conj() == DOmega(-ZOmega(1, 0, 0, 0), 0)
 
     @settings(max_examples=20)
-    @given(x=domega)
+    @given(x=domega_values)
     def test_lift_is_stepwise_product(self, x):
         step = x.num
         for gap in range(301):
@@ -282,14 +287,14 @@ class TestDOmega:
 
     def test_residue_at(self):
         # scaled H entry: delta^2 * (1/sqrt(2)) = unit in the w^3 class
-        assert scaled(ExactMatrix([[D_INV_SQRT2]]), 2) == [[UNIT_SQRT2]]
+        assert scaled(exact([[D_INV_SQRT2]]), 2) == [[UNIT_SQRT2]]
         assert residue_bits(D_INV_SQRT2.lift_to(2)) == (1, 1, 1)
         assert not any(residue_bits(D_ONE.lift_to(3)))
         assert D_ONE.lift_to(2) == ZW_DELTA2
         with pytest.raises(ValueError):
-            scaled(ExactMatrix([[D_INV_SQRT2]]), 1)
+            scaled(exact([[D_INV_SQRT2]]), 1)
 
-    @given(x=domega, n=st.integers(min_value=1, max_value=3),
+    @given(x=domega_values, n=st.integers(min_value=1, max_value=3),
            extra=st.integers(min_value=0, max_value=4))
     def test_residue_at_matches_scaling(self, x, n, extra):
         # residues at exponent k are those of the numerator times delta^extra
@@ -297,7 +302,7 @@ class TestDOmega:
         num = x.num
         for _ in range(extra):
             num = num.times_delta()
-        rows = scaled(ExactMatrix([[x]]), k)
+        rows = scaled(exact([[x]]), k)
         assert rows == [[num]]
         assert DOmega(rows[0][0], k) == x
         bits = residue_matrix(rows)[0][0]
@@ -308,34 +313,64 @@ class TestDOmega:
             assert not any(bits)
 
 
+def has_sqrt2_form(z):
+    """Whether z is a + b*sqrt(2) + i*(c + d*sqrt(2)) for integers a..d."""
+    return not (z.a ^ z.c) & 1
+
+
 class TestSqrt2Form:
     def test_frozen_conversions(self):
-        assert from_sqrt2_form(1, 0, 0, 0, 0) == D_ONE
-        assert from_sqrt2_form(1, 0, 0, 0, 1) == D_INV_SQRT2
-        assert from_sqrt2_form(0, 0, 1, 0, 0) == DOmega(ZOmega(0, 1, 0, 0), 0)
-        assert from_sqrt2_form(2, 0, 0, 0, 2) == D_ONE
-        assert to_sqrt2_form(D_ONE) == (1, 0, 0, 0, 0)
-        assert to_sqrt2_form(D_INV_SQRT2) == (1, 0, 0, 0, 1)
-        assert to_sqrt2_form(D_ZERO) == (0, 0, 0, 0, 0)
+        assert domega(from_sqrt2_form(1, 0, 0, 0), 0) == D_ONE
+        assert domega(from_sqrt2_form(1, 0, 0, 0), 1) == D_INV_SQRT2
+        assert domega(from_sqrt2_form(0, 0, 1, 0), 0) == DOmega(ZOmega(0, 1, 0, 0), 0)
+        assert domega(from_sqrt2_form(2, 0, 0, 0), 2) == D_ONE
+        assert to_sqrt2_form(ZW_ONE, 0) == (1, 0, 0, 0, 0)
+        assert to_sqrt2_form(ZW_ONE, 1) == (1, 0, 0, 0, 1)
+        assert to_sqrt2_form(ZW_ZERO, 0) == (0, 0, 0, 0, 0)
+        assert to_sqrt2_form(ZW_ZERO, 7) == (0, 0, 0, 0, 0)
+        assert to_sqrt2_form(ZOmega.from_int(2), 2) == (1, 0, 0, 0, 0)
 
     def test_omega_in_sqrt2_form(self):
         # w = (1 + i)/sqrt(2)
-        assert from_sqrt2_form(1, 0, 1, 0, 1) == DOmega(ZW_OMEGA, 0)
+        assert domega(from_sqrt2_form(1, 0, 1, 0), 1) == DOmega(ZW_OMEGA, 0)
+        assert to_sqrt2_form(ZW_OMEGA, 0) == (1, 0, 1, 0, 1)
 
     @given(a=coeff, b=coeff, c=coeff, d=coeff,
            m=st.integers(min_value=0, max_value=4096))
     @example(a=1, b=-2, c=3, d=5, m=4096)
     def test_round_trip_from_components(self, a, b, c, d, m):
-        x = from_sqrt2_form(a, b, c, d, m)
-        assert from_sqrt2_form(*to_sqrt2_form(x)) == x
+        z = from_sqrt2_form(a, b, c, d)
+        *form, k = to_sqrt2_form(z, m)
+        assert domega(from_sqrt2_form(*form), k) == domega(z, m)
 
-    @given(x=domega)
+    @given(x=domega_values)
     def test_round_trip_from_value(self, x):
-        assert from_sqrt2_form(*to_sqrt2_form(x)) == x
+        m = exact([[x]])
+        *form, k = to_sqrt2_form(m.rows[0][0], m.e)
+        assert domega(from_sqrt2_form(*form), k) == x
 
     @given(a=coeff, b=coeff, c=coeff, d=coeff,
            m=st.integers(min_value=0, max_value=4))
     def test_widening_denominator_preserves_value(self, a, b, c, d, m):
-        x = from_sqrt2_form(a, b, c, d, m)
-        widened = from_sqrt2_form(2 * a, 2 * b, 2 * c, 2 * d, m + 2)
+        x = ExactMatrix([[from_sqrt2_form(a, b, c, d)]], m)
+        widened = ExactMatrix([[from_sqrt2_form(2 * a, 2 * b, 2 * c, 2 * d)]], m + 2)
         assert widened == x
+
+    @given(data=st.data(), dim=st.integers(min_value=1, max_value=4),
+           e=st.integers(min_value=0, max_value=6), p=st.integers(min_value=0, max_value=4))
+    @settings(max_examples=150)
+    def test_conversions_match_reference(self, data, dim, e, p):
+        # the per-entry form names the reference value with m least, a
+        # shared factor sqrt(2)^p cancels, and a rendered matrix reads back
+        grid = data.draw(st.lists(st.lists(sqrt2_multiples, min_size=dim, max_size=dim),
+                                  min_size=dim, max_size=dim))
+        m = ExactMatrix(grid, e)
+        for z in (z for row in grid for z in row):
+            *form, k = to_sqrt2_form(z, e)
+            numerator = from_sqrt2_form(*form)
+            assert domega(numerator, k) == domega(z, e)
+            half = divide_by_sqrt2(numerator)
+            assert k == 0 or half is None or not has_sqrt2_form(half)
+        widened = ExactMatrix(([z * ZW_SQRT2 ** p for z in row] for row in grid), e + p)
+        assert widened == m
+        assert parse_matrix(render_matrix(m)) == m
