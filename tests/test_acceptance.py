@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 import deltasynth
-from deltasynth.circuits import circuit_to_matrix, emit, gate_counts, verify_templates
+from deltasynth.circuits import (circuit_to_matrix, emit, gate_counts, render_circuit,
+                                 verify_templates)
 from deltasynth.cli import residue_tables
 from deltasynth.engine import MONOMIAL_WORD_MAX, synthesize, verify_decomposition
 from deltasynth.linalg import ExactMatrix, delta_exponent, residue_matrix, word_matrix
@@ -39,6 +40,9 @@ GOLDEN = Path(__file__).parent / "data" / "tables_golden.txt"
 # enumeration order: any change to k, a round's case chain or the word shows.
 CORPUS_DIGEST = "3b16d890f731f91ea610358b207b85fe6680d369e72a3a860bcace11ec7a9e90"
 ENUMERATED_DIGEST = "35b4803cc11e513ee135516a84216d0b75081c0e6390baf29d2430d9671cab6d"
+# sha256 over the rendered circuit emitted for each corpus word, in corpus
+# order: any change to a lowering template or to gate order shows.
+CIRCUIT_DIGEST = "bdbfea99dd7df969702accca396ea0ac8526f6ff43fc033f64fe89c9519fbfce"
 
 
 def digest_line(dec) -> str:
@@ -112,6 +116,15 @@ def test_emitted_circuits_reproduce_inputs(corpus):
             assert circuit.gates[-1].name == "ANC_FREE"
         assert circuit_to_matrix(circuit) == m
     print(f"emitted circuits exact: 100/100 ({with_ancilla} borrow the ancilla)")
+
+
+def test_emitted_circuits_digest(corpus):
+    entries, _, _ = corpus
+    digest = hashlib.sha256()
+    for spec, _, dec in entries:
+        digest.update(render_circuit(emit(dec.word, 2 ** spec.qubits)).encode())
+    assert digest.hexdigest() == CIRCUIT_DIGEST
+    print(f"emitted circuits of {len(entries)} corpus words match the pinned digest")
 
 
 def test_output_size_linear_in_exponent(corpus):
