@@ -7,14 +7,18 @@ basis when the two levels differ in both bits.  Single-level phases on two
 qubits lower to controlled-S powers when the phase is a power of i; odd
 powers of w borrow one ancilla, flip it on the targeted basis state, rotate
 it with T gates, and flip it back, so the ancilla always returns to zero.
+The ops that fit a layout are a finite alphabet, so each is lowered once per
+process and every emitted circuit shares its gates.
 
 Circuits are simulated exactly on linalg's matrix form, Z[w] numerators N
-over one least power of sqrt(2), the unitary being N / sqrt(2)^e.  Phases
-and W multiply rows by powers of w, X and CNOT swap rows, and H replaces
-every amplitude pair by its sum and difference and raises e by one, which
-`least` lowers again while it can.  With a borrowed ancilla only the
-ancilla-|0> input columns are simulated; the rest of the unitary does not
-bear on the data block or on the ancilla's return to zero.
+over one least power of sqrt(2), the unitary being N / sqrt(2)^e.  X, CNOT,
+the phases and W only permute rows and multiply them by powers of w, so each
+run of them is composed on the basis labels as (source row, phase) and moved
+onto the rows once; H then replaces every amplitude pair by its sum and
+difference and raises e by one, which `least` lowers again while it can.
+With a borrowed ancilla only the ancilla-|0> input columns are simulated;
+the rest of the unitary does not bear on the data block or on the ancilla's
+return to zero.
 
 Every gate template is compared as (N, e), on all columns, with the
 elementary-operator word it implements, once, the first time a circuit is
@@ -23,6 +27,7 @@ emitted.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -95,7 +100,8 @@ class Circuit:
             raise ValueError("circuits cover 1 or 2 data qubits")
         bound = self.wire_count
         for gate in self.gates:
-            if any(w >= bound for w in gate.wires):
+            wires = gate.wires
+            if wires and max(wires) >= bound:
                 raise ValueError(f"gate {gate} exceeds {bound} wires")
             if gate.name in ("ANC_INIT", "ANC_FREE"):
                 if not self.uses_ancilla or gate.wires != (self.data_qubits,):
@@ -114,30 +120,53 @@ def _wire_mask(wire: int, n_wires: int) -> int:
     return 1 << (n_wires - 1 - wire)
 
 
+def _moved(rows: Sequence[Sequence[ZOmega]], run: Sequence[int], n_wires: int) -> list:
+    """The rows a run of labels names: label p * 2^n_wires + s is row s times w^p."""
+    mask = (1 << n_wires) - 1
+    out = []
+    for label in run:
+        row, power = rows[label & mask], (label >> n_wires) & 7
+        out.append([z.mul_omega_power(power) for z in row] if power else row)
+    return out
+
+
+def _fold(gates: Iterable[Gate], rows: Sequence[Sequence[ZOmega]], e: int,
+          n_wires: int) -> tuple[list, int]:
+    """The gates, in order, applied to N / sqrt(2)^e, as a new (N, e) with e
+    least when it was least before; rows itself is not changed.
+
+    Each run of non-H gates is composed on the basis labels (row i becomes
+    w^p times row s) and moved onto the rows once, before the next H.
+    """
+    size = 1 << n_wires
+    run = list(range(size))
+    for gate in gates:
+        name = gate.name
+        if name == "H":
+            rows = _moved(rows, run, n_wires)
+            target = _wire_mask(gate.wires[0], n_wires)
+            for i in range(size):
+                if not i & target:
+                    row_surgery(rows, "H", i, i | target)
+            rows, e = least(rows, e + 1)
+            run = list(range(size))
+        elif name == "W":
+            run = [label + gate.power * size for label in run]
+        elif name in _DIAG_POWER:
+            target = _wire_mask(gate.wires[0], n_wires)
+            turn = _DIAG_POWER[name] * size
+            run = [label + turn if i & target else label for i, label in enumerate(run)]
+        elif name in ("X", "CNOT"):
+            target = _wire_mask(gate.wires[-1], n_wires)
+            control = _wire_mask(gate.wires[0], n_wires) if name == "CNOT" else 0
+            run = [run[i ^ target] if i & control == control else run[i] for i in range(size)]
+    return _moved(rows, run, n_wires), e
+
+
 def apply_gate(gate: Gate, rows: Sequence[Sequence[ZOmega]], e: int,
                n_wires: int) -> tuple[list, int]:
-    """gate @ (N / sqrt(2)^e) as a new (N, e), one row surgery per affected
-    basis pair.  H mixes every pair, so it leaves x + y and x - y undivided
-    and raises e instead, which is then lowered again while it can be."""
-    rows = list(rows)
-    if gate.name in ("ANC_INIT", "ANC_FREE"):
-        return rows, e
-    if gate.name == "W":
-        for i in range(len(rows)):
-            row_surgery(rows, "omega", i, power=gate.power)
-        return rows, e
-    target = _wire_mask(gate.wires[-1], n_wires)
-    control = _wire_mask(gate.wires[0], n_wires) if gate.name == "CNOT" else 0
-    kind = "X" if gate.name == "CNOT" else gate.name
-    for i in range(len(rows)):
-        if i & control != control:
-            continue
-        if kind in ("X", "H"):
-            if not i & target:
-                row_surgery(rows, kind, i, i | target)
-        elif i & target:
-            row_surgery(rows, "omega", i, power=_DIAG_POWER[kind])
-    return least(rows, e + 1) if kind == "H" else (rows, e)
+    """gate @ (N / sqrt(2)^e) as a new (N, e): the one-gate fold."""
+    return _fold((gate,), rows, e, n_wires)
 
 
 def _simulate(gates: Iterable[Gate], n_wires: int,
@@ -147,10 +176,7 @@ def _simulate(gates: Iterable[Gate], n_wires: int,
     size = 1 << n_wires
     cols = range(size) if cols is None else cols
     rows = [[ZW_ONE if i == j else ZW_ZERO for j in cols] for i in range(size)]
-    e = 0
-    for gate in gates:
-        rows, e = apply_gate(gate, rows, e, n_wires)
-    return rows, e
+    return _fold(gates, rows, 0, n_wires)
 
 
 def _phase_gates(wire: int, power: int) -> list[Gate]:
@@ -219,10 +245,8 @@ def verify_templates() -> None:
 
 
 def _lower_one_qubit(op: ElementaryOp) -> list[Gate]:
-    if op.kind == "H":
-        return [Gate("H", (0,))]
-    if op.kind == "X":
-        return [Gate("X", (0,))]
+    if op.kind in ("H", "X"):
+        return [Gate(op.kind, (0,))]
     power = op.power % 8
     if op.j == 2:
         return _phase_gates(0, power)
@@ -269,6 +293,15 @@ def _lower_two_qubit(op: ElementaryOp) -> tuple[list[Gate], bool]:
     return _lower_two_level(op.kind, op.j - 1, op.m - 1), False
 
 
+@functools.cache
+def _lowered(op: ElementaryOp, qubits: int) -> tuple[tuple[Gate, ...], bool]:
+    """op's gates on the given layout and whether they borrow the ancilla.
+    The ops that fit dimension 2 or 4 are a finite alphabet (16 and 40 ops),
+    so each one is lowered and its gates validated once per process."""
+    gates, used = (_lower_one_qubit(op), False) if qubits == 1 else _lower_two_qubit(op)
+    return tuple(gates), used
+
+
 def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
     """Clifford+T circuit whose unitary equals the product of the word.
 
@@ -283,15 +316,11 @@ def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
     body: list[Gate] = []
     uses_ancilla = False
     for op in reversed(word):
-        top = max(op.j, op.m)
-        if top > dim:
+        if max(op.j, op.m) > dim:
             raise ValueError(f"operator {op} exceeds dimension {dim}")
-        if qubits == 1:
-            body.extend(_lower_one_qubit(op))
-        else:
-            gates, used = _lower_two_qubit(op)
-            body.extend(gates)
-            uses_ancilla = uses_ancilla or used
+        gates, used = _lowered(op, qubits)
+        body.extend(gates)
+        uses_ancilla = uses_ancilla or used
     if uses_ancilla:
         body = [Gate("ANC_INIT", (qubits,)), *body, Gate("ANC_FREE", (qubits,))]
     return Circuit(qubits, uses_ancilla, tuple(body))
@@ -340,9 +369,14 @@ def parse_circuit(text: str) -> Circuit:
     """Inverse of render_circuit; # starts a comment, blank lines are skipped."""
     qubits = None
     gates: list[Gate] = []
+    # a line that parsed once stands for the same gate wherever it repeats
+    parsed: dict[str, Gate] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
+            continue
+        if (gate := parsed.get(line)) is not None:
+            gates.append(gate)
             continue
         parts = line.split()
         if parts[0] == "qubits":
@@ -368,11 +402,13 @@ def parse_circuit(text: str) -> Circuit:
             if name == "W":
                 if len(args) != 1:
                     raise ValueError("W takes one power argument")
-                gates.append(Gate("W", (), args[0]))
+                gate = Gate("W", (), args[0])
             else:
-                gates.append(Gate(name, tuple(args)))
+                gate = Gate(name, tuple(args))
         except ValueError as exc:
             raise CircuitParseError(str(exc), line=lineno) from None
+        parsed[line] = gate
+        gates.append(gate)
     if qubits is None:
         raise CircuitParseError("missing qubits header")
     uses_ancilla = any(g.name == "ANC_INIT" for g in gates)

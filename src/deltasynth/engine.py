@@ -42,6 +42,7 @@ from .linalg import (
     h_op,
     invert_elementary,
     is_scaled_unitary,
+    is_unitary,
     omega_op,
     residue_matrix,
     row_surgery,
@@ -511,9 +512,9 @@ def synthesize(m: ExactMatrix, *, debug: bool = False) -> Decomposition:
     The word multiplies out (left factor first) to exactly m.  debug re-checks
     unitarity after every round and the final product.
     """
-    ws = _Workspace(m)
-    if not is_scaled_unitary(ws.rows, TWO_PLUS_SQRT2 ** ws.k):
+    if not is_unitary(m):
         raise NotUnitaryError("input matrix is not unitary")
+    ws = _Workspace(m)
     source_k = ws.k
     rounds: list[ReductionRound] = []
     while ws.k:

@@ -203,8 +203,21 @@ def _halved(rows: list[list[ZOmega]]) -> list[list[ZOmega]] | None:
 
 
 def least(rows: list[list[ZOmega]], e: int) -> tuple[list[list[ZOmega]], int]:
-    """The same value N / sqrt(2)^e with e least: every numerator is divided
-    by sqrt(2) while all of them divide."""
+    """The same value N / sqrt(2)^e with e least: the largest power of 2
+    = sqrt(2)^2 that divides every coefficient, up to 2^(e // 2), comes out
+    with one shift, then sqrt(2) while it divides every numerator (once at most).
+    """
+    if e > 1:
+        common = 0
+        for row in rows:
+            for z in row:
+                common |= z.a | z.b | z.c | z.d
+        # the lowest set bit of common is the least 2-adic valuation
+        shift = min((common & -common).bit_length() - 1, e // 2) if common else e // 2
+        if shift:
+            rows = [[ZOmega(z.a >> shift, z.b >> shift, z.c >> shift, z.d >> shift)
+                     for z in row] for row in rows]
+            e -= 2 * shift
     while e and (halves := _halved(rows)) is not None:
         rows, e = halves, e - 1
     return rows, e

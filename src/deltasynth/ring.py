@@ -174,10 +174,12 @@ def divide_by_delta(x: ZOmega) -> ZOmega | None:
     delta * (2/delta) = 2, so x * (2/delta) must have all-even coefficients
     exactly when delta | x, and halving that product is the quotient.
     """
-    y = x * TWO_OVER_DELTA
-    if (y.a | y.b | y.c | y.d) & 1:
+    # x * (1 - w + w^2 - w^3), written out
+    a, b, c, d = x.a, x.b, x.c, x.d
+    a, b, c, d = a - b + c - d, a + b - c + d, b + c - a - d, a - b + c + d
+    if (a | b | c | d) & 1:
         return None
-    return ZOmega(y.a >> 1, y.b >> 1, y.c >> 1, y.d >> 1)
+    return ZOmega(a >> 1, b >> 1, c >> 1, d >> 1)
 
 
 def divide_by_sqrt2(x: ZOmega) -> ZOmega | None:

@@ -6,6 +6,9 @@ import deltasynth.circuits
 from deltasynth.circuits import (
     Circuit,
     Gate,
+    _lower_one_qubit,
+    _lower_two_qubit,
+    _lowered,
     circuit_to_matrix,
     emit,
     gate_counts,
@@ -108,6 +111,21 @@ class TestLowering:
         for op in alphabet(2):
             assert not emit([op], 2).uses_ancilla
 
+    def test_cached_lowering_matches_uncached(self):
+        for dim in (2, 4):
+            for op in alphabet(dim):
+                if dim == 2:
+                    gates, used = _lower_one_qubit(op), False
+                else:
+                    gates, used = _lower_two_qubit(op)
+                if used:
+                    gates = [Gate("ANC_INIT", (2,)), *gates, Gate("ANC_FREE", (2,))]
+                circ = emit([op], dim)
+                assert circ.gates == tuple(gates)
+                assert circ.uses_ancilla == used
+        # the alphabets of dimensions 2 and 4 hold 16 and 40 ops
+        assert _lowered.cache_info().currsize <= 16 + 40
+
 
 class TestEmit:
     def test_temporal_order_reverses_word(self):
@@ -192,6 +210,19 @@ class TestTextFormat:
             parse_circuit("qubits 1\nW 0\n")
         with pytest.raises(CircuitParseError):
             parse_circuit("qubits 2\nCNOT 0 0\n")
+
+    def test_repeated_invalid_line_reports_first(self):
+        for bad in ("T x", "CNOT 1 1", "W 9"):
+            with pytest.raises(CircuitParseError) as info:
+                parse_circuit(f"qubits 2\nH 0\n{bad}\nH 0\n{bad}\n")
+            assert info.value.line == 3
+
+    def test_repeated_lines_share_their_gate(self):
+        circ = parse_circuit("qubits 2\nCNOT 0 1\n  CNOT   0 1  # again\n"
+                             "CNOT 0\t1\nCNOT 0 1 # note\nW 3\nCNOT 0 1\n")
+        cnot = Gate("CNOT", (0, 1))
+        assert circ.gates == (cnot,) * 4 + (Gate("W", (), 3), cnot)
+        assert circ.gates[0] is circ.gates[3] is circ.gates[5]
 
     def test_wire_out_of_range(self):
         with pytest.raises(CircuitParseError):

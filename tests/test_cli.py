@@ -18,6 +18,7 @@ from deltasynth.cli import (
 )
 from deltasynth.circuits import parse_circuit
 from deltasynth.errors import MatrixParseError
+from deltasynth import linalg
 from deltasynth.linalg import ExactMatrix, is_unitary
 from deltasynth.oracle import InstanceSpec, random_unitary
 from deltasynth.ring import ZW_ONE, ZW_ZERO, ZOmega, from_sqrt2_form
@@ -392,6 +393,20 @@ def test_hostile_matrix_at_the_limits_is_cheap(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert err == "error: input matrix is not unitary\n"
+
+
+@pytest.mark.parametrize("coefficient", ["0", str(2 ** 3318)], ids=["zero", "two_to_3318"])
+def test_common_powers_of_two_leave_at_once(monkeypatch, coefficient):
+    # 2^3318 is written out in 999 digits; dividing out 2^2048 with one
+    # shift leaves at most one sqrt(2) pass and the pass that fails
+    assert len(coefficient) < MAX_COEFFICIENT_DIGITS
+    calls = []
+    halved = linalg._halved
+    monkeypatch.setattr(linalg, "_halved", lambda rows: calls.append(1) or halved(rows))
+    entry = ",".join([coefficient] * 4) + f"/{MAX_SQRT2_EXPONENT}"
+    text = "dim 4\n" + "".join(" ".join([entry] * 4) + "\n" for _ in range(4))
+    assert not is_unitary(parse_matrix(text))
+    assert len(calls) <= 2
 
 
 class TestBench:

@@ -137,6 +137,15 @@ class TestDeltaDivisibility:
         if q is not None:
             assert q.times_delta() == x
 
+    @given(x=st.one_of(zomega, st.builds(ZOmega.times_delta, zomega),
+                       st.builds(ZOmega, *[st.integers()] * 4)))
+    def test_matches_product_form(self, x):
+        # the reference: x * (2/delta), halved when every coefficient is even
+        y = x * TWO_OVER_DELTA
+        expected = None if (y.a | y.b | y.c | y.d) & 1 else ZOmega(
+            y.a >> 1, y.b >> 1, y.c >> 1, y.d >> 1)
+        assert divide_by_delta(x) == expected
+
     @given(x=zomega)
     def test_divisible_iff_reducible_class(self, x):
         # mod delta^3 the non-unit classes are exactly the multiples of delta

@@ -7,12 +7,15 @@ it through the matrix file format.
 """
 
 import importlib.util
+import random
+from itertools import permutations
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from deltasynth.circuits import SINGLE_WIRE_GATES, Circuit, Gate, _simulate, circuit_to_matrix
+from deltasynth.circuits import (SINGLE_WIRE_GATES, Circuit, Gate, _simulate, apply_gate,
+                                 circuit_to_matrix)
 from deltasynth.cli import render_matrix
 from deltasynth.errors import VerificationError
 from deltasynth.linalg import h_op, word_matrix, word_product
@@ -67,6 +70,10 @@ def anc_circuit(*gates):
 @example(circuit=anc_circuit(Gate("H", (0,)), Gate("CNOT", (0, 1))))
 @example(circuit=anc_circuit(Gate("CNOT", (0, 1)), Gate("CNOT", (0, 1))))
 def test_matches_reference(circuit):
+    check_against_reference(circuit)
+
+
+def check_against_reference(circuit):
     gates = [(g.name, g.wires, g.power) for g in circuit.gates]
     expected = reference.simulate_circuit(circuit.data_qubits, gates, circuit.uses_ancilla)
     if expected is None:
@@ -80,6 +87,32 @@ def test_matches_reference(circuit):
         rows, e = _simulate(circuit.gates, circuit.wire_count)
         assert e == expected.e
         assert e == 0 or any(divide_by_sqrt2(z) is None for row in rows for z in row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(head=circuits(), seed=st.integers(min_value=0))
+@example(head=Circuit(1, False, ()), seed=0)
+@example(head=Circuit(2, True, ()), seed=1)
+def test_long_monomial_runs_match_reference(head, seed):
+    """X, CNOT, phases and W are composed as one run until the next H or the
+    end: append an H-free run of 1000 gates on the data wires."""
+    rng = random.Random(seed)
+    wires = range(head.data_qubits)
+    pool = [Gate(name, (w,)) for name in sorted(SINGLE_WIRE_GATES - {"H"}) for w in wires]
+    pool += [Gate("W", (), p) for p in range(1, 8)]
+    pool += [Gate("CNOT", pair) for pair in permutations(wires, 2)]
+    tail = tuple(rng.choice(pool) for _ in range(1000))
+    check_against_reference(Circuit(head.data_qubits, head.uses_ancilla, head.gates + tail))
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuit=circuits())
+def test_apply_gate_folds_to_simulate(circuit):
+    n_wires = circuit.wire_count
+    rows, e = _simulate((), n_wires)
+    for gate in circuit.gates:
+        rows, e = apply_gate(gate, rows, e, n_wires)
+    assert (rows, e) == _simulate(circuit.gates, n_wires)
 
 
 @st.composite
