@@ -12,10 +12,11 @@ process and every emitted circuit shares its gates.
 
 Circuits are simulated exactly on linalg's matrix form, Z[w] numerators N
 over one least power of sqrt(2), the unitary being N / sqrt(2)^e.  X, CNOT,
-the phases and W only permute rows and multiply them by powers of w, so each
-run of them is composed on the basis labels as (source row, phase) and moved
-onto the rows once; H then replaces every amplitude pair by its sum and
-difference and raises e by one, which `least` lowers again while it can.
+the phases and W only permute rows and multiply them by powers of w, so they
+are composed on the basis labels as (source row, phase) and touch no row.  H
+replaces every amplitude pair by its sum and difference, turning one of the
+two source rows by their phase difference first, and raises e by one, which
+`least` lowers again while it can; the labels meet the rows once, at the end.
 With a borrowed ancilla only the ancilla-|0> input columns are simulated;
 the rest of the unitary does not bear on the data block or on the ancilla's
 return to zero.
@@ -120,36 +121,35 @@ def _wire_mask(wire: int, n_wires: int) -> int:
     return 1 << (n_wires - 1 - wire)
 
 
-def _moved(rows: Sequence[Sequence[ZOmega]], run: Sequence[int], n_wires: int) -> list:
-    """The rows a run of labels names: label p * 2^n_wires + s is row s times w^p."""
-    mask = (1 << n_wires) - 1
-    out = []
-    for label in run:
-        row, power = rows[label & mask], (label >> n_wires) & 7
-        out.append([z.mul_omega_power(power) for z in row] if power else row)
-    return out
-
-
 def _fold(gates: Iterable[Gate], rows: Sequence[Sequence[ZOmega]], e: int,
           n_wires: int) -> tuple[list, int]:
     """The gates, in order, applied to N / sqrt(2)^e, as a new (N, e) with e
     least when it was least before; rows itself is not changed.
 
-    Each run of non-H gates is composed on the basis labels (row i becomes
-    w^p times row s) and moved onto the rows once, before the next H.
+    Basis label i stands for w^p times row s of the working rows, kept as
+    p * 2^n_wires + s.  Only H changes the working rows; the labels are moved
+    onto them once, at the end.
     """
     size = 1 << n_wires
+    mask = size - 1
     run = list(range(size))
+    rows = list(rows)
     for gate in gates:
         name = gate.name
         if name == "H":
-            rows = _moved(rows, run, n_wires)
+            # (w^p x, w^q y) mixes to w^p (x + w^(q-p) y, x - w^(q-p) y): turn
+            # one source row, mix the two in place, and keep w^p on both labels
             target = _wire_mask(gate.wires[0], n_wires)
             for i in range(size):
                 if not i & target:
-                    row_surgery(rows, "H", i, i | target)
+                    j = i | target
+                    src, dst = run[i] & mask, run[j] & mask
+                    turn = ((run[j] >> n_wires) - (run[i] >> n_wires)) & 7
+                    if turn:
+                        row_surgery(rows, "omega", dst, power=turn)
+                    row_surgery(rows, "H", src, dst)
+                    run[j] = run[i] - src + dst
             rows, e = least(rows, e + 1)
-            run = list(range(size))
         elif name == "W":
             run = [label + gate.power * size for label in run]
         elif name in _DIAG_POWER:
@@ -160,7 +160,8 @@ def _fold(gates: Iterable[Gate], rows: Sequence[Sequence[ZOmega]], e: int,
             target = _wire_mask(gate.wires[-1], n_wires)
             control = _wire_mask(gate.wires[0], n_wires) if name == "CNOT" else 0
             run = [run[i ^ target] if i & control == control else run[i] for i in range(size)]
-    return _moved(rows, run, n_wires), e
+    return [[z.mul_omega_power(label >> n_wires) for z in rows[label & mask]]
+            for label in run], e
 
 
 def apply_gate(gate: Gate, rows: Sequence[Sequence[ZOmega]], e: int,

@@ -203,10 +203,9 @@ def _halved(rows: list[list[ZOmega]]) -> list[list[ZOmega]] | None:
 
 
 def least(rows: list[list[ZOmega]], e: int) -> tuple[list[list[ZOmega]], int]:
-    """The same value N / sqrt(2)^e with e least: the largest power of 2
-    = sqrt(2)^2 that divides every coefficient, up to 2^(e // 2), comes out
-    with one shift, then sqrt(2) while it divides every numerator (once at most).
-    """
+    """The same value N / sqrt(2)^e with e least.  The largest power of
+    2 = sqrt(2)^2 that divides every coefficient, up to 2^(e // 2), comes
+    out with one shift; sqrt(2) then divides every numerator once at most."""
     if e > 1:
         common = 0
         for row in rows:

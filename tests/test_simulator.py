@@ -94,8 +94,8 @@ def check_against_reference(circuit):
 @example(head=Circuit(1, False, ()), seed=0)
 @example(head=Circuit(2, True, ()), seed=1)
 def test_long_monomial_runs_match_reference(head, seed):
-    """X, CNOT, phases and W are composed as one run until the next H or the
-    end: append an H-free run of 1000 gates on the data wires."""
+    """X, CNOT, phases and W only compose basis labels, which meet the rows
+    at the end: append an H-free run of 1000 gates on the data wires."""
     rng = random.Random(seed)
     wires = range(head.data_qubits)
     pool = [Gate(name, (w,)) for name in sorted(SINGLE_WIRE_GATES - {"H"}) for w in wires]
