@@ -124,15 +124,12 @@ def _wire_mask(wire: int, n_wires: int) -> int:
 def _fold(gates: Iterable[Gate], rows: Sequence[Sequence[ZOmega]], e: int,
           n_wires: int) -> tuple[list, int]:
     """The gates, in order, applied to N / sqrt(2)^e, as a new (N, e) with e
-    least when it was least before; rows itself is not changed.
-
-    Basis label i stands for w^p times row s of the working rows, kept as
-    p * 2^n_wires + s.  Only H changes the working rows; the labels are moved
-    onto them once, at the end.
-    """
+    least when it was least before; rows itself is not changed.  Basis state
+    i holds w^p times working row s, kept as the label p * 2^n_wires + s;
+    only H changes the working rows, and the labels meet them at the end."""
     size = 1 << n_wires
     mask = size - 1
-    run = list(range(size))
+    labels = list(range(size))
     rows = list(rows)
     for gate in gates:
         name = gate.name
@@ -143,25 +140,26 @@ def _fold(gates: Iterable[Gate], rows: Sequence[Sequence[ZOmega]], e: int,
             for i in range(size):
                 if not i & target:
                     j = i | target
-                    src, dst = run[i] & mask, run[j] & mask
-                    turn = ((run[j] >> n_wires) - (run[i] >> n_wires)) & 7
+                    top, bot = labels[i] & mask, labels[j] & mask
+                    turn = ((labels[j] >> n_wires) - (labels[i] >> n_wires)) & 7
                     if turn:
-                        row_surgery(rows, "omega", dst, power=turn)
-                    row_surgery(rows, "H", src, dst)
-                    run[j] = run[i] - src + dst
+                        row_surgery(rows, "omega", bot, power=turn)
+                    row_surgery(rows, "H", top, bot)
+                    labels[j] = labels[i] - top + bot
             rows, e = least(rows, e + 1)
         elif name == "W":
-            run = [label + gate.power * size for label in run]
+            labels = [label + gate.power * size for label in labels]
         elif name in _DIAG_POWER:
             target = _wire_mask(gate.wires[0], n_wires)
-            turn = _DIAG_POWER[name] * size
-            run = [label + turn if i & target else label for i, label in enumerate(run)]
+            step = _DIAG_POWER[name] * size
+            labels = [label + step if i & target else label for i, label in enumerate(labels)]
         elif name in ("X", "CNOT"):
             target = _wire_mask(gate.wires[-1], n_wires)
             control = _wire_mask(gate.wires[0], n_wires) if name == "CNOT" else 0
-            run = [run[i ^ target] if i & control == control else run[i] for i in range(size)]
+            labels = [labels[i ^ target] if i & control == control else labels[i]
+                      for i in range(size)]
     return [[z.mul_omega_power(label >> n_wires) for z in rows[label & mask]]
-            for label in run], e
+            for label in labels], e
 
 
 def apply_gate(gate: Gate, rows: Sequence[Sequence[ZOmega]], e: int,
