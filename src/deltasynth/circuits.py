@@ -3,12 +3,14 @@
 A word over row operations on dimension 2 or 4 becomes a circuit on 1 or 2
 qubits (wire 0 is the most significant basis bit).  Two-level Hadamard and
 swap operations lower to controlled gates, routed through a CNOT change of
-basis when the two levels differ in both bits.  Single-level phases on two
-qubits lower to controlled-S powers when the phase is a power of i; odd
-powers of w borrow one ancilla, flip it on the targeted basis state, rotate
-it with T gates, and flip it back, so the ancilla always returns to zero.
-The ops that fit a layout are a finite alphabet, so each is lowered once per
-process and every emitted circuit shares its gates.
+basis when the two levels differ in both bits.  Phase ops commute, so each
+maximal run of them lowers as one diagonal, the phase polynomial
+c + a x0 + b x1 + d x0 x1 (mod 8): a W gate, phases on wires 0 and 1, and a
+controlled S or S^dag for d = 2 or 6, a CZ for d = 4, or for odd d the
+product x0 x1 computed into one borrowed ancilla by a relative-phase
+Toffoli, turned by w^d and uncomputed, so the ancilla returns to zero.  Each
+op and each diagonal is lowered once per process, and a gate that is the
+inverse of the one before it on the same wires cancels it.
 
 Circuits are simulated exactly on linalg's matrix form, Z[w] numerators N
 over one least power of sqrt(2), the unitary being N / sqrt(2)^e.  X, CNOT,
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -39,7 +42,7 @@ from .errors import (
     VerificationError,
 )
 from .linalg import (ElementaryOp, ExactMatrix, h_op, least, omega_op, row_surgery,
-                     word_product, x_op)
+                     word_product)
 from .ring import ZW_ONE, ZW_ZERO, ZOmega
 
 SINGLE_WIRE_GATES = frozenset({"H", "S", "SDG", "T", "TDG", "X"})
@@ -47,17 +50,9 @@ GATE_NAMES = SINGLE_WIRE_GATES | {"CNOT", "W", "ANC_INIT", "ANC_FREE"}
 
 _DIAG_POWER = {"S": 2, "SDG": 6, "T": 1, "TDG": 7}
 
-# w^p on one wire as a minimal T/S gate sequence
-_PHASE_SEQ = {
-    0: (),
-    1: ("T",),
-    2: ("S",),
-    3: ("S", "T"),
-    4: ("S", "S"),
-    5: ("SDG", "TDG"),
-    6: ("SDG",),
-    7: ("TDG",),
-}
+# w^p on one wire as a minimal T/S gate sequence, by p
+_PHASE_SEQ = ((), ("T",), ("S",), ("S", "T"), ("S", "S"), ("SDG", "TDG"), ("SDG",),
+              ("TDG",))
 
 
 @dataclass(frozen=True)
@@ -182,14 +177,10 @@ def _phase_gates(wire: int, power: int) -> list[Gate]:
     return [Gate(name, (wire,)) for name in _PHASE_SEQ[power % 8]]
 
 
-def _lambda_s(c: int, t: int) -> list[Gate]:
-    return [Gate("T", (c,)), Gate("T", (t,)), Gate("CNOT", (c, t)),
-            Gate("TDG", (t,)), Gate("CNOT", (c, t))]
-
-
-def _lambda_s_dag(c: int, t: int) -> list[Gate]:
-    return [Gate("TDG", (c,)), Gate("TDG", (t,)), Gate("CNOT", (c, t)),
-            Gate("T", (t,)), Gate("CNOT", (c, t))]
+def _lambda_s(c: int, t: int, s: int = 1) -> list[Gate]:
+    """Controlled S for s = 1, controlled S^dag for s = -1."""
+    cnot = Gate("CNOT", (c, t))
+    return [*_phase_gates(c, s), *_phase_gates(t, s), cnot, *_phase_gates(t, -s), cnot]
 
 
 def _lambda_h(c: int, t: int) -> list[Gate]:
@@ -198,35 +189,32 @@ def _lambda_h(c: int, t: int) -> list[Gate]:
             Gate("T", (t,)), Gate("H", (t,)), Gate("S", (t,))]
 
 
-def _toffoli(c1: int, c2: int, t: int) -> list[Gate]:
-    return [Gate("H", (t,)),
-            Gate("CNOT", (c2, t)), Gate("TDG", (t,)),
-            Gate("CNOT", (c1, t)), Gate("T", (t,)),
-            Gate("CNOT", (c2, t)), Gate("TDG", (t,)),
-            Gate("CNOT", (c1, t)), Gate("T", (c2,)), Gate("T", (t,)),
-            Gate("H", (t,)),
-            Gate("CNOT", (c1, c2)), Gate("T", (c1,)), Gate("TDG", (c2,)),
-            Gate("CNOT", (c1, c2))]
+# Maslov's relative-phase Toffoli from wires 0 and 1 onto the ancilla: 4 T
+# and 3 CNOT.  It is its own inverse, so its relative phase cancels when it
+# computes x0 x1 into the ancilla and again uncomputes it.
+_RTOF = [Gate("H", (2,)), Gate("T", (2,)), Gate("CNOT", (1, 2)), Gate("TDG", (2,)),
+         Gate("CNOT", (0, 2)), Gate("T", (2,)), Gate("CNOT", (1, 2)), Gate("TDG", (2,)),
+         Gate("H", (2,))]
+
+# w^(d x0 x1) on two qubits, by d: controlled S, CZ and controlled S^dag, or
+# for odd d x0 x1 computed into the ancilla, turned by w^d and uncomputed
+_PRODUCT_TERMS = {
+    2: _lambda_s(0, 1),
+    4: [Gate("H", (1,)), Gate("CNOT", (0, 1)), Gate("H", (1,))],
+    6: _lambda_s(0, 1, -1),
+    **{d: _RTOF + _phase_gates(2, d) + _RTOF for d in (1, 3, 5, 7)},
+}
 
 
-def _lambda2_ix(c1: int, c2: int, t: int) -> list[Gate]:
-    return _lambda_s(c1, c2) + _toffoli(c1, c2, t)
-
-
-def _lambda2_minus_ix(c1: int, c2: int, t: int) -> list[Gate]:
-    return _lambda_s_dag(c1, c2) + _toffoli(c1, c2, t)
-
-
-# Each template against the word it implements, on 2 or 3 wires.
+# Each template against the word it implements, on 2 or 3 wires.  On all
+# 8 columns an odd-d block is w^(d (t xor x0 x1)): w^d on rows 2, 4, 6, 7.
 _TEMPLATES = (
-    ("controlled-S", _lambda_s(0, 1), [omega_op(4, 2)], 2),
-    ("controlled-Sdg", _lambda_s_dag(0, 1), [omega_op(4, 6)], 2),
+    ("controlled-S", _PRODUCT_TERMS[2], [omega_op(4, 2)], 2),
+    ("controlled-Sdg", _PRODUCT_TERMS[6], [omega_op(4, 6)], 2),
     ("controlled-H", _lambda_h(0, 1), [h_op(3, 4)], 2),
-    ("toffoli", _toffoli(0, 1, 2), [x_op(7, 8)], 3),
-    ("doubly-controlled iX", _lambda2_ix(0, 1, 2),
-     [x_op(7, 8), omega_op(7, 2), omega_op(8, 2)], 3),
-    ("doubly-controlled -iX", _lambda2_minus_ix(0, 1, 2),
-     [x_op(7, 8), omega_op(7, 6), omega_op(8, 6)], 3),
+    ("controlled-Z", _PRODUCT_TERMS[4], [omega_op(4, 4)], 2),
+    *((f"relative-phase Toffoli block d={d}", _PRODUCT_TERMS[d],
+       [omega_op(row, d) for row in (2, 4, 6, 7)], 3) for d in (1, 3, 5, 7)),
 )
 
 
@@ -243,83 +231,93 @@ def verify_templates() -> None:
     _templates_verified = True
 
 
+_INVERSE = {"H": "H", "X": "X", "CNOT": "CNOT", "S": "SDG", "SDG": "S",
+            "T": "TDG", "TDG": "T"}
+
+
+def _push(body: list[Gate], gates: Iterable[Gate]) -> None:
+    """Append gates to body, popping its last gate instead whenever the new
+    one is that gate's inverse on the same wires."""
+    for gate in gates:
+        if body and body[-1].wires == gate.wires and _INVERSE.get(body[-1].name) == gate.name:
+            body.pop()
+        else:
+            body.append(gate)
+
+
 def _lower_one_qubit(op: ElementaryOp) -> list[Gate]:
-    if op.kind in ("H", "X"):
-        return [Gate(op.kind, (0,))]
-    power = op.power % 8
-    if op.j == 2:
-        return _phase_gates(0, power)
-    return [Gate("W", (), power), *_phase_gates(0, (8 - power) % 8)]
-
-
-def _conjugated(wrapper: list[Gate], inner: list[Gate]) -> list[Gate]:
-    return wrapper + inner + wrapper
+    return [Gate(op.kind, (0,))]
 
 
 def _lower_two_level(kind: str, a: int, b: int) -> list[Gate]:
     diff = a ^ b
     if diff == 0b11:
         mapped = sorted((x ^ ((x >> 1) & 1) for x in (a, b)))
-        return _conjugated([Gate("CNOT", (0, 1))],
-                           _lower_two_level(kind, mapped[0], mapped[1]))
+        cnot = [Gate("CNOT", (0, 1))]
+        return cnot + _lower_two_level(kind, mapped[0], mapped[1]) + cnot
     if diff == 0b01:
         control, target, value = 0, 1, a >> 1
     else:
         control, target, value = 1, 0, a & 1
     inner = [Gate("CNOT", (control, target))] if kind == "X" else _lambda_h(control, target)
-    if value == 0:
-        return _conjugated([Gate("X", (control,))], inner)
-    return inner
+    flip = [Gate("X", (control,))] if value == 0 else []
+    return flip + inner + flip
 
 
-def _lower_two_qubit_phase(state: int, power: int) -> tuple[list[Gate], bool]:
-    flips = [Gate("X", (w,)) for w, bit in enumerate((state >> 1 & 1, state & 1))
-             if bit == 0]
-    if power % 2 == 0:
-        quarter = (power // 2) % 4
-        if quarter == 0:
-            return [], False
-        body = _lambda_s_dag(0, 1) if quarter == 3 else _lambda_s(0, 1) * quarter
-        return _conjugated(flips, body), False
-    body = (_lambda2_ix(0, 1, 2) + _phase_gates(2, power)
-            + _lambda2_minus_ix(0, 1, 2))
-    return _conjugated(flips, body), True
-
-
-def _lower_two_qubit(op: ElementaryOp) -> tuple[list[Gate], bool]:
-    if op.kind == "omega":
-        return _lower_two_qubit_phase(op.j - 1, op.power % 8)
-    return _lower_two_level(op.kind, op.j - 1, op.m - 1), False
+def _lower_two_qubit(op: ElementaryOp) -> list[Gate]:
+    return _lower_two_level(op.kind, op.j - 1, op.m - 1)
 
 
 @functools.cache
-def _lowered(op: ElementaryOp, qubits: int) -> tuple[tuple[Gate, ...], bool]:
-    """op's gates on the given layout and whether they borrow the ancilla.
-    The ops that fit dimension 2 or 4 are a finite alphabet (16 and 40 ops),
-    so each one is lowered and its gates validated once per process."""
-    gates, used = (_lower_one_qubit(op), False) if qubits == 1 else _lower_two_qubit(op)
-    return tuple(gates), used
+def _lowered(op: ElementaryOp, qubits: int) -> tuple[Gate, ...]:
+    """The gates of a two-level op on the given layout.  These ops are a
+    finite alphabet (2 and 12 ops in dimensions 2 and 4), so each one is
+    lowered and its gates validated once per process."""
+    return tuple(_lower_one_qubit(op) if qubits == 1 else _lower_two_qubit(op))
+
+
+@functools.cache
+def _lowered_diagonal(powers: tuple[int, ...]) -> tuple[tuple[Gate, ...], bool]:
+    """The gates of diag(w^p for p in powers), powers mod 8 on 1 or 2 qubits
+    (64 and 4096 diagonals), and whether they borrow the ancilla."""
+    if len(powers) == 2:
+        c, a, b, d = powers[0], powers[1] - powers[0], 0, 0
+    else:
+        c, p01, p10, p11 = powers
+        a, b, d = p10 - c, p01 - c, (p11 - p10 - p01 + c) % 8
+    gates: list[Gate] = [Gate("W", (), c)] if c else []
+    _push(gates, _phase_gates(0, a) + _phase_gates(1, b) + _PRODUCT_TERMS.get(d, []))
+    return tuple(gates), d % 2 == 1
 
 
 def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
     """Clifford+T circuit whose unitary equals the product of the word.
 
     Gates are listed in application order, so the word's rightmost factor
-    lowers first.  Only dimensions 2 and 4 have a qubit layout.
+    lowers first; each run of phase ops lowers as one diagonal.  Only
+    dimensions 2 and 4 have a qubit layout.
     """
     if dim not in (2, 4):
         raise UnsupportedDimError(f"no qubit layout for dimension {dim}")
+    for op in reversed(word):
+        if max(op.j, op.m) > dim:
+            raise ValueError(f"operator {op} exceeds dimension {dim}")
     if not _templates_verified:
         verify_templates()
     qubits = 1 if dim == 2 else 2
     body: list[Gate] = []
     uses_ancilla = False
-    for op in reversed(word):
-        if max(op.j, op.m) > dim:
-            raise ValueError(f"operator {op} exceeds dimension {dim}")
-        gates, used = _lowered(op, qubits)
-        body.extend(gates)
-        uses_ancilla = uses_ancilla or used
+    for is_phase, run in groupby(reversed(word), lambda op: op.kind == "omega"):
+        if not is_phase:
+            for op in run:
+                _push(body, _lowered(op, qubits))
+            continue
+        powers = [0] * dim
+        for op in run:
+            powers[op.j - 1] += op.power
+        gates, used = _lowered_diagonal(tuple(p % 8 for p in powers))
+        _push(body, gates)
+        uses_ancilla |= used
     if uses_ancilla:
         body = [Gate("ANC_INIT", (qubits,)), *body, Gate("ANC_FREE", (qubits,))]
     return Circuit(qubits, uses_ancilla, tuple(body))

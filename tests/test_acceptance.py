@@ -42,7 +42,7 @@ CORPUS_DIGEST = "3b16d890f731f91ea610358b207b85fe6680d369e72a3a860bcace11ec7a9e9
 ENUMERATED_DIGEST = "35b4803cc11e513ee135516a84216d0b75081c0e6390baf29d2430d9671cab6d"
 # sha256 over the rendered circuit emitted for each corpus word, in corpus
 # order: any change to a lowering template or to gate order shows.
-CIRCUIT_DIGEST = "bdbfea99dd7df969702accca396ea0ac8526f6ff43fc033f64fe89c9519fbfce"
+CIRCUIT_DIGEST = "8ad2645b1b8e53a94c1098c085818667ccf22fd6db3247213259c4fd06b1e107"
 
 
 def digest_line(dec) -> str:

@@ -1,14 +1,18 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import deltasynth.circuits
 from deltasynth.circuits import (
+    _INVERSE,
     Circuit,
     Gate,
     _lower_one_qubit,
     _lower_two_qubit,
     _lowered,
+    _lowered_diagonal,
     circuit_to_matrix,
     emit,
     gate_counts,
@@ -22,8 +26,11 @@ from deltasynth.errors import (
     UnsupportedDimError,
     VerificationError,
 )
+from deltasynth.engine import synthesize
 from deltasynth.linalg import h_op, omega_op, word_matrix, x_op
+from deltasynth.oracle import random_unitary
 from helpers import alphabet, random_word
+from test_acceptance import corpus_specs
 
 
 class TestGate:
@@ -77,9 +84,10 @@ class TestTemplates:
     def test_all_templates_exact(self):
         verify_templates()
 
-    @pytest.mark.parametrize("index, other", [(0, 1), (4, 5)])
+    @pytest.mark.parametrize("index, other", [(0, 1), (4, 7)])
     def test_wrong_word_is_rejected(self, monkeypatch, index, other):
-        # controlled-S against controlled-Sdg's word, iX against -iX's
+        # controlled-S against controlled-Sdg's word, the d = 1 relative-phase
+        # Toffoli block against the d = 7 block's
         templates = deltasynth.circuits._TEMPLATES
         name, gates, _, n_wires = templates[index]
         wrong = ((name, gates, templates[other][2], n_wires),)
@@ -112,19 +120,83 @@ class TestLowering:
             assert not emit([op], 2).uses_ancilla
 
     def test_cached_lowering_matches_uncached(self):
+        rng = random.Random(5)
         for dim in (2, 4):
+            lower = _lower_one_qubit if dim == 2 else _lower_two_qubit
+            phases = [op for op in alphabet(dim) if op.kind == "omega"]
             for op in alphabet(dim):
-                if dim == 2:
-                    gates, used = _lower_one_qubit(op), False
-                else:
-                    gates, used = _lower_two_qubit(op)
+                if op.kind != "omega":
+                    circ = emit([op], dim)
+                    assert circ.gates == tuple(lower(op))
+                    assert not circ.uses_ancilla
+            for _ in range(100):
+                run = [rng.choice(phases) for _ in range(rng.randrange(1, 12))]
+                powers = [0] * dim
+                for op in run:
+                    powers[op.j - 1] += op.power
+                gates, used = _lowered_diagonal(tuple(p % 8 for p in powers))
                 if used:
-                    gates = [Gate("ANC_INIT", (2,)), *gates, Gate("ANC_FREE", (2,))]
-                circ = emit([op], dim)
-                assert circ.gates == tuple(gates)
+                    gates = (Gate("ANC_INIT", (2,)), *gates, Gate("ANC_FREE", (2,)))
+                circ = emit(run, dim)
+                assert circ.gates == gates
                 assert circ.uses_ancilla == used
-        # the alphabets of dimensions 2 and 4 hold 16 and 40 ops
-        assert _lowered.cache_info().currsize <= 16 + 40
+        # dimensions 2 and 4 have 2 and 12 two-level ops, 64 and 4096 diagonals
+        assert _lowered.cache_info().currsize <= 2 + 12
+        assert _lowered_diagonal.cache_info().currsize <= 64 + 4096
+
+
+def inverse_pairs(circuit):
+    return [(g, h) for g, h in zip(circuit.gates, circuit.gates[1:])
+            if g.wires == h.wires and _INVERSE.get(g.name) == h.name]
+
+
+@st.composite
+def phase_run_words(draw):
+    """Words of long phase runs between single two-level ops."""
+    dim = draw(st.sampled_from([2, 4]))
+    phases = [op for op in alphabet(dim) if op.kind == "omega"]
+    mixes = [op for op in alphabet(dim) if op.kind != "omega"]
+    word = []
+    for _ in range(draw(st.integers(1, 5))):
+        word += draw(st.lists(st.sampled_from(phases), max_size=30))
+        word += draw(st.lists(st.sampled_from(mixes), max_size=2))
+    return dim, word
+
+
+class TestDiagonals:
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_every_diagonal_exact(self, dim):
+        for powers in product(range(8), repeat=dim):
+            word = [omega_op(j, p) for j, p in enumerate(powers, 1) if p]
+            assert circuit_to_matrix(emit(word, dim)) == word_matrix(word, dim)
+
+    @pytest.mark.parametrize("d", [1, 3, 5, 7])
+    def test_odd_product_term_costs_nine_t(self, d):
+        counts = gate_counts(emit([omega_op(4, d)], 4))
+        assert counts["t_count"] == 9
+        assert counts["uses_ancilla"]
+
+    def test_controlled_z_costs_no_t(self):
+        assert gate_counts(emit([omega_op(4, 4)], 4)) == {
+            "total": 3, "t_count": 0, "h": 2, "cnot": 1, "uses_ancilla": False}
+
+    @settings(max_examples=60, deadline=None)
+    @given(phase_run_words())
+    def test_long_phase_runs_exact(self, dim_word):
+        dim, word = dim_word
+        circ = emit(word, dim)
+        assert circuit_to_matrix(circ) == word_matrix(word, dim)
+        assert inverse_pairs(circ) == []
+
+
+class TestCancellation:
+    def test_repeated_swap_cancels(self):
+        assert emit([x_op(1, 2), x_op(1, 2)], 4).gates == ()
+
+    def test_no_inverse_pair_in_corpus(self):
+        for spec in corpus_specs():
+            circ = emit(synthesize(random_unitary(spec)).word, 2 ** spec.qubits)
+            assert inverse_pairs(circ) == [], spec
 
 
 class TestEmit:
