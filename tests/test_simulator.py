@@ -14,11 +14,12 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from deltasynth.circuits import (SINGLE_WIRE_GATES, Circuit, Gate, _simulate, apply_gate,
-                                 circuit_to_matrix)
+from deltasynth import circuits as circuits_module
+from deltasynth.circuits import (_LEAST_EVERY, _PRODUCT_TERMS, SINGLE_WIRE_GATES, Circuit, Gate,
+                                 _fold, _simulate, apply_gate, circuit_to_matrix)
 from deltasynth.cli import render_matrix
 from deltasynth.errors import VerificationError
-from deltasynth.linalg import h_op, word_matrix, word_product
+from deltasynth.linalg import h_op, least, word_matrix, word_product
 from deltasynth.oracle import op_alphabet
 from deltasynth.ring import ZW_ONE, ZW_ZERO, divide_by_sqrt2
 
@@ -151,3 +152,90 @@ def test_ancilla_columns_only():
     assert e == 0
     assert rows == [[ZW_ZERO, ZW_ONE], [ZW_ZERO, ZW_ZERO],
                     [ZW_ONE, ZW_ZERO], [ZW_ZERO, ZW_ZERO]]
+
+
+DATA_GATES = st.one_of(
+    st.builds(lambda name, w: Gate(name, (w,)),
+              st.sampled_from(sorted(SINGLE_WIRE_GATES)), st.sampled_from((0, 1))),
+    st.builds(lambda p: Gate("W", (), p), st.integers(min_value=1, max_value=7)),
+    st.sampled_from([Gate("CNOT", (0, 1)), Gate("CNOT", (1, 0))]),
+)
+
+
+@st.composite
+def block_circuits(draw):
+    """Two data qubits and a borrowed ancilla: random data-wire gates around
+    the odd-d relative-phase Toffoli blocks.  Every piece holds an H, so the
+    fold crosses at least three batches of `least`."""
+    pieces = draw(st.lists(st.tuples(st.lists(DATA_GATES, max_size=3), st.sampled_from((0, 1)),
+                                     st.sampled_from((None, 1, 3, 5, 7))),
+                           min_size=3 * _LEAST_EVERY, max_size=4 * _LEAST_EVERY))
+    gates = []
+    for data, wire, d in pieces:
+        gates += [*data, Gate("H", (wire,)), *_PRODUCT_TERMS.get(d, ())]
+    return Circuit(2, True, (Gate("ANC_INIT", (2,)), *gates, Gate("ANC_FREE", (2,))))
+
+
+def batched(*gates):
+    """An ancilla circuit with gates between two runs of data-wire Hs that
+    cross batch boundaries of `least`."""
+    run = (Gate("H", (0,)), Gate("T", (0,))) * (3 * _LEAST_EVERY // 2)
+    return anc_circuit(*run, *gates, *run)
+
+
+@settings(max_examples=25, deadline=None)
+@given(circuit=block_circuits())
+# (0, w y): the ancilla's zero row is on top and the live row turned by w
+@example(circuit=batched(Gate("X", (1,)), Gate("T", (1,)), Gate("H", (1,)), Gate("H", (1,)),
+                         Gate("TDG", (1,)), Gate("X", (1,))))
+# (x, 0), then a full mix
+@example(circuit=batched(Gate("T", (0,)), Gate("H", (1,)), Gate("X", (0,)), Gate("H", (1,))))
+# the ancilla goes live and returns to zero
+@example(circuit=batched(Gate("H", (1,)), Gate("T", (1,)), Gate("TDG", (1,)), Gate("H", (1,))))
+def test_live_rows_match_reference(circuit):
+    check_against_reference(circuit)
+    # the ancilla returned, so its rows are zero and e is the data block's least one
+    n_wires = circuit.wire_count
+    _, e = _simulate(circuit.gates, n_wires, range(0, 1 << n_wires, 2))
+    gates = [(g.name, g.wires, g.power) for g in circuit.gates]
+    assert e == reference.simulate_circuit(circuit.data_qubits, gates, True).e
+
+
+@settings(max_examples=50, deadline=None)
+@given(circuit=st.one_of(circuits(), block_circuits()))
+def test_fold_changes_no_row(circuit):
+    """No row is changed in place, so working rows may share one list: rows
+    given as tuples fold to what the same rows given as lists fold to."""
+    n_wires = circuit.wire_count
+    size = 1 << n_wires
+    cols = range(0, size, 2) if circuit.uses_ancilla else range(size)
+    rows = tuple(tuple(ZW_ONE if i == j else ZW_ZERO for j in cols) for i in range(size))
+    assert (_fold(circuit.gates, rows, 0, n_wires)
+            == _fold(circuit.gates, [list(row) for row in rows], 0, n_wires))
+
+
+def test_least_sees_live_rows_of_bounded_size(monkeypatch):
+    """`least` gets only live rows, after every _LEAST_EVERY Hs at most, so
+    the numerators stay within half a batch of bits of their least size and
+    a long circuit costs linear time."""
+    bits = []
+
+    def spy(rows, e):
+        assert all(any(row) for row in rows)
+        bits.append(max(abs(c).bit_length() for row in rows for z in row
+                        for c in (z.a, z.b, z.c, z.d)))
+        return least(rows, e)
+
+    monkeypatch.setattr(circuits_module, "least", spy)
+    h, t = Gate("H", (0,)), Gate("T", (0,))
+    # least numerators of (H T)^2000 reach 500 bits; normalizing only at the
+    # end would hand `least` 1000
+    assert _simulate([h, t] * 2000, 1)[1] == 1001
+    assert max(bits) <= (1001 + _LEAST_EVERY) // 2 + 4
+    bits.clear()
+    assert _simulate([h] * 2000, 1)[1] == 0
+    assert max(bits) <= _LEAST_EVERY // 2 + 2
+    # the ancilla rows are zero before the first H and after the second
+    circuit = anc_circuit(h, Gate("H", (1,)), Gate("T", (1,)), Gate("TDG", (1,)), Gate("H", (1,)))
+    _simulate(circuit.gates, 2, range(0, 4, 2))
+    assert bits
