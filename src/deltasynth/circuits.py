@@ -5,12 +5,17 @@ qubits (wire 0 is the most significant basis bit).  Two-level Hadamard and
 swap operations lower to controlled gates, routed through a CNOT change of
 basis when the two levels differ in both bits.  Phase ops commute, so each
 maximal run of them lowers as one diagonal, the phase polynomial
-c + a x0 + b x1 + d x0 x1 (mod 8): a W gate, phases on wires 0 and 1, and a
+c + a x0 + b x1 + d x0 x1 (mod 8): w^c, phases on wires 0 and 1, and a
 controlled S or S^dag for d = 2 or 6, a CZ for d = 4, or for odd d the
 product x0 x1 computed into one borrowed ancilla by a relative-phase
-Toffoli, turned by w^d and uncomputed, so the ancilla returns to zero.  Each
-op and each diagonal is lowered once per process, and a gate that is the
-inverse of the one before it on the same wires cancels it.
+Toffoli, turned by w^d and uncomputed, so the ancilla returns to zero.  d is
+odd when the run's powers add up to an odd number; such a run, unless it is
+the last, lowers evenly and leaves w^1 owed to a later run.  The ancilla is
+therefore borrowed exactly when det(U) is an odd power of w, which no
+product of two-qubit Clifford+T gates has: their determinants are powers of
+i.  The w^c of all diagonals add up to one W gate.  Each op and each
+diagonal is lowered once per process, and a gate that meets its inverse on
+the same wires, past gates on other wires only, cancels it.
 
 Circuits are simulated exactly on linalg's matrix form, Z[w] numerators N
 over one least power of sqrt(2), the unitary being N / sqrt(2)^e.  X, CNOT,
@@ -35,7 +40,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -276,13 +280,19 @@ _INVERSE = {"H": "H", "X": "X", "CNOT": "CNOT", "S": "SDG", "SDG": "S",
 
 
 def _push(body: list[Gate], gates: Iterable[Gate]) -> None:
-    """Append gates to body, popping its last gate instead whenever the new
-    one is that gate's inverse on the same wires."""
+    """Append gates to body.  A new gate that is the inverse of the last gate
+    sharing a wire with it, on the same wires, removes that gate instead:
+    the gates after it act on other wires or are W, so they commute."""
     for gate in gates:
-        if body and body[-1].wires == gate.wires and _INVERSE.get(body[-1].name) == gate.name:
-            body.pop()
-        else:
-            body.append(gate)
+        inverse, wires = _INVERSE.get(gate.name), gate.wires
+        if inverse:
+            i = len(body) - 1
+            while i >= 0 and wires[0] not in body[i].wires and wires[-1] not in body[i].wires:
+                i -= 1
+            if i >= 0 and body[i].wires == wires and body[i].name == inverse:
+                del body[i]
+                continue
+        body.append(gate)
 
 
 def _lower_one_qubit(op: ElementaryOp) -> list[Gate]:
@@ -330,11 +340,33 @@ def _lowered_diagonal(powers: tuple[int, ...]) -> tuple[tuple[Gate, ...], bool]:
     return tuple(gates), d % 2 == 1
 
 
+def _less_one(powers: Sequence[int], level: int) -> tuple[int, ...]:
+    """powers mod 8 with one taken off the given level."""
+    return tuple((p - (i == level)) % 8 for i, p in enumerate(powers))
+
+
+@functools.cache
+def _diagonal_cost(powers: tuple[int, ...]) -> tuple[int, int]:
+    """T count, then gate count, of a diagonal's lowering."""
+    gates = _lowered_diagonal(powers)[0]
+    return sum(g.name in ("T", "TDG") for g in gates), len(gates)
+
+
 def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
     """Clifford+T circuit whose unitary equals the product of the word.
 
     Gates are listed in application order, so the word's rightmost factor
-    lowers first; each run of phase ops lowers as one diagonal.  Only
+    lowers first; each run of phase ops lowers as one diagonal, and the W
+    powers of all diagonals add up to one global phase W, placed first.
+
+    On two qubits, a run with an odd sum of powers that an op follows takes
+    w^1 off one level that op leaves alone and lowers evenly, without the
+    ancilla; that level then owes w^1.  An X on the owing level moves the debt
+    to its other level.  Before an H on the owing level, the even diagonal
+    w^1 there, w^-1 on a level the H leaves alone, moves the debt to that
+    level.  The next run takes the debt in.  Only the last diagonal can be
+    odd, so the ancilla is borrowed exactly when the word's phase powers add
+    up to an odd number, that is when det(U) is an odd power of w.  Only
     dimensions 2 and 4 have a qubit layout.
     """
     if dim not in (2, 4):
@@ -346,18 +378,49 @@ def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
         verify_templates()
     qubits = 1 if dim == 2 else 2
     body: list[Gate] = []
+    global_power = 0
     uses_ancilla = False
-    for is_phase, run in groupby(reversed(word), lambda op: op.kind == "omega"):
-        if not is_phase:
-            for op in run:
-                _push(body, _lowered(op, qubits))
-            continue
-        powers = [0] * dim
-        for op in run:
-            powers[op.j - 1] += op.power
+    owing = None  # the level whose w^1 the gates so far leave out
+    run = None  # powers, by level, of the phase run being read
+
+    def lower_diagonal(powers: Sequence[int]) -> None:
+        nonlocal global_power, uses_ancilla
         gates, used = _lowered_diagonal(tuple(p % 8 for p in powers))
+        if gates and gates[0].name == "W":
+            global_power += gates[0].power
+            gates = gates[1:]
         _push(body, gates)
         uses_ancilla |= used
+
+    def start_run() -> list[int]:
+        nonlocal owing
+        powers = [0] * dim
+        if owing is not None:
+            powers[owing], owing = 1, None
+        return powers
+
+    for op in reversed(word):
+        if op.kind == "omega":
+            run = run or start_run()
+            run[op.j - 1] += op.power
+            continue
+        busy = (op.j - 1, op.m - 1)
+        if op.kind == "H" and owing in busy:
+            run = start_run()
+        if run and dim == 4 and sum(run) % 2:
+            owing = min((lv for lv in range(4) if lv not in busy),
+                        key=lambda lv: _diagonal_cost(_less_one(run, lv)))
+            lower_diagonal(_less_one(run, owing))
+        elif run:
+            lower_diagonal(run)
+        elif owing in busy:  # an X swaps the owing level with its other one
+            owing = sum(busy) - owing
+        run = None
+        _push(body, _lowered(op, qubits))
+    if run or owing is not None:
+        lower_diagonal(run or start_run())
+    if global_power % 8:
+        body.insert(0, Gate("W", (), global_power % 8))
     if uses_ancilla:
         body = [Gate("ANC_INIT", (qubits,)), *body, Gate("ANC_FREE", (qubits,))]
     return Circuit(qubits, uses_ancilla, tuple(body))

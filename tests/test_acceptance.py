@@ -28,7 +28,10 @@ from helpers import exact, scaled
 
 WORD_SLOPE = 8
 WORD_OFFSET = 7
-GATE_SLOPE = 170
+# 170 until emit carried odd determinant parity; the worst (gates - 200)/k
+# then read 16.3 over the benchmark's deep inputs (seeds 1-3) and 15.8 over
+# the calibration sweep plus five 2-qubit seeds at budgets 500, 1000, 2500
+GATE_SLOPE = 25
 GATE_OFFSET = 200
 
 CORPUS_TIME_LIMIT_S = 60.0
@@ -42,7 +45,7 @@ CORPUS_DIGEST = "3b16d890f731f91ea610358b207b85fe6680d369e72a3a860bcace11ec7a9e9
 ENUMERATED_DIGEST = "35b4803cc11e513ee135516a84216d0b75081c0e6390baf29d2430d9671cab6d"
 # sha256 over the rendered circuit emitted for each corpus word, in corpus
 # order: any change to a lowering template or to gate order shows.
-CIRCUIT_DIGEST = "8ad2645b1b8e53a94c1098c085818667ccf22fd6db3247213259c4fd06b1e107"
+CIRCUIT_DIGEST = "c711c587c474b21b47edf829c4aa4efe8ddd3177ab219a74a19fed385befe961"
 
 
 def digest_line(dec) -> str:
@@ -107,15 +110,12 @@ def test_emitted_circuits_reproduce_inputs(corpus):
     entries, _, _ = corpus
     two_qubit = [(m, dec) for spec, m, dec in entries if spec.qubits == 2][:100]
     assert len(two_qubit) == 100
-    with_ancilla = 0
     for m, dec in two_qubit:
         circuit = emit(dec.word, 4)
-        if circuit.uses_ancilla:
-            with_ancilla += 1
-            assert circuit.gates[0].name == "ANC_INIT"
-            assert circuit.gates[-1].name == "ANC_FREE"
+        # Clifford+T gates on two qubits have determinants that are powers of i
+        assert not circuit.uses_ancilla
         assert circuit_to_matrix(circuit) == m
-    print(f"emitted circuits exact: 100/100 ({with_ancilla} borrow the ancilla)")
+    print("emitted circuits exact: 100/100, none borrows the ancilla")
 
 
 def test_emitted_circuits_digest(corpus):

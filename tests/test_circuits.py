@@ -13,6 +13,7 @@ from deltasynth.circuits import (
     _lower_two_qubit,
     _lowered,
     _lowered_diagonal,
+    _push,
     circuit_to_matrix,
     emit,
     gate_counts,
@@ -146,8 +147,18 @@ class TestLowering:
 
 
 def inverse_pairs(circuit):
-    return [(g, h) for g, h in zip(circuit.gates, circuit.gates[1:])
-            if g.wires == h.wires and _INVERSE.get(g.name) == h.name]
+    """Gate pairs that cancel: inverses on the same wires with only gates on
+    other wires, or W, between them."""
+    pairs = []
+    for i, g in enumerate(circuit.gates):
+        if g.name not in _INVERSE:
+            continue
+        for h in circuit.gates[i + 1:]:
+            if h.wires == g.wires and _INVERSE[g.name] == h.name:
+                pairs.append((g, h))
+            if set(h.wires) & set(g.wires):
+                break
+    return pairs
 
 
 @st.composite
@@ -193,6 +204,20 @@ class TestCancellation:
     def test_repeated_swap_cancels(self):
         assert emit([x_op(1, 2), x_op(1, 2)], 4).gates == ()
 
+    def test_inverse_cancels_across_other_wires(self):
+        # T on wire 1 sits between the two Hs on wire 0 and commutes with them
+        body = [Gate("H", (0,)), Gate("T", (1,))]
+        _push(body, [Gate("H", (0,))])
+        assert body == [Gate("T", (1,))]
+        # a gate on a shared wire blocks the look-back
+        body = [Gate("H", (0,)), Gate("CNOT", (0, 1))]
+        _push(body, [Gate("H", (0,))])
+        assert body == [Gate("H", (0,)), Gate("CNOT", (0, 1)), Gate("H", (0,))]
+        # W, the only gate without wires, is passed
+        body = [Gate("S", (1,)), Gate("W", (), 3), Gate("T", (0,))]
+        _push(body, [Gate("SDG", (1,))])
+        assert body == [Gate("W", (), 3), Gate("T", (0,))]
+
     def test_no_inverse_pair_in_corpus(self):
         for spec in corpus_specs():
             circ = emit(synthesize(random_unitary(spec)).word, 2 ** spec.qubits)
@@ -230,6 +255,50 @@ class TestEmit:
             "total": 1, "t_count": 0, "h": 0, "cnot": 0, "uses_ancilla": False}
         assert gate_counts(emit([h_op(3, 4)], 4)) == {
             "total": 7, "t_count": 2, "h": 2, "cnot": 1, "uses_ancilla": False}
+
+
+def phase_sum(word):
+    return sum(op.power for op in word if op.kind == "omega")
+
+
+def applied(*ops):
+    """The word whose ops act in the given order."""
+    return list(reversed(ops))
+
+
+class TestOddDeterminant:
+    """A phase run with an odd sum of powers leaves w^1 owed on one level; only
+    a debt still owed at the end borrows the ancilla."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(alphabet(4)), min_size=1, max_size=12))
+    def test_ancilla_iff_odd_determinant(self, word):
+        circ = emit(word, 4)
+        assert circuit_to_matrix(circ) == word_matrix(word, 4)
+        assert circ.uses_ancilla == (phase_sum(word) % 2 == 1)
+        assert [g.name for g in circ.gates].count("W") <= 1
+
+    @pytest.mark.parametrize("word, odd", [
+        # the debt lands on level 3 or 4, and X[3,4] moves it to the other
+        (applied(omega_op(1, 1), h_op(1, 2), x_op(3, 4), omega_op(2, 3)), False),
+        # the debt lands on level 1 or 2, and an even diagonal moves it off
+        # before H[1,2]
+        (applied(omega_op(3, 1), h_op(3, 4), h_op(1, 2), omega_op(1, 1)), False),
+        # the debt moves through a chain of Hs and Xs
+        (applied(omega_op(4, 5), x_op(3, 4), h_op(1, 2), x_op(3, 4), h_op(2, 4),
+                 h_op(1, 3), omega_op(2, 3)), False),
+        # owed at the end of the word, without and after moves
+        (applied(omega_op(1, 1), h_op(1, 2)), True),
+        (applied(omega_op(1, 3), x_op(1, 3), h_op(2, 4), x_op(1, 2)), True),
+        # a lone odd run between two ops
+        (applied(h_op(1, 2), omega_op(3, 1), h_op(1, 2)), True),
+    ])
+    def test_owed_phase(self, word, odd):
+        circ = emit(word, 4)
+        assert circuit_to_matrix(circ) == word_matrix(word, 4)
+        assert circ.uses_ancilla == odd
+        # one relative-phase Toffoli block holds the only Hs on the ancilla
+        assert circ.gates.count(Gate("H", (2,))) == (4 if odd else 0)
 
 
 class TestAncillaDiscipline:
