@@ -39,6 +39,7 @@ emitted.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -444,19 +445,10 @@ def circuit_to_matrix(circuit: Circuit) -> ExactMatrix:
 
 
 def gate_counts(circuit: Circuit) -> dict:
-    counts = {"total": 0, "t_count": 0, "h": 0, "cnot": 0,
-              "uses_ancilla": circuit.uses_ancilla}
-    for gate in circuit.gates:
-        if gate.name in ("ANC_INIT", "ANC_FREE"):
-            continue
-        counts["total"] += 1
-        if gate.name in ("T", "TDG"):
-            counts["t_count"] += 1
-        elif gate.name == "H":
-            counts["h"] += 1
-        elif gate.name == "CNOT":
-            counts["cnot"] += 1
-    return counts
+    names = Counter(gate.name for gate in circuit.gates)
+    return {"total": len(circuit.gates) - names["ANC_INIT"] - names["ANC_FREE"],
+            "t_count": names["T"] + names["TDG"], "h": names["H"],
+            "cnot": names["CNOT"], "uses_ancilla": circuit.uses_ancilla}
 
 
 def render_circuit(circuit: Circuit) -> str:

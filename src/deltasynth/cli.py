@@ -171,9 +171,7 @@ def _scalar_identity(m: ExactMatrix) -> ExactMatrix:
 
 
 def _global_phase_circuit(dec: Decomposition) -> Circuit:
-    power = 0
-    for op in dec.word:
-        power = (power + op.power) % 8
+    power = sum(op.power for op in dec.word) % 8
     gates = (Gate("W", (), power),) if power else ()
     return Circuit(1, False, gates)
 
@@ -407,10 +405,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MatrixParseError, CircuitParseError, UnsupportedDimError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MatrixParseError, CircuitParseError, UnsupportedDimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:

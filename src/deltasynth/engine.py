@@ -3,11 +3,12 @@
 The engine builds the Z[w] numerators of delta^k * U once, at the least
 delta-exponent k, from the matrix's numerators over sqrt(2)^e, and reduces
 them in place, reading residue bits off them.  While k > 1, the mod-delta
-pattern must be one of seven shapes (unit entries pair up in rows and
-columns).  Every shape is reduced by one step, applied over and over:
-phase-align two lines that are congruent mod delta^3 (or mod delta^2) and
-mix them with one two-level Hadamard, which divides their sum and
-difference exactly by sqrt(2).  Congruence mod
+pattern must be one of seven shapes, stated as 0/1 templates; a table of
+their row and column permutations names the pattern's shape and where the
+template's rows and columns lie.  Every shape is reduced by one step,
+applied over and over: phase-align two lines that are congruent mod
+delta^3 (or mod delta^2) and mix them with one two-level Hadamard, which
+divides their sum and difference exactly by sqrt(2).  Congruence mod
 delta^3 strictly drops both lines below k; congruence mod delta^2 hands off
 to a simpler shape at the same k.  Which two lines to mix is read off the
 shape, except for the all-units 4x4 shape: after normalising its first two
@@ -21,6 +22,8 @@ applied ops yields a word whose exact product equals the input.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -108,20 +111,38 @@ class Decomposition:
     dim: int
 
 
-def _weights(pattern: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
-    dim = len(pattern)
-    row_w = [sum(row) for row in pattern]
-    col_w = [sum(row[j] for row in pattern) for j in range(dim)]
-    return row_w, col_w
+# The reducible shapes as 0/1 templates, each matched up to row and column
+# permutation; the transposed FULL_ROWS template is its column variant.
+_SHAPES = (
+    (CaseTag.DENSE_2, ("11", "11"), False),
+    (CaseTag.BLOCK_3, ("110", "110", "000"), False),
+    (CaseTag.DENSE_4, ("1111", "1111", "1111", "1111"), False),
+    (CaseTag.SINGLE_BLOCK, ("1100", "1100", "0000", "0000"), False),
+    (CaseTag.FULL_ROWS, ("1111", "1111", "0000", "0000"), False),
+    (CaseTag.FULL_ROWS, ("1100", "1100", "1100", "1100"), True),
+    (CaseTag.BLOCK_AND_ROWS, ("1100", "1100", "1111", "1111"), False),
+    (CaseTag.DOUBLE_BLOCK, ("1100", "1100", "0011", "0011"), False),
+)
 
 
-def _expect_cells(pattern: Sequence[Sequence[int]], cells: set[tuple[int, int]]) -> None:
-    dim = len(pattern)
-    for i in range(dim):
-        for j in range(dim):
-            if pattern[i][j] != (1 if (i, j) in cells else 0):
-                raise UnreachablePatternError(
-                    f"pattern {pattern!r} does not match any reducible shape")
+@functools.cache
+def _shape_table() -> dict[tuple[tuple[int, ...], ...], CasePattern]:
+    """Each placement of each template, mapped to the first row and column
+    permutations (in itertools order) that produce it."""
+    table = {}
+    for tag, template, transposed in _SHAPES:
+        indices = range(len(template))
+        seen = set()
+        for row_perm in itertools.permutations(indices):
+            rows = tuple(template[row_perm.index(r)] for r in indices)
+            if rows in seen:
+                continue
+            seen.add(rows)
+            for col_perm in itertools.permutations(indices):
+                pattern = tuple(tuple(int(row[col_perm.index(c)]) for c in indices)
+                                for row in rows)
+                table.setdefault(pattern, CasePattern(tag, row_perm, col_perm, transposed))
+    return table
 
 
 def classify_pattern(pattern: Sequence[Sequence[int]]) -> CasePattern:
@@ -137,82 +158,11 @@ def classify_pattern(pattern: Sequence[Sequence[int]]) -> CasePattern:
         raise ValueError("pattern entries must be bits")
     if dim == 1 or dim > 4:
         raise UnsupportedDimError(f"no shapes defined for dimension {dim}")
-    row_w, col_w = _weights(pattern)
-    ident = tuple(range(dim))
-
-    if dim == 2:
-        if row_w == [2, 2]:
-            return CasePattern(CaseTag.DENSE_2, ident, ident)
-        raise UnreachablePatternError(f"2x2 pattern {pattern!r} not all units")
-
-    if dim == 3:
-        unit_rows = [i for i, w in enumerate(row_w) if w == 2]
-        zero_rows = [i for i, w in enumerate(row_w) if w == 0]
-        if len(unit_rows) != 2 or len(zero_rows) != 1:
-            raise UnreachablePatternError(f"3x3 pattern {pattern!r} has no block")
-        r1, r2 = unit_rows
-        support = [j for j in range(3) if pattern[r1][j]]
-        _expect_cells(pattern, {(r, c) for r in unit_rows for c in support})
-        spare_col = next(j for j in range(3) if j not in support)
-        return CasePattern(CaseTag.BLOCK_3,
-                           (r1, r2, zero_rows[0]),
-                           (*support, spare_col))
-
-    rw_sorted = sorted(row_w)
-    cw_sorted = sorted(col_w)
-
-    if rw_sorted == [4, 4, 4, 4]:
-        return CasePattern(CaseTag.DENSE_4, ident, ident)
-
-    if rw_sorted == [0, 0, 2, 2]:
-        unit_rows = [i for i, w in enumerate(row_w) if w == 2]
-        rest_rows = [i for i, w in enumerate(row_w) if w == 0]
-        support = [j for j in range(4) if pattern[unit_rows[0]][j]]
-        rest_cols = [j for j in range(4) if j not in support]
-        _expect_cells(pattern, {(r, c) for r in unit_rows for c in support})
-        return CasePattern(CaseTag.SINGLE_BLOCK,
-                           (*unit_rows, *rest_rows), (*support, *rest_cols))
-
-    if rw_sorted == [0, 0, 4, 4]:
-        unit_rows = [i for i, w in enumerate(row_w) if w == 4]
-        rest = [i for i, w in enumerate(row_w) if w == 0]
-        return CasePattern(CaseTag.FULL_ROWS, (*unit_rows, *rest), ident)
-
-    if cw_sorted == [0, 0, 4, 4]:
-        unit_cols = [j for j, w in enumerate(col_w) if w == 4]
-        rest = [j for j, w in enumerate(col_w) if w == 0]
-        _expect_cells(pattern, {(r, c) for r in range(4) for c in unit_cols})
-        return CasePattern(CaseTag.FULL_ROWS, ident, (*unit_cols, *rest),
-                           transposed=True)
-
-    if rw_sorted == [2, 2, 4, 4]:
-        light_rows = [i for i, w in enumerate(row_w) if w == 2]
-        heavy_rows = [i for i, w in enumerate(row_w) if w == 4]
-        heavy_cols = [j for j in range(4) if pattern[light_rows[0]][j]]
-        light_cols = [j for j in range(4) if j not in heavy_cols]
-        cells = {(r, c) for r in light_rows for c in heavy_cols}
-        cells |= {(r, c) for r in heavy_rows for c in range(4)}
-        _expect_cells(pattern, cells)
-        return CasePattern(CaseTag.BLOCK_AND_ROWS,
-                           (*light_rows, *heavy_rows),
-                           (*heavy_cols, *light_cols))
-
-    if rw_sorted == [2, 2, 2, 2] and cw_sorted == [2, 2, 2, 2]:
-        support_a = tuple(j for j in range(4) if pattern[0][j])
-        rows_a = [i for i in range(4)
-                  if tuple(j for j in range(4) if pattern[i][j]) == support_a]
-        rows_b = [i for i in range(4) if i not in rows_a]
-        if len(rows_a) != 2 or len(rows_b) != 2:
-            raise UnreachablePatternError(f"pattern {pattern!r} rows do not pair up")
-        support_b = tuple(j for j in range(4) if j not in support_a)
-        cells = {(r, c) for r in rows_a for c in support_a}
-        cells |= {(r, c) for r in rows_b for c in support_b}
-        _expect_cells(pattern, cells)
-        return CasePattern(CaseTag.DOUBLE_BLOCK,
-                           (*rows_a, *rows_b), (*support_a, *support_b))
-
-    raise UnreachablePatternError(
-        f"weights {row_w}/{col_w} match no reducible shape")
+    pat = _shape_table().get(tuple(map(tuple, pattern)))
+    if pat is None:
+        raise UnreachablePatternError(
+            f"pattern {pattern!r} does not match any reducible shape")
+    return pat
 
 
 def _omega_exponent(bits: Bits) -> int:

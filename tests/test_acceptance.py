@@ -10,6 +10,7 @@ word <= 6.17*k + 7 and gates <= 148.5*k + 182, and no monomial word exceeded
 
 import ast
 import hashlib
+import math
 import time
 from itertools import combinations
 from pathlib import Path
@@ -129,7 +130,7 @@ def test_emitted_circuits_digest(corpus):
 
 def test_output_size_linear_in_exponent(corpus):
     entries, _, _ = corpus
-    worst_word = worst_gates = 0.0
+    worst_word = worst_gates = -math.inf
     for spec, m, dec in entries:
         k = dec.source_k
         word_len = len(dec.word)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -196,6 +197,45 @@ class TestClassifyPattern:
             classify_pattern([[1, 1], [1, 1], [1, 1]])
         with pytest.raises(ValueError):
             classify_pattern([[2, 1], [1, 1]])
+
+    # The templates, restated here: template rows 0 and 1 (columns for the
+    # transposed full_rows) are the lines the reduction mixes first.
+    TEMPLATES = {
+        (CaseTag.DENSE_2, False): ["11", "11"],
+        (CaseTag.BLOCK_3, False): ["110", "110", "000"],
+        (CaseTag.DENSE_4, False): ["1111", "1111", "1111", "1111"],
+        (CaseTag.SINGLE_BLOCK, False): ["1100", "1100", "0000", "0000"],
+        (CaseTag.FULL_ROWS, False): ["1111", "1111", "0000", "0000"],
+        (CaseTag.FULL_ROWS, True): ["1100", "1100", "1100", "1100"],
+        (CaseTag.BLOCK_AND_ROWS, False): ["1100", "1100", "1111", "1111"],
+        (CaseTag.DOUBLE_BLOCK, False): ["1100", "1100", "0011", "0011"],
+    }
+
+    def test_every_pattern_is_a_placed_template(self):
+        """Every 0/1 pattern of dimension 2 to 4 is rejected, or is its
+        shape's template placed by row_perm and col_perm."""
+        counts = collections.Counter()
+        for dim in (2, 3, 4):
+            for bits in itertools.product((0, 1), repeat=dim * dim):
+                pattern = [list(bits[i:i + dim]) for i in range(0, dim * dim, dim)]
+                try:
+                    pat = classify_pattern(pattern)
+                except UnreachablePatternError:
+                    continue
+                template = self.TEMPLATES[pat.tag, pat.transposed]
+                placed = [[0] * dim for _ in range(dim)]
+                for i, r in enumerate(pat.row_perm):
+                    for j, c in enumerate(pat.col_perm):
+                        placed[r][c] = int(template[i][j])
+                assert placed == pattern
+                counts[pat.tag.value, pat.transposed] += 1
+        assert counts == {
+            ("dense2", False): 1, ("block3", False): 9, ("dense4", False): 1,
+            ("single_block", False): 36, ("full_rows", False): 6,
+            ("full_rows", True): 6, ("block_and_rows", False): 36,
+            ("double_block", False): 18,
+        }
+        assert sum(counts.values()) == 113
 
 
 class TestPhaseOffset:
