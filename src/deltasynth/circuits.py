@@ -457,6 +457,14 @@ def render_circuit(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def plain_int(text: str) -> int:
+    """int(text) for ASCII digits with an optional sign; int() alone also
+    reads "_" separators and every Unicode decimal digit."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a plain integer: {text!r}")
+    return int(text)
+
+
 def parse_circuit(text: str) -> Circuit:
     """Inverse of render_circuit; # starts a comment, blank lines are skipped."""
     qubits = None
@@ -476,8 +484,8 @@ def parse_circuit(text: str) -> Circuit:
                 raise CircuitParseError("duplicate qubits header", line=lineno)
             if gates:
                 raise CircuitParseError("qubits header must come first", line=lineno)
-            # int() takes any short decimal string; "²" is a digit, not decimal
-            if len(parts) != 2 or not parts[1].isdecimal() or len(parts[1]) > 9:
+            if (len(parts) != 2 or not parts[1].isascii()
+                    or not parts[1].isdecimal() or len(parts[1]) > 9):
                 raise CircuitParseError("expected: qubits <1|2>", line=lineno)
             qubits = int(parts[1])
             continue
@@ -487,7 +495,7 @@ def parse_circuit(text: str) -> Circuit:
         if name not in GATE_NAMES:
             raise CircuitParseError(f"unknown gate {name!r}", line=lineno)
         try:
-            args = [int(p) for p in parts[1:]]
+            args = [plain_int(p) for p in parts[1:]]
         except ValueError:
             raise CircuitParseError(f"bad arguments for {name}", line=lineno) from None
         try:

@@ -24,6 +24,7 @@ from .circuits import (
     emit,
     gate_counts,
     parse_circuit,
+    plain_int,
     render_circuit,
 )
 from .engine import Decomposition, synthesize, verify_decomposition
@@ -71,6 +72,8 @@ def _parse_entry(token: str, line: int, column: int) -> tuple[ZOmega, int]:
             f"entry numbers must have at most {MAX_COEFFICIENT_DIGITS} digits,"
             f" got {token[:40]!r}", line, column)
     try:
+        if not token.isascii() or "_" in token:  # plain_int, once per token
+            raise ValueError
         a, b, c, d = (int(p) for p in parts)
         m = int(tail) if slash else 0
     except ValueError:
@@ -102,7 +105,7 @@ def parse_matrix(text: str) -> ExactMatrix:
                 raise MatrixParseError(
                     "expected header 'dim n'", lineno, first.start() + 1)
             try:
-                dim = int(second.group())
+                dim = plain_int(second.group())
             except ValueError:
                 raise MatrixParseError(
                     f"bad dimension {second.group()!r}",

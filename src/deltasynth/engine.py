@@ -151,6 +151,14 @@ def classify_pattern(pattern: Sequence[Sequence[int]]) -> CasePattern:
     Raises UnreachablePatternError for anything a unitary cannot produce at
     delta-exponent k > 1.
     """
+    # Every key is a square 0/1 pattern of dimension 2 to 4, so a hit needs
+    # no input checks; a miss or an unhashable entry gets them.
+    try:
+        pat = _shape_table().get(tuple(map(tuple, pattern)))
+    except TypeError:
+        pat = None
+    if pat is not None:
+        return pat
     dim = len(pattern)
     if any(len(row) != dim for row in pattern):
         raise ValueError("pattern must be square")
@@ -158,11 +166,8 @@ def classify_pattern(pattern: Sequence[Sequence[int]]) -> CasePattern:
         raise ValueError("pattern entries must be bits")
     if dim == 1 or dim > 4:
         raise UnsupportedDimError(f"no shapes defined for dimension {dim}")
-    pat = _shape_table().get(tuple(map(tuple, pattern)))
-    if pat is None:
-        raise UnreachablePatternError(
-            f"pattern {pattern!r} does not match any reducible shape")
-    return pat
+    raise UnreachablePatternError(
+        f"pattern {pattern!r} does not match any reducible shape")
 
 
 def _omega_exponent(bits: Bits) -> int:

@@ -65,38 +65,9 @@ class ZOmega:
     def __neg__(self) -> ZOmega:
         return ZOmega(-self.a, -self.b, -self.c, -self.d)
 
-    def _single_term(self) -> tuple[int, int] | None:
-        """(omega power, coefficient) when at most one coefficient is nonzero."""
-        a, b, c, d = self.a, self.b, self.c, self.d
-        if a:
-            if b or c or d:
-                return None
-            return 3, a
-        if b:
-            if c or d:
-                return None
-            return 2, b
-        if c:
-            if d:
-                return None
-            return 1, c
-        return 0, d
-
     def __mul__(self, other: ZOmega) -> ZOmega:
         if not isinstance(other, ZOmega):
             return NotImplemented
-        # Entries of the matrices being synthesized are very often 0 or a
-        # unit +-w^p, so a rotate-and-scale fast path pays for itself.
-        for x, y in ((self, other), (other, self)):
-            single = y._single_term()
-            if single is not None:
-                p, s = single
-                if not s:
-                    return ZOmega(0, 0, 0, 0)
-                z = x.mul_omega_power(p)
-                if s == 1:
-                    return z
-                return ZOmega(z.a * s, z.b * s, z.c * s, z.d * s)
         a1, b1, c1, d1 = self.a, self.b, self.c, self.d
         a2, b2, c2, d2 = other.a, other.b, other.c, other.d
         return ZOmega(

@@ -352,6 +352,18 @@ class TestTextFormat:
         with pytest.raises(CircuitParseError):
             parse_circuit("qubits 2\nCNOT 0 0\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("qubits \uff12\n", "expected: qubits <1|2>"),
+        ("qubits 1\nH 0_0\n", "bad arguments for H"),
+        ("qubits 1\nH \u0660\n", "bad arguments for H"),
+        ("qubits 1\nW \uff17\n", "bad arguments for W"),
+        ("qubits 2\nCNOT 0 \uff11\n", "bad arguments for CNOT"),
+    ])
+    def test_only_plain_integers(self, text, message):
+        """int() also reads Unicode digits and "_" separators."""
+        with pytest.raises(CircuitParseError, match=message):
+            parse_circuit(text)
+
     def test_repeated_invalid_line_reports_first(self):
         for bad in ("T x", "CNOT 1 1", "W 9"):
             with pytest.raises(CircuitParseError) as info:

@@ -29,6 +29,9 @@ GOLDEN = Path(__file__).parent / "data" / "tables_golden.txt"
 IDENTITY_2 = "dim 2\n1 0\n0 1\n"
 H_FILE = "dim 2\n1,0,0,0/1 1,0,0,0/1\n1,0,0,0/1 -1,0,0,0/1\n"
 NOT_UNITARY = "dim 2\n1 1\n0 1\n"
+# int() also reads Unicode digits and "_" separators
+NOT_PLAIN_INTEGERS = ["dim \uff12\n1 0\n0 1\n", "dim 1\n\uff11,0,0,0\n",
+                      "dim 1\n1,0,0,0/\u0663\n", "dim 1\n1_0,0,0,0/1\n"]
 
 
 def run(capsys, *argv):
@@ -83,6 +86,7 @@ class TestParseMatrix:
         "dim 2\n1 0\n",
         "dim 2\n1 0 0\n0 1 0\n",
         "dim 2\n1 0\n0 1\n1 0\n",
+        *NOT_PLAIN_INTEGERS,
     ])
     def test_malformed_files(self, text):
         with pytest.raises(MatrixParseError):
@@ -313,6 +317,24 @@ def test_entry_limits_exit_2(capsys, tmp_path, entry, message):
     assert_one_line_error(result)
     assert message in result[2]
     assert len(result[2]) < 200
+
+
+@pytest.mark.parametrize("matrix, circuit", [
+    *((text, None) for text in NOT_PLAIN_INTEGERS),
+    (IDENTITY_2, "qubits \uff12\n"),
+    (IDENTITY_2, "qubits 1\nH 0_0\n"),
+    (IDENTITY_2, "qubits 1\nH \u0660\n"),
+    (IDENTITY_2, "qubits 1\nW \uff17\n"),
+])
+def test_only_plain_integers_exit_2(capsys, tmp_path, matrix, circuit):
+    matrix_path = tmp_path / "m.txt"
+    matrix_path.write_text(matrix)
+    if circuit is None:
+        assert_one_line_error(run(capsys, "synth", str(matrix_path)))
+        return
+    circuit_path = tmp_path / "c.txt"
+    circuit_path.write_text(circuit)
+    assert_one_line_error(run(capsys, "verify", str(matrix_path), str(circuit_path)))
 
 
 SEED_FILES = [IDENTITY_2.encode(), H_FILE.encode(), NOT_UNITARY.encode(),

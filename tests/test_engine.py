@@ -198,6 +198,12 @@ class TestClassifyPattern:
         with pytest.raises(ValueError):
             classify_pattern([[2, 1], [1, 1]])
 
+    def test_unhashable_entry_rejected(self):
+        with pytest.raises(ValueError, match="pattern entries must be bits"):
+            classify_pattern([[[1], 1], [1, 1]])
+        with pytest.raises(ValueError, match="pattern must be square"):
+            classify_pattern([[[1], 1], [1, 1], [1, 1]])
+
     # The templates, restated here: template rows 0 and 1 (columns for the
     # transposed full_rows) are the lines the reduction mixes first.
     TEMPLATES = {

@@ -51,6 +51,17 @@ class TestZOmega:
             assert x.mul_omega_power(p) == x * OMEGA_POWERS[p % 8]
         check()
 
+    @given(x=zomega, p=st.integers(min_value=0, max_value=7),
+           c=st.sampled_from([0, 10 ** 999 + 7, -(10 ** 999) - 3,
+                              *range(-7, 0), *range(1, 8)]))
+    def test_product_with_scaled_omega_power(self, x, p, c):
+        """x * (c * w^p) rotates x by p and scales every coefficient by c;
+        c = 0 covers the zero operand."""
+        y = ZOmega.from_int(c).mul_omega_power(p)
+        rot = x.mul_omega_power(p)
+        expected = ZOmega(rot.a * c, rot.b * c, rot.c * c, rot.d * c)
+        assert x * y == y * x == expected
+
     @given(x=zomega, y=zomega, z=zomega)
     def test_ring_laws(self, x, y, z):
         assert x + y == y + x
