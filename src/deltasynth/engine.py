@@ -11,10 +11,12 @@ delta^3 (or mod delta^2) and mix them with one two-level Hadamard, which
 divides their sum and difference exactly by sqrt(2).  Congruence mod
 delta^3 strictly drops both lines below k; congruence mod delta^2 hands off
 to a simpler shape at the same k.  Which two lines to mix is read off the
-shape, except for the all-units 4x4 shape: after normalising its first two
-rows, two tables keyed by the third row's phases name the pair.  At most
-four Hadamards later delta divides every numerator, and dividing it out
-lowers k; at k = 0 the matrix is a monomial unpicked by swaps and phases.
+shape, except for the all-units 4x4 shape, which takes the same steps:
+unless rows 0 and 1 are aligned and mixed outright, phases make row 0 and
+the first entries of rows 1 and 2 ones, column swaps sort row 1, and one of
+two tables, keyed by row 2's phases, names the pair.  At most four
+Hadamards later delta divides every numerator, and dividing it out lowers
+k; at k = 0 the matrix is a monomial unpicked by swaps and phases.
 
 Left ops act on rows, right ops on columns; inverting and re-ordering the
 applied ops yields a word whose exact product equals the input.
@@ -320,6 +322,14 @@ def _align_and_mix(ws: _Workspace, a: int, b: int, support: Sequence[int],
     ws.hadamard(a, b, side)
 
 
+def _phase_to_ones(ws: _Workspace, line: Sequence[int | None], support: Sequence[int],
+                   side: str) -> None:
+    """Phase the cross lines in support, on side, so that the line whose unit
+    exponents are given has entries 1 mod delta^3 there."""
+    for c in support:
+        ws.phase(c, -line[c] % 4, side)
+
+
 def _reduce_lines(ws: _Workspace, pat: CasePattern) -> None:
     """Every shape but dense4: align and mix the template's first two lines.
 
@@ -332,10 +342,7 @@ def _reduce_lines(ws: _Workspace, pat: CasePattern) -> None:
     a, b = lines[:2]
     support = cross if pat.tag is CaseTag.FULL_ROWS else cross[:2]
     if pat.tag is CaseTag.SINGLE_BLOCK:
-        # right phases make line b's block entries 1 mod delta^3
-        exps = ws.exps()
-        for c in support:
-            ws.phase(c, -exps[b][c] % 4, "R")
+        _phase_to_ones(ws, ws.exps()[b], support, "R")
     elif pat.tag is CaseTag.BLOCK_AND_ROWS:
         _align(ws, a, b, support, side)
         if ws.congruence(a, b, side) == 2:
@@ -358,75 +365,55 @@ _DENSE4_PAIRS = {
 }
 
 
-def _mix_by_third_row(ws: _Workspace, table: dict, first_rows: tuple[int, int]) -> None:
-    """Mix the pair the table names; first_rows hold the table's rows 0 and 1."""
-    third = tuple(ws.exps()[2][1:])
-    if third not in table:
-        raise ImpossibleBranchError(f"unit triple {third} excluded by unitarity")
-    rows = (*first_rows, 2)
-    a, b = table[third]
-    ws.hadamard(rows[a], rows[b])
-
-
 def _reduce_dense4(ws: _Workspace) -> None:
+    """The all-units 4x4 shape, split by the phase differences of rows 0 and 1."""
     exps = ws.exps()
     diffs = [(exps[1][j] - exps[0][j]) % 4 for j in range(4)]
     split = sorted(diffs.count(v) for v in set(diffs))
     if split == [4]:
         _align_and_mix(ws, 0, 1, range(4))
-    elif split == [1, 1, 1, 1]:
-        _dense4_all_distinct(ws)
-    elif split == [2, 2]:
-        _dense4_two_pairs(ws, diffs)
-    else:
+        return
+    if split == [2, 2]:
+        partner = diffs.index(diffs[0], 1)
+        if partner != 1:
+            ws.apply(x_op(2, partner + 1), "R")
+            exps = ws.exps()
+    elif split != [1, 1, 1, 1]:
         raise ImpossibleBranchError(
             f"row phase differences {diffs} split 3/1, excluded by unitarity")
-
-
-def _dense4_all_distinct(ws: _Workspace) -> None:
+    _phase_to_ones(ws, exps[0], range(4), "R")
+    _phase_to_ones(ws, [row[0] for row in ws.exps()], (1, 2), "L")
     exps = ws.exps()
-    for j in range(4):
-        ws.phase(j, -exps[0][j] % 4, "R")
-    exps = ws.exps()
-    ws.phase(1, -exps[1][0] % 4)
-    exps = ws.exps()
-    # sort the second row to (1, w, w^2, w^3) with column swaps
-    if exps[1][1] != 1:
-        ws.apply(x_op(2, exps[1].index(1) + 1), "R")
-        exps = ws.exps()
-    if exps[1][2] != 2:
-        ws.apply(x_op(3, 4), "R")
-        exps = ws.exps()
-    if exps[1] != [0, 1, 2, 3]:
-        raise ImpossibleBranchError(f"distinct differences failed to sort: {exps[1]}")
-    ws.phase(2, -exps[2][0] % 4)
-    _mix_by_third_row(ws, _DENSE4_DISTINCT, (0, 1))
-
-
-def _dense4_two_pairs(ws: _Workspace, diffs: list[int]) -> None:
-    partner = diffs.index(diffs[0], 1)
-    if partner != 1:
-        ws.apply(x_op(2, partner + 1), "R")
-    exps = ws.exps()
-    for j in range(4):
-        ws.phase(j, -exps[0][j] % 4, "R")
-    exps = ws.exps()
-    ws.phase(1, -exps[1][0] % 4)
-    ws.phase(2, -exps[2][0] % 4)
-    exps = ws.exps()
-    if exps[1][1] != 0 or exps[1][2] != exps[1][3]:
-        raise ImpossibleBranchError(f"pair structure lost: {exps[1]}")
-    gap = exps[1][2]
-    if gap == 2:
-        ws.hadamard(0, 1)
-        return
-    first_rows = (0, 1)
-    if gap == 3:
-        # shift the light columns: row 1 becomes the all-ones row
-        ws.phase(2, 1, "R")
-        ws.phase(3, 1, "R")
-        first_rows = (1, 0)
-    _mix_by_third_row(ws, _DENSE4_PAIRS, first_rows)
+    # the table's rows 0, 1 and 2 as workspace rows
+    rows = (0, 1, 2)
+    if split == [2, 2]:
+        table = _DENSE4_PAIRS
+        if exps[1][1] != 0 or exps[1][2] != exps[1][3]:
+            raise ImpossibleBranchError(f"pair structure lost: {exps[1]}")
+        gap = exps[1][2]
+        if gap == 2:
+            ws.hadamard(0, 1)
+            return
+        if gap == 3:
+            # shift the light columns: row 1 becomes the all-ones row
+            _phase_to_ones(ws, exps[1], (2, 3), "R")
+            rows = (1, 0, 2)
+    else:
+        table = _DENSE4_DISTINCT
+        # sort row 1 to (1, w, w^2, w^3) with column swaps; column 0 stays
+        if exps[1][1] != 1:
+            ws.apply(x_op(2, exps[1].index(1) + 1), "R")
+            exps = ws.exps()
+        if exps[1][2] != 2:
+            ws.apply(x_op(3, 4), "R")
+            exps = ws.exps()
+        if exps[1] != [0, 1, 2, 3]:
+            raise ImpossibleBranchError(f"distinct differences failed to sort: {exps[1]}")
+    third = tuple(ws.exps()[2][1:])
+    if third not in table:
+        raise ImpossibleBranchError(f"unit triple {third} excluded by unitarity")
+    a, b = table[third]
+    ws.hadamard(rows[a], rows[b])
 
 
 def _reduce(ws: _Workspace, pat: CasePattern) -> None:

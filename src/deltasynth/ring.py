@@ -100,12 +100,6 @@ class ZOmega:
         """sqrt(2)-conjugation: sqrt(2) -> -sqrt(2), i fixed, so w -> -w."""
         return ZOmega(-self.a, self.b, -self.c, self.d)
 
-    def norm(self) -> int:
-        """Rational integer norm: the product of all four conjugates."""
-        a, b, c, d = self.a, self.b, self.c, self.d
-        return (a * a + b * b + c * c + d * d) ** 2 \
-            - 2 * (c * d + b * c + a * b - d * a) ** 2
-
     def __pow__(self, n: int) -> ZOmega:
         """self^n for n >= 0, by repeated squaring."""
         if n < 0:
@@ -115,12 +109,6 @@ class ZOmega:
         half = self ** (n >> 1)
         return half * half * self if n & 1 else half * half
 
-    def times_delta(self) -> ZOmega:
-        """Multiply by delta = 1 + w."""
-        rot = self.mul_omega_power(1)
-        return ZOmega(self.a + rot.a, self.b + rot.b,
-                      self.c + rot.c, self.d + rot.d)
-
 
 ZW_ZERO = ZOmega(0, 0, 0, 0)
 ZW_ONE = ZOmega(0, 0, 0, 1)
@@ -129,9 +117,9 @@ ZW_DELTA = ZW_ONE + ZW_OMEGA
 ZW_DELTA2 = ZW_DELTA * ZW_DELTA
 ZW_SQRT2 = ZOmega(-1, 0, 1, 0)  # w - w^3
 TWO_PLUS_SQRT2 = ZOmega(-1, 0, 1, 2)  # conj(delta) * delta
-# 2/delta: times_delta gives exactly 2.
+# 2/delta: delta times it is exactly 2.
 TWO_OVER_DELTA = ZOmega(-1, 1, -1, 1)
-# delta^2 = UNIT_SQRT2 * sqrt(2); UNIT_SQRT2 has norm 1.
+# delta^2 = UNIT_SQRT2 * sqrt(2); its other three conjugates multiply to its inverse.
 UNIT_SQRT2 = ZOmega(0, 1, 1, 1)
 UNIT_SQRT2_INV = UNIT_SQRT2.conj() * UNIT_SQRT2.conj_sq2() \
     * UNIT_SQRT2.conj().conj_sq2()

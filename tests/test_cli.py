@@ -1,10 +1,13 @@
 import io
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from deltasynth.cli import (
     MAX_COEFFICIENT_DIGITS,
@@ -17,12 +20,14 @@ from deltasynth.cli import (
     residue_tables,
 )
 from deltasynth.circuits import parse_circuit
-from deltasynth.errors import MatrixParseError
+from deltasynth.engine import synthesize
+from deltasynth.errors import MatrixParseError, NotUnitaryError
 from deltasynth import linalg
 from deltasynth.linalg import ExactMatrix, is_unitary
 from deltasynth.oracle import InstanceSpec, random_unitary
-from deltasynth.ring import ZW_ONE, ZW_ZERO, ZOmega, from_sqrt2_form
-from helpers import domega
+from deltasynth.ring import (OMEGA_POWERS, ZW_ONE, ZW_SQRT2, ZW_ZERO, ZOmega,
+                             from_sqrt2_form)
+from helpers import domega, random_word_matrix
 
 GOLDEN = Path(__file__).parent / "data" / "tables_golden.txt"
 
@@ -389,6 +394,32 @@ def test_verify_fuzz(tmp_path, matrix, circuit):
         parse_circuit(circuit.decode("utf-8"))  # a mismatch needs a parsed circuit
 
 
+@FUZZ
+@given(dim=st.integers(min_value=1, max_value=4), seed=st.integers(min_value=0),
+       cell=st.integers(min_value=0, max_value=15),
+       change=st.sampled_from(["add", "phase", "sqrt2"]),
+       p=st.integers(min_value=0, max_value=7))
+def test_perturbed_unitary_exits_3(capsys, tmp_path, dim, seed, cell, change, p):
+    u = random_word_matrix(dim, 12, seed)
+    rows = [list(row) for row in u.rows]
+    i, j = divmod(cell % dim ** 2, dim)
+    if change == "add":
+        rows[i][j] += OMEGA_POWERS[p] * ZW_SQRT2 ** u.e
+    elif change == "phase":
+        rows[i][j] = rows[i][j].mul_omega_power(p)
+    else:
+        rows[i][j] *= ZW_SQRT2
+    m = ExactMatrix(rows, u.e)
+    assume(not is_unitary(m))
+    with pytest.raises(NotUnitaryError):
+        synthesize(m)
+    path = tmp_path / "m.txt"
+    path.write_text(render_matrix(m))
+    code, _, err = run(capsys, "synth", str(path))
+    assert code == 3
+    assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_entries_at_the_limits_parse():
     big = "9" * MAX_COEFFICIENT_DIGITS
     m = parse_matrix(f"dim 1\n-{big},{big},0,0/{MAX_SQRT2_EXPONENT}\n")
@@ -474,3 +505,32 @@ class TestTables:
         assert len(basis) == 9
         assert "  w^3    -> 1 + 1*delta + 1*delta^2" in basis
         assert "  1+w    -> 0 + 1*delta + 0*delta^2" in basis
+
+
+class TestProcess:
+    """`python -m deltasynth` in a child process: exit codes and stderr as a
+    shell sees them."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+
+    def run_module(self, *argv):
+        env = {**os.environ, "PYTHONPATH": str(self.SRC)}
+        return subprocess.run([sys.executable, "-m", "deltasynth", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_tables(self):
+        result = self.run_module("tables")
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == GOLDEN.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("text, code", [
+        ("dim 2\n1 0\n0 x\n", 2),
+        ("dim 2\n1 0\n0 2,0,0,0/0\n", 3),
+    ], ids=["malformed", "not_unitary"])
+    def test_synth_error_exits(self, tmp_path, text, code):
+        matrix = tmp_path / "m.txt"
+        matrix.write_text(text)
+        result = self.run_module("synth", str(matrix))
+        assert result.returncode == code
+        assert "Traceback" not in result.stderr
+        assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1

@@ -607,6 +607,26 @@ class TestDenseFourBranches:
         assert ws.right_ops == [omega_op(3, 1), omega_op(4, 1)]
         assert ws.left_ops == [h_op(1, 3)]
 
+    @pytest.mark.parametrize("second", [(0, 1, 2, 3), (0, 0, 1, 1), (0, 0, 3, 3)])
+    def test_every_third_row(self, second):
+        # Of the 64 third rows, 8 are mixed, each with the one of rows 0 and 1
+        # it agrees with mod delta^2 (in the parity of every exponent); the
+        # rest raise.
+        first = (0, 0, 0, 0)
+        mixed = 0
+        for l, m, p in itertools.product(range(4), repeat=3):
+            third = (0, l, m, p)
+            try:
+                ws = run_dense4(forged(first, second, third, (0, 0, 0, 0)))
+            except ImpossibleBranchError:
+                continue
+            mixed += 1
+            partners = [i for i, row in enumerate((first, second))
+                        if all((x - y) % 2 == 0 for x, y in zip(row, third))]
+            assert len(partners) == 1, third
+            assert ws.left_ops == [h_op(partners[0] + 1, 3)], third
+        assert mixed == 8
+
 
 class TestBlockAndRowsBranches:
     def test_congruent_light_rows_drop(self):
