@@ -21,15 +21,13 @@ Circuits are simulated exactly on linalg's matrix form, Z[w] numerators N
 over one least power of sqrt(2), the unitary being N / sqrt(2)^e.  X, CNOT,
 the phases and W only permute rows and multiply them by powers of w, so they
 are composed on the basis labels as (source row, phase) and touch no row.  H
-raises e by one and replaces every amplitude pair by its sum and difference.
-A source row is live while it is not zero.  Two live rows are mixed, after
-turning one by their phase difference; one live row is copied to both
-outputs, the lower one turned by w^4 when the zero row was on top; two zero
-rows stay as they are.  `least` lowers e over the live rows once per batch
-of Hs and again at the end; the labels meet the rows once, at the end.
-With a borrowed ancilla only the ancilla-|0> input columns are simulated;
-the rest of the unitary does not bear on the data block or on the ancilla's
-return to zero.
+raises e by one and replaces every amplitude pair by its sum and difference:
+the two source rows its labels name are mixed after turning one by their
+phase difference.  A zero row is mixed like any other, since an ancilla-free
+fold has no zero row.  `least` lowers e once per batch of Hs and again at
+the end; the labels meet the rows once, at the end.  With a borrowed
+ancilla only the ancilla-|0> input columns are simulated; the rest of the
+unitary does not bear on the data block or on the ancilla's return to zero.
 
 Every gate template is compared as (N, e), on all columns, with the
 elementary-operator word it implements, once, the first time a circuit is
@@ -126,9 +124,9 @@ def _wire_mask(wire: int, n_wires: int) -> int:
 
 # H gates between two passes of `least`; each raises e by one, so numerators
 # bounded by sqrt(2)^e gain half a bit per H at most.  Simulating the emitted
-# `deep` circuits of seeds 1 / 2 took 0.31 / 0.46 CPU s at 1, 0.22 / 0.34 at
-# 4, 0.20 / 0.30 at 8, 0.17 / 0.30 at 16, 0.17 / 0.24 at 32 and 0.17 / 0.27
-# at 64 (medians of 7).
+# `deep` circuits of seeds 1 / 2, none of which borrows the ancilla, took
+# 0.27 / 0.25 CPU s at 1, 0.19 / 0.18 at 4, 0.18 / 0.16 at 8, 0.16 / 0.15 at
+# 16, 0.16 / 0.15 at 32 and 0.16 / 0.14 at 64 (medians of 7).
 _LEAST_EVERY = 16
 
 
@@ -138,14 +136,11 @@ def _fold(gates: Iterable[Gate], rows: Sequence[Sequence[ZOmega]], e: int,
     least when it was least before; rows itself is not changed.  Basis state
     i holds w^p times working row s, kept as the label p * 2^n_wires + s;
     only H changes the working rows, and the labels meet them at the end.
-    H mixes live (non-zero) rows only; a lone live row is copied, sharing its
-    list, as no row is changed in place.  `least` runs on the live rows after
-    every _LEAST_EVERY Hs and once more at the end."""
+    `least` runs after every _LEAST_EVERY Hs and once more at the end."""
     size = 1 << n_wires
     mask = size - 1
     labels = list(range(size))
     rows = list(rows)
-    live = [any(row) for row in rows]
     pending = 0
     for gate in gates:
         name = gate.name
@@ -157,25 +152,15 @@ def _fold(gates: Iterable[Gate], rows: Sequence[Sequence[ZOmega]], e: int,
                 if not i & target:
                     j = i | target
                     top, bot = labels[i] & mask, labels[j] & mask
-                    if live[top] and live[bot]:
-                        turn = ((labels[j] >> n_wires) - (labels[i] >> n_wires)) & 7
-                        if turn:
-                            row_surgery(rows, "omega", bot, power=turn)
-                        row_surgery(rows, "H", top, bot)
-                        live[top], live[bot] = any(rows[top]), any(rows[bot])
-                        labels[j] = labels[i] - top + bot
-                    elif live[top]:
-                        # (w^p x, 0) goes to (w^p x, w^p x)
-                        rows[bot], live[bot] = rows[top], True
-                        labels[j] = labels[i] - top + bot
-                    elif live[bot]:
-                        # (0, w^q y) goes to (w^q y, w^(q+4) y)
-                        rows[top], live[top] = rows[bot], True
-                        labels[i] = labels[j] - bot + top
-                        labels[j] += 4 * size
+                    turn = ((labels[j] >> n_wires) - (labels[i] >> n_wires)) & 7
+                    if turn:
+                        row_surgery(rows, "omega", bot, power=turn)
+                    row_surgery(rows, "H", top, bot)
+                    labels[j] = labels[i] - top + bot
             e, pending = e + 1, pending + 1
             if pending == _LEAST_EVERY:
-                e, pending = _least_live(rows, live, e), 0
+                rows, e = least(rows, e)
+                pending = 0
         elif name == "W":
             labels = [label + gate.power * size for label in labels]
         elif name in _DIAG_POWER:
@@ -188,18 +173,9 @@ def _fold(gates: Iterable[Gate], rows: Sequence[Sequence[ZOmega]], e: int,
             labels = [labels[i ^ target] if i & control == control else labels[i]
                       for i in range(size)]
     if pending:
-        e = _least_live(rows, live, e)
+        rows, e = least(rows, e)
     return [[z.mul_omega_power(label >> n_wires) for z in rows[label & mask]]
             for label in labels], e
-
-
-def _least_live(rows: list, live: list[bool], e: int) -> int:
-    """`least` over the live rows, written back; zero rows divide by anything."""
-    which = [r for r, flag in enumerate(live) if flag]
-    lowered, e = least([rows[r] for r in which], e)
-    for r, row in zip(which, lowered):
-        rows[r] = row
-    return e
 
 
 def apply_gate(gate: Gate, rows: Sequence[Sequence[ZOmega]], e: int,

@@ -379,8 +379,9 @@ def _reduce_dense4(ws: _Workspace) -> None:
             ws.apply(x_op(2, partner + 1), "R")
             exps = ws.exps()
     elif split != [1, 1, 1, 1]:
+        found = "/".join(map(str, reversed(split)))
         raise ImpossibleBranchError(
-            f"row phase differences {diffs} split 3/1, excluded by unitarity")
+            f"row phase differences {diffs} split {found}, excluded by unitarity")
     _phase_to_ones(ws, exps[0], range(4), "R")
     _phase_to_ones(ws, [row[0] for row in ws.exps()], (1, 2), "L")
     exps = ws.exps()

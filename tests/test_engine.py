@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from deltasynth.engine import (
     CaseTag,
+    MAX_HADAMARDS_PER_ROUND,
     MONOMIAL_WORD_MAX,
     _Workspace,
     _div_sqrt2,
@@ -21,6 +22,7 @@ from deltasynth.engine import (
 from deltasynth.errors import (
     ExponentOneError,
     ImpossibleBranchError,
+    InvariantError,
     NonMonomialError,
     NotUnitaryError,
     PhaseAlignmentError,
@@ -41,6 +43,7 @@ from deltasynth.linalg import (
     x_op,
 )
 import deltasynth.engine
+from deltasynth.oracle import InstanceSpec, random_unitary
 from deltasynth.ring import (
     D_ONE,
     D_ZERO,
@@ -352,6 +355,40 @@ class TestReductionRound:
             done += 1
         assert done > 20
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_non_unitary_input_raises_only_invariant_errors(self, data):
+        """Reduction of any matrix ends in an InvariantError or completes, and
+        completes only on a unitary: every round it returns lowers k within
+        the Hadamard budget."""
+        def small(bound):
+            return st.builds(ZOmega, *[st.integers(min_value=-bound, max_value=bound)] * 4)
+
+        if data.draw(st.booleans()):
+            dim = data.draw(st.integers(min_value=2, max_value=4))
+            rows = data.draw(st.lists(st.lists(small(3), min_size=dim, max_size=dim),
+                                      min_size=dim, max_size=dim))
+            m = ExactMatrix(rows, data.draw(st.integers(min_value=0, max_value=6)))
+        else:
+            u = random_unitary(InstanceSpec(data.draw(st.sampled_from((1, 2))),
+                                            data.draw(st.integers(min_value=0, max_value=40)),
+                                            data.draw(st.integers(min_value=0, max_value=999))))
+            rows = [list(row) for row in u.rows]
+            index = st.integers(min_value=0, max_value=u.dim - 1)
+            r, c = data.draw(st.tuples(index, index))
+            rows[r][c] += data.draw(small(1))
+            m = ExactMatrix(rows, u.e)
+        ws = _Workspace(m)
+        try:
+            while ws.k:
+                rnd = reduction_round(ws)
+                assert rnd.k_after < rnd.k_before
+                assert rnd.hadamard_count <= MAX_HADAMARDS_PER_ROUND
+            solve_monomial(ws)
+        except InvariantError:
+            return
+        assert is_unitary(m)
+
 
 class TestExactMix:
     @given(st.builds(ZOmega, *[st.integers(min_value=-50, max_value=50)] * 4))
@@ -516,9 +553,12 @@ class TestDenseFourBranches:
         assert ws.left_ops == [omega_op(1, 1), h_op(1, 2)]
         assert ws.right_ops == []
 
-    def test_three_one_split_rejected(self):
-        with pytest.raises(ImpossibleBranchError):
-            run_dense4(forged((0, 0, 0, 0), (0, 0, 0, 1),
+    @pytest.mark.parametrize("second,split", [((0, 0, 0, 1), "3/1"),
+                                              ((0, 0, 1, 2), "2/1/1")],
+                             ids=["3/1", "2/1/1"])
+    def test_three_one_split_rejected(self, second, split):
+        with pytest.raises(ImpossibleBranchError, match=f"split {split},"):
+            run_dense4(forged((0, 0, 0, 0), second,
                               (0, 0, 0, 0), (0, 0, 0, 0)))
 
     def test_distinct_ascending(self):

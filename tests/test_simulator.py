@@ -204,8 +204,8 @@ def test_live_rows_match_reference(circuit):
 @settings(max_examples=50, deadline=None)
 @given(circuit=st.one_of(circuits(), block_circuits()))
 def test_fold_changes_no_row(circuit):
-    """No row is changed in place, so working rows may share one list: rows
-    given as tuples fold to what the same rows given as lists fold to."""
+    """No row is changed in place: rows given as tuples fold to what the
+    same rows given as lists fold to."""
     n_wires = circuit.wire_count
     size = 1 << n_wires
     cols = range(0, size, 2) if circuit.uses_ancilla else range(size)
@@ -215,13 +215,12 @@ def test_fold_changes_no_row(circuit):
 
 
 def test_least_sees_live_rows_of_bounded_size(monkeypatch):
-    """`least` gets only live rows, after every _LEAST_EVERY Hs at most, so
-    the numerators stay within half a batch of bits of their least size and
-    a long circuit costs linear time."""
+    """`least` runs after every _LEAST_EVERY Hs at most, so the numerators
+    stay within half a batch of bits of their least size and a long circuit
+    costs linear time."""
     bits = []
 
     def spy(rows, e):
-        assert all(any(row) for row in rows)
         bits.append(max(abs(c).bit_length() for row in rows for z in row
                         for c in (z.a, z.b, z.c, z.d)))
         return least(rows, e)
