@@ -178,12 +178,6 @@ def _fold(gates: Iterable[Gate], rows: Sequence[Sequence[ZOmega]], e: int,
             for label in labels], e
 
 
-def apply_gate(gate: Gate, rows: Sequence[Sequence[ZOmega]], e: int,
-               n_wires: int) -> tuple[list, int]:
-    """gate @ (N / sqrt(2)^e) as a new (N, e): the one-gate fold."""
-    return _fold((gate,), rows, e, n_wires)
-
-
 def _simulate(gates: Iterable[Gate], n_wires: int,
               cols: Sequence[int] | None = None) -> tuple[list[list[ZOmega]], int]:
     """(N, e) with N / sqrt(2)^e the circuit's unitary on the input columns

@@ -5,14 +5,18 @@ sqrt(2)^m per entry, which is how such matrices are usually stated; on load
 every entry is brought to the largest m, which the matrix then lowers while
 it can, and each printed entry is written over its own least m.  Circuit
 files are the text format of the circuits module, so everything this tool
-writes it can also read back and re-check.
+writes it can also read back and re-check.  `gen` and `bench` draw their
+instances as seeded Clifford+T gate words, so each exact unitary is in range
+of the reduction by construction.
 """
 
 from __future__ import annotations
 
 import argparse
+import random
 import re
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -37,7 +41,6 @@ from .errors import (
     VerificationError,
 )
 from .linalg import ExactMatrix, is_unitary
-from .oracle import InstanceSpec, draw_circuit
 from .ring import (
     OMEGA_POWERS,
     ZOmega,
@@ -230,6 +233,56 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+ONE_QUBIT_POOL = (
+    Gate("H", (0,)),
+    Gate("S", (0,)),
+    Gate("T", (0,)),
+    Gate("W", (), 1),
+)
+
+TWO_QUBIT_POOL = (
+    Gate("H", (0,)),
+    Gate("H", (1,)),
+    Gate("S", (0,)),
+    Gate("S", (1,)),
+    Gate("T", (0,)),
+    Gate("T", (1,)),
+    Gate("CNOT", (0, 1)),
+    Gate("CNOT", (1, 0)),
+    Gate("W", (), 1),
+)
+
+
+@dataclass(frozen=True)
+class InstanceSpec:
+    """Reproducible recipe for one random unitary."""
+
+    qubits: int
+    gate_budget: int
+    seed: int
+
+    def __post_init__(self) -> None:
+        if self.qubits not in (1, 2):
+            raise ValueError("instances cover 1 or 2 qubits")
+        if self.gate_budget < 0:
+            raise ValueError("gate budget must be non-negative")
+
+
+def gate_pool(qubits: int) -> tuple[Gate, ...]:
+    return ONE_QUBIT_POOL if qubits == 1 else TWO_QUBIT_POOL
+
+
+def draw_circuit(spec: InstanceSpec) -> Circuit:
+    rng = random.Random(spec.seed * 1000003 + spec.gate_budget * 101 + spec.qubits)
+    pool = gate_pool(spec.qubits)
+    gates = tuple(rng.choice(pool) for _ in range(spec.gate_budget))
+    return Circuit(spec.qubits, False, gates)
+
+
+def random_unitary(spec: InstanceSpec) -> ExactMatrix:
+    return circuit_to_matrix(draw_circuit(spec))
+
+
 def cmd_gen(args: argparse.Namespace) -> int:
     spec = InstanceSpec(args.qubits, args.budget, args.seed)
     circuit = draw_circuit(spec)
@@ -282,8 +335,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         ks, words, gates, tees = [], [], [], []
         for trial in range(args.trials):
             spec = InstanceSpec(args.qubits, budget, args.seed + trial)
-            matrix = circuit_to_matrix(draw_circuit(spec))
-            dec = synthesize(matrix)
+            dec = synthesize(random_unitary(spec))
             counts = gate_counts(emit(dec.word, dim))
             ks.append(dec.source_k)
             words.append(len(dec.word))
@@ -337,7 +389,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
 
 def _budget_list(text: str) -> list[int]:
     try:
-        budgets = [int(part) for part in text.split(",")]
+        budgets = [plain_int(part) for part in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad budget list {text!r}") from None
     if not budgets or any(b < 0 for b in budgets):
@@ -347,7 +399,7 @@ def _budget_list(text: str) -> list[int]:
 
 def _nonneg(text: str) -> int:
     try:
-        value = int(text)
+        value = plain_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad integer {text!r}") from None
     if value < 0:
@@ -380,19 +432,19 @@ def build_parser() -> argparse.ArgumentParser:
     synth.set_defaults(func=cmd_synth)
 
     gen = sub.add_parser("gen", help="generate a random unitary matrix file")
-    gen.add_argument("--qubits", type=int, choices=(1, 2), required=True)
+    gen.add_argument("--qubits", type=plain_int, choices=(1, 2), required=True)
     gen.add_argument("--budget", type=_nonneg, required=True,
                      help="number of gates in the generating word")
-    gen.add_argument("--seed", type=int, required=True)
+    gen.add_argument("--seed", type=plain_int, required=True)
     gen.add_argument("--out", help="write the matrix here instead of stdout")
     gen.set_defaults(func=cmd_gen)
 
     bench = sub.add_parser("bench", help="gate-count scaling over random instances")
-    bench.add_argument("--qubits", type=int, choices=(1, 2), default=2)
+    bench.add_argument("--qubits", type=plain_int, choices=(1, 2), default=2)
     bench.add_argument("--budgets", type=_budget_list, default=[10, 20, 40],
                        help="comma-separated gate budgets")
     bench.add_argument("--trials", type=_positive, default=10)
-    bench.add_argument("--seed", type=int, required=True)
+    bench.add_argument("--seed", type=plain_int, required=True)
     bench.set_defaults(func=cmd_bench)
 
     tables = sub.add_parser("tables", help="print the residue tables")

@@ -58,8 +58,6 @@ from .ring import (OMEGA_POWERS, TWO_PLUS_SQRT2, UNIT_SQRT2, Bits, ZOmega,
                    divide_by_delta, divide_by_sqrt2, residue_bits)
 
 MAX_HADAMARDS_PER_ROUND = 4
-# monomial cleanup needs at most dim-1 swaps and dim phases
-MONOMIAL_WORD_MAX = {1: 1, 2: 3, 3: 5, 4: 7}
 
 
 class CaseTag(str, Enum):

@@ -10,9 +10,8 @@ Z[w], and `residue_matrix` reads residue bits off numerators.  Elementary
 operators (a phase w^p on one basis vector, or a Hadamard-type or swap-type
 mixing of two basis vectors) are what the synthesis engine emits.
 
-Words, circuits and the oracle's searches change (N, e) with one
-row-surgery kernel and keep e least with `least`.  `mat_mul` and `adjoint`
-are the tests' reference.
+Words and circuits change (N, e) with one row-surgery kernel and keep e
+least with `least`.
 """
 
 from __future__ import annotations
@@ -66,18 +65,6 @@ class ExactMatrix:
 
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows!r}, {self.e})"
-
-
-def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    cols = list(zip(*b.rows))
-    return ExactMatrix(([sum((x * y for x, y in zip(row, col)), ZW_ZERO) for col in cols]
-                        for row in a.rows), a.e + b.e)
-
-
-def adjoint(m: ExactMatrix) -> ExactMatrix:
-    return ExactMatrix(([z.conj() for z in col] for col in zip(*m.rows)), m.e)
 
 
 def delta_exponent(m: ExactMatrix) -> int:

@@ -11,8 +11,8 @@ delta^3, read off the coefficients) drive its case analysis.
 The package holds D[w] values as Z[w] numerators over a power of sqrt(2);
 `from_sqrt2_form` and `to_sqrt2_form` convert one numerator to and from the
 (a + b*sqrt(2) + i*(c + d*sqrt(2))) / sqrt(2)^m form of matrix files.
-`DOmega`, one value as num / delta^k, is the tests' independent reference
-and has no caller in the package.
+`DOmega`, one value as num / delta^k, is the tests' reference and has no
+caller in the package; tests/helpers.py holds its constants.
 
 Everything here is exact: coefficients are arbitrary-precision ints and
 nothing is ever rounded.
@@ -114,15 +114,10 @@ ZW_ZERO = ZOmega(0, 0, 0, 0)
 ZW_ONE = ZOmega(0, 0, 0, 1)
 ZW_OMEGA = ZOmega(0, 0, 1, 0)
 ZW_DELTA = ZW_ONE + ZW_OMEGA
-ZW_DELTA2 = ZW_DELTA * ZW_DELTA
 ZW_SQRT2 = ZOmega(-1, 0, 1, 0)  # w - w^3
 TWO_PLUS_SQRT2 = ZOmega(-1, 0, 1, 2)  # conj(delta) * delta
-# 2/delta: delta times it is exactly 2.
-TWO_OVER_DELTA = ZOmega(-1, 1, -1, 1)
-# delta^2 = UNIT_SQRT2 * sqrt(2); its other three conjugates multiply to its inverse.
+# delta^2 = UNIT_SQRT2 * sqrt(2)
 UNIT_SQRT2 = ZOmega(0, 1, 1, 1)
-UNIT_SQRT2_INV = UNIT_SQRT2.conj() * UNIT_SQRT2.conj_sq2() \
-    * UNIT_SQRT2.conj().conj_sq2()
 
 OMEGA_POWERS = tuple(ZW_ONE.mul_omega_power(p) for p in range(8))
 
@@ -238,12 +233,6 @@ class DOmega:
         # conj(delta) = 1 + w^-1 = w^-1 * delta, so the denominator
         # contributes a factor w^k to the numerator.
         return DOmega(self.num.conj().mul_omega_power(self.k), self.k)
-
-
-D_ZERO = DOmega(ZW_ZERO, 0)
-D_ONE = DOmega(ZW_ONE, 0)
-# 1/sqrt(2) = UNIT_SQRT2 / delta^2.
-D_INV_SQRT2 = DOmega(UNIT_SQRT2, 2)
 
 
 def from_sqrt2_form(a: int, b: int, c: int, d: int) -> ZOmega:

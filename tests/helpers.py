@@ -1,11 +1,35 @@
-"""Shared fixtures for exercising the exact-matrix layer."""
+"""Shared fixtures and the tests' independent reference.
+
+The package computes with Z[w] numerators over a power of sqrt(2); the
+tests check it against D[w] values (`DOmega` and the constants below), the
+plain matrix product and adjoint, and two exhaustive searches.  Both
+searches key their frontiers by exact products: everything the generators
+reach in a few steps must round-trip.
+"""
 
 import random
+from typing import Sequence
 
-from deltasynth.linalg import ExactMatrix, word_matrix
-from deltasynth.oracle import op_alphabet as alphabet
-from deltasynth.ring import (D_INV_SQRT2, D_ONE, D_ZERO, UNIT_SQRT2, UNIT_SQRT2_INV,
-                             DOmega, ZW_OMEGA)
+from deltasynth.circuits import Gate, _fold
+from deltasynth.cli import gate_pool
+from deltasynth.linalg import (ElementaryOp, ExactMatrix, apply_elementary, h_op, omega_op,
+                               word_matrix, x_op)
+from deltasynth.ring import UNIT_SQRT2, ZW_DELTA, ZW_ONE, ZW_OMEGA, ZW_ZERO, DOmega, ZOmega
+
+ZW_DELTA2 = ZW_DELTA * ZW_DELTA
+# 2/delta: delta times it is exactly 2.
+TWO_OVER_DELTA = ZOmega(-1, 1, -1, 1)
+# delta^2 = UNIT_SQRT2 * sqrt(2); its other three conjugates multiply to its inverse.
+UNIT_SQRT2_INV = UNIT_SQRT2.conj() * UNIT_SQRT2.conj_sq2() \
+    * UNIT_SQRT2.conj().conj_sq2()
+
+D_ZERO = DOmega(ZW_ZERO, 0)
+D_ONE = DOmega(ZW_ONE, 0)
+# 1/sqrt(2) = UNIT_SQRT2 / delta^2.
+D_INV_SQRT2 = DOmega(UNIT_SQRT2, 2)
+
+# monomial cleanup needs at most dim-1 swaps and dim phases
+MONOMIAL_WORD_MAX = {1: 1, 2: 3, 3: 5, 4: 7}
 
 
 def domega(z, e):
@@ -31,6 +55,18 @@ def scaled(m, k):
     return [[domega(z, m.e).lift_to(k) for z in row] for row in m.rows]
 
 
+def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    cols = list(zip(*b.rows))
+    return ExactMatrix(([sum((x * y for x, y in zip(row, col)), ZW_ZERO) for col in cols]
+                        for row in a.rows), a.e + b.e)
+
+
+def adjoint(m: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(([z.conj() for z in col] for col in zip(*m.rows)), m.e)
+
+
 H_EXACT = exact([
     [D_INV_SQRT2, D_INV_SQRT2],
     [D_INV_SQRT2, -D_INV_SQRT2],
@@ -41,8 +77,68 @@ T_EXACT = exact([
 ])
 
 
+def op_alphabet(dim: int) -> list[ElementaryOp]:
+    """Every elementary operator on the given dimension."""
+    ops = [omega_op(j, p) for j in range(1, dim + 1) for p in range(1, 8)]
+    for j in range(1, dim + 1):
+        for m in range(j + 1, dim + 1):
+            ops.append(h_op(j, m))
+            ops.append(x_op(j, m))
+    return ops
+
+
+def enumerate_words(dim: int, max_len: int) -> dict[ExactMatrix, tuple[ElementaryOp, ...]]:
+    """All products of at most max_len elementary operators, with a shortest
+    left-to-right word for each.  Grows fast; intended for max_len <= 3."""
+    ops = op_alphabet(dim)
+    found = {ExactMatrix.identity(dim): ()}
+    frontier = dict(found)
+    for _ in range(max_len):
+        fresh = {}
+        for m, word in frontier.items():
+            for op in ops:
+                grown = ExactMatrix(*apply_elementary(op, m.rows, m.e))
+                if grown not in found and grown not in fresh:
+                    fresh[grown] = (op, *word)
+        found.update(fresh)
+        frontier = fresh
+    return found
+
+
+def search_gate_word(target: ExactMatrix, max_len: int,
+                     pool: Sequence[Gate] | None = None) -> tuple[Gate, ...] | None:
+    """Shortest gate word (in application order) whose circuit equals target.
+
+    Breadth-first over the pool, deduplicating by exact product; None when no
+    word of length at most max_len reaches the target.
+    """
+    if target.dim not in (2, 4):
+        raise ValueError("search covers 1- or 2-qubit targets")
+    qubits = 1 if target.dim == 2 else 2
+    if pool is None:
+        pool = gate_pool(qubits)
+    identity = ExactMatrix.identity(target.dim)
+    if target == identity:
+        return ()
+    seen = {identity}
+    frontier = {identity: ()}
+    for _ in range(max_len):
+        fresh = {}
+        for m, word in frontier.items():
+            for gate in pool:
+                grown = ExactMatrix(*_fold((gate,), m.rows, m.e, qubits))
+                if grown in seen:
+                    continue
+                seen.add(grown)
+                if grown == target:
+                    return (*word, gate)
+                fresh[grown] = (*word, gate)
+        frontier = fresh
+    return None
+
+
 def random_word(dim, length, rng):
-    ops = alphabet(dim)
+    ops = op_alphabet(dim)
     return [rng.choice(ops) for _ in range(length)]
 
 

@@ -9,6 +9,7 @@ word <= 6.17*k + 7 and gates <= 148.5*k + 182, and no monomial word exceeded
 """
 
 import ast
+import collections
 import hashlib
 import math
 import time
@@ -20,12 +21,11 @@ import pytest
 import deltasynth
 from deltasynth.circuits import (circuit_to_matrix, emit, gate_counts, render_circuit,
                                  verify_templates)
-from deltasynth.cli import residue_tables
-from deltasynth.engine import MONOMIAL_WORD_MAX, synthesize, verify_decomposition
+from deltasynth.cli import InstanceSpec, random_unitary, residue_tables
+from deltasynth.engine import synthesize, verify_decomposition
 from deltasynth.linalg import ExactMatrix, delta_exponent, residue_matrix, word_matrix
-from deltasynth.oracle import InstanceSpec, enumerate_words, random_unitary
-from deltasynth.ring import D_ZERO, DOmega, OMEGA_POWERS
-from helpers import exact, scaled
+from deltasynth.ring import DOmega, OMEGA_POWERS
+from helpers import D_ZERO, MONOMIAL_WORD_MAX, enumerate_words, exact, scaled
 
 WORD_SLOPE = 8
 WORD_OFFSET = 7
@@ -268,6 +268,49 @@ def test_no_floating_point_in_package():
                 offences.append(f"{path.name}:{node.lineno}: true division")
     assert offences == []
     print(f"no floating point in {len(modules)} modules")
+
+
+# Names no other top-level statement of the package uses and __all__ does
+# not export, with the reason each stays in the package
+UNUSED_BUT_KEPT = {
+    "DOmega": "benchmark/tracing.py's RingCounter counts its arithmetic;"
+              " moves to the tests with ROADMAP item 1",
+    "delta_exponent": "benchmark/tracing.py times it by name;"
+                      " moves to the tests with ROADMAP item 1",
+}
+
+
+def test_no_dead_names_in_package():
+    """Every top-level function, class and constant of the package is loaded,
+    as a name or an attribute, by another top-level statement of some module
+    of the package, or is exported by __all__.  What only the tests use
+    lives in tests/helpers.py."""
+    defined = []
+    users = collections.defaultdict(set)
+    modules = sorted(Path(deltasynth.__file__).parent.glob("*.py"))
+    for path in modules:
+        for index, stmt in enumerate(ast.parse(path.read_text(encoding="utf-8")).body):
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((stmt.name, path.name, index, stmt.lineno))
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined += [(node.id, path.name, index, stmt.lineno) for target in targets
+                            for node in ast.walk(target) if isinstance(node, ast.Name)]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    users[node.id].add((path.name, index))
+                elif isinstance(node, ast.Attribute):
+                    users[node.attr].add((path.name, index))
+    dead = {name: f"{module}:{line}" for name, module, index, line in defined
+            if not users[name] - {(module, index)}
+            and name not in deltasynth.__all__ and name != "__all__"}
+    offences = [f"{where}: {name}" for name, where in sorted(dead.items())
+                if name not in UNUSED_BUT_KEPT]
+    assert offences == []
+    # a kept name that gains a caller, or leaves, leaves the allowlist too
+    assert sorted(dead) == sorted(UNUSED_BUT_KEPT)
+    print(f"{len(defined)} top-level names in {len(modules)} modules,"
+          f" {len(dead)} kept unused")
 
 
 def test_d_omega_only_in_ring():

@@ -29,8 +29,8 @@ from deltasynth.errors import (
 )
 from deltasynth.engine import synthesize
 from deltasynth.linalg import h_op, omega_op, word_matrix, x_op
-from deltasynth.oracle import random_unitary
-from helpers import alphabet, random_word
+from deltasynth.cli import random_unitary
+from helpers import op_alphabet as alphabet, random_word
 from test_acceptance import corpus_specs
 
 

@@ -12,10 +12,12 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from deltasynth.cli import (
     MAX_COEFFICIENT_DIGITS,
     MAX_SQRT2_EXPONENT,
+    InstanceSpec,
     _stats,
     format_entry,
     main,
     parse_matrix,
+    random_unitary,
     render_matrix,
     residue_tables,
 )
@@ -24,7 +26,6 @@ from deltasynth.engine import synthesize
 from deltasynth.errors import MatrixParseError, NotUnitaryError
 from deltasynth import linalg
 from deltasynth.linalg import ExactMatrix, is_unitary
-from deltasynth.oracle import InstanceSpec, random_unitary
 from deltasynth.ring import (OMEGA_POWERS, ZW_ONE, ZW_SQRT2, ZW_ZERO, ZOmega,
                              from_sqrt2_form)
 from helpers import domega, random_word_matrix
@@ -340,6 +341,35 @@ def test_only_plain_integers_exit_2(capsys, tmp_path, matrix, circuit):
     circuit_path = tmp_path / "c.txt"
     circuit_path.write_text(circuit)
     assert_one_line_error(run(capsys, "verify", str(matrix_path), str(circuit_path)))
+
+
+# gen and bench options, each given a value int() reads but plain_int rejects
+OPTION_DEFAULTS = {
+    "gen": {"--qubits": "1", "--budget": "5", "--seed": "0"},
+    "bench": {"--qubits": "1", "--budgets": "5", "--trials": "1", "--seed": "0"},
+}
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("gen", "--qubits", "\uff12"),
+    ("gen", "--budget", "1_0"),
+    ("bench", "--budgets", "1_0,\uff12"),
+    ("bench", "--trials", "\uff13"),
+    ("gen", "--seed", "\u0663"),
+    ("bench", "--seed", "1_0"),
+])
+def test_options_take_only_plain_integers(capsys, command, option, value):
+    options = {**OPTION_DEFAULTS[command], option: value}
+    with pytest.raises(SystemExit) as exc:
+        main([command, *(part for item in options.items() for part in item)])
+    assert exc.value.code == 2
+    assert f"argument {option}:" in capsys.readouterr().err
+
+
+def test_negative_seed_accepted(capsys):
+    code, out, _ = run(capsys, "gen", "--qubits", "1", "--budget", "3", "--seed", "-3")
+    assert code == 0
+    assert "seed=-3" in out
 
 
 SEED_FILES = [IDENTITY_2.encode(), H_FILE.encode(), NOT_UNITARY.encode(),

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from deltasynth.engine import (
     CaseTag,
     MAX_HADAMARDS_PER_ROUND,
-    MONOMIAL_WORD_MAX,
     _Workspace,
     _div_sqrt2,
     _reduce,
@@ -32,32 +31,29 @@ from deltasynth.errors import (
 )
 from deltasynth.linalg import (
     ExactMatrix,
-    adjoint,
     delta_exponent,
     h_op,
     invert_elementary,
     is_unitary,
-    mat_mul,
     omega_op,
     word_matrix,
     x_op,
 )
 import deltasynth.engine
-from deltasynth.oracle import InstanceSpec, random_unitary
+from deltasynth.cli import InstanceSpec, random_unitary
 from deltasynth.ring import (
-    D_ONE,
-    D_ZERO,
     DOmega,
     OMEGA_POWERS,
     UNIT_SQRT2,
     ZOmega,
     ZW_DELTA,
-    ZW_DELTA2,
     ZW_ONE,
     ZW_SQRT2,
+    ZW_ZERO,
     residue_bits,
 )
-from helpers import H_EXACT, T_EXACT, alphabet, exact, random_word_matrix
+from helpers import (D_ONE, D_ZERO, H_EXACT, MONOMIAL_WORD_MAX, T_EXACT, ZW_DELTA2, adjoint,
+                     exact, mat_mul, op_alphabet as alphabet, random_word_matrix)
 
 
 def unit_class(power):
@@ -245,6 +241,57 @@ class TestClassifyPattern:
             ("double_block", False): 18,
         }
         assert sum(counts.values()) == 113
+
+
+def residue_index(z):
+    """z's class mod delta^3 as 0..7; bit 0 is set exactly for units."""
+    b0, b1, b2 = residue_bits(z)
+    return b0 | b1 << 1 | b2 << 2
+
+
+# one representative per class mod delta^3, in the basis {1, delta, delta^2}
+RESIDUE_REPS = [sum((b for i, b in enumerate((ZW_ONE, ZW_DELTA, ZW_DELTA2)) if c >> i & 1),
+                    ZW_ZERO) for c in range(8)]
+TIMES_CONJ = [[residue_index(x * y.conj()) for y in RESIDUE_REPS] for x in RESIDUE_REPS]
+PLUS = [[residue_index(x + y) for y in RESIDUE_REPS] for x in RESIDUE_REPS]
+
+
+def residue_inner(u, v):
+    """The sum of u_i * conj(v_i), as a class mod delta^3."""
+    acc = 0
+    for x, y in zip(u, v):
+        acc = PLUS[acc][TIMES_CONJ[x][y]]
+    return acc
+
+
+def residue_unitaries(dim):
+    """The self-orthogonal rows, and every matrix of them with a unit entry
+    whose rows and columns are pairwise orthogonal mod delta^3.  Rows are
+    chosen one at a time, each orthogonal to those already chosen."""
+    rows = [r for r in itertools.product(range(8), repeat=dim) if residue_inner(r, r) == 0]
+    orthogonal = {(r, s) for r in rows for s in rows if residue_inner(r, s) == 0}
+    matrices = [()]
+    for _ in range(dim):
+        matrices = [(*m, r) for m in matrices for r in rows
+                    if all((r, s) in orthogonal for s in m)]
+    return rows, [m for m in matrices if any(x & 1 for row in m for x in row)
+                  and all(residue_inner(a, b) == 0
+                          for a, b in itertools.combinations_with_replacement(zip(*m), 2))]
+
+
+@pytest.mark.parametrize("dim, n_rows, n_matrices, n_patterns",
+                         [(2, 24, 64, 1), (3, 128, 4608, 9)])
+def test_every_unitary_unit_pattern_is_a_shape(dim, n_rows, n_matrices, n_patterns):
+    """At delta-exponent k >= 2 the numerators N of delta^k * U satisfy
+    N N^dagger = N^dagger N = (conj(delta) delta)^k I, so both products
+    vanish mod delta^3.  Every unit pattern such an N can have is a
+    reducible shape."""
+    assert [residue_index(z) for z in RESIDUE_REPS] == list(range(8))
+    rows, matrices = residue_unitaries(dim)
+    patterns = {tuple(tuple(x & 1 for x in row) for row in m) for m in matrices}
+    assert (len(rows), len(matrices), len(patterns)) == (n_rows, n_matrices, n_patterns)
+    tags = {classify_pattern(p).tag for p in patterns}
+    assert tags == {CaseTag.DENSE_2 if dim == 2 else CaseTag.BLOCK_3}
 
 
 class TestPhaseOffset:

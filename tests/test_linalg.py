@@ -5,20 +5,16 @@ from deltasynth.errors import UnsupportedDimError
 from deltasynth.linalg import (
     ElementaryOp,
     ExactMatrix,
-    adjoint,
     delta_exponent,
     h_op,
     invert_elementary,
     is_unitary,
-    mat_mul,
     omega_op,
     residue_matrix,
     word_matrix,
     x_op,
 )
 from deltasynth.ring import (
-    D_ONE,
-    D_ZERO,
     DOmega,
     UNIT_SQRT2,
     ZOmega,
@@ -28,7 +24,8 @@ from deltasynth.ring import (
     ZW_ZERO,
     from_sqrt2_form,
 )
-from helpers import H_EXACT, T_EXACT, alphabet, exact, random_word_matrix, scaled
+from helpers import (D_ONE, D_ZERO, H_EXACT, T_EXACT, adjoint, exact, mat_mul,
+                     op_alphabet as alphabet, random_word_matrix, scaled)
 
 
 small = st.integers(min_value=-3, max_value=3)

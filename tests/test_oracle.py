@@ -1,21 +1,14 @@
 import pytest
 
 from deltasynth.circuits import Circuit, Gate, circuit_to_matrix
+from deltasynth.cli import InstanceSpec, draw_circuit, gate_pool, random_unitary
 from deltasynth.linalg import (
     ExactMatrix,
     h_op,
     is_unitary,
     word_matrix,
 )
-from deltasynth.oracle import (
-    InstanceSpec,
-    draw_circuit,
-    enumerate_words,
-    gate_pool,
-    random_unitary,
-    search_gate_word,
-)
-from helpers import H_EXACT, T_EXACT
+from helpers import H_EXACT, T_EXACT, enumerate_words, search_gate_word
 
 
 class TestInstanceSpec:

@@ -5,17 +5,11 @@ import pytest
 from deltasynth.cli import parse_matrix, render_matrix
 from deltasynth.linalg import ExactMatrix, residue_matrix
 from deltasynth.ring import (
-    D_INV_SQRT2,
-    D_ONE,
-    D_ZERO,
     DOmega,
     OMEGA_POWERS,
-    TWO_OVER_DELTA,
     UNIT_SQRT2,
-    UNIT_SQRT2_INV,
     ZOmega,
     ZW_DELTA,
-    ZW_DELTA2,
     ZW_OMEGA,
     ZW_ONE,
     ZW_SQRT2,
@@ -26,7 +20,8 @@ from deltasynth.ring import (
     residue_bits,
     to_sqrt2_form,
 )
-from helpers import domega, exact, scaled
+from helpers import (D_INV_SQRT2, D_ONE, D_ZERO, TWO_OVER_DELTA, UNIT_SQRT2_INV, ZW_DELTA2,
+                     domega, exact, scaled)
 
 coeff = st.integers(min_value=-30, max_value=30)
 zomega = st.builds(ZOmega, coeff, coeff, coeff, coeff)

@@ -16,12 +16,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from deltasynth import circuits as circuits_module
 from deltasynth.circuits import (_LEAST_EVERY, _PRODUCT_TERMS, SINGLE_WIRE_GATES, Circuit, Gate,
-                                 _fold, _simulate, apply_gate, circuit_to_matrix)
+                                 _fold, _simulate, circuit_to_matrix)
 from deltasynth.cli import render_matrix
 from deltasynth.errors import VerificationError
 from deltasynth.linalg import h_op, least, word_matrix, word_product
-from deltasynth.oracle import op_alphabet
 from deltasynth.ring import ZW_ONE, ZW_ZERO, divide_by_sqrt2
+from helpers import op_alphabet
 
 REFERENCE = Path(__file__).resolve().parents[1] / "benchmark" / "reference.py"
 
@@ -112,7 +112,7 @@ def test_apply_gate_folds_to_simulate(circuit):
     n_wires = circuit.wire_count
     rows, e = _simulate((), n_wires)
     for gate in circuit.gates:
-        rows, e = apply_gate(gate, rows, e, n_wires)
+        rows, e = _fold((gate,), rows, e, n_wires)
     assert (rows, e) == _simulate(circuit.gates, n_wires)
 
 
@@ -185,14 +185,14 @@ def batched(*gates):
 
 @settings(max_examples=25, deadline=None)
 @given(circuit=block_circuits())
-# (0, w y): the ancilla's zero row is on top and the live row turned by w
+# (0, w y): the ancilla's zero row is on top and the nonzero row turned by w
 @example(circuit=batched(Gate("X", (1,)), Gate("T", (1,)), Gate("H", (1,)), Gate("H", (1,)),
                          Gate("TDG", (1,)), Gate("X", (1,))))
 # (x, 0), then a full mix
 @example(circuit=batched(Gate("T", (0,)), Gate("H", (1,)), Gate("X", (0,)), Gate("H", (1,))))
-# the ancilla goes live and returns to zero
+# the ancilla's row turns nonzero and returns to zero
 @example(circuit=batched(Gate("H", (1,)), Gate("T", (1,)), Gate("TDG", (1,)), Gate("H", (1,))))
-def test_live_rows_match_reference(circuit):
+def test_ancilla_blocks_match_reference(circuit):
     check_against_reference(circuit)
     # the ancilla returned, so its rows are zero and e is the data block's least one
     n_wires = circuit.wire_count

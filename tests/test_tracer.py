@@ -13,8 +13,8 @@ import deltasynth
 import deltasynth.circuits
 import deltasynth.cli  # noqa: F401  (the tracer wraps cli functions too)
 import deltasynth.engine
-from deltasynth.ring import D_INV_SQRT2, D_ONE, DOmega
-from helpers import random_word_matrix
+from deltasynth.ring import DOmega
+from helpers import D_INV_SQRT2, D_ONE, random_word_matrix
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 
