@@ -397,11 +397,15 @@ def _budget_list(text: str) -> list[int]:
     return budgets
 
 
-def _nonneg(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = plain_int(text)
+        return plain_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad integer {text!r}") from None
+
+
+def _nonneg(text: str) -> int:
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be non-negative")
     return value
@@ -432,19 +436,19 @@ def build_parser() -> argparse.ArgumentParser:
     synth.set_defaults(func=cmd_synth)
 
     gen = sub.add_parser("gen", help="generate a random unitary matrix file")
-    gen.add_argument("--qubits", type=plain_int, choices=(1, 2), required=True)
+    gen.add_argument("--qubits", type=_integer, choices=(1, 2), required=True)
     gen.add_argument("--budget", type=_nonneg, required=True,
                      help="number of gates in the generating word")
-    gen.add_argument("--seed", type=plain_int, required=True)
+    gen.add_argument("--seed", type=_integer, required=True)
     gen.add_argument("--out", help="write the matrix here instead of stdout")
     gen.set_defaults(func=cmd_gen)
 
     bench = sub.add_parser("bench", help="gate-count scaling over random instances")
-    bench.add_argument("--qubits", type=plain_int, choices=(1, 2), default=2)
+    bench.add_argument("--qubits", type=_integer, choices=(1, 2), default=2)
     bench.add_argument("--budgets", type=_budget_list, default=[10, 20, 40],
                        help="comma-separated gate budgets")
     bench.add_argument("--trials", type=_positive, default=10)
-    bench.add_argument("--seed", type=plain_int, required=True)
+    bench.add_argument("--seed", type=_integer, required=True)
     bench.set_defaults(func=cmd_bench)
 
     tables = sub.add_parser("tables", help="print the residue tables")

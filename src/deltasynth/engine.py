@@ -2,21 +2,22 @@
 
 The engine builds the Z[w] numerators of delta^k * U once, at the least
 delta-exponent k, from the matrix's numerators over sqrt(2)^e, and reduces
-them in place, reading residue bits off them.  While k > 1, the mod-delta
-pattern must be one of seven shapes, stated as 0/1 templates; a table of
-their row and column permutations names the pattern's shape and where the
-template's rows and columns lie.  Every shape is reduced by one step,
-applied over and over: phase-align two lines that are congruent mod
+them in place, columns as well as rows, beside the grid of their residue bits
+mod delta^3, which an op refreshes only where it wrote.  While k > 1, the
+mod-delta pattern must be one of seven shapes, stated as 0/1 templates; a
+table of their row and column permutations names the pattern's shape and
+where the template's rows and columns lie.  Every shape is reduced by one
+step, applied over and over: phase-align two lines that are congruent mod
 delta^3 (or mod delta^2) and mix them with one two-level Hadamard, which
-divides their sum and difference exactly by sqrt(2).  Congruence mod
-delta^3 strictly drops both lines below k; congruence mod delta^2 hands off
-to a simpler shape at the same k.  Which two lines to mix is read off the
-shape, except for the all-units 4x4 shape, which takes the same steps:
-unless rows 0 and 1 are aligned and mixed outright, phases make row 0 and
-the first entries of rows 1 and 2 ones, column swaps sort row 1, and one of
-two tables, keyed by row 2's phases, names the pair.  At most four
-Hadamards later delta divides every numerator, and dividing it out lowers
-k; at k = 0 the matrix is a monomial unpicked by swaps and phases.
+divides their sum and difference exactly by sqrt(2).  Congruence mod delta^3
+strictly drops both lines below k; congruence mod delta^2 hands off to a
+simpler shape at the same k.  Which two lines to mix is read off the shape,
+except for the all-units 4x4 shape, which takes the same steps: unless rows 0
+and 1 are aligned and mixed outright, phases make row 0 and the first entries
+of rows 1 and 2 ones, column swaps sort row 1, and one of two tables, keyed
+by row 2's phases, names the pair.  At most four Hadamards later delta
+divides every numerator, and dividing it out lowers k; at k = 0 the matrix is
+a monomial unpicked by swaps and phases.
 
 Left ops act on rows, right ops on columns; inverting and re-ordering the
 applied ops yields a word whose exact product equals the input.
@@ -227,8 +228,9 @@ def _div_sqrt2(z: ZOmega) -> ZOmega:
 class _Workspace:
     """The synthesis state: rows holds the Z[w] numerators of delta^k * U,
     built from the input at its least delta-exponent k and reduced in place
-    to k = 0, and the ops applied so far.  k stays least (0, or some
-    numerator is a unit mod delta).  Lines are rows for side "L" (ops
+    to k = 0, the grid bits of their residue bits, always equal to
+    residue_matrix(rows), and the ops applied so far.  k stays least (0, or
+    some numerator is a unit mod delta).  Lines are rows for side "L" (ops
     applied on the left) and columns for side "R"; indices are 0-based.
     """
 
@@ -237,6 +239,7 @@ class _Workspace:
         # not divide every numerator, so k drops by at most one
         unit = UNIT_SQRT2 ** m.e
         self.rows = [[z * unit for z in row] for row in m.rows]
+        self.bits = [list(row) for row in residue_matrix(self.rows)]
         self.k = 2 * m.e
         self.divide_out_delta()
         self.left_ops: list[ElementaryOp] = []
@@ -244,27 +247,25 @@ class _Workspace:
         self.hadamards = 0
 
     def has_unit(self) -> bool:
-        return any(residue_bits(z)[0] for row in self.rows for z in row)
+        return any(bits[0] for row in self.bits for bits in row)
 
     def divide_out_delta(self) -> None:
         """Divide every numerator by delta, lowering k, while all of them divide."""
         while self.k and not self.has_unit():
             self.rows = [[divide_by_delta(z) for z in row] for row in self.rows]
+            self.bits = [list(row) for row in residue_matrix(self.rows)]
             self.k -= 1
-
-    def _lines(self, side: str) -> list:
-        return self.rows if side == "L" else list(zip(*self.rows))
 
     def exps(self) -> list[list[int | None]]:
         return [[_omega_exponent(bits) if bits[0] else None for bits in row]
-                for row in residue_matrix(self.rows)]
+                for row in self.bits]
 
     def lines(self, a: int, b: int, side: str = "L",
-              support: Sequence[int] | None = None) -> tuple[tuple, tuple]:
+              support: Sequence[int] | None = None) -> tuple[list, list]:
         """Residue bits of lines a and b, restricted to support."""
-        lines = self._lines(side)
-        cells = range(len(lines)) if support is None else support
-        return residue_matrix([[lines[i][c] for c in cells] for i in (a, b)])
+        grid = self.bits if side == "L" else list(zip(*self.bits))
+        cells = range(len(grid)) if support is None else support
+        return [grid[a][c] for c in cells], [grid[b][c] for c in cells]
 
     def congruence(self, a: int, b: int, side: str = "L") -> int:
         """3 or 2 when lines a and b agree mod delta^3 or only mod delta^2, else 0."""
@@ -276,14 +277,28 @@ class _Workspace:
         return 0
 
     def apply(self, op: ElementaryOp, side: str = "L") -> None:
+        """Apply op in place and refresh the grid lines it touched: one for a
+        phase, two for a Hadamard, and a swap moves two grid lines."""
         (self.left_ops if side == "L" else self.right_ops).append(op)
-        lines = self._lines(side)
-        row_surgery(lines, op.kind, op.j - 1, op.m - 1, op.power)
-        if op.kind == "H":
-            for i in (op.j - 1, op.m - 1):
-                lines[i] = [_div_sqrt2(z) for z in lines[i]]
+        i, j = op.j - 1, op.m - 1
+        touched = (i,) if op.kind == "omega" else (i, j)
+        rows, bits = self.rows, self.bits
         if side == "R":
-            self.rows = list(zip(*lines))
+            # the touched columns as lines, keyed by index; written back below
+            rows, bits = ({t: [row[t] for row in grid] for t in touched}
+                          for grid in (rows, bits))
+        row_surgery(rows, op.kind, i, j, op.power)
+        if op.kind == "X":
+            row_surgery(bits, "X", i, j)
+        else:
+            for t in touched:
+                if op.kind == "H":
+                    rows[t] = [_div_sqrt2(z) for z in rows[t]]
+                bits[t] = [residue_bits(z) for z in rows[t]]
+        if side == "R":
+            for t in touched:
+                for row, cells, z, b in zip(self.rows, self.bits, rows[t], bits[t]):
+                    row[t], cells[t] = z, b
 
     def phase(self, line: int, power: int, side: str = "L") -> None:
         if power % 8:
@@ -435,8 +450,7 @@ def reduction_round(ws: _Workspace) -> ReductionRound:
     ws.hadamards = 0
     # the exponent is still k while some numerator is a unit mod delta
     while ws.has_unit():
-        pattern = tuple(tuple(bits[0] for bits in row)
-                        for row in residue_matrix(ws.rows))
+        pattern = tuple(tuple(bits[0] for bits in row) for row in ws.bits)
         pat = classify_pattern(pattern)
         chain.append(pat.tag.value)
         _reduce(ws, pat)

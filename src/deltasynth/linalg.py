@@ -158,8 +158,9 @@ def invert_elementary(op: ElementaryOp) -> list[ElementaryOp]:
     return [op]
 
 
-def row_surgery(rows: list, kind: OpKind, i: int, j: int = 0, power: int = 0) -> None:
-    """Apply an elementary op to a list of rows in place (0-based indices).
+def row_surgery(rows: list | dict, kind: OpKind, i: int, j: int = 0,
+                power: int = 0) -> None:
+    """Apply an elementary op in place to rows, lines by 0-based index.
 
     "omega" multiplies row i by w^power, "X" swaps rows i and j, and "H"
     replaces them by x + y and x - y, leaving the division by sqrt(2) to the

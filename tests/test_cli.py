@@ -366,6 +366,20 @@ def test_options_take_only_plain_integers(capsys, command, option, value):
     assert f"argument {option}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("gen", "--qubits", "\uff12"),
+    ("gen", "--seed", "1_0"),
+    ("bench", "--qubits", "x"),
+    ("bench", "--seed", "\u0663"),
+])
+def test_integer_options_name_the_bad_value(capsys, command, option, value):
+    options = {**OPTION_DEFAULTS[command], option: value}
+    with pytest.raises(SystemExit) as exc:
+        main([command, *(part for item in options.items() for part in item)])
+    assert exc.value.code == 2
+    assert f"argument {option}: bad integer {value!r}" in capsys.readouterr().err
+
+
 def test_negative_seed_accepted(capsys):
     code, out, _ = run(capsys, "gen", "--qubits", "1", "--budget", "3", "--seed", "-3")
     assert code == 0

@@ -36,10 +36,12 @@ from deltasynth.linalg import (
     invert_elementary,
     is_unitary,
     omega_op,
+    residue_matrix,
     word_matrix,
     x_op,
 )
 import deltasynth.engine
+import deltasynth.linalg
 from deltasynth.cli import InstanceSpec, random_unitary
 from deltasynth.ring import (
     DOmega,
@@ -53,7 +55,8 @@ from deltasynth.ring import (
     residue_bits,
 )
 from helpers import (D_ONE, D_ZERO, H_EXACT, MONOMIAL_WORD_MAX, T_EXACT, ZW_DELTA2, adjoint,
-                     exact, mat_mul, op_alphabet as alphabet, random_word_matrix)
+                     enumerate_words, exact, mat_mul, op_alphabet as alphabet,
+                     random_word_matrix)
 
 
 def unit_class(power):
@@ -454,6 +457,71 @@ class TestExactMix:
         ws = _Workspace(forged((0, 0), (1, 1)))
         with pytest.raises(VerificationError):
             ws.apply(h_op(1, 2))
+
+
+class TestResidueGrid:
+    """The workspace's grid equals residue_matrix(rows) after every op and
+    every division by delta, and residue bits are read only where an op or
+    a division changed a numerator."""
+
+    def test_grid_follows_every_op_and_division(self, monkeypatch):
+        def assert_current(ws, *context):
+            assert tuple(map(tuple, ws.bits)) == residue_matrix(ws.rows), context
+
+        def checked(method):
+            def run(ws, *args):
+                result = method(ws, *args)
+                assert_current(ws, method.__name__, *args)
+                return result
+            return run
+
+        seen = collections.Counter()
+        apply, has_unit = _Workspace.apply, _Workspace.has_unit
+
+        def counted_apply(ws, op, side="L"):
+            seen[op.kind, side] += 1
+            apply(ws, op, side)
+
+        def checked_has_unit(ws):
+            # asked before every case step and after every division by delta
+            assert_current(ws, "has_unit")
+            return has_unit(ws)
+
+        monkeypatch.setattr(_Workspace, "apply", checked(counted_apply))
+        monkeypatch.setattr(_Workspace, "has_unit", checked_has_unit)
+        monkeypatch.setattr(_Workspace, "divide_out_delta",
+                            checked(_Workspace.divide_out_delta))
+        matrices = [m for dim, length in ((2, 3), (3, 3), (4, 2))
+                    for m in enumerate_words(dim, length)]
+        for budget, seed in ((2500, 1), (2500, 2), (2000, 3)):
+            m = random_unitary(InstanceSpec(2, budget, seed))
+            assert delta_exponent(m) >= 100
+            matrices.append(m)
+        tags = set()
+        for m in matrices:
+            tags.update(tag for rnd in synthesize(m).rounds for tag in rnd.case_chain)
+        # column ops: single_block and dense4 phases, dense4 swaps and the
+        # transposed full_rows Hadamards
+        assert set(seen) == {(kind, side) for kind in ("omega", "H", "X") for side in "LR"}
+        assert {"single_block", "dense4", "full_rows"} <= tags
+
+    def test_residue_reads_per_synthesis(self, monkeypatch):
+        """18 836 reads at k = 602: 16 for the input and after each of the
+        602 divisions by delta, 8 per Hadamard and 4 per phase.  Reading
+        every query off the numerators took 54 326."""
+        calls = 0
+
+        def counted(z):
+            nonlocal calls
+            calls += 1
+            return residue_bits(z)
+
+        m = random_unitary(InstanceSpec(2, 10000, 1))
+        assert delta_exponent(m) == 602
+        for module in (deltasynth.engine, deltasynth.linalg):
+            monkeypatch.setattr(module, "residue_bits", counted)
+        synthesize(m)
+        assert calls <= 19_000
 
 
 class TestSynthesize:

@@ -1,3 +1,11 @@
+"""Instance generation in `deltasynth.cli` (`InstanceSpec`, `draw_circuit`,
+`random_unitary`) and the word and gate searches in `tests/helpers.py`.
+
+The file is named after the `oracle` module these once lived in.  Its test
+ids are kept stable; splitting it into `test_cli.py` and a helpers test
+renames all 24 of them.
+"""
+
 import pytest
 
 from deltasynth.circuits import Circuit, Gate, circuit_to_matrix
