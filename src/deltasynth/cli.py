@@ -133,9 +133,10 @@ def parse_matrix(text: str) -> ExactMatrix:
     if len(rows) != dim:
         raise MatrixParseError(f"expected {dim} rows, got {len(rows)}")
     e = max(m for row in rows for _, m in row)
-    # one sqrt(2) power per distinct gap; most entries share a gap of 0
-    powers = {gap: ZW_SQRT2 ** gap for gap in {e - m for row in rows for _, m in row}}
-    return ExactMatrix(([z * powers[e - m] for z, m in row] for row in rows), e)
+    # one sqrt(2) power per distinct nonzero gap; most entries have a gap of 0
+    powers = {gap: ZW_SQRT2 ** gap for gap in {e - m for row in rows for _, m in row} if gap}
+    return ExactMatrix(([z * powers[e - m] if m != e else z for z, m in row]
+                        for row in rows), e)
 
 
 def format_entry(z: ZOmega, e: int) -> str:

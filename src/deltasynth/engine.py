@@ -21,6 +21,11 @@ a monomial unpicked by swaps and phases.
 
 Left ops act on rows, right ops on columns; inverting and re-ordering the
 applied ops yields a word whose exact product equals the input.
+
+The reduction certifies unitarity: the workspace is always exactly
+delta^k * L * U * R for products L and R of unitary ops, so ending at I
+proves U unitary.  A Gram check runs only after a failure, to tell a
+non-unitary input from an engine bug.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from typing import Sequence
 from .errors import (
     ExponentOneError,
     ImpossibleBranchError,
+    InvariantError,
     NonMonomialError,
     NoProgressError,
     NotUnitaryError,
@@ -445,6 +451,8 @@ def reduction_round(ws: _Workspace) -> ReductionRound:
         raise ExponentOneError("delta-exponent 1 cannot occur for a unitary")
     if k < 1:
         raise ValueError("nothing to reduce at exponent 0")
+    if len(ws.rows) == 1:
+        raise UnreachablePatternError("a 1x1 unitary has delta-exponent 0")
     lefts, rights = len(ws.left_ops), len(ws.right_ops)
     chain: list[str] = []
     ws.hadamards = 0
@@ -464,19 +472,25 @@ def reduction_round(ws: _Workspace) -> ReductionRound:
 def synthesize(m: ExactMatrix, *, debug: bool = False) -> Decomposition:
     """Exact elementary-operator word for a unitary over D[w].
 
-    The word multiplies out (left factor first) to exactly m.  debug re-checks
-    unitarity after every round and the final product.
+    The word multiplies out (left factor first) to exactly m.  Reaching I
+    proves m unitary, so the Gram check runs only when the reduction raises
+    an InvariantError: NotUnitaryError for a non-unitary m, else the error
+    itself, an engine bug.  debug re-checks unitarity after every round and
+    the final product.
     """
-    if not is_unitary(m):
-        raise NotUnitaryError("input matrix is not unitary")
     ws = _Workspace(m)
     source_k = ws.k
     rounds: list[ReductionRound] = []
-    while ws.k:
-        rounds.append(reduction_round(ws))
-        if debug and not is_scaled_unitary(ws.rows, TWO_PLUS_SQRT2 ** ws.k):
-            raise VerificationError("round output lost unitarity")
-    solve_monomial(ws)
+    try:
+        while ws.k:
+            rounds.append(reduction_round(ws))
+            if debug and not is_scaled_unitary(ws.rows, TWO_PLUS_SQRT2 ** ws.k):
+                raise VerificationError("round output lost unitarity")
+        solve_monomial(ws)
+    except InvariantError:
+        if not is_unitary(m):
+            raise NotUnitaryError("input matrix is not unitary") from None
+        raise
 
     word = [inv for op in (*ws.left_ops, *reversed(ws.right_ops))
             for inv in invert_elementary(op)]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 from .errors import UnsupportedDimError
-from .ring import ZW_ONE, ZW_SQRT2, ZW_ZERO, Bits, ZOmega, divide_by_sqrt2, residue_bits
+from .ring import ZW_ONE, ZW_ZERO, Bits, ZOmega, divide_by_sqrt2, residue_bits, times_sqrt2
 
 MAX_DIM = 4
 
@@ -228,7 +228,7 @@ def apply_elementary(op: ElementaryOp, rows: Sequence[Sequence[ZOmega]],
         return rows, e
     halves = _halved([rows[i], rows[j]])
     if halves is None:
-        return [row if r in (i, j) else [z * ZW_SQRT2 for z in row]
+        return [row if r in (i, j) else [times_sqrt2(z) for z in row]
                 for r, row in enumerate(rows)], e + 1
     rows[i], rows[j] = halves
     return least(rows, e)

@@ -136,13 +136,18 @@ def divide_by_delta(x: ZOmega) -> ZOmega | None:
     return ZOmega(a >> 1, b >> 1, c >> 1, d >> 1)
 
 
+def times_sqrt2(x: ZOmega) -> ZOmega:
+    """x * sqrt(2), with sqrt(2) = w - w^3 written out."""
+    return ZOmega(x.b - x.d, x.a + x.c, x.b + x.d, x.c - x.a)
+
+
 def divide_by_sqrt2(x: ZOmega) -> ZOmega | None:
     """x / sqrt(2) when sqrt(2) divides x, else None.
 
     sqrt(2) * sqrt(2) = 2, so x * sqrt(2) has all-even coefficients exactly
     when sqrt(2) | x, and halving that product is the quotient.
     """
-    # x * (w - w^3), written out
+    # times_sqrt2(x), written out on the hot path
     a, b, c, d = x.b - x.d, x.a + x.c, x.b + x.d, x.c - x.a
     if (a | b | c | d) & 1:
         return None
@@ -249,5 +254,5 @@ def to_sqrt2_form(z: ZOmega, e: int) -> tuple[int, int, int, int, int]:
     if (z.a ^ z.c) & 1:
         # Real and imaginary parts sit on half-integer sqrt(2) multiples;
         # widen the denominator by one sqrt(2) to clear them.
-        z, e = z * ZW_SQRT2, e + 1
+        z, e = times_sqrt2(z), e + 1
     return (z.d, (z.c - z.a) >> 1, z.b, (z.c + z.a) >> 1, e)

@@ -19,11 +19,13 @@ from pathlib import Path
 import pytest
 
 import deltasynth
+import deltasynth.engine
 from deltasynth.circuits import (circuit_to_matrix, emit, gate_counts, render_circuit,
                                  verify_templates)
 from deltasynth.cli import InstanceSpec, random_unitary, residue_tables
 from deltasynth.engine import synthesize, verify_decomposition
-from deltasynth.linalg import ExactMatrix, delta_exponent, residue_matrix, word_matrix
+from deltasynth.linalg import (ExactMatrix, delta_exponent, is_unitary, residue_matrix,
+                              word_matrix)
 from deltasynth.ring import DOmega, OMEGA_POWERS
 from helpers import D_ZERO, MONOMIAL_WORD_MAX, enumerate_words, exact, scaled
 
@@ -63,13 +65,18 @@ def corpus_specs():
 
 @pytest.fixture(scope="module")
 def corpus():
-    """(spec, matrix, decomposition) for 1000 instances, with total synth time."""
+    """(spec, matrix, decomposition) for 1000 instances, with total synth time
+    and the matrices synthesize ran its Gram check on."""
     matrices = [(spec, random_unitary(spec)) for spec in corpus_specs()]
-    start = time.perf_counter()
-    entries = [(spec, m, synthesize(m)) for spec, m in matrices]
-    ok = sum(verify_decomposition(m, dec) for _, m, dec in entries)
-    elapsed = time.perf_counter() - start
-    return entries, ok, elapsed
+    gram_checked = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(deltasynth.engine, "is_unitary",
+                      lambda m: gram_checked.append(m) or is_unitary(m))
+        start = time.perf_counter()
+        entries = [(spec, m, synthesize(m)) for spec, m in matrices]
+        ok = sum(verify_decomposition(m, dec) for _, m, dec in entries)
+        elapsed = time.perf_counter() - start
+    return entries, ok, elapsed, gram_checked
 
 
 def monomial(dim: int, perm, powers) -> ExactMatrix:
@@ -96,7 +103,7 @@ def seeded_dim4_monomials(count: int):
 
 
 def test_round_trip_random_instances(corpus):
-    entries, ok, elapsed = corpus
+    entries, ok, elapsed, _ = corpus
     assert ok == len(entries) == 1000
     assert elapsed < CORPUS_TIME_LIMIT_S
     digest = hashlib.sha256()
@@ -107,8 +114,16 @@ def test_round_trip_random_instances(corpus):
           f" (limit {CORPUS_TIME_LIMIT_S:.0f}s)")
 
 
+def test_success_runs_no_gram_check(corpus):
+    """A reduction that reaches I proves its input unitary: synthesize runs
+    the Gram check only when the reduction fails."""
+    entries, _, _, gram_checked = corpus
+    assert gram_checked == []
+    print(f"Gram checks on {len(entries)} corpus syntheses: 0")
+
+
 def test_emitted_circuits_reproduce_inputs(corpus):
-    entries, _, _ = corpus
+    entries, *_ = corpus
     two_qubit = [(m, dec) for spec, m, dec in entries if spec.qubits == 2][:100]
     assert len(two_qubit) == 100
     for m, dec in two_qubit:
@@ -120,7 +135,7 @@ def test_emitted_circuits_reproduce_inputs(corpus):
 
 
 def test_emitted_circuits_digest(corpus):
-    entries, _, _ = corpus
+    entries, *_ = corpus
     digest = hashlib.sha256()
     for spec, _, dec in entries:
         digest.update(render_circuit(emit(dec.word, 2 ** spec.qubits)).encode())
@@ -129,7 +144,7 @@ def test_emitted_circuits_digest(corpus):
 
 
 def test_output_size_linear_in_exponent(corpus):
-    entries, _, _ = corpus
+    entries, *_ = corpus
     worst_word = worst_gates = -math.inf
     for spec, m, dec in entries:
         k = dec.source_k
@@ -149,7 +164,7 @@ def test_output_size_linear_in_exponent(corpus):
 
 
 def test_least_exponent_never_one(corpus):
-    entries, _, _ = corpus
+    entries, *_ = corpus
     checked = 0
     for _, m, dec in entries:
         assert delta_exponent(m) != 1
@@ -163,7 +178,7 @@ def test_least_exponent_never_one(corpus):
 
 
 def test_residue_parity_invariants(corpus):
-    entries, _, _ = corpus
+    entries, *_ = corpus
     checked = 0
     for _, m, _ in entries:
         k = delta_exponent(m)

@@ -26,7 +26,7 @@ from deltasynth.engine import synthesize
 from deltasynth.errors import MatrixParseError, NotUnitaryError
 from deltasynth import linalg
 from deltasynth.linalg import ExactMatrix, is_unitary
-from deltasynth.ring import (OMEGA_POWERS, ZW_ONE, ZW_SQRT2, ZW_ZERO, ZOmega,
+from deltasynth.ring import (OMEGA_POWERS, ZW_DELTA, ZW_ONE, ZW_SQRT2, ZW_ZERO, ZOmega,
                              from_sqrt2_form)
 from helpers import domega, random_word_matrix
 
@@ -462,6 +462,22 @@ def test_perturbed_unitary_exits_3(capsys, tmp_path, dim, seed, cell, change, p)
     code, _, err = run(capsys, "synth", str(path))
     assert code == 3
     assert err.startswith("error:") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_scaled_unitary_exits_3(capsys, tmp_path):
+    # (1 + delta^3) * U has U's residues, so the reduction runs all of U's
+    # rounds before the monomial check fails and the Gram check names it
+    u = random_unitary(InstanceSpec(2, 2000, 1))
+    c = ZW_ONE + ZW_DELTA ** 3
+    m = ExactMatrix([[z * c for z in row] for row in u.rows], u.e)
+    dec = synthesize(u)
+    assert dec.source_k >= 100
+    path = tmp_path / "m.txt"
+    path.write_text(render_matrix(m))
+    code, out, err = run(capsys, "synth", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == "error: input matrix is not unitary\n"
 
 
 def test_entries_at_the_limits_parse():

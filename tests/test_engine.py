@@ -411,23 +411,7 @@ class TestReductionRound:
         """Reduction of any matrix ends in an InvariantError or completes, and
         completes only on a unitary: every round it returns lowers k within
         the Hadamard budget."""
-        def small(bound):
-            return st.builds(ZOmega, *[st.integers(min_value=-bound, max_value=bound)] * 4)
-
-        if data.draw(st.booleans()):
-            dim = data.draw(st.integers(min_value=2, max_value=4))
-            rows = data.draw(st.lists(st.lists(small(3), min_size=dim, max_size=dim),
-                                      min_size=dim, max_size=dim))
-            m = ExactMatrix(rows, data.draw(st.integers(min_value=0, max_value=6)))
-        else:
-            u = random_unitary(InstanceSpec(data.draw(st.sampled_from((1, 2))),
-                                            data.draw(st.integers(min_value=0, max_value=40)),
-                                            data.draw(st.integers(min_value=0, max_value=999))))
-            rows = [list(row) for row in u.rows]
-            index = st.integers(min_value=0, max_value=u.dim - 1)
-            r, c = data.draw(st.tuples(index, index))
-            rows[r][c] += data.draw(small(1))
-            m = ExactMatrix(rows, u.e)
+        m = draw_matrix(data)
         ws = _Workspace(m)
         try:
             while ws.k:
@@ -438,6 +422,72 @@ class TestReductionRound:
         except InvariantError:
             return
         assert is_unitary(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_pass_applies_one_hadamard(self, data):
+        """The termination argument: each pass of reduction_round's loop
+        applies exactly one Hadamard or raises, so a round lowers k within
+        MAX_HADAMARDS_PER_ROUND Hadamards or raises, and the rounds number at
+        most the input's k.  Inputs are those of the test above and scaled
+        unitaries c * U, which reduce as far as U does when c is a unit mod
+        delta, so the failure path costs at most one synthesis at U's k."""
+        if data.draw(st.booleans()):
+            m = draw_matrix(data)
+        else:
+            u = random_unitary(InstanceSpec(data.draw(st.sampled_from((1, 2))),
+                                            data.draw(st.integers(min_value=0, max_value=200)),
+                                            data.draw(st.integers(min_value=0, max_value=999))))
+            c = data.draw(st.sampled_from((ZW_ONE + ZW_DELTA ** 3, ZOmega.from_int(3)))
+                          | small(2).filter(bool))
+            m = ExactMatrix([[z * c for z in row] for row in u.rows], u.e)
+        reduce, passes, rounds = deltasynth.engine._reduce, [], []
+
+        def hadamards(ws):
+            return sum(op.kind == "H" for op in (*ws.left_ops, *ws.right_ops))
+
+        def counted(ws, pat):
+            before = hadamards(ws)
+            reduce(ws, pat)
+            passes[-1] += 1
+            assert hadamards(ws) == before + 1
+
+        ws = _Workspace(m)
+        source_k = ws.k
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(deltasynth.engine, "_reduce", counted)
+            try:
+                while ws.k:
+                    rounds.append(ws.k)
+                    passes.append(0)
+                    reduction_round(ws)
+            except InvariantError:
+                pass
+        assert max(passes, default=0) <= MAX_HADAMARDS_PER_ROUND
+        assert len(rounds) <= source_k
+        assert rounds == sorted(set(rounds), reverse=True)
+
+
+def small(bound):
+    return st.builds(ZOmega, *[st.integers(min_value=-bound, max_value=bound)] * 4)
+
+
+def draw_matrix(data):
+    """A matrix that is rarely unitary: small random numerators, or a random
+    Clifford+T unitary with one entry moved."""
+    if data.draw(st.booleans()):
+        dim = data.draw(st.integers(min_value=2, max_value=4))
+        rows = data.draw(st.lists(st.lists(small(3), min_size=dim, max_size=dim),
+                                  min_size=dim, max_size=dim))
+        return ExactMatrix(rows, data.draw(st.integers(min_value=0, max_value=6)))
+    u = random_unitary(InstanceSpec(data.draw(st.sampled_from((1, 2))),
+                                    data.draw(st.integers(min_value=0, max_value=40)),
+                                    data.draw(st.integers(min_value=0, max_value=999))))
+    rows = [list(row) for row in u.rows]
+    index = st.integers(min_value=0, max_value=u.dim - 1)
+    r, c = data.draw(st.tuples(index, index))
+    rows[r][c] += data.draw(small(1))
+    return ExactMatrix(rows, u.e)
 
 
 class TestExactMix:
@@ -546,6 +596,45 @@ class TestSynthesize:
     def test_rejects_non_unitary(self):
         with pytest.raises(NotUnitaryError):
             synthesize(NOT_UNITARY_2)
+
+    def test_gram_check_runs_only_when_reduction_fails(self, monkeypatch):
+        """Reaching I proves unitarity; a failed reduction runs one Gram check,
+        which names a non-unitary input and passes an engine bug on."""
+        checks = []
+        monkeypatch.setattr(deltasynth.engine, "is_unitary",
+                            lambda m: checks.append(m) or is_unitary(m))
+        for dim in (1, 2, 3, 4):
+            m = random_word_matrix(dim, 40, dim)
+            synthesize(m)
+            synthesize(m, debug=True)
+        assert checks == []
+        u = random_unitary(InstanceSpec(2, 300, 1))
+        c = ZW_ONE + ZW_DELTA ** 3
+        rejected = [
+            NOT_UNITARY_2,
+            ExactMatrix([[z * c for z in row] for row in u.rows], u.e),
+            ExactMatrix([[ZW_ONE]], 2),  # 1/2 as a 1x1 matrix, at k = 4
+            ExactMatrix([[ZW_ZERO] * 3] * 3),
+        ]
+        for m in rejected:
+            for debug in (False, True):
+                checks.clear()
+                with pytest.raises(NotUnitaryError, match="^input matrix is not unitary$"):
+                    synthesize(m, debug=debug)
+                assert checks == [m]
+
+        def broken(ws):
+            raise error("engine bug")
+
+        monkeypatch.setattr(deltasynth.engine, "solve_monomial", broken)
+        # an InvariantError on a unitary input is passed on after the check;
+        # any other exception is a bug that no Gram check hides
+        for error, m, checked in ((NonMonomialError, u, [u]),
+                                  (TypeError, NOT_UNITARY_2, [])):
+            checks.clear()
+            with pytest.raises(error, match="engine bug"):
+                synthesize(m)
+            assert checks == checked
 
     def test_debug_checks_every_round(self, monkeypatch):
         # a round that phased one entry would leave a non-unitary workspace

@@ -18,6 +18,7 @@ from deltasynth.ring import (
     divide_by_sqrt2,
     from_sqrt2_form,
     residue_bits,
+    times_sqrt2,
     to_sqrt2_form,
 )
 from helpers import (D_INV_SQRT2, D_ONE, D_ZERO, TWO_OVER_DELTA, UNIT_SQRT2_INV, ZW_DELTA2,
@@ -147,7 +148,8 @@ class TestSqrt2Divisibility:
 
     @given(x=zomega)
     def test_inverts_times_sqrt2(self, x):
-        assert divide_by_sqrt2(x * ZW_SQRT2) == x
+        assert times_sqrt2(x) == x * ZW_SQRT2
+        assert divide_by_sqrt2(times_sqrt2(x)) == x
 
     @given(x=zomega)
     def test_none_iff_sqrt2_does_not_divide(self, x):
