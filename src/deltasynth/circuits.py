@@ -43,7 +43,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     CircuitParseError,
-    TemplateError,
+    InvariantError,
     UnsupportedDimError,
     VerificationError,
 )
@@ -242,7 +242,7 @@ def verify_templates() -> None:
     global _templates_verified
     for name, gates, word, n_wires in _TEMPLATES:
         if _simulate(gates, n_wires) != word_product(word, 1 << n_wires):
-            raise TemplateError(f"{name} template does not match its word")
+            raise InvariantError(f"{name} template does not match its word")
     _templates_verified = True
 
 
@@ -266,10 +266,6 @@ def _push(body: list[Gate], gates: Iterable[Gate]) -> None:
         body.append(gate)
 
 
-def _lower_one_qubit(op: ElementaryOp) -> list[Gate]:
-    return [Gate(op.kind, (0,))]
-
-
 def _lower_two_level(kind: str, a: int, b: int) -> list[Gate]:
     diff = a ^ b
     if diff == 0b11:
@@ -285,16 +281,14 @@ def _lower_two_level(kind: str, a: int, b: int) -> list[Gate]:
     return flip + inner + flip
 
 
-def _lower_two_qubit(op: ElementaryOp) -> list[Gate]:
-    return _lower_two_level(op.kind, op.j - 1, op.m - 1)
-
-
 @functools.cache
 def _lowered(op: ElementaryOp, qubits: int) -> tuple[Gate, ...]:
     """The gates of a two-level op on the given layout.  These ops are a
     finite alphabet (2 and 12 ops in dimensions 2 and 4), so each one is
     lowered and its gates validated once per process."""
-    return tuple(_lower_one_qubit(op) if qubits == 1 else _lower_two_qubit(op))
+    if qubits == 1:
+        return (Gate(op.kind, (0,)),)
+    return tuple(_lower_two_level(op.kind, op.j - 1, op.m - 1))
 
 
 @functools.cache

@@ -37,14 +37,8 @@ from enum import Enum
 from typing import Sequence
 
 from .errors import (
-    ExponentOneError,
-    ImpossibleBranchError,
     InvariantError,
-    NonMonomialError,
-    NoProgressError,
     NotUnitaryError,
-    PhaseAlignmentError,
-    UnreachablePatternError,
     UnsupportedDimError,
     VerificationError,
 )
@@ -155,7 +149,7 @@ def _shape_table() -> dict[tuple[tuple[int, ...], ...], CasePattern]:
 def classify_pattern(pattern: Sequence[Sequence[int]]) -> CasePattern:
     """Match a 0/1 unit pattern against the reducible shapes.
 
-    Raises UnreachablePatternError for anything a unitary cannot produce at
+    Raises InvariantError for anything a unitary cannot produce at
     delta-exponent k > 1.
     """
     # Every key is a square 0/1 pattern of dimension 2 to 4, so a hit needs
@@ -173,7 +167,7 @@ def classify_pattern(pattern: Sequence[Sequence[int]]) -> CasePattern:
         raise ValueError("pattern entries must be bits")
     if dim == 1 or dim > 4:
         raise UnsupportedDimError(f"no shapes defined for dimension {dim}")
-    raise UnreachablePatternError(
+    raise InvariantError(
         f"pattern {pattern!r} does not match any reducible shape")
 
 
@@ -187,10 +181,10 @@ def phase_offset(row1: Sequence[Bits], row2: Sequence[Bits]) -> int:
     if not row1 or len(row1) != len(row2):
         raise ValueError("need equal-length nonempty unit rows")
     if not all(bits[0] for bits in (*row1, *row2)):
-        raise PhaseAlignmentError("phase alignment needs unit classes mod delta^3")
+        raise InvariantError("phase alignment needs unit classes mod delta^3")
     offsets = {(_omega_exponent(r2) - _omega_exponent(r1)) % 4 for r1, r2 in zip(row1, row2)}
     if len(offsets) != 1:
-        raise PhaseAlignmentError(f"no single omega power aligns {row1!r} with {row2!r}")
+        raise InvariantError(f"no single omega power aligns {row1!r} with {row2!r}")
     return offsets.pop()
 
 
@@ -204,9 +198,9 @@ def solve_monomial(ws: _Workspace) -> list[ElementaryOp]:
     of w; one swap per column plus one phase per diagonal slot clears it.
     """
     if ws.k != 0:
-        raise NonMonomialError("delta-exponent must be 0")
+        raise InvariantError("delta-exponent must be 0")
     if any(sum(map(bool, line)) != 1 for line in (*ws.rows, *zip(*ws.rows))):
-        raise NonMonomialError("not one unit per row and column")
+        raise InvariantError("not one unit per row and column")
     dim = len(ws.rows)
     start = len(ws.left_ops)
     for c in range(dim):
@@ -215,11 +209,11 @@ def solve_monomial(ws: _Workspace) -> list[ElementaryOp]:
             ws.apply(x_op(c + 1, r + 1))
         power = _UNIT_EXPONENT.get(ws.rows[c][c])
         if power is None:
-            raise NonMonomialError(f"entry {ws.rows[c][c]!r} is not a power of w")
+            raise InvariantError(f"entry {ws.rows[c][c]!r} is not a power of w")
         ws.phase(c, -power)
     if any(z != OMEGA_POWERS[0] if i == j else z
            for i, row in enumerate(ws.rows) for j, z in enumerate(row)):
-        raise NonMonomialError("monomial cleanup did not reach the identity")
+        raise InvariantError("monomial cleanup did not reach the identity")
     return ws.left_ops[start:]
 
 
@@ -227,7 +221,7 @@ def _div_sqrt2(z: ZOmega) -> ZOmega:
     """The Hadamard's mix z / sqrt(2) = z / delta^2 * UNIT_SQRT2, when exact."""
     q = divide_by_sqrt2(z)
     if q is None:
-        raise VerificationError("Hadamard increased the delta-exponent")
+        raise InvariantError("Hadamard increased the delta-exponent")
     return q
 
 
@@ -319,14 +313,14 @@ class _Workspace:
         """
         level = self.congruence(a, b, side)
         if level < 2:
-            raise ImpossibleBranchError(
+            raise InvariantError(
                 f"lines {a},{b} not congruent mod delta^2 before Hadamard")
         if self.hadamards >= MAX_HADAMARDS_PER_ROUND:
-            raise NoProgressError("Hadamard budget for one round exhausted")
+            raise InvariantError("Hadamard budget for one round exhausted")
         self.hadamards += 1
         self.apply(h_op(min(a, b) + 1, max(a, b) + 1), side)
         if level == 3 and any(bits[0] for line in self.lines(a, b, side) for bits in line):
-            raise VerificationError("congruent lines failed to drop")
+            raise InvariantError("congruent lines failed to drop")
 
 
 def _align(ws: _Workspace, a: int, b: int, support: Sequence[int], side: str) -> None:
@@ -399,7 +393,7 @@ def _reduce_dense4(ws: _Workspace) -> None:
             exps = ws.exps()
     elif split != [1, 1, 1, 1]:
         found = "/".join(map(str, reversed(split)))
-        raise ImpossibleBranchError(
+        raise InvariantError(
             f"row phase differences {diffs} split {found}, excluded by unitarity")
     _phase_to_ones(ws, exps[0], range(4), "R")
     _phase_to_ones(ws, [row[0] for row in ws.exps()], (1, 2), "L")
@@ -409,7 +403,7 @@ def _reduce_dense4(ws: _Workspace) -> None:
     if split == [2, 2]:
         table = _DENSE4_PAIRS
         if exps[1][1] != 0 or exps[1][2] != exps[1][3]:
-            raise ImpossibleBranchError(f"pair structure lost: {exps[1]}")
+            raise InvariantError(f"pair structure lost: {exps[1]}")
         gap = exps[1][2]
         if gap == 2:
             ws.hadamard(0, 1)
@@ -428,10 +422,10 @@ def _reduce_dense4(ws: _Workspace) -> None:
             ws.apply(x_op(3, 4), "R")
             exps = ws.exps()
         if exps[1] != [0, 1, 2, 3]:
-            raise ImpossibleBranchError(f"distinct differences failed to sort: {exps[1]}")
+            raise InvariantError(f"distinct differences failed to sort: {exps[1]}")
     third = tuple(ws.exps()[2][1:])
     if third not in table:
-        raise ImpossibleBranchError(f"unit triple {third} excluded by unitarity")
+        raise InvariantError(f"unit triple {third} excluded by unitarity")
     a, b = table[third]
     ws.hadamard(rows[a], rows[b])
 
@@ -448,11 +442,11 @@ def reduction_round(ws: _Workspace) -> ReductionRound:
     """Apply ops to the workspace until its delta-exponent strictly drops."""
     k = ws.k
     if k == 1:
-        raise ExponentOneError("delta-exponent 1 cannot occur for a unitary")
+        raise InvariantError("delta-exponent 1 cannot occur for a unitary")
     if k < 1:
         raise ValueError("nothing to reduce at exponent 0")
     if len(ws.rows) == 1:
-        raise UnreachablePatternError("a 1x1 unitary has delta-exponent 0")
+        raise InvariantError("a 1x1 unitary has delta-exponent 0")
     lefts, rights = len(ws.left_ops), len(ws.right_ops)
     chain: list[str] = []
     ws.hadamards = 0
@@ -464,7 +458,7 @@ def reduction_round(ws: _Workspace) -> ReductionRound:
         _reduce(ws, pat)
     ws.divide_out_delta()
     if ws.k >= k:
-        raise NoProgressError(f"round ended at exponent {ws.k} >= {k}")
+        raise InvariantError(f"round ended at exponent {ws.k} >= {k}")
     return ReductionRound(tuple(ws.left_ops[lefts:]), tuple(ws.right_ops[rights:]),
                           k, ws.k, tuple(chain))
 

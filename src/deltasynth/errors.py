@@ -1,8 +1,9 @@
 """Exception hierarchy.
 
-InvariantError subclasses mark conditions the algorithm proves impossible for
-genuine unitary inputs; reaching one means the input lied or the engine has a
-bug, and the CLI maps them to exit code 4.
+Each class is an outcome that an exit code or a caller tells apart.  An
+InvariantError marks a condition the algorithm proves impossible for genuine
+unitary inputs: the input lied or the engine has a bug.  No class names the
+site that raised it; every raise site has a message of its own.
 """
 
 from __future__ import annotations
@@ -41,37 +42,10 @@ class InvariantError(SynthError):
     """Internal invariant violated (CLI exit code 4)."""
 
 
-class NonMonomialError(InvariantError):
-    """A matrix with delta-exponent 0 was not one unit entry per row/column."""
-
-
-class UnreachablePatternError(InvariantError):
-    """Residue pattern that unitarity rules out."""
-
-
-class PhaseAlignmentError(InvariantError):
-    """No single omega power aligns two unit residue rows."""
-
-
-class ExponentOneError(InvariantError):
-    """Least delta-exponent 1, impossible for a unitary matrix."""
-
-
-class ImpossibleBranchError(InvariantError):
-    """Case-analysis branch whose preconditions unitarity excludes."""
-
-
-class NoProgressError(InvariantError):
-    """A reduction round failed to lower the delta-exponent in time."""
-
-
-class TemplateError(InvariantError):
-    """A gate template's body does not multiply out to its target matrix."""
-
-
 class UnsupportedDimError(SynthError):
     """Operation undefined for this matrix dimension."""
 
 
 class VerificationError(InvariantError):
-    """A requested exactness re-check failed."""
+    """A requested exactness re-check failed: --verify, debug, a borrowed
+    ancilla's return to zero in circuit_to_matrix, or the tables self-check."""

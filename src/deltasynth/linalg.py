@@ -1,5 +1,5 @@
 """Exact matrices over D[w], the elementary 1- and 2-level operators, and
-the one product kernel.
+the product of a word of them.
 
 A matrix, dimension 1 through 4, is Z[w] numerators N over one least power
 of sqrt(2): `ExactMatrix(rows, e)` is N / sqrt(2)^e, the paper's entries
@@ -10,8 +10,9 @@ Z[w], and `residue_matrix` reads residue bits off numerators.  Elementary
 operators (a phase w^p on one basis vector, or a Hadamard-type or swap-type
 mixing of two basis vectors) are what the synthesis engine emits.
 
-Words and circuits change (N, e) with one row-surgery kernel and keep e
-least with `least`.
+Words multiply through `apply_elementary` and circuits through
+`circuits._fold`; both change (N, e) with the one row-surgery kernel,
+`row_surgery`, and keep e least with `least`.
 """
 
 from __future__ import annotations

@@ -328,6 +328,42 @@ def test_no_dead_names_in_package():
           f" {len(dead)} kept unused")
 
 
+# Every class an exit code or a caller tells apart; nothing else
+ERROR_CLASSES = {"SynthError", "MatrixParseError", "CircuitParseError", "NotUnitaryError",
+                 "InvariantError", "UnsupportedDimError", "VerificationError"}
+
+
+def test_invariant_sites_named_by_message():
+    """No class names an invariant's raise site, so its message must: every
+    `raise InvariantError(...)` and `raise VerificationError(...)` in the
+    package has a literal message, and with each placeholder read as {} no
+    two of them are the same text."""
+    sites = []
+    modules = sorted(Path(deltasynth.__file__).parent.glob("*.py"))
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "errors.py":
+            assert {node.name for node in tree.body
+                    if isinstance(node, ast.ClassDef)} == ERROR_CLASSES
+        for node in ast.walk(tree):
+            call = getattr(node, "exc", None) if isinstance(node, ast.Raise) else None
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id in ("InvariantError", "VerificationError")):
+                continue
+            message, text = call.args[0] if len(call.args) == 1 else None, None
+            if isinstance(message, ast.Constant):
+                text = message.value
+            elif isinstance(message, ast.JoinedStr):
+                text = "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                               for part in message.values)
+            sites.append((text, f"{path.name}:{node.lineno}"))
+    assert sites
+    assert [where for text, where in sites if not text] == []
+    repeated = collections.Counter(text for text, _ in sites)
+    assert [(text, where) for text, where in sites if repeated[text] > 1] == []
+    print(f"{len(sites)} invariant and verification sites, each with its own message")
+
+
 def test_d_omega_only_in_ring():
     """Matrices are held as Z[w] numerators over a power of sqrt(2) alone:
     D[w] values (DOmega and its constants) are the tests' reference, and

@@ -9,8 +9,6 @@ from deltasynth.circuits import (
     _INVERSE,
     Circuit,
     Gate,
-    _lower_one_qubit,
-    _lower_two_qubit,
     _lowered,
     _lowered_diagonal,
     _push,
@@ -23,7 +21,7 @@ from deltasynth.circuits import (
 )
 from deltasynth.errors import (
     CircuitParseError,
-    TemplateError,
+    InvariantError,
     UnsupportedDimError,
     VerificationError,
 )
@@ -93,8 +91,10 @@ class TestTemplates:
         name, gates, _, n_wires = templates[index]
         wrong = ((name, gates, templates[other][2], n_wires),)
         monkeypatch.setattr(deltasynth.circuits, "_TEMPLATES", wrong)
-        with pytest.raises(TemplateError, match=name):
+        with pytest.raises(InvariantError,
+                           match=f"^{name} template does not match its word$") as excinfo:
             verify_templates()
+        assert excinfo.type is InvariantError
 
 
 class TestLowering:
@@ -123,12 +123,12 @@ class TestLowering:
     def test_cached_lowering_matches_uncached(self):
         rng = random.Random(5)
         for dim in (2, 4):
-            lower = _lower_one_qubit if dim == 2 else _lower_two_qubit
+            qubits = 1 if dim == 2 else 2
             phases = [op for op in alphabet(dim) if op.kind == "omega"]
             for op in alphabet(dim):
                 if op.kind != "omega":
                     circ = emit([op], dim)
-                    assert circ.gates == tuple(lower(op))
+                    assert circ.gates == _lowered.__wrapped__(op, qubits)
                     assert not circ.uses_ancilla
             for _ in range(100):
                 run = [rng.choice(phases) for _ in range(rng.randrange(1, 12))]

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,13 +20,8 @@ from deltasynth.engine import (
     verify_decomposition,
 )
 from deltasynth.errors import (
-    ExponentOneError,
-    ImpossibleBranchError,
     InvariantError,
-    NonMonomialError,
     NotUnitaryError,
-    PhaseAlignmentError,
-    UnreachablePatternError,
     UnsupportedDimError,
     VerificationError,
 )
@@ -85,14 +81,21 @@ def monomial(dim, perm, phases):
 NOT_UNITARY_2 = exact([[D_ONE, D_ONE], [D_ZERO, D_ONE]])
 
 
+# classify_pattern's message for a 0/1 pattern that is none of the shapes
+NO_SHAPE = "does not match any reducible shape$"
+# a Hadamard's message when a mixed sum is not divisible by sqrt(2)
+NO_DROP = "^Hadamard increased the delta-exponent$"
+
+
 class TestClassifyPattern:
     def test_dense_two(self):
         pat = classify_pattern([[1, 1], [1, 1]])
         assert pat.tag is CaseTag.DENSE_2
 
     def test_sparse_two_rejected(self):
-        with pytest.raises(UnreachablePatternError):
+        with pytest.raises(InvariantError, match=NO_SHAPE) as excinfo:
             classify_pattern([[1, 0], [0, 1]])
+        assert excinfo.type is InvariantError
 
     def test_block_three(self):
         pat = classify_pattern([[0, 1, 1], [0, 0, 0], [0, 1, 1]])
@@ -101,8 +104,9 @@ class TestClassifyPattern:
         assert pat.col_perm == (1, 2, 0)
 
     def test_three_cycle_rejected(self):
-        with pytest.raises(UnreachablePatternError):
+        with pytest.raises(InvariantError, match=NO_SHAPE) as excinfo:
             classify_pattern([[1, 1, 0], [1, 0, 1], [0, 1, 1]])
+        assert excinfo.type is InvariantError
 
     def test_single_block(self):
         pat = classify_pattern([
@@ -149,13 +153,14 @@ class TestClassifyPattern:
         assert pat.col_perm == (0, 1, 2, 3)
 
     def test_crossed_blocks_rejected(self):
-        with pytest.raises(UnreachablePatternError):
+        with pytest.raises(InvariantError, match=NO_SHAPE) as excinfo:
             classify_pattern([
                 [1, 1, 0, 0],
                 [0, 1, 1, 0],
                 [0, 0, 1, 1],
                 [1, 0, 0, 1],
             ])
+        assert excinfo.type is InvariantError
 
     def test_block_and_rows(self):
         pat = classify_pattern([
@@ -169,26 +174,28 @@ class TestClassifyPattern:
         assert pat.col_perm == (1, 3, 0, 2)
 
     def test_block_and_rows_misaligned_rejected(self):
-        with pytest.raises(UnreachablePatternError):
+        with pytest.raises(InvariantError, match=NO_SHAPE) as excinfo:
             classify_pattern([
                 [1, 1, 1, 1],
                 [1, 1, 1, 1],
                 [1, 1, 0, 0],
                 [0, 0, 1, 1],
             ])
+        assert excinfo.type is InvariantError
 
     def test_dense_four(self):
         pat = classify_pattern([[1] * 4 for _ in range(4)])
         assert pat.tag is CaseTag.DENSE_4
 
     def test_odd_weights_rejected(self):
-        with pytest.raises(UnreachablePatternError):
+        with pytest.raises(InvariantError, match=NO_SHAPE) as excinfo:
             classify_pattern([
                 [1, 1, 1, 0],
                 [1, 1, 1, 0],
                 [1, 1, 0, 1],
                 [0, 0, 1, 1],
             ])
+        assert excinfo.type is InvariantError
 
     def test_dimension_limits(self):
         with pytest.raises(UnsupportedDimError):
@@ -228,7 +235,9 @@ class TestClassifyPattern:
                 pattern = [list(bits[i:i + dim]) for i in range(0, dim * dim, dim)]
                 try:
                     pat = classify_pattern(pattern)
-                except UnreachablePatternError:
+                except InvariantError as exc:
+                    assert type(exc) is InvariantError
+                    assert str(exc) == f"pattern {pattern!r} does not match any reducible shape"
                     continue
                 template = self.TEMPLATES[pat.tag, pat.transposed]
                 placed = [[0] * dim for _ in range(dim)]
@@ -313,12 +322,14 @@ class TestPhaseOffset:
     def test_inconsistent_shift_rejected(self):
         row1 = [unit_class(0), unit_class(0)]
         row2 = [unit_class(2), unit_class(1)]
-        with pytest.raises(PhaseAlignmentError):
+        with pytest.raises(InvariantError, match="^no single omega power aligns") as excinfo:
             phase_offset(row1, row2)
+        assert excinfo.type is InvariantError
 
     def test_non_unit_rejected(self):
-        with pytest.raises(PhaseAlignmentError):
+        with pytest.raises(InvariantError, match="^phase alignment needs unit") as excinfo:
             phase_offset([residue_bits(ZW_DELTA)], [unit_class(0)])
+        assert excinfo.type is InvariantError
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -356,12 +367,14 @@ class TestSolveMonomial:
             assert replay(ops, m) == ExactMatrix.identity(dim)
 
     def test_rejects_positive_exponent(self):
-        with pytest.raises(NonMonomialError):
+        with pytest.raises(InvariantError, match="^delta-exponent must be 0$") as excinfo:
             solve_monomial(_Workspace(H_EXACT))
+        assert excinfo.type is InvariantError
 
     def test_rejects_dense_row(self):
-        with pytest.raises(NonMonomialError):
+        with pytest.raises(InvariantError, match="^not one unit per row") as excinfo:
             solve_monomial(_Workspace(NOT_UNITARY_2))
+        assert excinfo.type is InvariantError
 
 
 class TestReductionRound:
@@ -377,8 +390,9 @@ class TestReductionRound:
 
     def test_exponent_one_rejected(self):
         forged = exact([[DOmega(ZW_ONE, 1), D_ZERO], [D_ZERO, D_ONE]])
-        with pytest.raises(ExponentOneError):
+        with pytest.raises(InvariantError, match="^delta-exponent 1 cannot occur") as excinfo:
             reduction_round(_Workspace(forged))
+        assert excinfo.type is InvariantError
 
     def test_exponent_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -499,14 +513,16 @@ class TestExactMix:
 
     def test_non_divisible_sum_rejected(self):
         # 1 + w = delta is not a multiple of delta^2
-        with pytest.raises(VerificationError, match="increased the delta-exponent"):
+        with pytest.raises(InvariantError, match=NO_DROP) as excinfo:
             _div_sqrt2(OMEGA_POWERS[0] + OMEGA_POWERS[1])
+        assert excinfo.type is InvariantError
 
     def test_workspace_mix_of_incongruent_rows_rejected(self):
         # rows (1, 1) and (w, w) at exponent 2 differ by a unit mod delta^2
         ws = _Workspace(forged((0, 0), (1, 1)))
-        with pytest.raises(VerificationError):
+        with pytest.raises(InvariantError, match=NO_DROP) as excinfo:
             ws.apply(h_op(1, 2))
+        assert excinfo.type is InvariantError
 
 
 class TestResidueGrid:
@@ -629,7 +645,7 @@ class TestSynthesize:
         monkeypatch.setattr(deltasynth.engine, "solve_monomial", broken)
         # an InvariantError on a unitary input is passed on after the check;
         # any other exception is a bug that no Gram check hides
-        for error, m, checked in ((NonMonomialError, u, [u]),
+        for error, m, checked in ((InvariantError, u, [u]),
                                   (TypeError, NOT_UNITARY_2, [])):
             checks.clear()
             with pytest.raises(error, match="engine bug"):
@@ -743,6 +759,11 @@ def run_dense4(m):
     return run_case(m, DENSE_4)
 
 
+def unit_triple(third):
+    """The dense4 step's message for a third row that neither table holds."""
+    return f"^{re.escape(f'unit triple {third[1:]} excluded by unitarity')}$"
+
+
 class TestDenseFourBranches:
     """Forged residue layouts drive every branch of the dense dispatch.
 
@@ -761,9 +782,11 @@ class TestDenseFourBranches:
                                               ((0, 0, 1, 2), "2/1/1")],
                              ids=["3/1", "2/1/1"])
     def test_three_one_split_rejected(self, second, split):
-        with pytest.raises(ImpossibleBranchError, match=f"split {split},"):
+        with pytest.raises(InvariantError,
+                           match=f"split {split}, excluded by unitarity$") as excinfo:
             run_dense4(forged((0, 0, 0, 0), second,
                               (0, 0, 0, 0), (0, 0, 0, 0)))
+        assert excinfo.type is InvariantError
 
     def test_distinct_ascending(self):
         ws = run_dense4(forged((0, 0, 0, 0), (0, 1, 2, 3),
@@ -785,9 +808,10 @@ class TestDenseFourBranches:
     @pytest.mark.parametrize("third", [(0, 1, 3, 2), (0, 2, 1, 3),
                                        (0, 2, 3, 1), (0, 3, 1, 2)])
     def test_distinct_bad_orderings_rejected(self, third):
-        with pytest.raises(ImpossibleBranchError):
+        with pytest.raises(InvariantError, match=unit_triple(third)) as excinfo:
             run_dense4(forged((0, 0, 0, 0), (0, 1, 2, 3),
                               third, (0, 0, 0, 0)))
+        assert excinfo.type is InvariantError
 
     @pytest.mark.parametrize("third,ops", [
         ((0, 0, 0, 0), [h_op(1, 3)]),
@@ -806,9 +830,10 @@ class TestDenseFourBranches:
                                        (0, 1, 1, 0), (0, 3, 3, 0),
                                        (0, 0, 1, 2)])
     def test_distinct_odd_pairs_rejected(self, third):
-        with pytest.raises(ImpossibleBranchError):
+        with pytest.raises(InvariantError, match=unit_triple(third)) as excinfo:
             run_dense4(forged((0, 0, 0, 0), (0, 1, 2, 3),
                               third, (0, 0, 0, 0)))
+        assert excinfo.type is InvariantError
 
     def test_pairs_even_gap(self):
         ws = run_dense4(forged((0, 0, 0, 0), (0, 0, 2, 2),
@@ -841,9 +866,10 @@ class TestDenseFourBranches:
                                        (0, 3, 0, 3), (0, 3, 3, 0),
                                        (0, 0, 1, 3)])
     def test_pairs_unit_gap_rejected(self, third):
-        with pytest.raises(ImpossibleBranchError):
+        with pytest.raises(InvariantError, match=unit_triple(third)) as excinfo:
             run_dense4(forged((0, 0, 0, 0), (0, 0, 1, 1),
                               third, (0, 0, 0, 0)))
+        assert excinfo.type is InvariantError
 
     def test_pairs_inverse_gap_shifts_columns(self):
         ws = run_dense4(forged((0, 0, 0, 0), (0, 0, 3, 3),
@@ -862,7 +888,11 @@ class TestDenseFourBranches:
             third = (0, l, m, p)
             try:
                 ws = run_dense4(forged(first, second, third, (0, 0, 0, 0)))
-            except ImpossibleBranchError:
+            except InvariantError as exc:
+                assert type(exc) is InvariantError
+                # the inverse gap shifts columns first, so the triple may differ
+                assert re.fullmatch(r"unit triple \(\d, \d, \d\) excluded by unitarity",
+                                    str(exc)), third
                 continue
             mixed += 1
             partners = [i for i, row in enumerate((first, second))

@@ -108,7 +108,7 @@ def test_long_monomial_runs_match_reference(head, seed):
 
 @settings(max_examples=100, deadline=None)
 @given(circuit=circuits())
-def test_apply_gate_folds_to_simulate(circuit):
+def test_gate_by_gate_fold_matches_simulate(circuit):
     n_wires = circuit.wire_count
     rows, e = _simulate((), n_wires)
     for gate in circuit.gates:
