@@ -13,9 +13,12 @@ odd when the run's powers add up to an odd number; such a run, unless it is
 the last, lowers evenly and leaves w^1 owed to a later run.  The ancilla is
 therefore borrowed exactly when det(U) is an odd power of w, which no
 product of two-qubit Clifford+T gates has: their determinants are powers of
-i.  The w^c of all diagonals add up to one W gate.  Each op and each
-diagonal is lowered once per process, and a gate that meets its inverse on
-the same wires, past gates on other wires only, cancels it.
+i.  A circuit borrows the ancilla, the wire after the data wires, exactly
+when it holds an ANC_INIT marker; emit brackets its gates with ANC_INIT and
+ANC_FREE when one of them acts on that wire.  The w^c of all diagonals add
+up to one W gate.  Each op and each diagonal is lowered once per process,
+and a gate that meets its inverse on the same wires, past gates on other
+wires only, cancels it.
 
 Circuits are simulated exactly on linalg's matrix form, Z[w] numerators N
 over one least power of sqrt(2), the unitary being N / sqrt(2)^e.  X, CNOT,
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -93,21 +96,25 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
+    """Gates on data_qubits wires, plus the ancilla wire after them when an
+    ANC_INIT marker borrows it; uses_ancilla records that marker."""
+
     data_qubits: int
-    uses_ancilla: bool
     gates: tuple[Gate, ...]
+    uses_ancilla: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if self.data_qubits not in (1, 2):
             raise ValueError("circuits cover 1 or 2 data qubits")
+        object.__setattr__(self, "uses_ancilla",
+                           any(gate.name == "ANC_INIT" for gate in self.gates))
         bound = self.wire_count
         for gate in self.gates:
             wires = gate.wires
             if wires and max(wires) >= bound:
                 raise ValueError(f"gate {gate} exceeds {bound} wires")
-            if gate.name in ("ANC_INIT", "ANC_FREE"):
-                if not self.uses_ancilla or gate.wires != (self.data_qubits,):
-                    raise ValueError("ancilla markers must name the ancilla wire")
+            if gate.name in ("ANC_INIT", "ANC_FREE") and wires != (self.data_qubits,):
+                raise ValueError("ancilla markers must name the ancilla wire")
 
     @property
     def wire_count(self) -> int:
@@ -292,9 +299,9 @@ def _lowered(op: ElementaryOp, qubits: int) -> tuple[Gate, ...]:
 
 
 @functools.cache
-def _lowered_diagonal(powers: tuple[int, ...]) -> tuple[tuple[Gate, ...], bool]:
+def _lowered_diagonal(powers: tuple[int, ...]) -> tuple[Gate, ...]:
     """The gates of diag(w^p for p in powers), powers mod 8 on 1 or 2 qubits
-    (64 and 4096 diagonals), and whether they borrow the ancilla."""
+    (64 and 4096 diagonals); an odd x0 x1 term acts on the ancilla wire."""
     if len(powers) == 2:
         c, a, b, d = powers[0], powers[1] - powers[0], 0, 0
     else:
@@ -302,7 +309,7 @@ def _lowered_diagonal(powers: tuple[int, ...]) -> tuple[tuple[Gate, ...], bool]:
         a, b, d = p10 - c, p01 - c, (p11 - p10 - p01 + c) % 8
     gates: list[Gate] = [Gate("W", (), c)] if c else []
     _push(gates, _phase_gates(0, a) + _phase_gates(1, b) + _PRODUCT_TERMS.get(d, []))
-    return tuple(gates), d % 2 == 1
+    return tuple(gates)
 
 
 def _less_one(powers: Sequence[int], level: int) -> tuple[int, ...]:
@@ -313,7 +320,7 @@ def _less_one(powers: Sequence[int], level: int) -> tuple[int, ...]:
 @functools.cache
 def _diagonal_cost(powers: tuple[int, ...]) -> tuple[int, int]:
     """T count, then gate count, of a diagonal's lowering."""
-    gates = _lowered_diagonal(powers)[0]
+    gates = _lowered_diagonal(powers)
     return sum(g.name in ("T", "TDG") for g in gates), len(gates)
 
 
@@ -344,18 +351,16 @@ def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
     qubits = 1 if dim == 2 else 2
     body: list[Gate] = []
     global_power = 0
-    uses_ancilla = False
     owing = None  # the level whose w^1 the gates so far leave out
     run = None  # powers, by level, of the phase run being read
 
     def lower_diagonal(powers: Sequence[int]) -> None:
-        nonlocal global_power, uses_ancilla
-        gates, used = _lowered_diagonal(tuple(p % 8 for p in powers))
+        nonlocal global_power
+        gates = _lowered_diagonal(tuple(p % 8 for p in powers))
         if gates and gates[0].name == "W":
             global_power += gates[0].power
             gates = gates[1:]
         _push(body, gates)
-        uses_ancilla |= used
 
     def start_run() -> list[int]:
         nonlocal owing
@@ -386,9 +391,9 @@ def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
         lower_diagonal(run or start_run())
     if global_power % 8:
         body.insert(0, Gate("W", (), global_power % 8))
-    if uses_ancilla:
+    if any(qubits in gate.wires for gate in body):
         body = [Gate("ANC_INIT", (qubits,)), *body, Gate("ANC_FREE", (qubits,))]
-    return Circuit(qubits, uses_ancilla, tuple(body))
+    return Circuit(qubits, tuple(body))
 
 
 def circuit_to_matrix(circuit: Circuit) -> ExactMatrix:
@@ -475,8 +480,7 @@ def parse_circuit(text: str) -> Circuit:
         gates.append(gate)
     if qubits is None:
         raise CircuitParseError("missing qubits header")
-    uses_ancilla = any(g.name == "ANC_INIT" for g in gates)
     try:
-        return Circuit(qubits, uses_ancilla, tuple(gates))
+        return Circuit(qubits, tuple(gates))
     except ValueError as exc:
         raise CircuitParseError(str(exc)) from None

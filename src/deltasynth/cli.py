@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedDimError,
     VerificationError,
 )
-from .linalg import ExactMatrix, is_unitary
+from .linalg import MAX_DIM, ExactMatrix, is_unitary
 from .ring import (
     OMEGA_POWERS,
     ZOmega,
@@ -113,9 +113,9 @@ def parse_matrix(text: str) -> ExactMatrix:
                 raise MatrixParseError(
                     f"bad dimension {second.group()!r}",
                     lineno, second.start() + 1) from None
-            if not 1 <= dim <= 4:
+            if not 1 <= dim <= MAX_DIM:
                 raise MatrixParseError(
-                    f"dimension must be 1..4, got {dim}",
+                    f"dimension must be 1..{MAX_DIM}, got {dim}",
                     lineno, second.start() + 1)
             continue
         if len(rows) == dim:
@@ -182,7 +182,7 @@ def _scalar_identity(m: ExactMatrix) -> ExactMatrix:
 def _global_phase_circuit(dec: Decomposition) -> Circuit:
     power = sum(op.power for op in dec.word) % 8
     gates = (Gate("W", (), power),) if power else ()
-    return Circuit(1, False, gates)
+    return Circuit(1, gates)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -277,7 +277,7 @@ def draw_circuit(spec: InstanceSpec) -> Circuit:
     rng = random.Random(spec.seed * 1000003 + spec.gate_budget * 101 + spec.qubits)
     pool = gate_pool(spec.qubits)
     gates = tuple(rng.choice(pool) for _ in range(spec.gate_budget))
-    return Circuit(spec.qubits, False, gates)
+    return Circuit(spec.qubits, gates)
 
 
 def random_unitary(spec: InstanceSpec) -> ExactMatrix:
@@ -367,7 +367,7 @@ def residue_tables() -> str:
     for n in (1, 2, 3):
         classes = {}
         for name, z in _named_representatives():
-            classes.setdefault(residue_bits(z)[:n], name)
+            classes.setdefault(residue_bits(z) & ((1 << n) - 1), name)
         if len(classes) != 2 ** n:
             raise VerificationError(f"expected {2 ** n} classes mod delta^{n}")
         power = "" if n == 1 else f"^{n}"
@@ -376,10 +376,9 @@ def residue_tables() -> str:
         lines.append("")
         names = classes
     lines.append("basis {1, delta, delta^2} decomposition mod delta^3:")
-    for bits in sorted(names, key=lambda b: (b[0], b[1] + 2 * b[2])):
-        name = names[bits]
-        lines.append(f"  {name:<6} -> {bits[0]} + {bits[1]}*delta"
-                     f" + {bits[2]}*delta^2")
+    for r in sorted(names, key=lambda r: (r & 1, r >> 1)):
+        lines.append(f"  {names[r]:<6} -> {r & 1} + {r >> 1 & 1}*delta"
+                     f" + {r >> 2}*delta^2")
     return "\n".join(lines) + "\n"
 
 

@@ -2,22 +2,23 @@
 
 The engine builds the Z[w] numerators of delta^k * U once, at the least
 delta-exponent k, from the matrix's numerators over sqrt(2)^e, and reduces
-them in place, columns as well as rows, beside the grid of their residue bits
-mod delta^3, which an op refreshes only where it wrote.  While k > 1, the
-mod-delta pattern must be one of seven shapes, stated as 0/1 templates; a
-table of their row and column permutations names the pattern's shape and
-where the template's rows and columns lie.  Every shape is reduced by one
-step, applied over and over: phase-align two lines that are congruent mod
-delta^3 (or mod delta^2) and mix them with one two-level Hadamard, which
-divides their sum and difference exactly by sqrt(2).  Congruence mod delta^3
-strictly drops both lines below k; congruence mod delta^2 hands off to a
-simpler shape at the same k.  Which two lines to mix is read off the shape,
-except for the all-units 4x4 shape, which takes the same steps: unless rows 0
-and 1 are aligned and mixed outright, phases make row 0 and the first entries
-of rows 1 and 2 ones, column swaps sort row 1, and one of two tables, keyed
-by row 2's phases, names the pair.  At most four Hadamards later delta
-divides every numerator, and dividing it out lowers k; at k = 0 the matrix is
-a monomial unpicked by swaps and phases.
+them in place, columns as well as rows, beside the grid of their residue
+classes mod delta^3 (one 3-bit int each), which an op refreshes only where
+it wrote.  While k > 1, the mod-delta pattern must be one of seven shapes,
+stated as 0/1 templates; a table of their row and column permutations names
+the pattern's shape and where the template's rows and columns lie.  Every
+shape is reduced by one step, applied over and over: phase-align two lines
+that are congruent mod delta^3 (or mod delta^2) and mix them with one
+two-level Hadamard, which divides their sum and difference exactly by
+sqrt(2).  Congruence mod delta^3 strictly drops both lines below k;
+congruence mod delta^2 hands off to a simpler shape at the same k.  Which
+two lines to mix is read off the shape, except for the all-units 4x4 shape,
+which takes the same steps: unless rows 0 and 1 are aligned and mixed
+outright, phases make row 0 and the first entries of rows 1 and 2 ones,
+column swaps sort row 1, and one of two tables, keyed by row 2's phases,
+names the pair.  At most four Hadamards later, as the round counts among
+its own ops, delta divides every numerator, and dividing it out lowers k;
+at k = 0 the matrix is a monomial unpicked by swaps and phases.
 
 Left ops act on rows, right ops on columns; inverting and re-ordering the
 applied ops yields a word whose exact product equals the input.
@@ -36,12 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .errors import (
-    InvariantError,
-    NotUnitaryError,
-    UnsupportedDimError,
-    VerificationError,
-)
+from .errors import InvariantError, NotUnitaryError, VerificationError
 from .linalg import (
     ElementaryOp,
     ExactMatrix,
@@ -55,8 +51,8 @@ from .linalg import (
     word_matrix,
     x_op,
 )
-from .ring import (OMEGA_POWERS, TWO_PLUS_SQRT2, UNIT_SQRT2, Bits, ZOmega,
-                   divide_by_delta, divide_by_sqrt2, residue_bits)
+from .ring import (OMEGA_POWERS, TWO_PLUS_SQRT2, UNIT_SQRT2, ZOmega, divide_by_delta,
+                   divide_by_sqrt2, residue_bits)
 
 MAX_HADAMARDS_PER_ROUND = 4
 
@@ -149,40 +145,21 @@ def _shape_table() -> dict[tuple[tuple[int, ...], ...], CasePattern]:
 def classify_pattern(pattern: Sequence[Sequence[int]]) -> CasePattern:
     """Match a 0/1 unit pattern against the reducible shapes.
 
-    Raises InvariantError for anything a unitary cannot produce at
-    delta-exponent k > 1.
+    Raises InvariantError for anything else, which a unitary cannot produce
+    at delta-exponent k > 1.
     """
-    # Every key is a square 0/1 pattern of dimension 2 to 4, so a hit needs
-    # no input checks; a miss or an unhashable entry gets them.
-    try:
-        pat = _shape_table().get(tuple(map(tuple, pattern)))
-    except TypeError:
-        pat = None
-    if pat is not None:
-        return pat
-    dim = len(pattern)
-    if any(len(row) != dim for row in pattern):
-        raise ValueError("pattern must be square")
-    if any(bit not in (0, 1) for row in pattern for bit in row):
-        raise ValueError("pattern entries must be bits")
-    if dim == 1 or dim > 4:
-        raise UnsupportedDimError(f"no shapes defined for dimension {dim}")
-    raise InvariantError(
-        f"pattern {pattern!r} does not match any reducible shape")
+    pat = _shape_table().get(tuple(map(tuple, pattern)))
+    if pat is None:
+        raise InvariantError(
+            f"pattern {pattern!r} does not match any reducible shape")
+    return pat
 
 
-def _omega_exponent(bits: Bits) -> int:
-    """s with w^s in the unit class mod delta^3 that bits name."""
-    return bits[1] + 2 * bits[2]
-
-
-def phase_offset(row1: Sequence[Bits], row2: Sequence[Bits]) -> int:
+def phase_offset(row1: Sequence[int], row2: Sequence[int]) -> int:
     """x mod 4 with w^x * row1 = row2 as unit classes mod delta^3 (residue bits)."""
-    if not row1 or len(row1) != len(row2):
-        raise ValueError("need equal-length nonempty unit rows")
-    if not all(bits[0] for bits in (*row1, *row2)):
+    if not all(r & 1 for r in (*row1, *row2)):
         raise InvariantError("phase alignment needs unit classes mod delta^3")
-    offsets = {(_omega_exponent(r2) - _omega_exponent(r1)) % 4 for r1, r2 in zip(row1, row2)}
+    offsets = {((r2 >> 1) - (r1 >> 1)) % 4 for r1, r2 in zip(row1, row2)}
     if len(offsets) != 1:
         raise InvariantError(f"no single omega power aligns {row1!r} with {row2!r}")
     return offsets.pop()
@@ -228,10 +205,10 @@ def _div_sqrt2(z: ZOmega) -> ZOmega:
 class _Workspace:
     """The synthesis state: rows holds the Z[w] numerators of delta^k * U,
     built from the input at its least delta-exponent k and reduced in place
-    to k = 0, the grid bits of their residue bits, always equal to
-    residue_matrix(rows), and the ops applied so far.  k stays least (0, or
-    some numerator is a unit mod delta).  Lines are rows for side "L" (ops
-    applied on the left) and columns for side "R"; indices are 0-based.
+    to k = 0, the grid bits of their residue classes mod delta^3, always
+    equal to residue_matrix(rows), and the ops applied so far.  k stays least
+    (0, or some numerator is a unit mod delta).  Lines are rows for side "L"
+    (ops applied on the left) and columns for side "R"; indices are 0-based.
     """
 
     def __init__(self, m: ExactMatrix) -> None:
@@ -244,10 +221,9 @@ class _Workspace:
         self.divide_out_delta()
         self.left_ops: list[ElementaryOp] = []
         self.right_ops: list[ElementaryOp] = []
-        self.hadamards = 0
 
     def has_unit(self) -> bool:
-        return any(bits[0] for row in self.bits for bits in row)
+        return any(r & 1 for row in self.bits for r in row)
 
     def divide_out_delta(self) -> None:
         """Divide every numerator by delta, lowering k, while all of them divide."""
@@ -257,8 +233,7 @@ class _Workspace:
             self.k -= 1
 
     def exps(self) -> list[list[int | None]]:
-        return [[_omega_exponent(bits) if bits[0] else None for bits in row]
-                for row in self.bits]
+        return [[r >> 1 if r & 1 else None for r in row] for row in self.bits]
 
     def lines(self, a: int, b: int, side: str = "L",
               support: Sequence[int] | None = None) -> tuple[list, list]:
@@ -272,7 +247,7 @@ class _Workspace:
         la, lb = self.lines(a, b, side)
         if la == lb:
             return 3
-        if all(x[:2] == y[:2] for x, y in zip(la, lb)):
+        if not any((x ^ y) & 3 for x, y in zip(la, lb)):
             return 2
         return 0
 
@@ -315,11 +290,8 @@ class _Workspace:
         if level < 2:
             raise InvariantError(
                 f"lines {a},{b} not congruent mod delta^2 before Hadamard")
-        if self.hadamards >= MAX_HADAMARDS_PER_ROUND:
-            raise InvariantError("Hadamard budget for one round exhausted")
-        self.hadamards += 1
         self.apply(h_op(min(a, b) + 1, max(a, b) + 1), side)
-        if level == 3 and any(bits[0] for line in self.lines(a, b, side) for bits in line):
+        if level == 3 and any(r & 1 for line in self.lines(a, b, side) for r in line):
             raise InvariantError("congruent lines failed to drop")
 
 
@@ -439,20 +411,21 @@ def _reduce(ws: _Workspace, pat: CasePattern) -> None:
 
 
 def reduction_round(ws: _Workspace) -> ReductionRound:
-    """Apply ops to the workspace until its delta-exponent strictly drops."""
+    """Apply ops to the workspace until its delta-exponent strictly drops,
+    within MAX_HADAMARDS_PER_ROUND Hadamards: one per pass."""
     k = ws.k
     if k == 1:
         raise InvariantError("delta-exponent 1 cannot occur for a unitary")
-    if k < 1:
-        raise ValueError("nothing to reduce at exponent 0")
     if len(ws.rows) == 1:
         raise InvariantError("a 1x1 unitary has delta-exponent 0")
     lefts, rights = len(ws.left_ops), len(ws.right_ops)
     chain: list[str] = []
-    ws.hadamards = 0
     # the exponent is still k while some numerator is a unit mod delta
     while ws.has_unit():
-        pattern = tuple(tuple(bits[0] for bits in row) for row in ws.bits)
+        ops = ws.left_ops[lefts:] + ws.right_ops[rights:]
+        if sum(1 for op in ops if op.kind == "H") >= MAX_HADAMARDS_PER_ROUND:
+            raise InvariantError("Hadamard budget for one round exhausted")
+        pattern = tuple(tuple(r & 1 for r in row) for row in ws.bits)
         pat = classify_pattern(pattern)
         chain.append(pat.tag.value)
         _reduce(ws, pat)

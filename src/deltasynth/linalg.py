@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
 from .errors import UnsupportedDimError
-from .ring import ZW_ONE, ZW_ZERO, Bits, ZOmega, divide_by_sqrt2, residue_bits, times_sqrt2
+from .ring import ZW_ONE, ZW_ZERO, ZOmega, divide_by_sqrt2, residue_bits, times_sqrt2
 
 MAX_DIM = 4
 
@@ -74,7 +74,7 @@ def delta_exponent(m: ExactMatrix) -> int:
     sqrt(2)^e is delta^(2e) over a unit, and with e least delta^2 does not
     divide every numerator: k is 2e, or 2e - 1 when delta divides them all.
     """
-    if any(residue_bits(z)[0] for row in m.rows for z in row):
+    if any(residue_bits(z) & 1 for row in m.rows for z in row):
         return 2 * m.e
     return max(2 * m.e - 1, 0)
 
@@ -98,8 +98,9 @@ def is_scaled_unitary(rows: Sequence[Sequence[ZOmega]], scale: ZOmega) -> bool:
         for i, a in enumerate(cols) for j, b in enumerate(cols) if i <= j)
 
 
-def residue_matrix(rows: Sequence[Sequence[ZOmega]]) -> tuple[tuple[Bits, ...], ...]:
-    """Residue bits mod delta^3 of every numerator; bit 0 is the unit pattern."""
+def residue_matrix(rows: Sequence[Sequence[ZOmega]]) -> tuple[tuple[int, ...], ...]:
+    """The residue class mod delta^3 of every numerator; bit 0 is the unit
+    pattern."""
     return tuple(tuple(residue_bits(z) for z in row) for row in rows)
 
 

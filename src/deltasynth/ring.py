@@ -6,7 +6,8 @@ delta^2 = sqrt(2) * (unit) and generates the prime ideal above 2, so every
 element of D[w] = Z[1/sqrt(2), i] is num / delta^k for a unique minimal k.
 That exponent is the complexity measure the synthesis engine reduces; the
 residue bits of the Z[w] numerators of delta^k * U (their classes mod
-delta^3, read off the coefficients) drive its case analysis.
+delta^3, read off the coefficients as one 3-bit int each) drive its case
+analysis.
 
 The package holds D[w] values as Z[w] numerators over a power of sqrt(2);
 `from_sqrt2_form` and `to_sqrt2_form` convert one numerator to and from the
@@ -154,19 +155,17 @@ def divide_by_sqrt2(x: ZOmega) -> ZOmega | None:
     return ZOmega(a >> 1, b >> 1, c >> 1, d >> 1)
 
 
-Bits = tuple[int, int, int]
-
-
-def residue_bits(x: ZOmega) -> Bits:
-    """Coordinates of x mod delta^3 in the additive basis {1, delta, delta^2}.
+def residue_bits(x: ZOmega) -> int:
+    """The class of x mod delta^3 as one int r: bit i of r is the coordinate
+    of delta^i in the additive basis {1, delta, delta^2}.
 
     Z[w]/(delta^3) has 8 elements and exponent-2 additive group, so the
-    coordinates are bits and are linear in the coefficients mod 2.  The
-    first n bits are the class mod delta^n.  x is a unit exactly when the
-    first bit is 1, and a unit is w^s mod delta^3 with s = bits[1] + 2*bits[2].
+    coordinates are bits and are linear in the coefficients mod 2.  The low
+    n bits are the class mod delta^n.  x is a unit exactly when bit 0 is
+    set, and a unit is w^(r >> 1) mod delta^3.
     """
     a, b, c, d = x.a, x.b, x.c, x.d
-    return (a + b + c + d) & 1, (a + c) & 1, (a + b) & 1
+    return (a + b + c + d) & 1 | ((a + c) & 1) << 1 | ((a + b) & 1) << 2
 
 
 class DOmega:

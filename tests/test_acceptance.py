@@ -184,7 +184,7 @@ def test_residue_parity_invariants(corpus):
         k = delta_exponent(m)
         if k == 0:
             continue
-        pattern = [[bits[0] for bits in row]
+        pattern = [[r & 1 for r in row]
                    for row in residue_matrix(scaled(m, k))]
         dim = len(pattern)
         for row in pattern:
@@ -362,6 +362,21 @@ def test_invariant_sites_named_by_message():
     repeated = collections.Counter(text for text, _ in sites)
     assert [(text, where) for text, where in sites if repeated[text] > 1] == []
     print(f"{len(sites)} invariant and verification sites, each with its own message")
+
+
+def test_engine_raises_only_engine_errors():
+    """Every raise in engine.py raises InvariantError, VerificationError or
+    NotUnitaryError: the engine does not re-check what its workspace already
+    guarantees.  A bare `raise` passes the caught error on and is exempt."""
+    allowed = {"InvariantError", "VerificationError", "NotUnitaryError"}
+    path = Path(deltasynth.__file__).parent / "engine.py"
+    raised = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            name = getattr(getattr(node.exc, "func", None), "id", ast.unparse(node.exc))
+            raised.append((name, f"engine.py:{node.lineno}"))
+    assert len(raised) > 10
+    assert [(name, where) for name, where in raised if name not in allowed] == []
 
 
 def test_d_omega_only_in_ring():

@@ -63,20 +63,23 @@ class TestGate:
 class TestCircuit:
     def test_wire_bound(self):
         with pytest.raises(ValueError):
-            Circuit(1, False, (Gate("H", (1,)),))
+            Circuit(1, (Gate("H", (1,)),))
         with pytest.raises(ValueError):
-            Circuit(3, False, ())
+            Circuit(3, ())
 
     def test_ancilla_markers_checked(self):
-        with pytest.raises(ValueError):
-            Circuit(2, False, (Gate("ANC_INIT", (2,)),))
-        with pytest.raises(ValueError):
-            Circuit(2, True, (Gate("ANC_INIT", (1,)),))
+        # without ANC_INIT the circuit has no ancilla wire
+        with pytest.raises(ValueError, match="exceeds 2 wires"):
+            Circuit(2, (Gate("ANC_FREE", (2,)),))
+        with pytest.raises(ValueError, match="must name the ancilla wire"):
+            Circuit(2, (Gate("ANC_INIT", (1,)),))
 
     def test_shape_properties(self):
-        circ = Circuit(2, True, (Gate("ANC_INIT", (2,)), Gate("ANC_FREE", (2,))))
+        circ = Circuit(2, (Gate("ANC_INIT", (2,)), Gate("ANC_FREE", (2,))))
+        assert circ.uses_ancilla
         assert circ.wire_count == 3
         assert circ.dim == 4
+        assert Circuit(2, ()).wire_count == 2
 
 
 class TestTemplates:
@@ -135,7 +138,9 @@ class TestLowering:
                 powers = [0] * dim
                 for op in run:
                     powers[op.j - 1] += op.power
-                gates, used = _lowered_diagonal(tuple(p % 8 for p in powers))
+                gates = _lowered_diagonal(tuple(p % 8 for p in powers))
+                # the x0 x1 term is odd exactly when the powers add up odd
+                used = dim == 4 and sum(powers) % 2 == 1
                 if used:
                     gates = (Gate("ANC_INIT", (2,)), *gates, Gate("ANC_FREE", (2,)))
                 circ = emit(run, dim)
@@ -303,15 +308,15 @@ class TestOddDeterminant:
 
 class TestAncillaDiscipline:
     def test_leak_detected(self):
-        leaky = Circuit(2, True, (Gate("ANC_INIT", (2,)), Gate("X", (2,)),
-                                  Gate("ANC_FREE", (2,))))
+        leaky = Circuit(2, (Gate("ANC_INIT", (2,)), Gate("X", (2,)),
+                            Gate("ANC_FREE", (2,))))
         with pytest.raises(VerificationError):
             circuit_to_matrix(leaky)
 
     def test_idle_ancilla_extracts_data_block(self):
-        with_anc = Circuit(2, True, (Gate("ANC_INIT", (2,)), Gate("H", (0,)),
-                                     Gate("ANC_FREE", (2,))))
-        without = Circuit(2, False, (Gate("H", (0,)),))
+        with_anc = Circuit(2, (Gate("ANC_INIT", (2,)), Gate("H", (0,)),
+                               Gate("ANC_FREE", (2,))))
+        without = Circuit(2, (Gate("H", (0,)),))
         assert circuit_to_matrix(with_anc) == circuit_to_matrix(without)
 
 
@@ -326,7 +331,7 @@ class TestTextFormat:
 
     def test_comments_and_blanks_skipped(self):
         circ = parse_circuit("# leading note\n\nqubits 1\nH 0  # inline\n\nW 3\n")
-        assert circ == Circuit(1, False, (Gate("H", (0,)), Gate("W", (), 3)))
+        assert circ == Circuit(1, (Gate("H", (0,)), Gate("W", (), 3)))
 
     def test_missing_header(self):
         with pytest.raises(CircuitParseError):

@@ -19,12 +19,7 @@ from deltasynth.engine import (
     synthesize,
     verify_decomposition,
 )
-from deltasynth.errors import (
-    InvariantError,
-    NotUnitaryError,
-    UnsupportedDimError,
-    VerificationError,
-)
+from deltasynth.errors import InvariantError, NotUnitaryError, VerificationError
 from deltasynth.linalg import (
     ExactMatrix,
     delta_exponent,
@@ -198,20 +193,12 @@ class TestClassifyPattern:
         assert excinfo.type is InvariantError
 
     def test_dimension_limits(self):
-        with pytest.raises(UnsupportedDimError):
-            classify_pattern([[1]])
-        with pytest.raises(UnsupportedDimError):
-            classify_pattern([[1] * 5 for _ in range(5)])
-        with pytest.raises(ValueError):
-            classify_pattern([[1, 1], [1, 1], [1, 1]])
-        with pytest.raises(ValueError):
-            classify_pattern([[2, 1], [1, 1]])
-
-    def test_unhashable_entry_rejected(self):
-        with pytest.raises(ValueError, match="pattern entries must be bits"):
-            classify_pattern([[[1], 1], [1, 1]])
-        with pytest.raises(ValueError, match="pattern must be square"):
-            classify_pattern([[[1], 1], [1, 1], [1, 1]])
+        # the table holds only square 0/1 patterns of dimension 2 to 4
+        for pattern in ([[1]], [[1] * 5 for _ in range(5)],
+                        [[1, 1], [1, 1], [1, 1]], [[2, 1], [1, 1]]):
+            with pytest.raises(InvariantError, match=NO_SHAPE) as excinfo:
+                classify_pattern(pattern)
+            assert excinfo.type is InvariantError
 
     # The templates, restated here: template rows 0 and 1 (columns for the
     # transposed full_rows) are the lines the reduction mixes first.
@@ -255,17 +242,11 @@ class TestClassifyPattern:
         assert sum(counts.values()) == 113
 
 
-def residue_index(z):
-    """z's class mod delta^3 as 0..7; bit 0 is set exactly for units."""
-    b0, b1, b2 = residue_bits(z)
-    return b0 | b1 << 1 | b2 << 2
-
-
 # one representative per class mod delta^3, in the basis {1, delta, delta^2}
 RESIDUE_REPS = [sum((b for i, b in enumerate((ZW_ONE, ZW_DELTA, ZW_DELTA2)) if c >> i & 1),
                     ZW_ZERO) for c in range(8)]
-TIMES_CONJ = [[residue_index(x * y.conj()) for y in RESIDUE_REPS] for x in RESIDUE_REPS]
-PLUS = [[residue_index(x + y) for y in RESIDUE_REPS] for x in RESIDUE_REPS]
+TIMES_CONJ = [[residue_bits(x * y.conj()) for y in RESIDUE_REPS] for x in RESIDUE_REPS]
+PLUS = [[residue_bits(x + y) for y in RESIDUE_REPS] for x in RESIDUE_REPS]
 
 
 def residue_inner(u, v):
@@ -298,7 +279,7 @@ def test_every_unitary_unit_pattern_is_a_shape(dim, n_rows, n_matrices, n_patter
     N N^dagger = N^dagger N = (conj(delta) delta)^k I, so both products
     vanish mod delta^3.  Every unit pattern such an N can have is a
     reducible shape."""
-    assert [residue_index(z) for z in RESIDUE_REPS] == list(range(8))
+    assert [residue_bits(z) for z in RESIDUE_REPS] == list(range(8))
     rows, matrices = residue_unitaries(dim)
     patterns = {tuple(tuple(x & 1 for x in row) for row in m) for m in matrices}
     assert (len(rows), len(matrices), len(patterns)) == (n_rows, n_matrices, n_patterns)
@@ -330,12 +311,6 @@ class TestPhaseOffset:
         with pytest.raises(InvariantError, match="^phase alignment needs unit") as excinfo:
             phase_offset([residue_bits(ZW_DELTA)], [unit_class(0)])
         assert excinfo.type is InvariantError
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            phase_offset([], [])
-        with pytest.raises(ValueError):
-            phase_offset([unit_class(0)], [unit_class(0), unit_class(1)])
 
 
 class TestSolveMonomial:
@@ -395,8 +370,27 @@ class TestReductionRound:
         assert excinfo.type is InvariantError
 
     def test_exponent_zero_rejected(self):
-        with pytest.raises(ValueError):
+        # the identity's unit pattern is no reducible shape
+        with pytest.raises(InvariantError, match=NO_SHAPE) as excinfo:
             reduction_round(_Workspace(ExactMatrix.identity(2)))
+        assert excinfo.type is InvariantError
+
+    def test_hadamard_budget_exhausted(self, monkeypatch):
+        """A round whose passes leave a unit after MAX_HADAMARDS_PER_ROUND
+        Hadamards raises before the next pass."""
+        passes = []
+
+        def fake_pass(ws, pat):
+            passes.append(pat.tag)
+            assert len(passes) <= 4, "the budget did not stop the round"
+            ws.left_ops.append(h_op(1, 2))
+
+        monkeypatch.setattr(deltasynth.engine, "_reduce", fake_pass)
+        with pytest.raises(InvariantError,
+                           match="^Hadamard budget for one round exhausted$") as excinfo:
+            reduction_round(_Workspace(H_EXACT))
+        assert excinfo.type is InvariantError
+        assert passes == [CaseTag.DENSE_2] * 4
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_progress_on_random_words(self, dim):

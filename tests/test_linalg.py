@@ -173,7 +173,7 @@ class TestElementaryOps:
 
 def unit_pattern(m, k):
     """Unit-indicator bits of delta^k * m: the mod-delta residue pattern."""
-    return tuple(tuple(bits[0] for bits in row)
+    return tuple(tuple(r & 1 for r in row)
                  for row in residue_matrix(scaled(m, k)))
 
 
@@ -182,7 +182,7 @@ class TestResidueMatrix:
         assert unit_pattern(H_EXACT, 2) == ((1, 1), (1, 1))
         for row in residue_matrix(scaled(H_EXACT, 2)):
             for bits in row:
-                assert bits == (1, 1, 1)
+                assert bits == 0b111
 
     def test_identity_pattern(self):
         assert unit_pattern(ExactMatrix.identity(3), 0) == (

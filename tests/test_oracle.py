@@ -104,4 +104,4 @@ class TestSearchGateWord:
         found = search_gate_word(target, 7, pool=pool)
         assert found is not None
         assert len(found) == 7
-        assert circuit_to_matrix(Circuit(2, False, found)) == target
+        assert circuit_to_matrix(Circuit(2, found)) == target

@@ -120,7 +120,7 @@ class TestDeltaDivisibility:
     @given(x=zomega)
     def test_divisible_iff_residue_zero(self, x):
         q = divide_by_delta(x)
-        assert (q is None) == (residue_bits(x)[0] == 1)
+        assert (q is None) == (residue_bits(x) & 1 == 1)
         if q is not None:
             assert q * ZW_DELTA == x
 
@@ -136,7 +136,7 @@ class TestDeltaDivisibility:
     @given(x=zomega)
     def test_divisible_iff_reducible_class(self, x):
         # mod delta^3 the non-unit classes are exactly the multiples of delta
-        assert (divide_by_delta(x) is not None) == (residue_bits(x)[0] == 0)
+        assert (divide_by_delta(x) is not None) == (residue_bits(x) & 1 == 0)
 
 
 class TestSqrt2Divisibility:
@@ -162,16 +162,17 @@ class TestSqrt2Divisibility:
             assert q * ZW_SQRT2 == x
 
 
-# the eight classes mod delta^3, as (element, basis bits)
+# the eight classes mod delta^3, as (element, class); bit i of the class
+# is the coordinate of delta^i
 BASIS_TABLE = [
-    (ZW_ZERO, (0, 0, 0)),
-    (ZW_ONE + ZW_OMEGA, (0, 1, 0)),
-    (ZW_ONE + ZOmega(0, 1, 0, 0), (0, 0, 1)),
-    (ZW_ONE + ZOmega(1, 0, 0, 0), (0, 1, 1)),
-    (ZW_ONE, (1, 0, 0)),
-    (ZW_OMEGA, (1, 1, 0)),
-    (ZOmega(0, 1, 0, 0), (1, 0, 1)),
-    (ZOmega(1, 0, 0, 0), (1, 1, 1)),
+    (ZW_ZERO, 0b000),
+    (ZW_ONE + ZW_OMEGA, 0b010),
+    (ZW_ONE + ZOmega(0, 1, 0, 0), 0b100),
+    (ZW_ONE + ZOmega(1, 0, 0, 0), 0b110),
+    (ZW_ONE, 0b001),
+    (ZW_OMEGA, 0b011),
+    (ZOmega(0, 1, 0, 0), 0b101),
+    (ZOmega(1, 0, 0, 0), 0b111),
 ]
 
 
@@ -183,12 +184,12 @@ class TestResidues:
     @given(x=zomega)
     def test_bits_name_the_class(self, x):
         # independent oracle: x minus the representative
-        # bits[0] + bits[1]*delta + bits[2]*delta^2 must be divisible by
+        # bit 0 + bit 1 * delta + bit 2 * delta^2 must be divisible by
         # delta three times
         bits = residue_bits(x)
         diff = x
-        for bit, basis in zip(bits, (ZW_ONE, ZW_DELTA, ZW_DELTA2)):
-            if bit:
+        for i, basis in enumerate((ZW_ONE, ZW_DELTA, ZW_DELTA2)):
+            if bits >> i & 1:
                 diff = diff - basis
         for _ in range(3):
             diff = divide_by_delta(diff)
@@ -196,33 +197,33 @@ class TestResidues:
 
     def test_quotient_sizes(self):
         for n in (1, 2, 3):
-            classes = {residue_bits(element)[:n] for element, _ in BASIS_TABLE}
+            classes = {residue_bits(element) & ((1 << n) - 1) for element, _ in BASIS_TABLE}
             assert len(classes) == 2 ** n
 
     def test_additive_exponent_two(self):
         # x + x = 2x = 0 mod delta^3 since 2 is delta^4 times a unit
         for element, _ in BASIS_TABLE:
-            assert not any(residue_bits(element + element))
+            assert residue_bits(element + element) == 0
 
     def test_key_congruences(self):
-        assert not any(residue_bits(ZOmega.from_int(2)))
+        assert residue_bits(ZOmega.from_int(2)) == 0
         assert residue_bits(ZOmega.from_int(-1)) == residue_bits(ZW_ONE)
         assert residue_bits(ZW_ONE.mul_omega_power(4)) == residue_bits(ZW_ONE)
 
     def test_unit_exponents(self):
-        # a unit is w^s mod delta^3 with s = bits[1] + 2*bits[2]
+        # a unit is w^s mod delta^3 with s = bits >> 1
         for s in range(8):
             bits = residue_bits(OMEGA_POWERS[s])
-            assert bits[0] == 1
-            assert bits[1] + 2 * bits[2] == s % 4
-        assert residue_bits(ZW_DELTA)[0] == 0
+            assert bits & 1 == 1
+            assert bits >> 1 == s % 4
+        assert residue_bits(ZW_DELTA) & 1 == 0
 
     def test_unit_sum_cancellation(self):
         # w^x + w^y = 0 mod delta^3 exactly when x = y mod 4
         for x in range(8):
             for y in range(8):
                 total = OMEGA_POWERS[x] + OMEGA_POWERS[y]
-                assert (not any(residue_bits(total))) == ((x - y) % 4 == 0)
+                assert (residue_bits(total) == 0) == ((x - y) % 4 == 0)
 
 
 class TestDOmega:
@@ -285,8 +286,8 @@ class TestDOmega:
     def test_residue_at(self):
         # scaled H entry: delta^2 * (1/sqrt(2)) = unit in the w^3 class
         assert scaled(exact([[D_INV_SQRT2]]), 2) == [[UNIT_SQRT2]]
-        assert residue_bits(D_INV_SQRT2.lift_to(2)) == (1, 1, 1)
-        assert not any(residue_bits(D_ONE.lift_to(3)))
+        assert residue_bits(D_INV_SQRT2.lift_to(2)) == 0b111
+        assert residue_bits(D_ONE.lift_to(3)) == 0
         assert D_ONE.lift_to(2) == ZW_DELTA2
         with pytest.raises(ValueError):
             scaled(exact([[D_INV_SQRT2]]), 1)
@@ -303,11 +304,12 @@ class TestDOmega:
         assert rows == [[num]]
         assert DOmega(rows[0][0], k) == x
         bits = residue_matrix(rows)[0][0]
-        assert bits[:n] == residue_bits(num)[:n]
+        mask = (1 << n) - 1
+        assert bits & mask == residue_bits(num) & mask
         if extra == 0 and x.k > 0:
-            assert bits[0] == 1  # a canonical numerator is a unit mod delta
+            assert bits & 1 == 1  # a canonical numerator is a unit mod delta
         if extra >= 3:
-            assert not any(bits)
+            assert bits == 0
 
 
 def has_sqrt2_form(z):

@@ -16,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from deltasynth import circuits as circuits_module
 from deltasynth.circuits import (_LEAST_EVERY, _PRODUCT_TERMS, SINGLE_WIRE_GATES, Circuit, Gate,
-                                 _fold, _simulate, circuit_to_matrix)
+                                 _fold, _simulate, circuit_to_matrix, parse_circuit,
+                                 render_circuit)
 from deltasynth.cli import render_matrix
 from deltasynth.errors import VerificationError
 from deltasynth.linalg import h_op, least, word_matrix, word_product
@@ -39,7 +40,8 @@ reference = load_reference()
 @st.composite
 def circuits(draw):
     """Gate lists on 1 or 2 data qubits, with or without a borrowed ancilla;
-    with one, gates may also act on the ancilla wire."""
+    with one, an ANC_INIT marker lies somewhere among the gates, and gates
+    may also act on the ancilla wire."""
     qubits = draw(st.sampled_from((1, 2)))
     ancilla = draw(st.booleans())
     reach = qubits + (1 if ancilla and draw(st.booleans()) else 0)
@@ -56,11 +58,14 @@ def circuits(draw):
         options.append(st.sampled_from([Gate("ANC_INIT", (qubits,)),
                                         Gate("ANC_FREE", (qubits,))]))
     gates = draw(st.lists(st.one_of(options), max_size=40))
-    return Circuit(qubits, ancilla, tuple(gates))
+    if ancilla:
+        gates.insert(draw(st.integers(min_value=0, max_value=len(gates))),
+                     Gate("ANC_INIT", (qubits,)))
+    return Circuit(qubits, tuple(gates))
 
 
 def anc_circuit(*gates):
-    return Circuit(1, True, (Gate("ANC_INIT", (1,)), *gates, Gate("ANC_FREE", (1,))))
+    return Circuit(1, (Gate("ANC_INIT", (1,)), *gates, Gate("ANC_FREE", (1,))))
 
 
 @settings(max_examples=300, deadline=None)
@@ -92,8 +97,8 @@ def check_against_reference(circuit):
 
 @settings(max_examples=40, deadline=None)
 @given(head=circuits(), seed=st.integers(min_value=0))
-@example(head=Circuit(1, False, ()), seed=0)
-@example(head=Circuit(2, True, ()), seed=1)
+@example(head=Circuit(1, ()), seed=0)
+@example(head=Circuit(2, (Gate("ANC_INIT", (2,)),)), seed=1)
 def test_long_monomial_runs_match_reference(head, seed):
     """X, CNOT, phases and W only compose basis labels, which meet the rows
     at the end: append an H-free run of 1000 gates on the data wires."""
@@ -103,7 +108,25 @@ def test_long_monomial_runs_match_reference(head, seed):
     pool += [Gate("W", (), p) for p in range(1, 8)]
     pool += [Gate("CNOT", pair) for pair in permutations(wires, 2)]
     tail = tuple(rng.choice(pool) for _ in range(1000))
-    check_against_reference(Circuit(head.data_qubits, head.uses_ancilla, head.gates + tail))
+    check_against_reference(Circuit(head.data_qubits, head.gates + tail))
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuit=circuits())
+def test_text_round_trip(circuit):
+    """The ancilla is the ANC_INIT marker, which the text format keeps."""
+    assert parse_circuit(render_circuit(circuit)) == circuit
+
+
+@settings(max_examples=100, deadline=None)
+@given(circuit=circuits(), at=st.integers(min_value=0))
+def test_ancilla_wire_needs_its_marker(circuit, at):
+    """A gate on wire data_qubits without an ANC_INIT marker lies past the
+    circuit's wires."""
+    gates = [g for g in circuit.gates if g.name != "ANC_INIT"]
+    gates.insert(at % (len(gates) + 1), Gate("H", (circuit.data_qubits,)))
+    with pytest.raises(ValueError, match=f"exceeds {circuit.data_qubits} wires"):
+        Circuit(circuit.data_qubits, tuple(gates))
 
 
 @settings(max_examples=100, deadline=None)
@@ -173,7 +196,7 @@ def block_circuits(draw):
     gates = []
     for data, wire, d in pieces:
         gates += [*data, Gate("H", (wire,)), *_PRODUCT_TERMS.get(d, ())]
-    return Circuit(2, True, (Gate("ANC_INIT", (2,)), *gates, Gate("ANC_FREE", (2,))))
+    return Circuit(2, (Gate("ANC_INIT", (2,)), *gates, Gate("ANC_FREE", (2,))))
 
 
 def batched(*gates):
