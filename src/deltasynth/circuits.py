@@ -331,15 +331,15 @@ def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
     lowers first; each run of phase ops lowers as one diagonal, and the W
     powers of all diagonals add up to one global phase W, placed first.
 
-    On two qubits, a run with an odd sum of powers that an op follows takes
-    w^1 off one level that op leaves alone and lowers evenly, without the
-    ancilla; that level then owes w^1.  An X on the owing level moves the debt
-    to its other level.  Before an H on the owing level, the even diagonal
-    w^1 there, w^-1 on a level the H leaves alone, moves the debt to that
-    level.  The next run takes the debt in.  Only the last diagonal can be
-    odd, so the ancilla is borrowed exactly when the word's phase powers add
-    up to an odd number, that is when det(U) is an odd power of w.  Only
-    dimensions 2 and 4 have a qubit layout.
+    One pending diagonal holds the phases read since the last non-phase op,
+    plus any w^1 owed.  An X read with no phase since then swaps its two
+    levels' entries; any other op lowers the pending diagonal first, and so
+    does the word's end.  On two qubits an odd diagonal lowers, without the
+    ancilla, less w^1 on the cheapest level the op leaves alone, which then
+    owes that w^1 (a lone debt there lowers nothing).  Only the last
+    diagonal can be odd, so the ancilla is borrowed exactly when the word's
+    phase powers add up to an odd number, that is when det(U) is an odd
+    power of w.  Only dimensions 2 and 4 have a qubit layout.
     """
     if dim not in (2, 4):
         raise UnsupportedDimError(f"no qubit layout for dimension {dim}")
@@ -351,8 +351,8 @@ def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
     qubits = 1 if dim == 2 else 2
     body: list[Gate] = []
     global_power = 0
-    owing = None  # the level whose w^1 the gates so far leave out
-    run = None  # powers, by level, of the phase run being read
+    pending = [0] * dim  # powers by level, the w^1 owed included
+    phased = False  # a phase op was read since the last non-phase op
 
     def lower_diagonal(powers: Sequence[int]) -> None:
         nonlocal global_power
@@ -362,33 +362,25 @@ def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
             gates = gates[1:]
         _push(body, gates)
 
-    def start_run() -> list[int]:
-        nonlocal owing
-        powers = [0] * dim
-        if owing is not None:
-            powers[owing], owing = 1, None
-        return powers
-
     for op in reversed(word):
         if op.kind == "omega":
-            run = run or start_run()
-            run[op.j - 1] += op.power
+            pending[op.j - 1] += op.power
+            phased = True
             continue
         busy = (op.j - 1, op.m - 1)
-        if op.kind == "H" and owing in busy:
-            run = start_run()
-        if run and dim == 4 and sum(run) % 2:
+        if op.kind == "X" and not phased:
+            pending[busy[0]], pending[busy[1]] = pending[busy[1]], pending[busy[0]]
+        elif dim == 4 and sum(pending) % 2:
             owing = min((lv for lv in range(4) if lv not in busy),
-                        key=lambda lv: _diagonal_cost(_less_one(run, lv)))
-            lower_diagonal(_less_one(run, owing))
-        elif run:
-            lower_diagonal(run)
-        elif owing in busy:  # an X swaps the owing level with its other one
-            owing = sum(busy) - owing
-        run = None
+                        key=lambda lv: _diagonal_cost(_less_one(pending, lv)))
+            lower_diagonal(_less_one(pending, owing))
+            pending = [int(lv == owing) for lv in range(4)]
+        elif phased:  # with no phase read, an even pending diagonal is zero
+            lower_diagonal(pending)
+            pending = [0] * dim
+        phased = False
         _push(body, _lowered(op, qubits))
-    if run or owing is not None:
-        lower_diagonal(run or start_run())
+    lower_diagonal(pending)
     if global_power % 8:
         body.insert(0, Gate("W", (), global_power % 8))
     if any(qubits in gate.wires for gate in body):

@@ -13,6 +13,7 @@ of the reduction by construction.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import re
 import sys
@@ -204,9 +205,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.debug:
         for i, rnd in enumerate(dec.rounds, 1):
             chain = ",".join(rnd.case_chain)
+            mixing = sum(op.kind == "H" for op in rnd.left_ops + rnd.right_ops)
             print(f"debug: round {i}: k {rnd.k_before} -> {rnd.k_after}"
-                  f" via {chain} ({rnd.hadamard_count} mixing ops)",
-                  file=sys.stderr)
+                  f" via {chain} ({mixing} mixing ops)", file=sys.stderr)
     if args.elementary or dec.dim == 3:
         word = " ".join(str(op) for op in dec.word)
         lines.append(f"# word: {word if word else 'I'}")
@@ -418,6 +419,7 @@ def _positive(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deltasynth",

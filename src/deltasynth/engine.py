@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 from .errors import InvariantError, NotUnitaryError, VerificationError
@@ -57,27 +56,18 @@ from .ring import (OMEGA_POWERS, TWO_PLUS_SQRT2, UNIT_SQRT2, ZOmega, divide_by_d
 MAX_HADAMARDS_PER_ROUND = 4
 
 
-class CaseTag(str, Enum):
-    DENSE_2 = "dense2"
-    BLOCK_3 = "block3"
-    SINGLE_BLOCK = "single_block"
-    FULL_ROWS = "full_rows"
-    DOUBLE_BLOCK = "double_block"
-    BLOCK_AND_ROWS = "block_and_rows"
-    DENSE_4 = "dense4"
-
-
 @dataclass(frozen=True)
 class CasePattern:
-    """A residue pattern matched to its template.
+    """A residue pattern matched to its template, the shape named by its
+    case-chain string.
 
     row_perm/col_perm map template positions to actual indices (0-based):
     template row i of the shape lives at row row_perm[i].  transposed marks
-    the column variant of FULL_ROWS, the only shape that is not
+    the column variant of full_rows, the only shape that is not
     permutation-equivalent to its transpose.
     """
 
-    tag: CaseTag
+    tag: str
     row_perm: tuple[int, ...]
     col_perm: tuple[int, ...]
     transposed: bool = False
@@ -93,10 +83,6 @@ class ReductionRound:
     k_after: int
     case_chain: tuple[str, ...]
 
-    @property
-    def hadamard_count(self) -> int:
-        return sum(1 for op in self.left_ops + self.right_ops if op.kind == "H")
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -109,16 +95,16 @@ class Decomposition:
 
 
 # The reducible shapes as 0/1 templates, each matched up to row and column
-# permutation; the transposed FULL_ROWS template is its column variant.
+# permutation; the transposed full_rows template is its column variant.
 _SHAPES = (
-    (CaseTag.DENSE_2, ("11", "11"), False),
-    (CaseTag.BLOCK_3, ("110", "110", "000"), False),
-    (CaseTag.DENSE_4, ("1111", "1111", "1111", "1111"), False),
-    (CaseTag.SINGLE_BLOCK, ("1100", "1100", "0000", "0000"), False),
-    (CaseTag.FULL_ROWS, ("1111", "1111", "0000", "0000"), False),
-    (CaseTag.FULL_ROWS, ("1100", "1100", "1100", "1100"), True),
-    (CaseTag.BLOCK_AND_ROWS, ("1100", "1100", "1111", "1111"), False),
-    (CaseTag.DOUBLE_BLOCK, ("1100", "1100", "0011", "0011"), False),
+    ("dense2", ("11", "11"), False),
+    ("block3", ("110", "110", "000"), False),
+    ("dense4", ("1111", "1111", "1111", "1111"), False),
+    ("single_block", ("1100", "1100", "0000", "0000"), False),
+    ("full_rows", ("1111", "1111", "0000", "0000"), False),
+    ("full_rows", ("1100", "1100", "1100", "1100"), True),
+    ("block_and_rows", ("1100", "1100", "1111", "1111"), False),
+    ("double_block", ("1100", "1100", "0011", "0011"), False),
 )
 
 
@@ -315,27 +301,6 @@ def _phase_to_ones(ws: _Workspace, line: Sequence[int | None], support: Sequence
         ws.phase(c, -line[c] % 4, side)
 
 
-def _reduce_lines(ws: _Workspace, pat: CasePattern) -> None:
-    """Every shape but dense4: align and mix the template's first two lines.
-
-    The support is the shape's unit block, or the whole line for full_rows.
-    """
-    if pat.transposed:
-        lines, cross, side = pat.col_perm, pat.row_perm, "R"
-    else:
-        lines, cross, side = pat.row_perm, pat.col_perm, "L"
-    a, b = lines[:2]
-    support = cross if pat.tag is CaseTag.FULL_ROWS else cross[:2]
-    if pat.tag is CaseTag.SINGLE_BLOCK:
-        _phase_to_ones(ws, ws.exps()[b], support, "R")
-    elif pat.tag is CaseTag.BLOCK_AND_ROWS:
-        _align(ws, a, b, support, side)
-        if ws.congruence(a, b, side) == 2:
-            # the light rows keep their defect; mix the full rows instead
-            a, b = lines[2:]
-    _align_and_mix(ws, a, b, support, side)
-
-
 # Third row (1, w^l, w^m, w^p), keyed by (l, m, p), against the rows
 # (1, 1, 1, 1) and (1, w, w^2, w^3): the pair of rows to mix.  Unitarity
 # excludes every other triple.
@@ -403,11 +368,28 @@ def _reduce_dense4(ws: _Workspace) -> None:
 
 
 def _reduce(ws: _Workspace, pat: CasePattern) -> None:
-    """One case step on the workspace for the matched shape."""
-    if pat.tag is CaseTag.DENSE_4:
+    """One case step for the matched shape: the dense4 procedure, or align
+    and mix the template's first two lines.
+
+    The support is the shape's unit block, or the whole line for full_rows.
+    """
+    if pat.tag == "dense4":
         _reduce_dense4(ws)
+        return
+    if pat.transposed:
+        lines, cross, side = pat.col_perm, pat.row_perm, "R"
     else:
-        _reduce_lines(ws, pat)
+        lines, cross, side = pat.row_perm, pat.col_perm, "L"
+    a, b = lines[:2]
+    support = cross if pat.tag == "full_rows" else cross[:2]
+    if pat.tag == "single_block":
+        _phase_to_ones(ws, ws.exps()[b], support, "R")
+    elif pat.tag == "block_and_rows":
+        _align(ws, a, b, support, side)
+        if ws.congruence(a, b, side) == 2:
+            # the light rows keep their defect; mix the full rows instead
+            a, b = lines[2:]
+    _align_and_mix(ws, a, b, support, side)
 
 
 def reduction_round(ws: _Workspace) -> ReductionRound:
@@ -427,7 +409,7 @@ def reduction_round(ws: _Workspace) -> ReductionRound:
             raise InvariantError("Hadamard budget for one round exhausted")
         pattern = tuple(tuple(r & 1 for r in row) for row in ws.bits)
         pat = classify_pattern(pattern)
-        chain.append(pat.tag.value)
+        chain.append(pat.tag)
         _reduce(ws, pat)
     ws.divide_out_delta()
     if ws.k >= k:

@@ -47,11 +47,6 @@ class ExactMatrix:
         grid, self.e = least(grid, e)
         self.rows = tuple(map(tuple, grid))
 
-    @classmethod
-    def identity(cls, dim: int) -> ExactMatrix:
-        return cls([ZW_ONE if i == j else ZW_ZERO for j in range(dim)]
-                   for i in range(dim))
-
     @property
     def dim(self) -> int:
         return len(self.rows)

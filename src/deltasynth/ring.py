@@ -97,10 +97,6 @@ class ZOmega:
         """Complex conjugation: i -> -i, so w^k -> w^(-k)."""
         return ZOmega(-self.c, -self.b, -self.a, self.d)
 
-    def conj_sq2(self) -> ZOmega:
-        """sqrt(2)-conjugation: sqrt(2) -> -sqrt(2), i fixed, so w -> -w."""
-        return ZOmega(-self.a, self.b, -self.c, self.d)
-
     def __pow__(self, n: int) -> ZOmega:
         """self^n for n >= 0, by repeated squaring."""
         if n < 0:

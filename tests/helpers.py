@@ -2,9 +2,9 @@
 
 The package computes with Z[w] numerators over a power of sqrt(2); the
 tests check it against D[w] values (`DOmega` and the constants below), the
-plain matrix product and adjoint, and two exhaustive searches.  Both
-searches key their frontiers by exact products: everything the generators
-reach in a few steps must round-trip.
+plain matrix product, adjoint and identity, sqrt(2)-conjugation, and two
+exhaustive searches.  Both searches key their frontiers by exact products:
+everything the generators reach in a few steps must round-trip.
 """
 
 import random
@@ -16,12 +16,28 @@ from deltasynth.linalg import (ElementaryOp, ExactMatrix, apply_elementary, h_op
                                word_matrix, x_op)
 from deltasynth.ring import UNIT_SQRT2, ZW_DELTA, ZW_ONE, ZW_OMEGA, ZW_ZERO, DOmega, ZOmega
 
+
+def conj_sq2(z: ZOmega) -> ZOmega:
+    """sqrt(2)-conjugation: sqrt(2) -> -sqrt(2), i fixed, so w -> -w."""
+    return ZOmega(-z.a, z.b, -z.c, z.d)
+
+
+def identity(dim: int) -> ExactMatrix:
+    """The dim x dim identity."""
+    return ExactMatrix([ZW_ONE if i == j else ZW_ZERO for j in range(dim)]
+                       for i in range(dim))
+
+
+def mixing_ops(rnd) -> int:
+    """The Hadamards a reduction round applied, to rows and to columns."""
+    return sum(op.kind == "H" for op in rnd.left_ops + rnd.right_ops)
+
+
 ZW_DELTA2 = ZW_DELTA * ZW_DELTA
 # 2/delta: delta times it is exactly 2.
 TWO_OVER_DELTA = ZOmega(-1, 1, -1, 1)
 # delta^2 = UNIT_SQRT2 * sqrt(2); its other three conjugates multiply to its inverse.
-UNIT_SQRT2_INV = UNIT_SQRT2.conj() * UNIT_SQRT2.conj_sq2() \
-    * UNIT_SQRT2.conj().conj_sq2()
+UNIT_SQRT2_INV = UNIT_SQRT2.conj() * conj_sq2(UNIT_SQRT2) * conj_sq2(UNIT_SQRT2.conj())
 
 D_ZERO = DOmega(ZW_ZERO, 0)
 D_ONE = DOmega(ZW_ONE, 0)
@@ -91,7 +107,7 @@ def enumerate_words(dim: int, max_len: int) -> dict[ExactMatrix, tuple[Elementar
     """All products of at most max_len elementary operators, with a shortest
     left-to-right word for each.  Grows fast; intended for max_len <= 3."""
     ops = op_alphabet(dim)
-    found = {ExactMatrix.identity(dim): ()}
+    found = {identity(dim): ()}
     frontier = dict(found)
     for _ in range(max_len):
         fresh = {}
@@ -117,11 +133,11 @@ def search_gate_word(target: ExactMatrix, max_len: int,
     qubits = 1 if target.dim == 2 else 2
     if pool is None:
         pool = gate_pool(qubits)
-    identity = ExactMatrix.identity(target.dim)
-    if target == identity:
+    start = identity(target.dim)
+    if target == start:
         return ()
-    seen = {identity}
-    frontier = {identity: ()}
+    seen = {start}
+    frontier = {start: ()}
     for _ in range(max_len):
         fresh = {}
         for m, word in frontier.items():

@@ -12,6 +12,7 @@ import ast
 import collections
 import hashlib
 import math
+import random
 import time
 from itertools import combinations
 from pathlib import Path
@@ -27,7 +28,8 @@ from deltasynth.engine import synthesize, verify_decomposition
 from deltasynth.linalg import (ExactMatrix, delta_exponent, is_unitary, residue_matrix,
                               word_matrix)
 from deltasynth.ring import DOmega, OMEGA_POWERS
-from helpers import D_ZERO, MONOMIAL_WORD_MAX, enumerate_words, exact, scaled
+from helpers import (D_ZERO, MONOMIAL_WORD_MAX, enumerate_words, exact, mixing_ops,
+                     random_word, scaled)
 
 WORD_SLOPE = 8
 WORD_OFFSET = 7
@@ -49,6 +51,10 @@ ENUMERATED_DIGEST = "35b4803cc11e513ee135516a84216d0b75081c0e6390baf29d2430d9671
 # sha256 over the rendered circuit emitted for each corpus word, in corpus
 # order: any change to a lowering template or to gate order shows.
 CIRCUIT_DIGEST = "c711c587c474b21b47edf829c4aa4efe8ddd3177ab219a74a19fed385befe961"
+# The same over 3000 random words (random_word_circuits), whose phase powers
+# often add up odd: 1091 of their circuits borrow the ancilla, which no corpus
+# circuit does, and an X moves an owed w^1 285 times, against 3 in the corpus.
+RANDOM_WORD_CIRCUIT_DIGEST = "6c52461c31649eb5a645b189ef29e582771f3aac33ffb56965e3ca3caa6d2e8f"
 
 
 def digest_line(dec) -> str:
@@ -94,7 +100,6 @@ def all_dim2_monomials():
 
 
 def seeded_dim4_monomials(count: int):
-    import random
     for seed in range(count):
         rng = random.Random(seed)
         perm = list(range(4))
@@ -143,6 +148,26 @@ def test_emitted_circuits_digest(corpus):
     print(f"emitted circuits of {len(entries)} corpus words match the pinned digest")
 
 
+def random_word_circuits():
+    """emit over 3000 seeded random words, every fourth in dimension 2."""
+    rng = random.Random(22)
+    for i in range(3000):
+        dim = 4 if i % 4 else 2
+        yield emit(random_word(dim, rng.randrange(1, 25), rng), dim)
+
+
+def test_random_word_circuits_digest():
+    digest = hashlib.sha256()
+    borrowed = 0
+    for circuit in random_word_circuits():
+        digest.update(render_circuit(circuit).encode())
+        borrowed += circuit.uses_ancilla
+    assert digest.hexdigest() == RANDOM_WORD_CIRCUIT_DIGEST
+    assert borrowed == 1091
+    print(f"emitted circuits of 3000 random words match the pinned digest,"
+          f" {borrowed} borrow the ancilla")
+
+
 def test_output_size_linear_in_exponent(corpus):
     entries, *_ = corpus
     worst_word = worst_gates = -math.inf
@@ -157,7 +182,7 @@ def test_output_size_linear_in_exponent(corpus):
             worst_gates = max(worst_gates, (total - GATE_OFFSET) / k)
         for rnd in dec.rounds:
             assert rnd.k_after < rnd.k_before
-            assert rnd.hadamard_count <= 4
+            assert mixing_ops(rnd) <= 4
     print(f"size bounds: word <= {WORD_SLOPE}k+{WORD_OFFSET}"
           f" (worst slope {worst_word:.2f}),"
           f" gates <= {GATE_SLOPE}k+{GATE_OFFSET} (worst slope {worst_gates:.2f})")
@@ -295,37 +320,54 @@ UNUSED_BUT_KEPT = {
 }
 
 
+def assigned_names(stmt) -> list[str]:
+    """The names an assignment statement binds; none for other statements."""
+    if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        return []
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)]
+
+
 def test_no_dead_names_in_package():
     """Every top-level function, class and constant of the package is loaded,
     as a name or an attribute, by another top-level statement of some module
-    of the package, or is exported by __all__.  What only the tests use
-    lives in tests/helpers.py."""
-    defined = []
+    of the package, or is exported by __all__.  Every method, property and
+    class-level attribute of a package class, dunders aside, is loaded as an
+    attribute by some module of the package.  What only the tests use lives
+    in tests/helpers.py."""
+    defined, members, loaded = [], [], set()
     users = collections.defaultdict(set)
     modules = sorted(Path(deltasynth.__file__).parent.glob("*.py"))
     for path in modules:
         for index, stmt in enumerate(ast.parse(path.read_text(encoding="utf-8")).body):
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((stmt.name, path.name, index, stmt.lineno))
-            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-                defined += [(node.id, path.name, index, stmt.lineno) for target in targets
-                            for node in ast.walk(target) if isinstance(node, ast.Name)]
+            defined += [(name, path.name, index, stmt.lineno) for name in assigned_names(stmt)]
+            if isinstance(stmt, ast.ClassDef):
+                members += [(name, f"{path.name}:{node.lineno}: {stmt.name}.{name}")
+                            for node in stmt.body
+                            for name in ([node.name] if isinstance(node, ast.FunctionDef)
+                                         else assigned_names(node))
+                            if not (name.startswith("__") and name.endswith("__"))]
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     users[node.id].add((path.name, index))
                 elif isinstance(node, ast.Attribute):
                     users[node.attr].add((path.name, index))
+                    if isinstance(node.ctx, ast.Load):
+                        loaded.add(node.attr)
     dead = {name: f"{module}:{line}" for name, module, index, line in defined
             if not users[name] - {(module, index)}
             and name not in deltasynth.__all__ and name != "__all__"}
     offences = [f"{where}: {name}" for name, where in sorted(dead.items())
                 if name not in UNUSED_BUT_KEPT]
+    offences += [where for name, where in members if name not in loaded]
     assert offences == []
     # a kept name that gains a caller, or leaves, leaves the allowlist too
     assert sorted(dead) == sorted(UNUSED_BUT_KEPT)
-    print(f"{len(defined)} top-level names in {len(modules)} modules,"
-          f" {len(dead)} kept unused")
+    print(f"{len(defined)} top-level names and {len(members)} class members"
+          f" in {len(modules)} modules, {len(dead)} kept unused")
 
 
 # Every class an exit code or a caller tells apart; nothing else

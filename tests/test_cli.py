@@ -14,6 +14,7 @@ from deltasynth.cli import (
     MAX_SQRT2_EXPONENT,
     InstanceSpec,
     _stats,
+    build_parser,
     format_entry,
     main,
     parse_matrix,
@@ -28,7 +29,7 @@ from deltasynth import linalg
 from deltasynth.linalg import ExactMatrix, is_unitary
 from deltasynth.ring import (OMEGA_POWERS, ZW_DELTA, ZW_ONE, ZW_SQRT2, ZW_ZERO, ZOmega,
                              from_sqrt2_form)
-from helpers import domega, random_word_matrix
+from helpers import domega, identity, random_word_matrix
 
 GOLDEN = Path(__file__).parent / "data" / "tables_golden.txt"
 
@@ -48,7 +49,7 @@ def run(capsys, *argv):
 
 class TestParseMatrix:
     def test_identity_with_shorthands(self):
-        assert parse_matrix(IDENTITY_2) == ExactMatrix.identity(2)
+        assert parse_matrix(IDENTITY_2) == identity(2)
 
     def test_sqrt2_form_entries(self):
         m = parse_matrix(H_FILE)
@@ -57,11 +58,11 @@ class TestParseMatrix:
 
     def test_comments_and_blanks(self):
         text = "# heading\n\ndim 2\n1 0  # trailing\n\n0 1\n"
-        assert parse_matrix(text) == ExactMatrix.identity(2)
+        assert parse_matrix(text) == identity(2)
 
     def test_exponent_defaults_to_zero(self):
         m = parse_matrix("dim 1\n1,0,0,0\n")
-        assert m == ExactMatrix.identity(1)
+        assert m == identity(1)
 
     def test_entries_share_the_largest_exponent(self):
         # 2/sqrt(2)^3 is 1/sqrt(2), and 1 is sqrt(2)/sqrt(2)
@@ -203,7 +204,7 @@ class TestGen:
         code, out, _ = run(capsys, "gen", "--qubits", "1", "--budget", "0",
                            "--seed", "9")
         assert code == 0
-        assert parse_matrix(out) == ExactMatrix.identity(2)
+        assert parse_matrix(out) == identity(2)
         assert "gate word: (empty)" in out
 
     def test_round_trips_through_synth(self, capsys, tmp_path):
@@ -378,6 +379,19 @@ def test_integer_options_name_the_bad_value(capsys, command, option, value):
         main([command, *(part for item in options.items() for part in item)])
     assert exc.value.code == 2
     assert f"argument {option}: bad integer {value!r}" in capsys.readouterr().err
+
+
+def test_parser_built_once(capsys):
+    """main builds its parser on first use and reuses it; a usage error
+    leaves it as it was."""
+    assert build_parser() is build_parser()
+    argv = ["gen", "--qubits", "1", "--budget", "5", "--seed", "3"]
+    before = run(capsys, *argv)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["gen", "--qubits", "3", "--budget", "5", "--seed", "0"])
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert run(capsys, *argv) == before
 
 
 def test_negative_seed_accepted(capsys):

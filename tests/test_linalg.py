@@ -24,7 +24,7 @@ from deltasynth.ring import (
     ZW_ZERO,
     from_sqrt2_form,
 )
-from helpers import (D_ONE, D_ZERO, H_EXACT, T_EXACT, adjoint, exact, mat_mul,
+from helpers import (D_ONE, D_ZERO, H_EXACT, T_EXACT, adjoint, exact, identity, mat_mul,
                      op_alphabet as alphabet, random_word_matrix, scaled)
 
 
@@ -40,8 +40,8 @@ def matrices(dim):
 
 class TestExactMatrix:
     def test_dimension_limits(self):
-        ExactMatrix.identity(1)
-        ExactMatrix.identity(4)
+        identity(1)
+        identity(4)
         with pytest.raises(UnsupportedDimError):
             ExactMatrix([[ZW_ONE] * 5] * 5)
         with pytest.raises(ValueError):
@@ -50,20 +50,20 @@ class TestExactMatrix:
             ExactMatrix([[ZW_ONE]], -1)
 
     def test_equality_and_hash(self):
-        assert ExactMatrix.identity(2) == ExactMatrix.identity(2)
-        assert H_EXACT != ExactMatrix.identity(2)
+        assert identity(2) == identity(2)
+        assert H_EXACT != identity(2)
         assert hash(H_EXACT) == hash(ExactMatrix(H_EXACT.rows, H_EXACT.e))
         # the constructor lowers e: sqrt(2) * I / sqrt(2) is I
         widened = ExactMatrix([[ZW_SQRT2, ZW_ZERO], [ZW_ZERO, ZW_SQRT2]], 1)
-        assert widened == ExactMatrix.identity(2)
-        assert hash(widened) == hash(ExactMatrix.identity(2))
+        assert widened == identity(2)
+        assert hash(widened) == hash(identity(2))
         assert H_EXACT != ExactMatrix(H_EXACT.rows, H_EXACT.e + 2)
 
     @given(a=matrices(2), b=matrices(2), c=matrices(2))
     @settings(max_examples=25)
     def test_mat_mul_laws(self, a, b, c):
         assert mat_mul(mat_mul(a, b), c) == mat_mul(a, mat_mul(b, c))
-        ident = ExactMatrix.identity(2)
+        ident = identity(2)
         assert mat_mul(a, ident) == a
         assert mat_mul(ident, a) == a
 
@@ -83,7 +83,7 @@ class TestExactMatrix:
     def test_is_unitary(self):
         assert is_unitary(H_EXACT)
         assert is_unitary(T_EXACT)
-        assert is_unitary(ExactMatrix.identity(3))
+        assert is_unitary(identity(3))
         assert not is_unitary(ExactMatrix([[ZOmega.from_int(2)]]))
         assert not is_unitary(exact([[D_ONE, D_ONE], [D_ZERO, D_ONE]]))
         # 2 / sqrt(2)^2 is 1, and sqrt(2) / sqrt(2)^2 is not unitary
@@ -101,7 +101,7 @@ class TestExactMatrix:
         # keeps every column's norm, so only orthogonality can fail), and
         # on any matrix
         def reference(m):
-            return mat_mul(adjoint(m), m) == ExactMatrix.identity(m.dim)
+            return mat_mul(adjoint(m), m) == identity(m.dim)
 
         m = random_word_matrix(dim, length, seed)
         assert is_unitary(m) and reference(m)
@@ -115,7 +115,7 @@ class TestExactMatrix:
             assert is_unitary(other) == reference(other)
 
     def test_delta_exponent(self):
-        assert delta_exponent(ExactMatrix.identity(4)) == 0
+        assert delta_exponent(identity(4)) == 0
         assert delta_exponent(H_EXACT) == 2
         assert delta_exponent(T_EXACT) == 0
         # delta / sqrt(2): delta divides every numerator, so k is 2e - 1
@@ -140,7 +140,7 @@ class TestElementaryOps:
         assert word_matrix([h_op(1, 2)], 2) == H_EXACT
         assert word_matrix([omega_op(2, 1)], 2) == T_EXACT
         swap = word_matrix([x_op(3, 4)], 4)
-        ident = ExactMatrix.identity(4)
+        ident = identity(4)
         assert swap.rows[0] == ident.rows[0]
         assert swap.rows[1] == ident.rows[1]
         assert swap.rows[2] == ident.rows[3]
@@ -164,7 +164,7 @@ class TestElementaryOps:
         for dim in (2, 3, 4):
             for op in alphabet(dim):
                 word = [op] + invert_elementary(op)
-                assert word_matrix(word, dim) == ExactMatrix.identity(dim)
+                assert word_matrix(word, dim) == identity(dim)
 
     def test_elementary_ops_are_unitary(self):
         for op in alphabet(4):
@@ -185,7 +185,7 @@ class TestResidueMatrix:
                 assert bits == 0b111
 
     def test_identity_pattern(self):
-        assert unit_pattern(ExactMatrix.identity(3), 0) == (
+        assert unit_pattern(identity(3), 0) == (
             (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     def test_rejects_small_exponent(self):

@@ -16,7 +16,7 @@ from deltasynth.linalg import (
     is_unitary,
     word_matrix,
 )
-from helpers import H_EXACT, T_EXACT, enumerate_words, search_gate_word
+from helpers import H_EXACT, T_EXACT, enumerate_words, identity, search_gate_word
 
 
 class TestInstanceSpec:
@@ -53,13 +53,13 @@ class TestRandomUnitary:
         assert is_unitary(matrix)
 
     def test_zero_budget_is_identity(self):
-        assert random_unitary(InstanceSpec(2, 0, 5)) == ExactMatrix.identity(4)
+        assert random_unitary(InstanceSpec(2, 0, 5)) == identity(4)
 
 
 class TestEnumerateWords:
     def test_length_zero(self):
         table = enumerate_words(2, 0)
-        assert table == {ExactMatrix.identity(2): ()}
+        assert table == {identity(2): ()}
 
     def test_length_one_count(self):
         # 14 phase operators, one mixing and one swap: 16 plus the identity.
@@ -82,14 +82,14 @@ class TestSearchGateWord:
         assert search_gate_word(T_EXACT, 2) == (Gate("T", (0,)),)
 
     def test_identity_is_empty(self):
-        assert search_gate_word(ExactMatrix.identity(4), 1) == ()
+        assert search_gate_word(identity(4), 1) == ()
 
     def test_unreachable_is_none(self):
         assert search_gate_word(H_EXACT, 3, pool=[Gate("T", (0,))]) is None
 
     def test_rejects_odd_dims(self):
         with pytest.raises(ValueError):
-            search_gate_word(ExactMatrix.identity(3), 1)
+            search_gate_word(identity(3), 1)
 
     def test_controlled_mixing_needs_seven_gates(self):
         target = word_matrix([h_op(3, 4)], 4)

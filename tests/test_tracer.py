@@ -14,7 +14,7 @@ import deltasynth.circuits
 import deltasynth.cli  # noqa: F401  (the tracer wraps cli functions too)
 import deltasynth.engine
 from deltasynth.ring import DOmega
-from helpers import D_INV_SQRT2, D_ONE, random_word_matrix
+from helpers import D_INV_SQRT2, D_ONE, mixing_ops, random_word_matrix
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 
@@ -67,7 +67,7 @@ def test_tracer_wraps_and_restores():
     assert program_ring_ops == (0, 0)
     assert (counter.adds, counter.muls) == (1, 2)
     values = tracing.round_layer_values(tracer)
-    assert values["engine.mixing_ops"] == sum(r.hadamard_count for r in dec.rounds)
+    assert values["engine.mixing_ops"] == sum(map(mixing_ops, dec.rounds))
     for (module, name), original in originals.items():
         assert getattr(module, name) is original
     assert (DOmega.__add__, DOmega.__sub__, DOmega.__mul__) == ring_ops
