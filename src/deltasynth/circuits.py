@@ -3,22 +3,24 @@
 A word over row operations on dimension 2 or 4 becomes a circuit on 1 or 2
 qubits (wire 0 is the most significant basis bit).  Two-level Hadamard and
 swap operations lower to controlled gates, routed through a CNOT change of
-basis when the two levels differ in both bits.  Phase ops commute, so each
-maximal run of them lowers as one diagonal, the phase polynomial
-c + a x0 + b x1 + d x0 x1 (mod 8): w^c, phases on wires 0 and 1, and a
-controlled S or S^dag for d = 2 or 6, a CZ for d = 4, or for odd d the
-product x0 x1 computed into one borrowed ancilla by a relative-phase
-Toffoli, turned by w^d and uncomputed, so the ancilla returns to zero.  d is
-odd when the run's powers add up to an odd number; such a run, unless it is
-the last, lowers evenly and leaves w^1 owed to a later run.  The ancilla is
-therefore borrowed exactly when det(U) is an odd power of w, which no
-product of two-qubit Clifford+T gates has: their determinants are powers of
-i.  A circuit borrows the ancilla, the wire after the data wires, exactly
-when it holds an ANC_INIT marker; emit brackets its gates with ANC_INIT and
-ANC_FREE when one of them acts on that wire.  The w^c of all diagonals add
-up to one W gate.  Each op and each diagonal is lowered once per process,
-and a gate that meets its inverse on the same wires, past gates on other
-wires only, cancels it.
+basis when the two levels differ in both bits.  On two qubits H[a,b] then
+H[c,d] on the other two levels is one Clifford with no T (H on a wire, maybe
+between CNOTs), and the phases read between them commute out around it.
+Phase ops commute, so each maximal run of them lowers as one diagonal, the
+phase polynomial c + a x0 + b x1 + d x0 x1 (mod 8): w^c, phases on wires 0
+and 1, and a controlled S or S^dag for d = 2 or 6, a CZ for d = 4, or for
+odd d the product x0 x1 computed into one borrowed ancilla by a
+relative-phase Toffoli, turned by w^d and uncomputed, so the ancilla returns
+to zero.  d is odd when the run's powers add up to an odd number; such a
+run, unless it is the last, lowers evenly and leaves w^1 owed to a later
+run.  The ancilla is therefore borrowed exactly when det(U) is an odd power
+of w, which no product of two-qubit Clifford+T gates has: their determinants
+are powers of i.  A circuit borrows the ancilla, the wire after the data
+wires, exactly when it holds an ANC_INIT marker; emit brackets its gates
+with ANC_INIT and ANC_FREE when one of them acts on that wire.  The w^c of
+all diagonals add up to one W gate.  Each op and each diagonal is lowered
+once per process, and a gate that meets its inverse on the same wires, past
+gates on other wires only, cancels it.
 
 Circuits are simulated exactly on linalg's matrix form, Z[w] numerators N
 over one least power of sqrt(2), the unitary being N / sqrt(2)^e.  X, CNOT,
@@ -227,6 +229,11 @@ _PRODUCT_TERMS = {
     **{d: _RTOF + _phase_gates(2, d) + _RTOF for d in (1, 3, 5, 7)},
 }
 
+# H[a,b] H[c,d] on disjoint levels, by a xor b (levels from 0), which both
+# pairs share: H on wire 1 or 0, or H on wire 0 between CNOTs swapping 2, 3
+_PAIR_BLOCKS = {1: (Gate("H", (1,)),), 2: (Gate("H", (0,)),),
+                3: (Gate("CNOT", (0, 1)), Gate("H", (0,)), Gate("CNOT", (0, 1)))}
+
 
 # Each template against the word it implements, on 2 or 3 wires.  On all
 # 8 columns an odd-d block is w^(d (t xor x0 x1)): w^d on rows 2, 4, 6, 7.
@@ -237,6 +244,9 @@ _TEMPLATES = (
     ("controlled-Z", _PRODUCT_TERMS[4], [omega_op(4, 4)], 2),
     *((f"relative-phase Toffoli block d={d}", _PRODUCT_TERMS[d],
        [omega_op(row, d) for row in (2, 4, 6, 7)], 3) for d in (1, 3, 5, 7)),
+    *((f"Hadamard pair on levels {a},{b} and {c},{d}", _PAIR_BLOCKS[(a - 1) ^ (b - 1)],
+       [h_op(a, b), h_op(c, d)], 2)
+      for a, b, c, d in ((1, 2, 3, 4), (1, 3, 2, 4), (1, 4, 2, 3))),
 )
 
 
@@ -336,7 +346,11 @@ def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
     levels' entries; any other op lowers the pending diagonal first, and so
     does the word's end.  On two qubits an odd diagonal lowers, without the
     ancilla, less w^1 on the cheapest level the op leaves alone, which then
-    owes that w^1 (a lone debt there lowers nothing).  Only the last
+    owes that w^1 (a lone debt there lowers nothing).  On two qubits an
+    H[a,b] whose next non-phase op is H[c,d] on the other levels fuses with
+    it when the pending diagonal plus the phases on c, d read in between
+    adds up even: that sum lowers, then the pair's block, and the phases on
+    a, b read in between become the pending diagonal.  Only the last
     diagonal can be odd, so the ancilla is borrowed exactly when the word's
     phase powers add up to an odd number, that is when det(U) is an odd
     power of w.  Only dimensions 2 and 4 have a qubit layout.
@@ -362,12 +376,27 @@ def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
             gates = gates[1:]
         _push(body, gates)
 
-    for op in reversed(word):
+    ops, i = word[::-1], 0
+    while i < len(ops):
+        op, i = ops[i], i + 1
         if op.kind == "omega":
             pending[op.j - 1] += op.power
             phased = True
             continue
         busy = (op.j - 1, op.m - 1)
+        if dim == 4 and op.kind == "H":
+            nxt = i
+            while nxt < len(ops) and ops[nxt].kind == "omega":
+                nxt += 1
+            before, after = pending[:], [0] * 4  # the diagonals around a pair
+            for phase in ops[i:nxt]:
+                (after if phase.j - 1 in busy else before)[phase.j - 1] += phase.power
+            if (nxt < len(ops) and ops[nxt].kind == "H" and sum(before) % 2 == 0
+                    and {ops[nxt].j - 1, ops[nxt].m - 1}.isdisjoint(busy)):
+                lower_diagonal(before)
+                _push(body, _PAIR_BLOCKS[busy[0] ^ busy[1]])
+                pending, phased, i = after, True, nxt + 1
+                continue
         if op.kind == "X" and not phased:
             pending[busy[0]], pending[busy[1]] = pending[busy[1]], pending[busy[0]]
         elif dim == 4 and sum(pending) % 2:

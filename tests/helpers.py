@@ -4,7 +4,8 @@ The package computes with Z[w] numerators over a power of sqrt(2); the
 tests check it against D[w] values (`DOmega` and the constants below), the
 plain matrix product, adjoint and identity, sqrt(2)-conjugation, and two
 exhaustive searches.  Both searches key their frontiers by exact products:
-everything the generators reach in a few steps must round-trip.
+everything the generators reach in a few steps must round-trip.  The
+T-count lower bound is computed exactly from the channel representation.
 """
 
 import random
@@ -14,7 +15,8 @@ from deltasynth.circuits import Gate, _fold
 from deltasynth.cli import gate_pool
 from deltasynth.linalg import (ElementaryOp, ExactMatrix, apply_elementary, h_op, omega_op,
                                word_matrix, x_op)
-from deltasynth.ring import UNIT_SQRT2, ZW_DELTA, ZW_ONE, ZW_OMEGA, ZW_ZERO, DOmega, ZOmega
+from deltasynth.ring import (UNIT_SQRT2, ZW_DELTA, ZW_ONE, ZW_OMEGA, ZW_ZERO, DOmega, ZOmega,
+                             divide_by_sqrt2)
 
 
 def conj_sq2(z: ZOmega) -> ZOmega:
@@ -160,3 +162,39 @@ def random_word(dim, length, rng):
 
 def random_word_matrix(dim, length, seed):
     return word_matrix(random_word(dim, length, random.Random(seed)), dim)
+
+
+# I, X, Y, Z as monomials: (column, power of w) by row
+PAULIS_1Q = (((0, 0), (1, 0)), ((1, 0), (0, 0)), ((1, 6), (0, 2)), ((0, 0), (1, 4)))
+PAULIS_2Q = tuple(tuple((2 * c0 + c1, p0 + p1) for c0, p0 in p for c1, p1 in q)
+                  for p in PAULIS_1Q for q in PAULIS_1Q)
+
+
+def t_count_bound(m: ExactMatrix) -> int:
+    """The sde of U's channel representation tr(P U Q U^dag) / 2^n over the
+    Pauli products P, Q on n qubits: the least s with sqrt(2)^s times every
+    entry in Z[sqrt(2)].  No ancilla-free Clifford+T circuit for U has fewer
+    T gates (Gosset, Kliuchnikov, Mosca and Russo, arXiv:1308.4134)."""
+    qubits = m.dim.bit_length() - 1
+    paulis = PAULIS_1Q if qubits == 1 else PAULIS_2Q
+    adjoint_cols = [[z.conj() for z in row] for row in m.rows]
+    traces = []
+    for q in paulis:
+        # N Q: column j of N, turned by w^p, is column c
+        nq = [[ZW_ZERO] * m.dim for _ in range(m.dim)]
+        for row, out in zip(m.rows, nq):
+            for z, (c, p) in zip(row, q):
+                out[c] = z.mul_omega_power(p)
+        nqn = [[sum((x * y for x, y in zip(row, col)), ZW_ZERO) for col in adjoint_cols]
+               for row in nq]
+        # tr(P N Q N^dag) takes entry [c][i], turned by w^p, for each row i of P
+        traces += [sum((nqn[c][i].mul_omega_power(p) for i, (c, p) in enumerate(pauli)),
+                       ZW_ZERO) for pauli in paulis]
+    # U = N / sqrt(2)^e, so the entries are the traces over sqrt(2)^(2e + 2n)
+    sde = 2 * (m.e + qubits)
+    while sde:
+        halved = [divide_by_sqrt2(z) for z in traces]
+        if any(z is None for z in halved):
+            break
+        traces, sde = halved, sde - 1
+    return sde

@@ -21,15 +21,15 @@ import pytest
 
 import deltasynth
 import deltasynth.engine
-from deltasynth.circuits import (circuit_to_matrix, emit, gate_counts, render_circuit,
-                                 verify_templates)
+from deltasynth.circuits import (Circuit, Gate, circuit_to_matrix, emit, gate_counts,
+                                 render_circuit, verify_templates)
 from deltasynth.cli import InstanceSpec, random_unitary, residue_tables
 from deltasynth.engine import synthesize, verify_decomposition
 from deltasynth.linalg import (ExactMatrix, delta_exponent, is_unitary, residue_matrix,
                               word_matrix)
 from deltasynth.ring import DOmega, OMEGA_POWERS
-from helpers import (D_ZERO, MONOMIAL_WORD_MAX, enumerate_words, exact, mixing_ops,
-                     random_word, scaled)
+from helpers import (D_ZERO, MONOMIAL_WORD_MAX, enumerate_words, exact, identity, mixing_ops,
+                     random_word, scaled, t_count_bound)
 
 WORD_SLOPE = 8
 WORD_OFFSET = 7
@@ -50,11 +50,11 @@ CORPUS_DIGEST = "3b16d890f731f91ea610358b207b85fe6680d369e72a3a860bcace11ec7a9e9
 ENUMERATED_DIGEST = "35b4803cc11e513ee135516a84216d0b75081c0e6390baf29d2430d9671cab6d"
 # sha256 over the rendered circuit emitted for each corpus word, in corpus
 # order: any change to a lowering template or to gate order shows.
-CIRCUIT_DIGEST = "c711c587c474b21b47edf829c4aa4efe8ddd3177ab219a74a19fed385befe961"
+CIRCUIT_DIGEST = "cf04a5b5139ad667a27124a93d3ecd3f2a43eca1ec2a870b9ed964952d780474"
 # The same over 3000 random words (random_word_circuits), whose phase powers
 # often add up odd: 1091 of their circuits borrow the ancilla, which no corpus
-# circuit does, and an X moves an owed w^1 285 times, against 3 in the corpus.
-RANDOM_WORD_CIRCUIT_DIGEST = "6c52461c31649eb5a645b189ef29e582771f3aac33ffb56965e3ca3caa6d2e8f"
+# circuit does, and an X moves an owed w^1 284 times, against 3 in the corpus.
+RANDOM_WORD_CIRCUIT_DIGEST = "9489b101da28c4605b70da37ca8d77fbc443f99cd8453b065ba93cb18d0bf3f4"
 
 
 def digest_line(dec) -> str:
@@ -166,6 +166,40 @@ def test_random_word_circuits_digest():
     assert borrowed == 1091
     print(f"emitted circuits of 3000 random words match the pinned digest,"
           f" {borrowed} borrow the ancilla")
+
+
+def test_channel_bound_known_values():
+    def bound(qubits, *gates):
+        return t_count_bound(circuit_to_matrix(Circuit(qubits, gates)))
+    assert t_count_bound(identity(2)) == t_count_bound(identity(4)) == 0
+    assert bound(1, Gate("T", (0,))) == bound(2, Gate("T", (0,))) == 1
+    assert bound(2, Gate("T", (0,)), Gate("T", (1,))) == 2
+    assert bound(2, Gate("H", (0,)), Gate("CNOT", (0, 1)), Gate("S", (1,))) == 0
+    print("channel-representation T bound: identity 0, T 1, T on both wires 2,"
+          " a Clifford 0")
+
+
+def test_t_count_meets_channel_bound(corpus):
+    """No ancilla-free circuit has fewer T gates than the sde of its channel
+    representation; every one-qubit circuit emit writes meets it exactly."""
+    entries, *_ = corpus
+    one_qubit = [(m, dec) for spec, m, dec in entries if spec.qubits == 1]
+    two_qubit = [(m, dec) for spec, m, dec in entries if spec.qubits == 2][:100]
+    large = random_unitary(InstanceSpec(2, 2500, 1))
+    checked = 0
+    for m, word, dim in ([(m, dec.word, 2) for m, dec in one_qubit]
+                         + [(m, dec.word, 4) for m, dec in two_qubit]
+                         + [(large, synthesize(large).word, 4)]):
+        circuit = emit(word, dim)
+        assert not circuit.uses_ancilla
+        t_count, bound = gate_counts(circuit)["t_count"], t_count_bound(m)
+        assert t_count >= bound
+        if dim == 2:
+            assert t_count == bound
+        checked += 1
+    assert (len(one_qubit), checked) == (500, 601)
+    print(f"T >= channel bound on {checked} circuits, T == bound on all 500 one-qubit"
+          f" ones; k=161: T {t_count}, bound {bound}")
 
 
 def test_output_size_linear_in_exponent(corpus):

@@ -86,10 +86,11 @@ class TestTemplates:
     def test_all_templates_exact(self):
         verify_templates()
 
-    @pytest.mark.parametrize("index, other", [(0, 1), (4, 7)])
+    @pytest.mark.parametrize("index, other", [(0, 1), (4, 7), (8, 10)])
     def test_wrong_word_is_rejected(self, monkeypatch, index, other):
         # controlled-S against controlled-Sdg's word, the d = 1 relative-phase
-        # Toffoli block against the d = 7 block's
+        # Toffoli block against the d = 7 block's, the H[1,2] H[3,4] pair
+        # block against H[1,4] H[2,3]
         templates = deltasynth.circuits._TEMPLATES
         name, gates, _, n_wires = templates[index]
         wrong = ((name, gates, templates[other][2], n_wires),)
@@ -304,6 +305,57 @@ class TestOddDeterminant:
         assert circ.uses_ancilla == odd
         # one relative-phase Toffoli block holds the only Hs on the ancilla
         assert circ.gates.count(Gate("H", (2,))) == (4 if odd else 0)
+
+
+PAIRS = [((1, 2), (3, 4), ["H 1"]), ((1, 3), (2, 4), ["H 0"]),
+         ((1, 4), (2, 3), ["CNOT 0 1", "H 0", "CNOT 0 1"])]
+
+
+class TestHadamardPairs:
+    """H[a,b] then H[c,d] on the other two levels lowers as one T-free
+    Clifford when the diagonal it leaves before the pair adds up even."""
+
+    @pytest.mark.parametrize("first, second, block", PAIRS)
+    def test_bare_pair_is_its_block(self, first, second, block):
+        for ab, cd in ((first, second), (second, first)):
+            circ = emit(applied(h_op(*ab), h_op(*cd)), 4)
+            assert [str(g) for g in circ.gates] == block
+            assert gate_counts(circ)["t_count"] == 0
+
+    @pytest.mark.parametrize("first, second", [pair[:2] for pair in PAIRS])
+    def test_phases_between_commute_out(self, first, second):
+        phases = {1: 3, 2: 3, 3: 5, 4: 5}
+        between = [omega_op(j, p) for j, p in phases.items()]
+        word = applied(h_op(*first), *between, h_op(*second))
+        circ = emit(word, 4)
+        assert circuit_to_matrix(circ) == word_matrix(word, 4)
+        assert not circ.uses_ancilla
+        # the phases on the first pair's levels act after both Hs, the others
+        # before: the same circuit
+        moved = applied(*(op for op in between if op.j not in first),
+                        h_op(*first), h_op(*second),
+                        *(op for op in between if op.j in first))
+        assert circ == emit(moved, 4)
+
+    def test_odd_diagonal_before_pair_blocks_it(self):
+        # w[3]^1 would act before the pair and adds up odd: two controlled-Hs
+        word = applied(h_op(1, 2), omega_op(3, 1), h_op(3, 4), omega_op(1, 1))
+        circ = emit(word, 4)
+        assert circuit_to_matrix(circ) == word_matrix(word, 4)
+        assert not circ.uses_ancilla
+        counts = gate_counts(circ)
+        assert (counts["h"], counts["t_count"]) == (4, 7)
+
+    def test_owed_phase_absorbed_by_odd_phases(self):
+        # H[3,4] leaves w^1 owed on level 1; w[3]^1 before the next pair makes
+        # it even, so the pair fuses and nothing is owed at the end
+        word = applied(omega_op(1, 1), h_op(3, 4), h_op(1, 2), omega_op(3, 1),
+                       h_op(3, 4))
+        circ = emit(word, 4)
+        assert circuit_to_matrix(circ) == word_matrix(word, 4)
+        assert not circ.uses_ancilla
+        assert [str(g) for g in circ.gates[-2:]] == ["TDG 1", "H 1"]
+        assert gate_counts(circ)["t_count"] == 3
 
 
 class TestAncillaDiscipline:
