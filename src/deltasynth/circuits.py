@@ -122,10 +122,6 @@ class Circuit:
     def wire_count(self) -> int:
         return self.data_qubits + (1 if self.uses_ancilla else 0)
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.data_qubits
-
 
 def _wire_mask(wire: int, n_wires: int) -> int:
     return 1 << (n_wires - 1 - wire)

@@ -15,10 +15,11 @@ congruence mod delta^2 hands off to a simpler shape at the same k.  Which
 two lines to mix is read off the shape, except for the all-units 4x4 shape,
 which takes the same steps: unless rows 0 and 1 are aligned and mixed
 outright, phases make row 0 and the first entries of rows 1 and 2 ones,
-column swaps sort row 1, and one of two tables, keyed by row 2's phases,
-names the pair.  At most four Hadamards later, as the round counts among
-its own ops, delta divides every numerator, and dividing it out lowers k;
-at k = 0 the matrix is a monomial unpicked by swaps and phases.
+and row 2 mixes with whichever of rows 0 and 1 it agrees with mod delta^2,
+differing by w^2 in an even number of entries.  At most four Hadamards
+later, as the round counts among its own ops, delta divides every
+numerator, and dividing it out lowers k; at k = 0 the matrix is a monomial
+unpicked by swaps and phases.
 
 Left ops act on rows, right ops on columns; inverting and re-ordering the
 applied ops yields a word whose exact product equals the input.
@@ -301,20 +302,6 @@ def _phase_to_ones(ws: _Workspace, line: Sequence[int | None], support: Sequence
         ws.phase(c, -line[c] % 4, side)
 
 
-# Third row (1, w^l, w^m, w^p), keyed by (l, m, p), against the rows
-# (1, 1, 1, 1) and (1, w, w^2, w^3): the pair of rows to mix.  Unitarity
-# excludes every other triple.
-_DENSE4_DISTINCT = {
-    (1, 2, 3): (1, 2), (3, 2, 1): (1, 2), (1, 0, 1): (1, 2), (3, 0, 3): (1, 2),
-    (0, 0, 0): (0, 2), (0, 2, 2): (0, 2), (2, 0, 2): (0, 2), (2, 2, 0): (0, 2),
-}
-# The same against the rows (1, 1, 1, 1) and (1, 1, w, w).
-_DENSE4_PAIRS = {
-    (2, 1, 3): (1, 2), (2, 3, 1): (1, 2), (0, 1, 1): (1, 2), (0, 3, 3): (1, 2),
-    (0, 0, 0): (0, 2), (0, 2, 2): (0, 2), (2, 0, 2): (0, 2), (2, 2, 0): (0, 2),
-}
-
-
 def _reduce_dense4(ws: _Workspace) -> None:
     """The all-units 4x4 shape, split by the phase differences of rows 0 and 1."""
     exps = ws.exps()
@@ -335,10 +322,7 @@ def _reduce_dense4(ws: _Workspace) -> None:
     _phase_to_ones(ws, exps[0], range(4), "R")
     _phase_to_ones(ws, [row[0] for row in ws.exps()], (1, 2), "L")
     exps = ws.exps()
-    # the table's rows 0, 1 and 2 as workspace rows
-    rows = (0, 1, 2)
     if split == [2, 2]:
-        table = _DENSE4_PAIRS
         if exps[1][1] != 0 or exps[1][2] != exps[1][3]:
             raise InvariantError(f"pair structure lost: {exps[1]}")
         gap = exps[1][2]
@@ -348,23 +332,15 @@ def _reduce_dense4(ws: _Workspace) -> None:
         if gap == 3:
             # shift the light columns: row 1 becomes the all-ones row
             _phase_to_ones(ws, exps[1], (2, 3), "R")
-            rows = (1, 0, 2)
-    else:
-        table = _DENSE4_DISTINCT
-        # sort row 1 to (1, w, w^2, w^3) with column swaps; column 0 stays
-        if exps[1][1] != 1:
-            ws.apply(x_op(2, exps[1].index(1) + 1), "R")
-            exps = ws.exps()
-        if exps[1][2] != 2:
-            ws.apply(x_op(3, 4), "R")
-            exps = ws.exps()
-        if exps[1] != [0, 1, 2, 3]:
-            raise InvariantError(f"distinct differences failed to sort: {exps[1]}")
-    third = tuple(ws.exps()[2][1:])
-    if third not in table:
-        raise InvariantError(f"unit triple {third} excluded by unitarity")
-    a, b = table[third]
-    ws.hadamard(rows[a], rows[b])
+    # row 2 mixes with the row it agrees with mod delta^2 and differs from by
+    # w^2 in an even number of entries (orthogonality mod delta^3); unitarity
+    # excludes a third row that neither row 0 nor row 1 passes
+    for r in (0, 1):
+        row, third = ws.lines(r, 2)
+        if ws.congruence(r, 2) and sum(x != y for x, y in zip(row, third)) % 2 == 0:
+            ws.hadamard(r, 2)
+            return
+    raise InvariantError(f"unit triple {tuple(ws.exps()[2][1:])} excluded by unitarity")
 
 
 def _reduce(ws: _Workspace, pat: CasePattern) -> None:
@@ -441,8 +417,7 @@ def synthesize(m: ExactMatrix, *, debug: bool = False) -> Decomposition:
             raise NotUnitaryError("input matrix is not unitary") from None
         raise
 
-    word = [inv for op in (*ws.left_ops, *reversed(ws.right_ops))
-            for inv in invert_elementary(op)]
+    word = [invert_elementary(op) for op in (*ws.left_ops, *reversed(ws.right_ops))]
     dec = Decomposition(tuple(word), tuple(rounds), source_k, m.dim)
     if debug and not verify_decomposition(m, dec):
         raise VerificationError("decomposition product mismatch")

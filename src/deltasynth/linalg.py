@@ -148,11 +148,11 @@ def x_op(j: int, m: int) -> ElementaryOp:
     return ElementaryOp("X", j, m)
 
 
-def invert_elementary(op: ElementaryOp) -> list[ElementaryOp]:
-    """A word for op^-1 (H and X are involutions, phases invert mod 8)."""
+def invert_elementary(op: ElementaryOp) -> ElementaryOp:
+    """op^-1 (H and X are involutions, phases invert mod 8)."""
     if op.kind == "omega":
-        return [omega_op(op.j, 8 - op.power)]
-    return [op]
+        return omega_op(op.j, 8 - op.power)
+    return op
 
 
 def row_surgery(rows: list | dict, kind: OpKind, i: int, j: int = 0,

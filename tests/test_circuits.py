@@ -78,7 +78,6 @@ class TestCircuit:
         circ = Circuit(2, (Gate("ANC_INIT", (2,)), Gate("ANC_FREE", (2,))))
         assert circ.uses_ancilla
         assert circ.wire_count == 3
-        assert circ.dim == 4
         assert Circuit(2, ()).wire_count == 2
 
 

@@ -15,7 +15,9 @@ from deltasynth.cli import (
     InstanceSpec,
     _stats,
     build_parser,
+    draw_circuit,
     format_entry,
+    gate_pool,
     main,
     parse_matrix,
     random_unitary,
@@ -191,6 +193,31 @@ class TestSynth:
         assert "debug: numerators over sqrt(2)^1" in err
         assert "debug: row 1" in err
         assert "k 2 -> 0" in err
+
+
+class TestInstanceSpec:
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            InstanceSpec(3, 10, 0)
+        with pytest.raises(ValueError):
+            InstanceSpec(0, 10, 0)
+        with pytest.raises(ValueError):
+            InstanceSpec(1, -1, 0)
+
+    def test_draw_is_deterministic(self):
+        spec = InstanceSpec(2, 40, 7)
+        assert draw_circuit(spec) == draw_circuit(spec)
+
+    def test_seeds_differ(self):
+        drawn = {draw_circuit(InstanceSpec(2, 30, seed)) for seed in range(10)}
+        assert len(drawn) == 10
+
+    def test_circuit_shape(self):
+        circuit = draw_circuit(InstanceSpec(1, 25, 3))
+        assert circuit.data_qubits == 1
+        assert not circuit.uses_ancilla
+        assert len(circuit.gates) == 25
+        assert set(circuit.gates) <= set(gate_pool(1))
 
 
 class TestGen:

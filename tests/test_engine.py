@@ -696,8 +696,7 @@ class TestSynthesize:
             for seed in range(17):
                 m = random_word_matrix(dim, 10 + 3 * seed, 1000 * dim + seed)
                 dec = synthesize(m)
-                inverse = [inv for op in reversed(dec.word)
-                           for inv in invert_elementary(op)]
+                inverse = [invert_elementary(op) for op in reversed(dec.word)]
                 dagger = adjoint(m)
                 assert word_matrix(inverse, dim) == dagger
                 dec_dagger = synthesize(dagger)
@@ -753,8 +752,27 @@ def run_dense4(m):
 
 
 def unit_triple(third):
-    """The dense4 step's message for a third row that neither table holds."""
+    """The dense4 step's message for a third row that neither row 0 nor row 1
+    may mix with."""
     return f"^{re.escape(f'unit triple {third[1:]} excluded by unitarity')}$"
+
+
+def dense4_states():
+    """Each all-units 4x4 matrix mod delta^3, as unit exponents, whose rows are
+    self-orthogonal and pairwise orthogonal and whose columns are orthogonal,
+    with ones in row 0 and column 0 (phases reach that), in every row order."""
+    classes = {r: [unit_class(x) for x in r]
+               for r in itertools.product(range(4), repeat=4) if r[0] == 0}
+    rows = [r for r, c in classes.items() if residue_inner(c, c) == 0]
+    matrices = [((0, 0, 0, 0),)]
+    for _ in range(3):
+        matrices = [(*m, r) for m in matrices for r in rows
+                    if all(residue_inner(classes[r], classes[s]) == 0 for s in m)]
+    matrices = [m for m in matrices
+                if all(residue_inner(a, b) == 0
+                       for a, b in itertools.combinations(zip(*map(classes.get, m)), 2))]
+    return sorted({tuple(m[i] for i in order)
+                   for m in matrices for order in itertools.permutations(range(4))})
 
 
 class TestDenseFourBranches:
@@ -793,9 +811,10 @@ class TestDenseFourBranches:
         assert ws.left_ops == [h_op(2, 3)]
 
     def test_distinct_needs_column_sort(self):
+        # the partner rule reads no column order, so row 1 stays unsorted
         ws = run_dense4(forged((0, 0, 0, 0), (0, 2, 3, 1),
                                (0, 2, 3, 1), (0, 0, 0, 0)))
-        assert ws.right_ops == [x_op(2, 4), x_op(3, 4)]
+        assert ws.right_ops == []
         assert ws.left_ops == [h_op(2, 3)]
 
     @pytest.mark.parametrize("third", [(0, 1, 3, 2), (0, 2, 1, 3),
@@ -893,6 +912,31 @@ class TestDenseFourBranches:
             assert len(partners) == 1, third
             assert ws.left_ops == [h_op(partners[0] + 1, 3)], third
         assert mixed == 8
+
+    def test_every_orthogonal_state(self):
+        # Every state that orthogonality mod delta^3 allows reduces without a
+        # raise, by one Hadamard on the first of the row pairs (0, 1), (0, 2)
+        # and (1, 2) that agree mod delta^2 and differ by w^2 in an even
+        # number of entries; so row 2 mixes only with its rule partner.
+        def passes(state, a, b):
+            d = [(x - y) % 4 for x, y in zip(state[a], state[b])]
+            d = [(x - d[0]) % 4 for x in d]
+            return all(x % 2 == 0 for x in d) and d.count(2) % 2 == 0
+
+        states = dense4_states()
+        splits = collections.Counter()
+        for state in states:
+            diffs = [(y - x) % 4 for x, y in zip(*state[:2])]
+            splits[len(set(diffs))] += 1
+            ws = run_dense4(forged(*state))
+            pairs = [p for p in ((0, 1), (0, 2), (1, 2)) if passes(state, *p)]
+            assert pairs, state
+            a, b = pairs[0]
+            assert [op for op in ws.left_ops if op.kind == "H"] == [h_op(a + 1, b + 1)], state
+            assert all(op.kind != "H" for op in ws.right_ops), state
+        # 31 uniform, 348 2/2 and 168 all-distinct splits
+        assert len(states) == 547
+        assert splits == {1: 31, 2: 348, 4: 168}
 
 
 class TestBlockAndRowsBranches:

@@ -163,7 +163,7 @@ class TestElementaryOps:
     def test_invert_elementary(self):
         for dim in (2, 3, 4):
             for op in alphabet(dim):
-                word = [op] + invert_elementary(op)
+                word = [op, invert_elementary(op)]
                 assert word_matrix(word, dim) == identity(dim)
 
     def test_elementary_ops_are_unitary(self):

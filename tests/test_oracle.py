@@ -1,15 +1,15 @@
-"""Instance generation in `deltasynth.cli` (`InstanceSpec`, `draw_circuit`,
-`random_unitary`) and the word and gate searches in `tests/helpers.py`.
+"""`random_unitary` in `deltasynth.cli` and the word and gate searches in
+`tests/helpers.py`.
 
-The file is named after the `oracle` module these once lived in.  Its test
-ids are kept stable; splitting it into `test_cli.py` and a helpers test
-renames all 24 of them.
+The file is named after the `oracle` module these once lived in;
+`TestRandomUnitary` belongs in `test_cli.py` and the searches in a helpers
+test.
 """
 
 import pytest
 
 from deltasynth.circuits import Circuit, Gate, circuit_to_matrix
-from deltasynth.cli import InstanceSpec, draw_circuit, gate_pool, random_unitary
+from deltasynth.cli import InstanceSpec, random_unitary
 from deltasynth.linalg import (
     ExactMatrix,
     h_op,
@@ -17,31 +17,6 @@ from deltasynth.linalg import (
     word_matrix,
 )
 from helpers import H_EXACT, T_EXACT, enumerate_words, identity, search_gate_word
-
-
-class TestInstanceSpec:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            InstanceSpec(3, 10, 0)
-        with pytest.raises(ValueError):
-            InstanceSpec(0, 10, 0)
-        with pytest.raises(ValueError):
-            InstanceSpec(1, -1, 0)
-
-    def test_draw_is_deterministic(self):
-        spec = InstanceSpec(2, 40, 7)
-        assert draw_circuit(spec) == draw_circuit(spec)
-
-    def test_seeds_differ(self):
-        drawn = {draw_circuit(InstanceSpec(2, 30, seed)) for seed in range(10)}
-        assert len(drawn) == 10
-
-    def test_circuit_shape(self):
-        circuit = draw_circuit(InstanceSpec(1, 25, 3))
-        assert circuit.data_qubits == 1
-        assert not circuit.uses_ancilla
-        assert len(circuit.gates) == 25
-        assert set(circuit.gates) <= set(gate_pool(1))
 
 
 class TestRandomUnitary:
