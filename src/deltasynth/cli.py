@@ -34,10 +34,9 @@ from .circuits import (
 )
 from .engine import Decomposition, synthesize, verify_decomposition
 from .errors import (
-    CircuitParseError,
-    InvariantError,
     MatrixParseError,
     NotUnitaryError,
+    SynthError,
     UnsupportedDimError,
     VerificationError,
 )
@@ -468,18 +467,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MatrixParseError, CircuitParseError, UnsupportedDimError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
-        print(f"error: input is not UTF-8 text: {exc}", file=sys.stderr)
-        return 2
-    except NotUnitaryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    except (SynthError, OSError, UnicodeDecodeError) as exc:
+        what = "input is not UTF-8 text: " if isinstance(exc, UnicodeDecodeError) else ""
+        print(f"error: {what}{exc}", file=sys.stderr)
+        return exc.exit_code if isinstance(exc, SynthError) else 2
 
 
 if __name__ == "__main__":

@@ -2,26 +2,26 @@
 
 The engine builds the Z[w] numerators of delta^k * U once, at the least
 delta-exponent k, from the matrix's numerators over sqrt(2)^e, and reduces
-them in place, columns as well as rows, beside the grid of their residue
-classes mod delta^3 (one 3-bit int each), which an op refreshes only where
-it wrote.  While k > 1, the mod-delta pattern must be one of seven shapes,
-stated as 0/1 templates; a table of their row and column permutations names
-the pattern's shape and where the template's rows and columns lie.  Every
-shape is reduced by one step, applied over and over: phase-align two lines
-that are congruent mod delta^3 (or mod delta^2) and mix them with one
-two-level Hadamard, which divides their sum and difference exactly by
-sqrt(2).  Congruence mod delta^3 strictly drops both lines below k;
-congruence mod delta^2 hands off to a simpler shape at the same k.  Which
-two lines to mix is read off the shape, except for the all-units 4x4 shape,
-which takes the same steps: unless rows 0 and 1 are aligned and mixed
-outright, phases make row 0 and the first entries of rows 1 and 2 ones,
-and row 2 mixes with whichever of rows 0 and 1 it agrees with mod delta^2,
-differing by w^2 in an even number of entries.  At most four Hadamards
-later, as the round counts among its own ops, delta divides every
-numerator, and dividing it out lowers k; at k = 0 the matrix is a monomial
-unpicked by swaps and phases.
+them in place beside the grid of their residue classes mod delta^3 (one
+3-bit int each), which an op refreshes only where it wrote.  While k > 1,
+the mod-delta pattern must be one of seven shapes, stated as 0/1 templates;
+a table of their row and column permutations names the pattern's shape and
+where the template's rows and columns lie.  Every shape is reduced by one
+step, applied over and over: phase-align two lines that are congruent mod
+delta^3 (or mod delta^2) and mix them with one two-level Hadamard, which
+divides their sum and difference exactly by sqrt(2).  Congruence mod delta^3
+strictly drops both lines below k; congruence mod delta^2 hands off to a
+simpler shape at the same k.  Which two lines to mix is read off the shape,
+except for the all-units 4x4 shape, which takes the same steps: unless rows
+0 and 1 are aligned and mixed outright, phases make row 0 and the first
+entries of rows 1 and 2 ones, and row 2 mixes with whichever of rows 0 and 1
+it agrees with mod delta^2, differing by w^2 in an even number of entries.
+At most four Hadamards later, as the round counts among its own ops, delta
+divides every numerator, and dividing it out lowers k; at k = 0 the matrix
+is a monomial unpicked by swaps and phases.
 
-Left ops act on rows, right ops on columns; inverting and re-ordering the
+Ops act on rows; a column step transposes the workspace, acts on rows and
+transposes back, and its ops are right ops.  Inverting and re-ordering the
 applied ops yields a word whose exact product equals the input.
 
 The reduction certifies unitarity: the workspace is always exactly
@@ -194,8 +194,8 @@ class _Workspace:
     built from the input at its least delta-exponent k and reduced in place
     to k = 0, the grid bits of their residue classes mod delta^3, always
     equal to residue_matrix(rows), and the ops applied so far.  k stays least
-    (0, or some numerator is a unit mod delta).  Lines are rows for side "L"
-    (ops applied on the left) and columns for side "R"; indices are 0-based.
+    (0, or some numerator is a unit mod delta).  Ops act on rows, 0-based,
+    and go to left_ops, or to right_ops while the workspace is flipped.
     """
 
     def __init__(self, m: ExactMatrix) -> None:
@@ -208,6 +208,7 @@ class _Workspace:
         self.divide_out_delta()
         self.left_ops: list[ElementaryOp] = []
         self.right_ops: list[ElementaryOp] = []
+        self.flipped = False
 
     def has_unit(self) -> bool:
         return any(r & 1 for row in self.bits for r in row)
@@ -222,84 +223,74 @@ class _Workspace:
     def exps(self) -> list[list[int | None]]:
         return [[r >> 1 if r & 1 else None for r in row] for row in self.bits]
 
-    def lines(self, a: int, b: int, side: str = "L",
-              support: Sequence[int] | None = None) -> tuple[list, list]:
-        """Residue bits of lines a and b, restricted to support."""
-        grid = self.bits if side == "L" else list(zip(*self.bits))
-        cells = range(len(grid)) if support is None else support
-        return [grid[a][c] for c in cells], [grid[b][c] for c in cells]
+    def flip(self) -> None:
+        """Transpose rows and bits together; every op is a symmetric matrix,
+        so an op on a row of the transpose is the same op on a column."""
+        self.rows = [list(col) for col in zip(*self.rows)]
+        self.bits = [list(col) for col in zip(*self.bits)]
+        self.flipped = not self.flipped
 
-    def congruence(self, a: int, b: int, side: str = "L") -> int:
-        """3 or 2 when lines a and b agree mod delta^3 or only mod delta^2, else 0."""
-        la, lb = self.lines(a, b, side)
+    def congruence(self, a: int, b: int) -> int:
+        """3 or 2 when rows a and b agree mod delta^3 or only mod delta^2, else 0."""
+        la, lb = self.bits[a], self.bits[b]
         if la == lb:
             return 3
         if not any((x ^ y) & 3 for x, y in zip(la, lb)):
             return 2
         return 0
 
-    def apply(self, op: ElementaryOp, side: str = "L") -> None:
-        """Apply op in place and refresh the grid lines it touched: one for a
-        phase, two for a Hadamard, and a swap moves two grid lines."""
-        (self.left_ops if side == "L" else self.right_ops).append(op)
+    def apply(self, op: ElementaryOp) -> None:
+        """Apply op to the rows in place and refresh the grid rows it touched:
+        one for a phase, two for a Hadamard, and a swap moves two grid rows."""
+        (self.right_ops if self.flipped else self.left_ops).append(op)
         i, j = op.j - 1, op.m - 1
-        touched = (i,) if op.kind == "omega" else (i, j)
-        rows, bits = self.rows, self.bits
-        if side == "R":
-            # the touched columns as lines, keyed by index; written back below
-            rows, bits = ({t: [row[t] for row in grid] for t in touched}
-                          for grid in (rows, bits))
-        row_surgery(rows, op.kind, i, j, op.power)
+        row_surgery(self.rows, op.kind, i, j, op.power)
         if op.kind == "X":
-            row_surgery(bits, "X", i, j)
-        else:
-            for t in touched:
-                if op.kind == "H":
-                    rows[t] = [_div_sqrt2(z) for z in rows[t]]
-                bits[t] = [residue_bits(z) for z in rows[t]]
-        if side == "R":
-            for t in touched:
-                for row, cells, z, b in zip(self.rows, self.bits, rows[t], bits[t]):
-                    row[t], cells[t] = z, b
+            row_surgery(self.bits, "X", i, j)
+            return
+        for t in (i,) if op.kind == "omega" else (i, j):
+            if op.kind == "H":
+                self.rows[t] = [_div_sqrt2(z) for z in self.rows[t]]
+            self.bits[t] = [residue_bits(z) for z in self.rows[t]]
 
-    def phase(self, line: int, power: int, side: str = "L") -> None:
+    def phase(self, row: int, power: int) -> None:
         if power % 8:
-            self.apply(omega_op(line + 1, power), side)
+            self.apply(omega_op(row + 1, power))
 
-    def hadamard(self, a: int, b: int, side: str = "L") -> None:
-        """Mix two congruent lines; the congruence level fixes the outcome.
+    def hadamard(self, a: int, b: int) -> None:
+        """Mix two congruent rows; the congruence level fixes the outcome.
 
-        Congruence mod delta^3 forces both lines strictly below k afterwards;
+        Congruence mod delta^3 forces both rows strictly below k afterwards;
         congruence only mod delta^2 forces no increase.  Anything weaker means
         a case-analysis bug, not a property of the input.
         """
-        level = self.congruence(a, b, side)
+        level = self.congruence(a, b)
         if level < 2:
             raise InvariantError(
                 f"lines {a},{b} not congruent mod delta^2 before Hadamard")
-        self.apply(h_op(min(a, b) + 1, max(a, b) + 1), side)
-        if level == 3 and any(r & 1 for line in self.lines(a, b, side) for r in line):
+        self.apply(h_op(min(a, b) + 1, max(a, b) + 1))
+        if level == 3 and any(r & 1 for t in (a, b) for r in self.bits[t]):
             raise InvariantError("congruent lines failed to drop")
 
 
-def _align(ws: _Workspace, a: int, b: int, support: Sequence[int], side: str) -> None:
-    """Phase line a so that it agrees with line b mod delta^3 over support."""
-    ws.phase(a, phase_offset(*ws.lines(a, b, side, support)), side)
+def _align(ws: _Workspace, a: int, b: int, support: Sequence[int]) -> None:
+    """Phase row a so that it agrees with row b mod delta^3 over support."""
+    ws.phase(a, phase_offset(*([ws.bits[r][c] for c in support] for r in (a, b))))
 
 
-def _align_and_mix(ws: _Workspace, a: int, b: int, support: Sequence[int],
-                   side: str = "L") -> None:
-    """The reduction step: align line a to line b over support, then mix them."""
-    _align(ws, a, b, support, side)
-    ws.hadamard(a, b, side)
+def _align_and_mix(ws: _Workspace, a: int, b: int, support: Sequence[int]) -> None:
+    """The reduction step: align row a to row b over support, then mix them."""
+    _align(ws, a, b, support)
+    ws.hadamard(a, b)
 
 
-def _phase_to_ones(ws: _Workspace, line: Sequence[int | None], support: Sequence[int],
-                   side: str) -> None:
-    """Phase the cross lines in support, on side, so that the line whose unit
-    exponents are given has entries 1 mod delta^3 there."""
+def _columns_to_ones(ws: _Workspace, row: int, support: Sequence[int]) -> None:
+    """Phase the columns in support so that row has entries 1 mod delta^3 there."""
+    exps = ws.exps()[row]
+    ws.flip()
     for c in support:
-        ws.phase(c, -line[c] % 4, side)
+        ws.phase(c, -exps[c] % 4)
+    ws.flip()
 
 
 def _reduce_dense4(ws: _Workspace) -> None:
@@ -310,17 +301,18 @@ def _reduce_dense4(ws: _Workspace) -> None:
     if split == [4]:
         _align_and_mix(ws, 0, 1, range(4))
         return
-    if split == [2, 2]:
-        partner = diffs.index(diffs[0], 1)
-        if partner != 1:
-            ws.apply(x_op(2, partner + 1), "R")
-            exps = ws.exps()
-    elif split != [1, 1, 1, 1]:
+    if split not in ([2, 2], [1, 1, 1, 1]):
         found = "/".join(map(str, reversed(split)))
         raise InvariantError(
             f"row phase differences {diffs} split {found}, excluded by unitarity")
-    _phase_to_ones(ws, exps[0], range(4), "R")
-    _phase_to_ones(ws, [row[0] for row in ws.exps()], (1, 2), "L")
+    if split == [2, 2] and (partner := diffs.index(diffs[0], 1)) != 1:
+        ws.flip()
+        ws.apply(x_op(2, partner + 1))
+        ws.flip()
+    _columns_to_ones(ws, 0, range(4))
+    exps = ws.exps()
+    for r in (1, 2):
+        ws.phase(r, -exps[r][0] % 4)
     exps = ws.exps()
     if split == [2, 2]:
         if exps[1][1] != 0 or exps[1][2] != exps[1][3]:
@@ -331,12 +323,12 @@ def _reduce_dense4(ws: _Workspace) -> None:
             return
         if gap == 3:
             # shift the light columns: row 1 becomes the all-ones row
-            _phase_to_ones(ws, exps[1], (2, 3), "R")
+            _columns_to_ones(ws, 1, (2, 3))
     # row 2 mixes with the row it agrees with mod delta^2 and differs from by
     # w^2 in an even number of entries (orthogonality mod delta^3); unitarity
     # excludes a third row that neither row 0 nor row 1 passes
     for r in (0, 1):
-        row, third = ws.lines(r, 2)
+        row, third = ws.bits[r], ws.bits[2]
         if ws.congruence(r, 2) and sum(x != y for x, y in zip(row, third)) % 2 == 0:
             ws.hadamard(r, 2)
             return
@@ -353,19 +345,21 @@ def _reduce(ws: _Workspace, pat: CasePattern) -> None:
         _reduce_dense4(ws)
         return
     if pat.transposed:
-        lines, cross, side = pat.col_perm, pat.row_perm, "R"
-    else:
-        lines, cross, side = pat.row_perm, pat.col_perm, "L"
-    a, b = lines[:2]
-    support = cross if pat.tag == "full_rows" else cross[:2]
+        # the column variant of full_rows mixes its first two columns
+        ws.flip()
+        _align_and_mix(ws, *pat.col_perm[:2], pat.row_perm)
+        ws.flip()
+        return
+    a, b = pat.row_perm[:2]
+    support = pat.col_perm if pat.tag == "full_rows" else pat.col_perm[:2]
     if pat.tag == "single_block":
-        _phase_to_ones(ws, ws.exps()[b], support, "R")
+        _columns_to_ones(ws, b, support)
     elif pat.tag == "block_and_rows":
-        _align(ws, a, b, support, side)
-        if ws.congruence(a, b, side) == 2:
+        _align(ws, a, b, support)
+        if ws.congruence(a, b) == 2:
             # the light rows keep their defect; mix the full rows instead
-            a, b = lines[2:]
-    _align_and_mix(ws, a, b, support, side)
+            a, b = pat.row_perm[2:]
+    _align_and_mix(ws, a, b, support)
 
 
 def reduction_round(ws: _Workspace) -> ReductionRound:

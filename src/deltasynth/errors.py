@@ -10,11 +10,14 @@ from __future__ import annotations
 
 
 class SynthError(Exception):
-    """Base class for everything raised by this package."""
+    """Base class for everything raised by this package; the CLI exits with
+    the class's exit_code."""
+
+    exit_code = 2
 
 
 class MatrixParseError(SynthError):
-    """Malformed matrix file (CLI exit code 2)."""
+    """Malformed matrix file."""
 
     def __init__(self, message: str, line: int = 0, column: int = 0) -> None:
         self.line = line
@@ -25,7 +28,7 @@ class MatrixParseError(SynthError):
 
 
 class CircuitParseError(SynthError):
-    """Malformed circuit file (CLI exit code 2)."""
+    """Malformed circuit file."""
 
     def __init__(self, message: str, line: int = 0) -> None:
         self.line = line
@@ -35,11 +38,15 @@ class CircuitParseError(SynthError):
 
 
 class NotUnitaryError(SynthError):
-    """Input matrix is not exactly unitary (CLI exit code 3)."""
+    """Input matrix is not exactly unitary."""
+
+    exit_code = 3
 
 
 class InvariantError(SynthError):
-    """Internal invariant violated (CLI exit code 4)."""
+    """Internal invariant violated."""
+
+    exit_code = 4
 
 
 class UnsupportedDimError(SynthError):

@@ -10,9 +10,9 @@ Z[w], and `residue_matrix` reads residue bits off numerators.  Elementary
 operators (a phase w^p on one basis vector, or a Hadamard-type or swap-type
 mixing of two basis vectors) are what the synthesis engine emits.
 
-Words multiply through `apply_elementary` and circuits through
-`circuits._fold`; both change (N, e) with the one row-surgery kernel,
-`row_surgery`, and keep e least with `least`.
+Words multiply through `apply_elementary`, circuits through `circuits._fold`,
+and the engine reduces its workspace by rows; all three use the one kernel,
+`row_surgery`, and words and circuits keep e least with `least`.
 """
 
 from __future__ import annotations
@@ -155,9 +155,9 @@ def invert_elementary(op: ElementaryOp) -> ElementaryOp:
     return op
 
 
-def row_surgery(rows: list | dict, kind: OpKind, i: int, j: int = 0,
+def row_surgery(rows: list, kind: OpKind, i: int, j: int = 0,
                 power: int = 0) -> None:
-    """Apply an elementary op in place to rows, lines by 0-based index.
+    """Apply an elementary op in place to a list of rows, by 0-based index.
 
     "omega" multiplies row i by w^power, "X" swaps rows i and j, and "H"
     replaces them by x + y and x - y, leaving the division by sqrt(2) to the

@@ -220,6 +220,18 @@ class TestInstanceSpec:
         assert set(circuit.gates) <= set(gate_pool(1))
 
 
+class TestRandomUnitary:
+    @pytest.mark.parametrize("qubits", [1, 2])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_unitarity(self, qubits, seed):
+        matrix = random_unitary(InstanceSpec(qubits, 30, seed))
+        assert matrix.dim == 2 ** qubits
+        assert is_unitary(matrix)
+
+    def test_zero_budget_is_identity(self):
+        assert random_unitary(InstanceSpec(2, 0, 5)) == identity(4)
+
+
 class TestGen:
     def test_deterministic(self, capsys):
         first = run(capsys, "gen", "--qubits", "2", "--budget", "25", "--seed", "4")

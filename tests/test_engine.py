@@ -537,9 +537,10 @@ class TestResidueGrid:
         seen = collections.Counter()
         apply, has_unit = _Workspace.apply, _Workspace.has_unit
 
-        def counted_apply(ws, op, side="L"):
-            seen[op.kind, side] += 1
-            apply(ws, op, side)
+        def counted_apply(ws, op):
+            # an op applied while the workspace is flipped acts on columns
+            seen[op.kind, "R" if ws.flipped else "L"] += 1
+            apply(ws, op)
 
         def checked_has_unit(ws):
             # asked before every case step and after every division by delta
@@ -547,6 +548,7 @@ class TestResidueGrid:
             return has_unit(ws)
 
         monkeypatch.setattr(_Workspace, "apply", checked(counted_apply))
+        monkeypatch.setattr(_Workspace, "flip", checked(_Workspace.flip))
         monkeypatch.setattr(_Workspace, "has_unit", checked_has_unit)
         monkeypatch.setattr(_Workspace, "divide_out_delta",
                             checked(_Workspace.divide_out_delta))
@@ -581,6 +583,60 @@ class TestResidueGrid:
             monkeypatch.setattr(module, "residue_bits", counted)
         synthesize(m)
         assert calls <= 19_000
+
+
+class TestFlip:
+    """A column step flips the workspace, reduces rows and flips back."""
+
+    # between them, the column phases of single_block and dense4, dense4's
+    # partner swap and the transposed full_rows mix
+    INSTANCES = [InstanceSpec(2, 100, 3), InstanceSpec(2, 100, 5)]
+
+    def test_two_flips_restore_the_workspace(self):
+        for spec in self.INSTANCES:
+            ws = _Workspace(random_unitary(spec))
+            rows, bits = [list(row) for row in ws.rows], [list(row) for row in ws.bits]
+            ws.flip()
+            assert ws.flipped
+            assert ws.rows == [list(col) for col in zip(*rows)]
+            assert ws.bits == [list(col) for col in zip(*bits)]
+            ws.flip()
+            assert not ws.flipped
+            assert (ws.rows, ws.bits) == (rows, bits)
+
+    def test_ops_applied_while_flipped_are_right_ops(self):
+        # the Hadamard on columns 2 and 4 undoes the input's, so it divides
+        m = word_matrix([h_op(2, 4)], 4)
+        ops = [omega_op(2, 3), h_op(2, 4), x_op(1, 3), omega_op(4, 5)]
+        ws = _Workspace(m)
+        ws.apply(ops[0])
+        ws.flip()
+        for op in ops[1:]:
+            ws.apply(op)
+        ws.flip()
+        assert ws.left_ops == ops[:1]
+        assert ws.right_ops == ops[1:]
+        assert tuple(map(tuple, ws.bits)) == residue_matrix(ws.rows)
+        assert matrix_of(ws) == replay(ops[1:], replay(ops[:1], m), "R")
+
+    def test_every_round_returns_unflipped(self, monkeypatch):
+        reduce, cases = deltasynth.engine._reduce, set()
+
+        def recorded(ws, pat):
+            rights = len(ws.right_ops)
+            reduce(ws, pat)
+            assert not ws.flipped
+            if len(ws.right_ops) > rights:
+                cases.add((pat.tag, pat.transposed))
+
+        monkeypatch.setattr(deltasynth.engine, "_reduce", recorded)
+        for spec in self.INSTANCES:
+            ws = _Workspace(random_unitary(spec))
+            while ws.k:
+                reduction_round(ws)
+                assert not ws.flipped
+            solve_monomial(ws)
+        assert {("single_block", False), ("dense4", False), ("full_rows", True)} <= cases
 
 
 class TestSynthesize:

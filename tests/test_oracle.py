@@ -1,34 +1,18 @@
-"""`random_unitary` in `deltasynth.cli` and the word and gate searches in
-`tests/helpers.py`.
+"""The word and gate searches in `tests/helpers.py`.
 
-The file is named after the `oracle` module these once lived in;
-`TestRandomUnitary` belongs in `test_cli.py` and the searches in a helpers
-test.
+The file is named after the `oracle` module these once lived in; the
+searches belong in a helpers test.
 """
 
 import pytest
 
 from deltasynth.circuits import Circuit, Gate, circuit_to_matrix
-from deltasynth.cli import InstanceSpec, random_unitary
 from deltasynth.linalg import (
     ExactMatrix,
     h_op,
-    is_unitary,
     word_matrix,
 )
 from helpers import H_EXACT, T_EXACT, enumerate_words, identity, search_gate_word
-
-
-class TestRandomUnitary:
-    @pytest.mark.parametrize("qubits", [1, 2])
-    @pytest.mark.parametrize("seed", range(5))
-    def test_unitarity(self, qubits, seed):
-        matrix = random_unitary(InstanceSpec(qubits, 30, seed))
-        assert matrix.dim == 2 ** qubits
-        assert is_unitary(matrix)
-
-    def test_zero_budget_is_identity(self):
-        assert random_unitary(InstanceSpec(2, 0, 5)) == identity(4)
 
 
 class TestEnumerateWords:
