@@ -12,17 +12,17 @@ delta^3 (or mod delta^2) and mix them with one two-level Hadamard, which
 divides their sum and difference exactly by sqrt(2).  Congruence mod delta^3
 strictly drops both lines below k; congruence mod delta^2 hands off to a
 simpler shape at the same k.  Which two lines to mix is read off the shape,
-except for the all-units 4x4 shape, which takes the same steps: unless rows
-0 and 1 are aligned and mixed outright, phases make row 0 and the first
-entries of rows 1 and 2 ones, and row 2 mixes with whichever of rows 0 and 1
-it agrees with mod delta^2, differing by w^2 in an even number of entries.
-At most four Hadamards later, as the round counts among its own ops, delta
-divides every numerator, and dividing it out lowers k; at k = 0 the matrix
-is a monomial unpicked by swaps and phases.
+except for the all-units 4x4 shape, which mixes the first of its row pairs
+(0, 1), (0, 2) and (1, 2) that agree mod delta^2 up to one phase and differ
+by w^2 in an even number of entries.  At most four Hadamards later, as the
+round counts among its own ops, delta divides every numerator, and dividing
+it out lowers k; at k = 0 the matrix is a monomial unpicked by swaps and
+phases.
 
-Ops act on rows; a column step transposes the workspace, acts on rows and
-transposes back, and its ops are right ops.  Inverting and re-ordering the
-applied ops yields a word whose exact product equals the input.
+Ops act on rows; the one column step, the column variant of full_rows,
+transposes the workspace, mixes rows and transposes back, and its ops are
+right ops.  Inverting and re-ordering the applied ops yields a word whose
+exact product equals the input.
 
 The reduction certifies unitarity: the workspace is always exactly
 delta^k * L * U * R for products L and R of unitary ops, so ending at I
@@ -284,59 +284,23 @@ def _align_and_mix(ws: _Workspace, a: int, b: int, support: Sequence[int]) -> No
     ws.hadamard(a, b)
 
 
-def _columns_to_ones(ws: _Workspace, row: int, support: Sequence[int]) -> None:
-    """Phase the columns in support so that row has entries 1 mod delta^3 there."""
-    exps = ws.exps()[row]
-    ws.flip()
-    for c in support:
-        ws.phase(c, -exps[c] % 4)
-    ws.flip()
-
-
 def _reduce_dense4(ws: _Workspace) -> None:
-    """The all-units 4x4 shape, split by the phase differences of rows 0 and 1."""
-    exps = ws.exps()
-    diffs = [(exps[1][j] - exps[0][j]) % 4 for j in range(4)]
-    split = sorted(diffs.count(v) for v in set(diffs))
-    if split == [4]:
-        _align_and_mix(ws, 0, 1, range(4))
-        return
-    if split not in ([2, 2], [1, 1, 1, 1]):
-        found = "/".join(map(str, reversed(split)))
-        raise InvariantError(
-            f"row phase differences {diffs} split {found}, excluded by unitarity")
-    if split == [2, 2] and (partner := diffs.index(diffs[0], 1)) != 1:
-        ws.flip()
-        ws.apply(x_op(2, partner + 1))
-        ws.flip()
-    _columns_to_ones(ws, 0, range(4))
-    exps = ws.exps()
-    for r in (1, 2):
-        ws.phase(r, -exps[r][0] % 4)
-    exps = ws.exps()
-    if split == [2, 2]:
-        if exps[1][1] != 0 or exps[1][2] != exps[1][3]:
-            raise InvariantError(f"pair structure lost: {exps[1]}")
-        gap = exps[1][2]
-        if gap == 2:
-            ws.hadamard(0, 1)
+    """The all-units 4x4 shape: mix the first row pair that passes its rule."""
+    # each row's unit exponents relative to its column-0 entry
+    rel = [[(x - row[0]) % 4 for x in row] for row in ws.exps()]
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        # agreement mod delta^2, and w^2 differences in an even number of
+        # entries: for such rows, orthogonality mod delta^3
+        diffs = [(x - y) % 4 for x, y in zip(rel[a], rel[b])]
+        if all(d % 2 == 0 for d in diffs) and diffs.count(2) % 2 == 0:
+            _align_and_mix(ws, a, b, (0,))
             return
-        if gap == 3:
-            # shift the light columns: row 1 becomes the all-ones row
-            _columns_to_ones(ws, 1, (2, 3))
-    # row 2 mixes with the row it agrees with mod delta^2 and differs from by
-    # w^2 in an even number of entries (orthogonality mod delta^3); unitarity
-    # excludes a third row that neither row 0 nor row 1 passes
-    for r in (0, 1):
-        row, third = ws.bits[r], ws.bits[2]
-        if ws.congruence(r, 2) and sum(x != y for x, y in zip(row, third)) % 2 == 0:
-            ws.hadamard(r, 2)
-            return
-    raise InvariantError(f"unit triple {tuple(ws.exps()[2][1:])} excluded by unitarity")
+    triple = tuple((x - y) % 4 for x, y in zip(rel[2][1:], rel[0][1:]))
+    raise InvariantError(f"unit triple {triple} excluded by unitarity")
 
 
 def _reduce(ws: _Workspace, pat: CasePattern) -> None:
-    """One case step for the matched shape: the dense4 procedure, or align
+    """One case step for the matched shape: the dense4 rule, or align
     and mix the template's first two lines.
 
     The support is the shape's unit block, or the whole line for full_rows.
@@ -352,9 +316,7 @@ def _reduce(ws: _Workspace, pat: CasePattern) -> None:
         return
     a, b = pat.row_perm[:2]
     support = pat.col_perm if pat.tag == "full_rows" else pat.col_perm[:2]
-    if pat.tag == "single_block":
-        _columns_to_ones(ws, b, support)
-    elif pat.tag == "block_and_rows":
+    if pat.tag == "block_and_rows":
         _align(ws, a, b, support)
         if ws.congruence(a, b) == 2:
             # the light rows keep their defect; mix the full rows instead

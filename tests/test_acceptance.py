@@ -46,11 +46,11 @@ GOLDEN = Path(__file__).parent / "data" / "tables_golden.txt"
 
 # sha256 over one digest_line per synthesized matrix, in corpus order and in
 # enumeration order: any change to k, a round's case chain or the word shows.
-CORPUS_DIGEST = "3b16d890f731f91ea610358b207b85fe6680d369e72a3a860bcace11ec7a9e90"
-ENUMERATED_DIGEST = "35b4803cc11e513ee135516a84216d0b75081c0e6390baf29d2430d9671cab6d"
+CORPUS_DIGEST = "f431d20ea092d7b76b743250fdd2db73442e0738bdb3a042d57f096a0cff010f"
+ENUMERATED_DIGEST = "7a95441b1df85875ff7b8468652084205a3cd1b5ed72f10dae44f3a2001af110"
 # sha256 over the rendered circuit emitted for each corpus word, in corpus
 # order: any change to a lowering template or to gate order shows.
-CIRCUIT_DIGEST = "cf04a5b5139ad667a27124a93d3ecd3f2a43eca1ec2a870b9ed964952d780474"
+CIRCUIT_DIGEST = "5f67199f7d57aa06223d81532929343b23efcc12b35531bc3d856df075a960bd"
 # The same over 3000 random words (random_word_circuits), whose phase powers
 # often add up odd: 1091 of their circuits borrow the ancilla, which no corpus
 # circuit does, and an X moves an owed w^1 284 times, against 3 in the corpus.

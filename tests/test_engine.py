@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import random
 import re
 
@@ -11,6 +12,7 @@ from deltasynth.engine import (
     _Workspace,
     _div_sqrt2,
     _reduce,
+    _shape_table,
     classify_pattern,
     phase_offset,
     reduction_round,
@@ -46,7 +48,7 @@ from deltasynth.ring import (
 )
 from helpers import (D_ONE, D_ZERO, H_EXACT, MONOMIAL_WORD_MAX, T_EXACT, ZW_DELTA2, adjoint,
                      enumerate_words, exact, identity, mat_mul, mixing_ops,
-                     op_alphabet as alphabet, random_word_matrix)
+                     random_word_matrix)
 
 
 def unit_class(power):
@@ -256,34 +258,72 @@ def residue_inner(u, v):
     return acc
 
 
+# the class of w * x for each class x mod delta^3
+TIMES_OMEGA = [residue_bits(OMEGA_POWERS[1] * z) for z in RESIDUE_REPS]
+
+
 def residue_unitaries(dim):
-    """The self-orthogonal rows, and every matrix of them with a unit entry
-    whose rows and columns are pairwise orthogonal mod delta^3.  Rows are
-    chosen one at a time, each orthogonal to those already chosen."""
+    """The self-orthogonal rows, and each multiset of them, up to row phases,
+    with a unit entry and pairwise orthogonal rows and columns, with its
+    number of ordered matrices.  A row phase keeps orthogonality and the unit
+    pattern.  Column orthogonality is a sum of one term per row, so the last
+    row is looked up by its terms instead of searched."""
     rows = [r for r in itertools.product(range(8), repeat=dim) if residue_inner(r, r) == 0]
-    orthogonal = {(r, s) for r in rows for s in rows if residue_inner(r, s) == 0}
-    matrices = [()]
-    for _ in range(dim):
-        matrices = [(*m, r) for m in matrices for r in rows
-                    if all((r, s) in orthogonal for s in m)]
-    return rows, [m for m in matrices if any(x & 1 for row in m for x in row)
-                  and all(residue_inner(a, b) == 0
-                          for a, b in itertools.combinations_with_replacement(zip(*m), 2))]
+    orbit_size = {}
+    for r in rows:
+        orbit = [r]
+        for _ in range(3):
+            orbit.append(tuple(TIMES_OMEGA[x] for x in orbit[-1]))
+        orbit_size.setdefault(min(orbit), len(set(orbit)))
+    reps = list(orbit_size)
+    orthogonal = [{j for j, s in enumerate(reps) if residue_inner(r, s) == 0} for r in reps]
+    col_pairs = list(itertools.combinations_with_replacement(range(dim), 2))
+    terms = [tuple(TIMES_CONJ[r[a]][r[b]] for a, b in col_pairs) for r in reps]
+    by_terms = collections.defaultdict(set)
+    for j, t in enumerate(terms):
+        by_terms[t].add(j)
+    found = []
+
+    def extend(chosen, candidates, acc):
+        # rows ascend by index; acc is the column terms summed so far
+        if len(chosen) == dim - 1:
+            found.extend((*chosen, j) for j in by_terms[acc] & candidates if j >= chosen[-1])
+            return
+        for j in candidates:
+            if not chosen or j >= chosen[-1]:
+                extend((*chosen, j), candidates & orthogonal[j],
+                       tuple(PLUS[x][y] for x, y in zip(acc, terms[j])))
+
+    extend((), set(range(len(reps))), (0,) * len(col_pairs))
+    multisets = []
+    for m in found:
+        if any(x & 1 for j in m for x in reps[j]):
+            repeats = collections.Counter(m).values()
+            orders = math.factorial(dim) // math.prod(map(math.factorial, repeats))
+            multisets.append(([reps[j] for j in m],
+                              orders * math.prod(orbit_size[reps[j]] for j in m)))
+    return rows, multisets
 
 
 @pytest.mark.parametrize("dim, n_rows, n_matrices, n_patterns",
-                         [(2, 24, 64, 1), (3, 128, 4608, 9)])
+                         [(2, 24, 64, 1), (3, 128, 4608, 9), (4, 1152, 27_787_264, 103)])
 def test_every_unitary_unit_pattern_is_a_shape(dim, n_rows, n_matrices, n_patterns):
     """At delta-exponent k >= 2 the numerators N of delta^k * U satisfy
     N N^dagger = N^dagger N = (conj(delta) delta)^k I, so both products
     vanish mod delta^3.  Every unit pattern such an N can have is a
-    reducible shape."""
+    reducible shape; in dimension 4, every placement of the six templates
+    occurs."""
     assert [residue_bits(z) for z in RESIDUE_REPS] == list(range(8))
-    rows, matrices = residue_unitaries(dim)
-    patterns = {tuple(tuple(x & 1 for x in row) for row in m) for m in matrices}
-    assert (len(rows), len(matrices), len(patterns)) == (n_rows, n_matrices, n_patterns)
-    tags = {classify_pattern(p).tag for p in patterns}
-    assert tags == {"dense2" if dim == 2 else "block3"}
+    # 2 is a multiple of delta^3, so adding classes is xor of their bits,
+    # and a sum of column terms is 0 only when the last row's terms equal it
+    assert PLUS == [[x ^ y for y in range(8)] for x in range(8)]
+    rows, multisets = residue_unitaries(dim)
+    unordered = {tuple(sorted(tuple(x & 1 for x in row) for row in m)) for m, _ in multisets}
+    patterns = {p for u in unordered for p in itertools.permutations(u)}
+    assert (len(rows), sum(n for _, n in multisets), len(patterns)) == (
+        n_rows, n_matrices, n_patterns)
+    # the patterns are exactly the placements of this dimension's shapes
+    assert patterns == {p for p in _shape_table() if len(p) == dim}
 
 
 class TestPhaseOffset:
@@ -561,13 +601,14 @@ class TestResidueGrid:
         tags = set()
         for m in matrices:
             tags.update(tag for rnd in synthesize(m).rounds for tag in rnd.case_chain)
-        # column ops: single_block and dense4 phases, dense4 swaps and the
-        # transposed full_rows Hadamards
-        assert set(seen) == {(kind, side) for kind in ("omega", "H", "X") for side in "LR"}
+        # the one column step is the transposed full_rows mix: a phase and
+        # a Hadamard
+        assert set(seen) == {(kind, "L") for kind in ("omega", "H", "X")} | {
+            ("omega", "R"), ("H", "R")}
         assert {"single_block", "dense4", "full_rows"} <= tags
 
     def test_residue_reads_per_synthesis(self, monkeypatch):
-        """18 836 reads at k = 602: 16 for the input and after each of the
+        """18 544 reads at k = 602: 16 for the input and after each of the
         602 divisions by delta, 8 per Hadamard and 4 per phase.  Reading
         every query off the numerators took 54 326."""
         calls = 0
@@ -586,10 +627,9 @@ class TestResidueGrid:
 
 
 class TestFlip:
-    """A column step flips the workspace, reduces rows and flips back."""
+    """The column step flips the workspace, reduces rows and flips back."""
 
-    # between them, the column phases of single_block and dense4, dense4's
-    # partner swap and the transposed full_rows mix
+    # between them, they reach the transposed full_rows mix, the one column step
     INSTANCES = [InstanceSpec(2, 100, 3), InstanceSpec(2, 100, 5)]
 
     def test_two_flips_restore_the_workspace(self):
@@ -636,7 +676,7 @@ class TestFlip:
                 reduction_round(ws)
                 assert not ws.flipped
             solve_monomial(ws)
-        assert {("single_block", False), ("dense4", False), ("full_rows", True)} <= cases
+        assert cases == {("full_rows", True)}
 
 
 class TestSynthesize:
@@ -808,8 +848,8 @@ def run_dense4(m):
 
 
 def unit_triple(third):
-    """The dense4 step's message for a third row that neither row 0 nor row 1
-    may mix with."""
+    """The dense4 step's message when no row pair passes: the third row,
+    read relative to row 0 and column 0."""
     return f"^{re.escape(f'unit triple {third[1:]} excluded by unitarity')}$"
 
 
@@ -845,14 +885,15 @@ class TestDenseFourBranches:
         assert ws.left_ops == [omega_op(1, 1), h_op(1, 2)]
         assert ws.right_ops == []
 
-    @pytest.mark.parametrize("second,split", [((0, 0, 0, 1), "3/1"),
-                                              ((0, 0, 1, 2), "2/1/1")],
+    @pytest.mark.parametrize("second,third", [((0, 0, 0, 1), (0, 1, 0, 0)),
+                                              ((0, 0, 1, 2), (0, 1, 0, 0))],
                              ids=["3/1", "2/1/1"])
-    def test_three_one_split_rejected(self, second, split):
-        with pytest.raises(InvariantError,
-                           match=f"split {split}, excluded by unitarity$") as excinfo:
+    def test_three_one_split_rejected(self, second, third):
+        # rows 0 and 1 split their phase differences 3/1 or 2/1/1, so they
+        # differ by an odd power of w somewhere, and so does row 2 from each
+        with pytest.raises(InvariantError, match=unit_triple(third)) as excinfo:
             run_dense4(forged((0, 0, 0, 0), second,
-                              (0, 0, 0, 0), (0, 0, 0, 0)))
+                              third, (0, 0, 0, 0)))
         assert excinfo.type is InvariantError
 
     def test_distinct_ascending(self):
@@ -909,9 +950,10 @@ class TestDenseFourBranches:
         assert ws.left_ops == [h_op(1, 2)]
 
     def test_pairs_needs_column_pairing(self):
+        # the rule reads no column order, so the pairs need no column swap
         ws = run_dense4(forged((0, 0, 0, 0), (0, 2, 0, 2),
                                (0, 0, 0, 0), (0, 0, 0, 0)))
-        assert ws.right_ops == [x_op(2, 3)]
+        assert ws.right_ops == []
         assert ws.left_ops == [h_op(1, 2)]
 
     @pytest.mark.parametrize("third,ops", [
@@ -939,10 +981,11 @@ class TestDenseFourBranches:
                               third, (0, 0, 0, 0)))
         assert excinfo.type is InvariantError
 
-    def test_pairs_inverse_gap_shifts_columns(self):
+    def test_pairs_inverse_gap_mixes_rows_0_and_2(self):
+        # rows 0 and 1 differ by w^3 in two entries; row 2 agrees with row 0
         ws = run_dense4(forged((0, 0, 0, 0), (0, 0, 3, 3),
                                (0, 0, 0, 0), (0, 0, 0, 0)))
-        assert ws.right_ops == [omega_op(3, 1), omega_op(4, 1)]
+        assert ws.right_ops == []
         assert ws.left_ops == [h_op(1, 3)]
 
     @pytest.mark.parametrize("second", [(0, 1, 2, 3), (0, 0, 1, 1), (0, 0, 3, 3)])
@@ -958,9 +1001,7 @@ class TestDenseFourBranches:
                 ws = run_dense4(forged(first, second, third, (0, 0, 0, 0)))
             except InvariantError as exc:
                 assert type(exc) is InvariantError
-                # the inverse gap shifts columns first, so the triple may differ
-                assert re.fullmatch(r"unit triple \(\d, \d, \d\) excluded by unitarity",
-                                    str(exc)), third
+                assert re.fullmatch(unit_triple(third), str(exc)), third
                 continue
             mixed += 1
             partners = [i for i, row in enumerate((first, second))
@@ -983,16 +1024,18 @@ class TestDenseFourBranches:
         splits = collections.Counter()
         for state in states:
             diffs = [(y - x) % 4 for x, y in zip(*state[:2])]
-            splits[len(set(diffs))] += 1
+            splits["/".join(map(str, sorted(collections.Counter(diffs).values(),
+                                            reverse=True)))] += 1
             ws = run_dense4(forged(*state))
             pairs = [p for p in ((0, 1), (0, 2), (1, 2)) if passes(state, *p)]
             assert pairs, state
             a, b = pairs[0]
             assert [op for op in ws.left_ops if op.kind == "H"] == [h_op(a + 1, b + 1)], state
-            assert all(op.kind != "H" for op in ws.right_ops), state
-        # 31 uniform, 348 2/2 and 168 all-distinct splits
+            assert ws.right_ops == [], state
+        # 31 uniform, 348 2/2 and 168 all-distinct splits of rows 0 and 1:
+        # none splits 3/1 or 2/1/1
         assert len(states) == 547
-        assert splits == {1: 31, 2: 348, 4: 168}
+        assert splits == {"4": 31, "2/2": 348, "1/1/1/1": 168}
 
 
 class TestBlockAndRowsBranches:

@@ -1,17 +1,9 @@
-"""The word and gate searches in `tests/helpers.py`.
-
-The file is named after the `oracle` module these once lived in; the
-searches belong in a helpers test.
-"""
+"""The word and gate searches in `tests/helpers.py`."""
 
 import pytest
 
 from deltasynth.circuits import Circuit, Gate, circuit_to_matrix
-from deltasynth.linalg import (
-    ExactMatrix,
-    h_op,
-    word_matrix,
-)
+from deltasynth.linalg import h_op, word_matrix
 from helpers import H_EXACT, T_EXACT, enumerate_words, identity, search_gate_word
 
 
