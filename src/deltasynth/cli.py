@@ -1,4 +1,4 @@
-"""Command-line surface: synthesize, verify, generate, benchmark, tables.
+"""Command-line surface: synthesize, verify, generate, benchmark.
 
 Matrix files use the square-root form (a + b*sqrt(2) + i*(c + d*sqrt(2))) /
 sqrt(2)^m per entry, which is how such matrices are usually stated; on load
@@ -42,13 +42,11 @@ from .errors import (
 )
 from .linalg import MAX_DIM, ExactMatrix, is_unitary
 from .ring import (
-    OMEGA_POWERS,
     ZOmega,
     ZW_ONE,
     ZW_SQRT2,
     ZW_ZERO,
     from_sqrt2_form,
-    residue_bits,
     to_sqrt2_form,
 )
 
@@ -347,46 +345,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _power_name(p: int) -> str:
-    if p == 0:
-        return "1"
-    return "w" if p == 1 else f"w^{p}"
-
-
-def _named_representatives() -> list[tuple[str, ZOmega]]:
-    named = [("0", ZW_ZERO)]
-    named += [(_power_name(p), OMEGA_POWERS[p]) for p in range(4)]
-    named += [(f"1+{_power_name(p)}", ZW_ONE + OMEGA_POWERS[p]) for p in range(1, 4)]
-    return named
-
-
-def residue_tables() -> str:
-    """Quotient rings Z[w]/(delta^n) and the bit-basis table, all computed."""
-    lines = []
-    names = {}
-    for n in (1, 2, 3):
-        classes = {}
-        for name, z in _named_representatives():
-            classes.setdefault(residue_bits(z) & ((1 << n) - 1), name)
-        if len(classes) != 2 ** n:
-            raise VerificationError(f"expected {2 ** n} classes mod delta^{n}")
-        power = "" if n == 1 else f"^{n}"
-        lines.append(f"Z[w]/(delta{power}): {2 ** n} elements")
-        lines.extend(f"  {name}" for name in classes.values())
-        lines.append("")
-        names = classes
-    lines.append("basis {1, delta, delta^2} decomposition mod delta^3:")
-    for r in sorted(names, key=lambda r: (r & 1, r >> 1)):
-        lines.append(f"  {names[r]:<6} -> {r & 1} + {r >> 1 & 1}*delta"
-                     f" + {r >> 2}*delta^2")
-    return "\n".join(lines) + "\n"
-
-
-def cmd_tables(args: argparse.Namespace) -> int:
-    sys.stdout.write(residue_tables())
-    return 0
-
-
 def _budget_list(text: str) -> list[int]:
     try:
         budgets = [plain_int(part) for part in text.split(",")]
@@ -451,9 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--trials", type=_positive, default=10)
     bench.add_argument("--seed", type=_integer, required=True)
     bench.set_defaults(func=cmd_bench)
-
-    tables = sub.add_parser("tables", help="print the residue tables")
-    tables.set_defaults(func=cmd_tables)
 
     verify = sub.add_parser("verify", help="check a circuit file against a matrix file")
     verify.add_argument("matrix")

@@ -54,5 +54,5 @@ class UnsupportedDimError(SynthError):
 
 
 class VerificationError(InvariantError):
-    """A requested exactness re-check failed: --verify, debug, a borrowed
-    ancilla's return to zero in circuit_to_matrix, or the tables self-check."""
+    """A requested exactness re-check failed: --verify, debug, or a borrowed
+    ancilla's return to zero in circuit_to_matrix."""

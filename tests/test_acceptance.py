@@ -23,7 +23,7 @@ import deltasynth
 import deltasynth.engine
 from deltasynth.circuits import (Circuit, Gate, circuit_to_matrix, emit, gate_counts,
                                  render_circuit, verify_templates)
-from deltasynth.cli import InstanceSpec, random_unitary, residue_tables
+from deltasynth.cli import InstanceSpec, random_unitary
 from deltasynth.engine import synthesize, verify_decomposition
 from deltasynth.linalg import (ExactMatrix, delta_exponent, is_unitary, residue_matrix,
                               word_matrix)
@@ -41,8 +41,6 @@ GATE_OFFSET = 200
 
 CORPUS_TIME_LIMIT_S = 60.0
 LARGE_INSTANCE_TIME_LIMIT_S = 2.0
-
-GOLDEN = Path(__file__).parent / "data" / "tables_golden.txt"
 
 # sha256 over one digest_line per synthesized matrix, in corpus order and in
 # enumeration order: any change to k, a round's case chain or the word shows.
@@ -258,17 +256,6 @@ def test_residue_parity_invariants(corpus):
         checked += 1
     assert checked > 500
     print(f"residue parity invariants hold for {checked} instances with k > 0")
-
-
-def test_residue_tables_match_golden():
-    text = residue_tables()
-    assert text == GOLDEN.read_text(encoding="utf-8")
-    sections = text.split("\n\n")
-    assert sections[0].splitlines()[1:] == ["  0", "  1"]
-    assert sections[1].splitlines()[1:] == ["  0", "  1", "  w", "  1+w"]
-    assert len(sections[2].splitlines()) == 1 + 8
-    assert "  w^3    -> 1 + 1*delta + 1*delta^2" in sections[3].splitlines()
-    print("residue tables match the golden file byte for byte")
 
 
 def test_gate_templates_exact():

@@ -1,3 +1,4 @@
+import argparse
 import io
 import os
 import subprocess
@@ -22,7 +23,6 @@ from deltasynth.cli import (
     parse_matrix,
     random_unitary,
     render_matrix,
-    residue_tables,
 )
 from deltasynth.circuits import parse_circuit
 from deltasynth.engine import synthesize
@@ -32,8 +32,6 @@ from deltasynth.linalg import ExactMatrix, is_unitary
 from deltasynth.ring import (OMEGA_POWERS, ZW_DELTA, ZW_ONE, ZW_SQRT2, ZW_ZERO, ZOmega,
                              from_sqrt2_form)
 from helpers import domega, identity, random_word_matrix
-
-GOLDEN = Path(__file__).parent / "data" / "tables_golden.txt"
 
 IDENTITY_2 = "dim 2\n1 0\n0 1\n"
 H_FILE = "dim 2\n1,0,0,0/1 1,0,0,0/1\n1,0,0,0/1 -1,0,0,0/1\n"
@@ -602,24 +600,6 @@ class TestBench:
         assert exc.value.code == 2
 
 
-class TestTables:
-    def test_golden_file(self, capsys):
-        code, out, _ = run(capsys, "tables")
-        assert code == 0
-        assert out == GOLDEN.read_text(encoding="utf-8")
-
-    def test_contents(self):
-        text = residue_tables()
-        sections = text.split("\n\n")
-        assert sections[0].splitlines() == ["Z[w]/(delta): 2 elements", "  0", "  1"]
-        assert sections[1].splitlines()[1:] == ["  0", "  1", "  w", "  1+w"]
-        assert len(sections[2].splitlines()) == 9
-        basis = sections[3].splitlines()
-        assert len(basis) == 9
-        assert "  w^3    -> 1 + 1*delta + 1*delta^2" in basis
-        assert "  1+w    -> 0 + 1*delta + 0*delta^2" in basis
-
-
 class TestProcess:
     """`python -m deltasynth` in a child process: exit codes and stderr as a
     shell sees them."""
@@ -631,19 +611,37 @@ class TestProcess:
         return subprocess.run([sys.executable, "-m", "deltasynth", *argv],
                               capture_output=True, text=True, env=env, timeout=120)
 
-    def test_tables(self):
-        result = self.run_module("tables")
-        assert result.returncode == 0, result.stderr
-        assert result.stdout == GOLDEN.read_text(encoding="utf-8")
+    def test_gen_matches_in_process(self, capsys):
+        argv = ("gen", "--qubits", "1", "--budget", "3", "--seed", "1")
+        result = self.run_module(*argv)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == run(capsys, *argv)[1]
 
-    @pytest.mark.parametrize("text, code", [
-        ("dim 2\n1 0\n0 x\n", 2),
-        ("dim 2\n1 0\n0 2,0,0,0/0\n", 3),
-    ], ids=["malformed", "not_unitary"])
-    def test_synth_error_exits(self, tmp_path, text, code):
+    # a bad file is one error line; a usage error is argparse's usage line
+    # and then its one error line
+    @pytest.mark.parametrize("command, text, code, error, n_lines", [
+        ("synth", "dim 2\n1 0\n0 x\n", 2, "error:", 1),
+        ("synth", "dim 2\n1 0\n0 2,0,0,0/0\n", 3, "error:", 1),
+        ("tables", IDENTITY_2, 2, "deltasynth: error: argument command: invalid choice: 'tables'", 2),
+    ], ids=["malformed", "not_unitary", "tables"])
+    def test_synth_error_exits(self, tmp_path, command, text, code, error, n_lines):
         matrix = tmp_path / "m.txt"
         matrix.write_text(text)
-        result = self.run_module("synth", str(matrix))
+        result = self.run_module(command, str(matrix))
         assert result.returncode == code
         assert "Traceback" not in result.stderr
-        assert result.stderr.startswith("error:") and result.stderr.count("\n") == 1
+        lines = result.stderr.splitlines()
+        assert len(lines) == n_lines and lines[-1].startswith(error)
+        assert sum("error:" in line for line in lines) == 1
+
+
+def test_readme_names_every_command():
+    """The `deltasynth <command>` lines of README's command-line block name
+    exactly the parser's subcommands."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    documented = [line.split()[1] for line in block.splitlines()
+                  if line.startswith("deltasynth ")]
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert sorted(documented) == sorted(subparsers.choices)
