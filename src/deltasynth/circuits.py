@@ -433,8 +433,7 @@ def circuit_to_matrix(circuit: Circuit) -> ExactMatrix:
 def gate_counts(circuit: Circuit) -> dict:
     names = Counter(gate.name for gate in circuit.gates)
     return {"total": len(circuit.gates) - names["ANC_INIT"] - names["ANC_FREE"],
-            "t_count": names["T"] + names["TDG"], "h": names["H"],
-            "cnot": names["CNOT"], "uses_ancilla": circuit.uses_ancilla}
+            "t_count": names["T"] + names["TDG"], "uses_ancilla": circuit.uses_ancilla}
 
 
 def render_circuit(circuit: Circuit) -> str:

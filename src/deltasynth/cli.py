@@ -17,7 +17,6 @@ import functools
 import random
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
@@ -252,39 +251,23 @@ TWO_QUBIT_POOL = (
 )
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
-    """Reproducible recipe for one random unitary."""
-
-    qubits: int
-    gate_budget: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.qubits not in (1, 2):
-            raise ValueError("instances cover 1 or 2 qubits")
-        if self.gate_budget < 0:
-            raise ValueError("gate budget must be non-negative")
-
-
 def gate_pool(qubits: int) -> tuple[Gate, ...]:
     return ONE_QUBIT_POOL if qubits == 1 else TWO_QUBIT_POOL
 
 
-def draw_circuit(spec: InstanceSpec) -> Circuit:
-    rng = random.Random(spec.seed * 1000003 + spec.gate_budget * 101 + spec.qubits)
-    pool = gate_pool(spec.qubits)
-    gates = tuple(rng.choice(pool) for _ in range(spec.gate_budget))
-    return Circuit(spec.qubits, gates)
+def draw_circuit(qubits: int, budget: int, seed: int) -> Circuit:
+    rng = random.Random(seed * 1000003 + budget * 101 + qubits)
+    pool = gate_pool(qubits)
+    gates = tuple(rng.choice(pool) for _ in range(budget))
+    return Circuit(qubits, gates)
 
 
-def random_unitary(spec: InstanceSpec) -> ExactMatrix:
-    return circuit_to_matrix(draw_circuit(spec))
+def random_unitary(qubits: int, budget: int, seed: int) -> ExactMatrix:
+    return circuit_to_matrix(draw_circuit(qubits, budget, seed))
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    spec = InstanceSpec(args.qubits, args.budget, args.seed)
-    circuit = draw_circuit(spec)
+    circuit = draw_circuit(args.qubits, args.budget, args.seed)
     matrix = circuit_to_matrix(circuit)
     word = "; ".join(str(g) for g in circuit.gates)
     text = render_matrix(matrix, comments=[
@@ -333,8 +316,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for budget in args.budgets:
         ks, words, gates, tees = [], [], [], []
         for trial in range(args.trials):
-            spec = InstanceSpec(args.qubits, budget, args.seed + trial)
-            dec = synthesize(random_unitary(spec))
+            dec = synthesize(random_unitary(args.qubits, budget, args.seed + trial))
             counts = gate_counts(emit(dec.word, dim))
             ks.append(dec.source_k)
             words.append(len(dec.word))

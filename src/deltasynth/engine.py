@@ -14,10 +14,10 @@ strictly drops both lines below k; congruence mod delta^2 hands off to a
 simpler shape at the same k.  Which two lines to mix is read off the shape,
 except for the all-units 4x4 shape, which mixes the first of its row pairs
 (0, 1), (0, 2) and (1, 2) that agree mod delta^2 up to one phase and differ
-by w^2 in an even number of entries.  At most four Hadamards later, as the
-round counts among its own ops, delta divides every numerator, and dividing
-it out lowers k; at k = 0 the matrix is a monomial unpicked by swaps and
-phases.
+by w^2 in an even number of entries.  Each pass applies one Hadamard; within
+four passes, which the round counts, delta divides every numerator, and
+dividing it out lowers k; at k = 0 the matrix is a monomial unpicked by swaps
+and phases.
 
 Ops act on rows; the one column step, the column variant of full_rows,
 transposes the workspace, mixes rows and transposes back, and its ops are
@@ -220,9 +220,6 @@ class _Workspace:
             self.bits = [list(row) for row in residue_matrix(self.rows)]
             self.k -= 1
 
-    def exps(self) -> list[list[int | None]]:
-        return [[r >> 1 if r & 1 else None for r in row] for row in self.bits]
-
     def flip(self) -> None:
         """Transpose rows and bits together; every op is a symmetric matrix,
         so an op on a row of the transpose is the same op on a column."""
@@ -287,7 +284,7 @@ def _align_and_mix(ws: _Workspace, a: int, b: int, support: Sequence[int]) -> No
 def _reduce_dense4(ws: _Workspace) -> None:
     """The all-units 4x4 shape: mix the first row pair that passes its rule."""
     # each row's unit exponents relative to its column-0 entry
-    rel = [[(x - row[0]) % 4 for x in row] for row in ws.exps()]
+    rel = [[((r >> 1) - (row[0] >> 1)) % 4 for r in row] for row in ws.bits]
     for a, b in ((0, 1), (0, 2), (1, 2)):
         # agreement mod delta^2, and w^2 differences in an even number of
         # entries: for such rows, orthogonality mod delta^3
@@ -336,8 +333,7 @@ def reduction_round(ws: _Workspace) -> ReductionRound:
     chain: list[str] = []
     # the exponent is still k while some numerator is a unit mod delta
     while ws.has_unit():
-        ops = ws.left_ops[lefts:] + ws.right_ops[rights:]
-        if sum(1 for op in ops if op.kind == "H") >= MAX_HADAMARDS_PER_ROUND:
+        if len(chain) >= MAX_HADAMARDS_PER_ROUND:
             raise InvariantError("Hadamard budget for one round exhausted")
         pattern = tuple(tuple(r & 1 for r in row) for row in ws.bits)
         pat = classify_pattern(pattern)

@@ -194,7 +194,7 @@ class TestDiagonals:
 
     def test_controlled_z_costs_no_t(self):
         assert gate_counts(emit([omega_op(4, 4)], 4)) == {
-            "total": 3, "t_count": 0, "h": 2, "cnot": 1, "uses_ancilla": False}
+            "total": 3, "t_count": 0, "uses_ancilla": False}
 
     @settings(max_examples=60, deadline=None)
     @given(phase_run_words())
@@ -225,7 +225,7 @@ class TestCancellation:
 
     def test_no_inverse_pair_in_corpus(self):
         for spec in corpus_specs():
-            circ = emit(synthesize(random_unitary(spec)).word, 2 ** spec.qubits)
+            circ = emit(synthesize(random_unitary(*spec)).word, 2 ** spec[0])
             assert inverse_pairs(circ) == [], spec
 
 
@@ -257,9 +257,9 @@ class TestEmit:
 
     def test_counts(self):
         assert gate_counts(emit([omega_op(2, 2)], 2)) == {
-            "total": 1, "t_count": 0, "h": 0, "cnot": 0, "uses_ancilla": False}
+            "total": 1, "t_count": 0, "uses_ancilla": False}
         assert gate_counts(emit([h_op(3, 4)], 4)) == {
-            "total": 7, "t_count": 2, "h": 2, "cnot": 1, "uses_ancilla": False}
+            "total": 7, "t_count": 2, "uses_ancilla": False}
 
 
 def phase_sum(word):
@@ -342,8 +342,8 @@ class TestHadamardPairs:
         circ = emit(word, 4)
         assert circuit_to_matrix(circ) == word_matrix(word, 4)
         assert not circ.uses_ancilla
-        counts = gate_counts(circ)
-        assert (counts["h"], counts["t_count"]) == (4, 7)
+        hadamards = sum(gate.name == "H" for gate in circ.gates)
+        assert (hadamards, gate_counts(circ)["t_count"]) == (4, 7)
 
     def test_owed_phase_absorbed_by_odd_phases(self):
         # H[3,4] leaves w^1 owed on level 1; w[3]^1 before the next pair makes

@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 from deltasynth.cli import (
     MAX_COEFFICIENT_DIGITS,
     MAX_SQRT2_EXPONENT,
-    InstanceSpec,
     _stats,
     build_parser,
     draw_circuit,
@@ -103,7 +102,7 @@ class TestParseMatrix:
         (1, 20, 0), (1, 35, 1), (2, 20, 2), (2, 45, 3),
     ])
     def test_render_round_trip(self, qubits, budget, seed):
-        m = random_unitary(InstanceSpec(qubits, budget, seed))
+        m = random_unitary(qubits, budget, seed)
         assert parse_matrix(render_matrix(m)) == m
 
     def test_format_entry_shorthands(self):
@@ -193,25 +192,22 @@ class TestSynth:
         assert "k 2 -> 0" in err
 
 
-class TestInstanceSpec:
+class TestDrawCircuit:
     def test_validation(self):
         with pytest.raises(ValueError):
-            InstanceSpec(3, 10, 0)
+            draw_circuit(3, 10, 0)
         with pytest.raises(ValueError):
-            InstanceSpec(0, 10, 0)
-        with pytest.raises(ValueError):
-            InstanceSpec(1, -1, 0)
+            draw_circuit(0, 10, 0)
 
     def test_draw_is_deterministic(self):
-        spec = InstanceSpec(2, 40, 7)
-        assert draw_circuit(spec) == draw_circuit(spec)
+        assert draw_circuit(2, 40, 7) == draw_circuit(2, 40, 7)
 
     def test_seeds_differ(self):
-        drawn = {draw_circuit(InstanceSpec(2, 30, seed)) for seed in range(10)}
+        drawn = {draw_circuit(2, 30, seed) for seed in range(10)}
         assert len(drawn) == 10
 
     def test_circuit_shape(self):
-        circuit = draw_circuit(InstanceSpec(1, 25, 3))
+        circuit = draw_circuit(1, 25, 3)
         assert circuit.data_qubits == 1
         assert not circuit.uses_ancilla
         assert len(circuit.gates) == 25
@@ -222,12 +218,12 @@ class TestRandomUnitary:
     @pytest.mark.parametrize("qubits", [1, 2])
     @pytest.mark.parametrize("seed", range(5))
     def test_unitarity(self, qubits, seed):
-        matrix = random_unitary(InstanceSpec(qubits, 30, seed))
+        matrix = random_unitary(qubits, 30, seed)
         assert matrix.dim == 2 ** qubits
         assert is_unitary(matrix)
 
     def test_zero_budget_is_identity(self):
-        assert random_unitary(InstanceSpec(2, 0, 5)) == identity(4)
+        assert random_unitary(2, 0, 5) == identity(4)
 
 
 class TestGen:
@@ -405,6 +401,20 @@ def test_options_take_only_plain_integers(capsys, command, option, value):
 
 
 @pytest.mark.parametrize("command, option, value", [
+    ("gen", "--budget", "-1"),
+    ("bench", "--budgets", "5,-1"),
+    ("bench", "--trials", "0"),
+])
+def test_options_out_of_range(capsys, command, option, value):
+    """Budgets and trial counts are range-checked by the parser alone."""
+    options = {**OPTION_DEFAULTS[command], option: value}
+    with pytest.raises(SystemExit) as exc:
+        main([command, *(part for item in options.items() for part in item)])
+    assert exc.value.code == 2
+    assert f"argument {option}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option, value", [
     ("gen", "--qubits", "\uff12"),
     ("gen", "--seed", "1_0"),
     ("bench", "--qubits", "x"),
@@ -518,7 +528,7 @@ def test_perturbed_unitary_exits_3(capsys, tmp_path, dim, seed, cell, change, p)
 def test_scaled_unitary_exits_3(capsys, tmp_path):
     # (1 + delta^3) * U has U's residues, so the reduction runs all of U's
     # rounds before the monomial check fails and the Gram check names it
-    u = random_unitary(InstanceSpec(2, 2000, 1))
+    u = random_unitary(2, 2000, 1)
     c = ZW_ONE + ZW_DELTA ** 3
     m = ExactMatrix([[z * c for z in row] for row in u.rows], u.e)
     dec = synthesize(u)

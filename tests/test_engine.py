@@ -34,7 +34,7 @@ from deltasynth.linalg import (
 )
 import deltasynth.engine
 import deltasynth.linalg
-from deltasynth.cli import InstanceSpec, random_unitary
+from deltasynth.cli import random_unitary
 from deltasynth.ring import (
     DOmega,
     OMEGA_POWERS,
@@ -416,15 +416,15 @@ class TestReductionRound:
 
     def test_hadamard_budget_exhausted(self, monkeypatch):
         """A round whose passes leave a unit after MAX_HADAMARDS_PER_ROUND
-        Hadamards raises before the next pass."""
+        passes raises before the next pass.  The budget counts passes, so
+        passes that apply no op spend it too."""
         passes = []
 
-        def fake_pass(ws, pat):
+        def idle_pass(ws, pat):
             passes.append(pat.tag)
             assert len(passes) <= 4, "the budget did not stop the round"
-            ws.left_ops.append(h_op(1, 2))
 
-        monkeypatch.setattr(deltasynth.engine, "_reduce", fake_pass)
+        monkeypatch.setattr(deltasynth.engine, "_reduce", idle_pass)
         with pytest.raises(InvariantError,
                            match="^Hadamard budget for one round exhausted$") as excinfo:
             reduction_round(_Workspace(H_EXACT))
@@ -482,9 +482,9 @@ class TestReductionRound:
         if data.draw(st.booleans()):
             m = draw_matrix(data)
         else:
-            u = random_unitary(InstanceSpec(data.draw(st.sampled_from((1, 2))),
-                                            data.draw(st.integers(min_value=0, max_value=200)),
-                                            data.draw(st.integers(min_value=0, max_value=999))))
+            u = random_unitary(data.draw(st.sampled_from((1, 2))),
+                               data.draw(st.integers(min_value=0, max_value=200)),
+                               data.draw(st.integers(min_value=0, max_value=999)))
             c = data.draw(st.sampled_from((ZW_ONE + ZW_DELTA ** 3, ZOmega.from_int(3)))
                           | small(2).filter(bool))
             m = ExactMatrix([[z * c for z in row] for row in u.rows], u.e)
@@ -527,9 +527,9 @@ def draw_matrix(data):
         rows = data.draw(st.lists(st.lists(small(3), min_size=dim, max_size=dim),
                                   min_size=dim, max_size=dim))
         return ExactMatrix(rows, data.draw(st.integers(min_value=0, max_value=6)))
-    u = random_unitary(InstanceSpec(data.draw(st.sampled_from((1, 2))),
-                                    data.draw(st.integers(min_value=0, max_value=40)),
-                                    data.draw(st.integers(min_value=0, max_value=999))))
+    u = random_unitary(data.draw(st.sampled_from((1, 2))),
+                       data.draw(st.integers(min_value=0, max_value=40)),
+                       data.draw(st.integers(min_value=0, max_value=999)))
     rows = [list(row) for row in u.rows]
     index = st.integers(min_value=0, max_value=u.dim - 1)
     r, c = data.draw(st.tuples(index, index))
@@ -595,7 +595,7 @@ class TestResidueGrid:
         matrices = [m for dim, length in ((2, 3), (3, 3), (4, 2))
                     for m in enumerate_words(dim, length)]
         for budget, seed in ((2500, 1), (2500, 2), (2000, 3)):
-            m = random_unitary(InstanceSpec(2, budget, seed))
+            m = random_unitary(2, budget, seed)
             assert delta_exponent(m) >= 100
             matrices.append(m)
         tags = set()
@@ -618,7 +618,7 @@ class TestResidueGrid:
             calls += 1
             return residue_bits(z)
 
-        m = random_unitary(InstanceSpec(2, 10000, 1))
+        m = random_unitary(2, 10000, 1)
         assert delta_exponent(m) == 602
         for module in (deltasynth.engine, deltasynth.linalg):
             monkeypatch.setattr(module, "residue_bits", counted)
@@ -630,11 +630,11 @@ class TestFlip:
     """The column step flips the workspace, reduces rows and flips back."""
 
     # between them, they reach the transposed full_rows mix, the one column step
-    INSTANCES = [InstanceSpec(2, 100, 3), InstanceSpec(2, 100, 5)]
+    INSTANCES = [(2, 100, 3), (2, 100, 5)]
 
     def test_two_flips_restore_the_workspace(self):
         for spec in self.INSTANCES:
-            ws = _Workspace(random_unitary(spec))
+            ws = _Workspace(random_unitary(*spec))
             rows, bits = [list(row) for row in ws.rows], [list(row) for row in ws.bits]
             ws.flip()
             assert ws.flipped
@@ -671,7 +671,7 @@ class TestFlip:
 
         monkeypatch.setattr(deltasynth.engine, "_reduce", recorded)
         for spec in self.INSTANCES:
-            ws = _Workspace(random_unitary(spec))
+            ws = _Workspace(random_unitary(*spec))
             while ws.k:
                 reduction_round(ws)
                 assert not ws.flipped
@@ -713,7 +713,7 @@ class TestSynthesize:
             synthesize(m)
             synthesize(m, debug=True)
         assert checks == []
-        u = random_unitary(InstanceSpec(2, 300, 1))
+        u = random_unitary(2, 300, 1)
         c = ZW_ONE + ZW_DELTA ** 3
         rejected = [
             NOT_UNITARY_2,
