@@ -46,12 +46,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import (
-    CircuitParseError,
-    InvariantError,
-    UnsupportedDimError,
-    VerificationError,
-)
+from .errors import InvariantError, SynthError, VerificationError
 from .linalg import (ElementaryOp, ExactMatrix, h_op, least, omega_op, row_surgery,
                      word_product)
 from .ring import ZW_ONE, ZW_ZERO, ZOmega
@@ -352,7 +347,7 @@ def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
     power of w.  Only dimensions 2 and 4 have a qubit layout.
     """
     if dim not in (2, 4):
-        raise UnsupportedDimError(f"no qubit layout for dimension {dim}")
+        raise SynthError(f"no qubit layout for dimension {dim}")
     for op in reversed(word):
         if max(op.j, op.m) > dim:
             raise ValueError(f"operator {op} exceeds dimension {dim}")
@@ -466,23 +461,21 @@ def parse_circuit(text: str) -> Circuit:
         parts = line.split()
         if parts[0] == "qubits":
             if qubits is not None:
-                raise CircuitParseError("duplicate qubits header", line=lineno)
-            if gates:
-                raise CircuitParseError("qubits header must come first", line=lineno)
+                raise SynthError("duplicate qubits header", lineno)
             if (len(parts) != 2 or not parts[1].isascii()
                     or not parts[1].isdecimal() or len(parts[1]) > 9):
-                raise CircuitParseError("expected: qubits <1|2>", line=lineno)
+                raise SynthError("expected: qubits <1|2>", lineno)
             qubits = int(parts[1])
             continue
         if qubits is None:
-            raise CircuitParseError("missing qubits header", line=lineno)
+            raise SynthError("missing qubits header", lineno)
         name = parts[0]
         if name not in GATE_NAMES:
-            raise CircuitParseError(f"unknown gate {name!r}", line=lineno)
+            raise SynthError(f"unknown gate {name!r}", lineno)
         try:
             args = [plain_int(p) for p in parts[1:]]
         except ValueError:
-            raise CircuitParseError(f"bad arguments for {name}", line=lineno) from None
+            raise SynthError(f"bad arguments for {name}", lineno) from None
         try:
             if name == "W":
                 if len(args) != 1:
@@ -491,12 +484,12 @@ def parse_circuit(text: str) -> Circuit:
             else:
                 gate = Gate(name, tuple(args))
         except ValueError as exc:
-            raise CircuitParseError(str(exc), line=lineno) from None
+            raise SynthError(str(exc), lineno) from None
         parsed[line] = gate
         gates.append(gate)
     if qubits is None:
-        raise CircuitParseError("missing qubits header")
+        raise SynthError("missing qubits header")
     try:
         return Circuit(qubits, tuple(gates))
     except ValueError as exc:
-        raise CircuitParseError(str(exc)) from None
+        raise SynthError(str(exc)) from None

@@ -32,13 +32,7 @@ from .circuits import (
     render_circuit,
 )
 from .engine import Decomposition, synthesize, verify_decomposition
-from .errors import (
-    MatrixParseError,
-    NotUnitaryError,
-    SynthError,
-    UnsupportedDimError,
-    VerificationError,
-)
+from .errors import NotUnitaryError, SynthError, VerificationError
 from .linalg import MAX_DIM, ExactMatrix, is_unitary
 from .ring import (
     ZOmega,
@@ -65,10 +59,10 @@ def _parse_entry(token: str, line: int, column: int) -> tuple[ZOmega, int]:
     body, slash, tail = token.partition("/")
     parts = body.split(",")
     if len(parts) != 4:
-        raise MatrixParseError(
+        raise SynthError(
             f"entry must be a,b,c,d/m or 0 or 1, got {token[:40]!r}", line, column)
     if any(len(p.lstrip("+-")) > MAX_COEFFICIENT_DIGITS for p in (*parts, tail)):
-        raise MatrixParseError(
+        raise SynthError(
             f"entry numbers must have at most {MAX_COEFFICIENT_DIGITS} digits,"
             f" got {token[:40]!r}", line, column)
     try:
@@ -77,13 +71,13 @@ def _parse_entry(token: str, line: int, column: int) -> tuple[ZOmega, int]:
         a, b, c, d = (int(p) for p in parts)
         m = int(tail) if slash else 0
     except ValueError:
-        raise MatrixParseError(
+        raise SynthError(
             f"entry must use integers, got {token[:40]!r}", line, column) from None
     if m < 0:
-        raise MatrixParseError(
+        raise SynthError(
             f"denominator exponent must be >= 0, got {token[:40]!r}", line, column)
     if m > MAX_SQRT2_EXPONENT:
-        raise MatrixParseError(
+        raise SynthError(
             f"sqrt(2) exponent must be at most {MAX_SQRT2_EXPONENT},"
             f" got {token[:40]!r}", line, column)
     return from_sqrt2_form(a, b, c, d), m
@@ -102,33 +96,33 @@ def parse_matrix(text: str) -> ExactMatrix:
         if dim == 0:
             second = next(tokens, None)
             if first.group() != "dim" or second is None or next(tokens, None):
-                raise MatrixParseError(
+                raise SynthError(
                     "expected header 'dim n'", lineno, first.start() + 1)
             try:
                 dim = plain_int(second.group())
             except ValueError:
-                raise MatrixParseError(
+                raise SynthError(
                     f"bad dimension {second.group()!r}",
                     lineno, second.start() + 1) from None
             if not 1 <= dim <= MAX_DIM:
-                raise MatrixParseError(
+                raise SynthError(
                     f"dimension must be 1..{MAX_DIM}, got {dim}",
                     lineno, second.start() + 1)
             continue
         if len(rows) == dim:
-            raise MatrixParseError(
+            raise SynthError(
                 "content after last matrix row", lineno, first.start() + 1)
         entries = []
         for match in [first, *tokens]:
             entries.append(_parse_entry(match.group(), lineno, match.start() + 1))
         if len(entries) != dim:
-            raise MatrixParseError(
+            raise SynthError(
                 f"expected {dim} entries per row, got {len(entries)}", lineno, 1)
         rows.append(entries)
     if dim == 0:
-        raise MatrixParseError("empty matrix file")
+        raise SynthError("empty matrix file")
     if len(rows) != dim:
-        raise MatrixParseError(f"expected {dim} rows, got {len(rows)}")
+        raise SynthError(f"expected {dim} rows, got {len(rows)}")
     e = max(m for row in rows for _, m in row)
     # one sqrt(2) power per distinct nonzero gap; most entries have a gap of 0
     powers = {gap: ZW_SQRT2 ** gap for gap in {e - m for row in rows for _, m in row} if gap}
@@ -256,6 +250,7 @@ def gate_pool(qubits: int) -> tuple[Gate, ...]:
 
 
 def draw_circuit(qubits: int, budget: int, seed: int) -> Circuit:
+    Circuit(qubits, ())  # rejects bad qubits before the draw
     rng = random.Random(seed * 1000003 + budget * 101 + qubits)
     pool = gate_pool(qubits)
     gates = tuple(rng.choice(pool) for _ in range(budget))
@@ -281,7 +276,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     matrix = _load_unitary(args.matrix)
     if matrix.dim == 3:
-        raise UnsupportedDimError("dimension 3 has no circuit form to verify")
+        raise SynthError("dimension 3 has no circuit form to verify")
     circuit = parse_circuit(_read_text(args.circuit))
     expected = _scalar_identity(matrix) if matrix.dim == 1 else matrix
     try:

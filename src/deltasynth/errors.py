@@ -1,6 +1,8 @@
 """Exception hierarchy.
 
-Each class is an outcome that an exit code or a caller tells apart.  An
+Each class is an outcome that an exit code or a caller tells apart: malformed
+input or a request the tool cannot serve (SynthError), an input that is not
+unitary, a broken invariant, and a failed exactness re-check.  An
 InvariantError marks a condition the algorithm proves impossible for genuine
 unitary inputs: the input lied or the engine has a bug.  No class names the
 site that raised it; every raise site has a message of its own.
@@ -10,29 +12,19 @@ from __future__ import annotations
 
 
 class SynthError(Exception):
-    """Base class for everything raised by this package; the CLI exits with
-    the class's exit_code."""
+    """Malformed input, or a dimension an operation has no form for; base
+    class for everything raised by this package, and the CLI exits with the
+    class's exit_code.  A message about a line of an input file starts with
+    `line L, column C: `, or `line L: ` when no column is given."""
 
     exit_code = 2
-
-
-class MatrixParseError(SynthError):
-    """Malformed matrix file."""
 
     def __init__(self, message: str, line: int = 0, column: int = 0) -> None:
         self.line = line
         self.column = column
-        if line:
+        if column:
             message = f"line {line}, column {column}: {message}"
-        super().__init__(message)
-
-
-class CircuitParseError(SynthError):
-    """Malformed circuit file."""
-
-    def __init__(self, message: str, line: int = 0) -> None:
-        self.line = line
-        if line:
+        elif line:
             message = f"line {line}: {message}"
         super().__init__(message)
 
@@ -47,10 +39,6 @@ class InvariantError(SynthError):
     """Internal invariant violated."""
 
     exit_code = 4
-
-
-class UnsupportedDimError(SynthError):
-    """Operation undefined for this matrix dimension."""
 
 
 class VerificationError(InvariantError):

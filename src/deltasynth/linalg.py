@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
-from .errors import UnsupportedDimError
+from .errors import SynthError
 from .ring import ZW_ONE, ZW_ZERO, ZOmega, divide_by_sqrt2, residue_bits, times_sqrt2
 
 MAX_DIM = 4
@@ -39,7 +39,7 @@ class ExactMatrix:
         grid = [list(row) for row in rows]
         dim = len(grid)
         if not 1 <= dim <= MAX_DIM:
-            raise UnsupportedDimError(f"dimension {dim} not supported")
+            raise SynthError(f"dimension {dim} not supported")
         if any(len(row) != dim for row in grid):
             raise ValueError("matrix must be square")
         if e < 0:

@@ -8,11 +8,15 @@ everything the generators reach in a few steps must round-trip.  The
 T-count lower bound is computed exactly from the channel representation.
 """
 
+import contextlib
 import random
 from typing import Sequence
 
+import pytest
+
 from deltasynth.circuits import Gate, _fold
 from deltasynth.cli import gate_pool
+from deltasynth.errors import SynthError
 from deltasynth.linalg import (ElementaryOp, ExactMatrix, apply_elementary, h_op, omega_op,
                                word_matrix, x_op)
 from deltasynth.ring import (UNIT_SQRT2, ZW_DELTA, ZW_ONE, ZW_OMEGA, ZW_ZERO, DOmega, ZOmega,
@@ -28,6 +32,15 @@ def identity(dim: int) -> ExactMatrix:
     """The dim x dim identity."""
     return ExactMatrix([ZW_ONE if i == j else ZW_ZERO for j in range(dim)]
                        for i in range(dim))
+
+
+@contextlib.contextmanager
+def raises_synth_error(match=None):
+    """pytest.raises for SynthError itself, the exit-2 class: its subclasses
+    NotUnitaryError and InvariantError do not pass."""
+    with pytest.raises(SynthError, match=match) as info:
+        yield info
+    assert type(info.value) is SynthError
 
 
 def mixing_ops(rnd) -> int:

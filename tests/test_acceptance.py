@@ -399,8 +399,7 @@ def test_no_dead_names_in_package():
 
 
 # Every class an exit code or a caller tells apart; nothing else
-ERROR_CLASSES = {"SynthError", "MatrixParseError", "CircuitParseError", "NotUnitaryError",
-                 "InvariantError", "UnsupportedDimError", "VerificationError"}
+ERROR_CLASSES = {"SynthError", "NotUnitaryError", "InvariantError", "VerificationError"}
 
 
 def test_invariant_sites_named_by_message():

@@ -19,16 +19,11 @@ from deltasynth.circuits import (
     render_circuit,
     verify_templates,
 )
-from deltasynth.errors import (
-    CircuitParseError,
-    InvariantError,
-    UnsupportedDimError,
-    VerificationError,
-)
+from deltasynth.errors import InvariantError, VerificationError
 from deltasynth.engine import synthesize
 from deltasynth.linalg import h_op, omega_op, word_matrix, x_op
 from deltasynth.cli import random_unitary
-from helpers import op_alphabet as alphabet, random_word
+from helpers import op_alphabet as alphabet, random_word, raises_synth_error
 from test_acceptance import corpus_specs
 
 
@@ -248,7 +243,7 @@ class TestEmit:
         assert circuit_to_matrix(circ) == word_matrix([], 4)
 
     def test_unsupported_dim(self):
-        with pytest.raises(UnsupportedDimError):
+        with raises_synth_error():
             emit([], 3)
 
     def test_op_outside_dim(self):
@@ -385,27 +380,27 @@ class TestTextFormat:
         assert circ == Circuit(1, (Gate("H", (0,)), Gate("W", (), 3)))
 
     def test_missing_header(self):
-        with pytest.raises(CircuitParseError):
+        with raises_synth_error():
             parse_circuit("H 0\n")
-        with pytest.raises(CircuitParseError):
+        with raises_synth_error():
             parse_circuit("")
 
     def test_header_must_come_first(self):
-        with pytest.raises(CircuitParseError) as info:
+        with raises_synth_error() as info:
             parse_circuit("qubits 1\nH 0\nqubits 1\n")
         assert info.value.line == 3
 
     def test_unknown_gate(self):
-        with pytest.raises(CircuitParseError) as info:
+        with raises_synth_error() as info:
             parse_circuit("qubits 1\nRZ 0\n")
         assert info.value.line == 2
 
     def test_bad_arguments(self):
-        with pytest.raises(CircuitParseError):
+        with raises_synth_error():
             parse_circuit("qubits 1\nH zero\n")
-        with pytest.raises(CircuitParseError):
+        with raises_synth_error():
             parse_circuit("qubits 1\nW 0\n")
-        with pytest.raises(CircuitParseError):
+        with raises_synth_error():
             parse_circuit("qubits 2\nCNOT 0 0\n")
 
     @pytest.mark.parametrize("text, message", [
@@ -417,12 +412,12 @@ class TestTextFormat:
     ])
     def test_only_plain_integers(self, text, message):
         """int() also reads Unicode digits and "_" separators."""
-        with pytest.raises(CircuitParseError, match=message):
+        with raises_synth_error(message):
             parse_circuit(text)
 
     def test_repeated_invalid_line_reports_first(self):
         for bad in ("T x", "CNOT 1 1", "W 9"):
-            with pytest.raises(CircuitParseError) as info:
+            with raises_synth_error() as info:
                 parse_circuit(f"qubits 2\nH 0\n{bad}\nH 0\n{bad}\n")
             assert info.value.line == 3
 
@@ -434,7 +429,7 @@ class TestTextFormat:
         assert circ.gates[0] is circ.gates[3] is circ.gates[5]
 
     def test_wire_out_of_range(self):
-        with pytest.raises(CircuitParseError):
+        with raises_synth_error():
             parse_circuit("qubits 1\nH 1\n")
 
     def test_ancilla_round_trip(self):

@@ -1,6 +1,7 @@
 import argparse
 import io
 import os
+import re
 import subprocess
 import sys
 import time
@@ -10,11 +11,13 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+import deltasynth.cli
 from deltasynth.cli import (
     MAX_COEFFICIENT_DIGITS,
     MAX_SQRT2_EXPONENT,
     _stats,
     build_parser,
+    cmd_verify,
     draw_circuit,
     format_entry,
     gate_pool,
@@ -23,14 +26,15 @@ from deltasynth.cli import (
     random_unitary,
     render_matrix,
 )
-from deltasynth.circuits import parse_circuit
+from deltasynth.circuits import emit, parse_circuit
 from deltasynth.engine import synthesize
-from deltasynth.errors import MatrixParseError, NotUnitaryError
+from deltasynth import errors
+from deltasynth.errors import NotUnitaryError
 from deltasynth import linalg
 from deltasynth.linalg import ExactMatrix, is_unitary
 from deltasynth.ring import (OMEGA_POWERS, ZW_DELTA, ZW_ONE, ZW_SQRT2, ZW_ZERO, ZOmega,
                              from_sqrt2_form)
-from helpers import domega, identity, random_word_matrix
+from helpers import domega, identity, random_word_matrix, raises_synth_error
 
 IDENTITY_2 = "dim 2\n1 0\n0 1\n"
 H_FILE = "dim 2\n1,0,0,0/1 1,0,0,0/1\n1,0,0,0/1 -1,0,0,0/1\n"
@@ -76,7 +80,7 @@ class TestParseMatrix:
         ("dim 2\n1 0\n0 q\n", 3, 3),
     ])
     def test_bad_entry_positions(self, text, line, column):
-        with pytest.raises(MatrixParseError) as exc:
+        with raises_synth_error() as exc:
             parse_matrix(text)
         assert exc.value.line == line
         assert exc.value.column == column
@@ -95,7 +99,7 @@ class TestParseMatrix:
         *NOT_PLAIN_INTEGERS,
     ])
     def test_malformed_files(self, text):
-        with pytest.raises(MatrixParseError):
+        with raises_synth_error():
             parse_matrix(text)
 
     @pytest.mark.parametrize("qubits, budget, seed", [
@@ -198,6 +202,19 @@ class TestDrawCircuit:
             draw_circuit(3, 10, 0)
         with pytest.raises(ValueError):
             draw_circuit(0, 10, 0)
+
+    def test_bad_qubits_rejected_before_the_draw(self, monkeypatch):
+        class Random:
+            def __init__(self, seed):
+                pass
+
+            def choice(self, pool):
+                pytest.fail("drew a gate for qubits outside {1, 2}")
+
+        monkeypatch.setattr(deltasynth.cli, "random", argparse.Namespace(Random=Random))
+        for qubits in (0, 3):
+            with pytest.raises(ValueError, match="circuits cover 1 or 2 data qubits"):
+                draw_circuit(qubits, 10, 0)
 
     def test_draw_is_deterministic(self):
         assert draw_circuit(2, 40, 7) == draw_circuit(2, 40, 7)
@@ -340,6 +357,71 @@ def test_non_utf8_input_exit_2(capsys, tmp_path, monkeypatch):
     circuit = tmp_path / "c.txt"
     circuit.write_bytes(b"qubits 1\nH \xfe0\n")
     assert_one_line_error(run(capsys, "verify", str(matrix), str(circuit)))
+
+
+def _call(kind, payload, tmp_path):
+    """Hand one malformed input to the library call its kind names."""
+    if kind == "matrix":
+        parse_matrix(payload)
+    elif kind == "circuit":
+        parse_circuit(payload)
+    elif kind == "ExactMatrix":
+        ExactMatrix([[ZW_ONE] * payload] * payload)
+    elif kind == "emit":
+        emit([], payload)
+    else:
+        path = tmp_path / "m.txt"
+        path.write_text(payload, encoding="utf-8")
+        cmd_verify(argparse.Namespace(matrix=str(path), circuit=str(path)))
+
+
+@pytest.mark.parametrize("kind, payload, line, column, message", [
+    ("matrix", "size 2\n1 0\n0 1\n", 1, 1, "line 1, column 1: expected header 'dim n'"),
+    ("matrix", "dim 2 2\n", 1, 1, "line 1, column 1: expected header 'dim n'"),
+    ("matrix", "dim two\n", 1, 5, "line 1, column 5: bad dimension 'two'"),
+    ("matrix", "dim 5\n", 1, 5, "line 1, column 5: dimension must be 1..4, got 5"),
+    ("matrix", "dim 2\n1 1,2,3,4,5/0\n0 1\n", 2, 3,
+     "line 2, column 3: entry must be a,b,c,d/m or 0 or 1, got '1,2,3,4,5/0'"),
+    ("matrix", "dim 2\n1 0\n0 1,0,0,x\n", 3, 3,
+     "line 3, column 3: entry must use integers, got '1,0,0,x'"),
+    ("matrix", "dim 2\n1 0\n0 1,0,0,0/-1\n", 3, 3,
+     "line 3, column 3: denominator exponent must be >= 0, got '1,0,0,0/-1'"),
+    ("matrix", "dim 1\n  1,0,0,0/4097\n", 2, 3,
+     "line 2, column 3: sqrt(2) exponent must be at most 4096, got '1,0,0,0/4097'"),
+    ("matrix", "dim 1\n" + "1" * 1001 + ",0,0,0\n", 2, 1,
+     "line 2, column 1: entry numbers must have at most 1000 digits, got '" + "1" * 40 + "'"),
+    ("matrix", "dim 2\n1 0 0\n0 1 0\n", 2, 1, "line 2, column 1: expected 2 entries per row, got 3"),
+    ("matrix", "dim 2\n1 0\n", 0, 0, "expected 2 rows, got 1"),
+    ("matrix", "dim 2\n1 0\n0 1\n # more\n 1 0\n", 5, 2,
+     "line 5, column 2: content after last matrix row"),
+    ("matrix", "", 0, 0, "empty matrix file"),
+    ("matrix", "# only a comment\n", 0, 0, "empty matrix file"),
+    ("circuit", "qubits 1\nqubits 1\n", 2, 0, "line 2: duplicate qubits header"),
+    ("circuit", "qubits 1\nH 0\nqubits 1\n", 3, 0, "line 3: duplicate qubits header"),
+    ("circuit", "qubits two\n", 1, 0, "line 1: expected: qubits <1|2>"),
+    ("circuit", "qubits\n", 1, 0, "line 1: expected: qubits <1|2>"),
+    ("circuit", "\nH 0\nqubits 1\n", 2, 0, "line 2: missing qubits header"),
+    ("circuit", "# nothing\n", 0, 0, "missing qubits header"),
+    ("circuit", "qubits 1\nRZ 0\n", 2, 0, "line 2: unknown gate 'RZ'"),
+    ("circuit", "qubits 1\nH zero\n", 2, 0, "line 2: bad arguments for H"),
+    ("circuit", "qubits 2\nCNOT 0 0\n", 2, 0, "line 2: CNOT takes two distinct wires"),
+    ("circuit", "qubits 1\nW 1 2\n", 2, 0, "line 2: W takes one power argument"),
+    ("circuit", "qubits 1\nW 0\n", 2, 0, "line 2: W takes no wires and a power in 1..7"),
+    ("circuit", "qubits 1\nH 1\n", 0, 0, "gate H 1 exceeds 1 wires"),
+    ("circuit", "qubits 3\n", 0, 0, "circuits cover 1 or 2 data qubits"),
+    ("ExactMatrix", 5, 0, 0, "dimension 5 not supported"),
+    ("emit", 3, 0, 0, "no qubit layout for dimension 3"),
+    ("verify", "dim 3\n1 0 0\n0 1 0\n0 0 1\n", 0, 0, "dimension 3 has no circuit form to verify"),
+])
+def test_malformed_input_is_a_synth_error(tmp_path, kind, payload, line, column, message):
+    """Each malformed input raises SynthError itself, the exit-2 class, with
+    its location and its whole message."""
+    with raises_synth_error() as info:
+        _call(kind, payload, tmp_path)
+    exc = info.value
+    assert exc.exit_code == 2
+    assert (exc.line, exc.column) == (line, column)
+    assert str(exc) == message
 
 
 @pytest.mark.parametrize("entry, message", [
@@ -655,3 +737,15 @@ def test_readme_names_every_command():
     subparsers = next(action for action in build_parser()._actions
                       if isinstance(action, argparse._SubParsersAction))
     assert sorted(documented) == sorted(subparsers.choices)
+
+
+def test_readme_names_every_error_class():
+    """README's exit-code paragraph names exactly the classes of errors.py
+    that state an exit_code of their own, each with that code."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    paragraph = readme.split("Exit codes: ", 1)[1].split("\n\n", 1)[0]
+    documented = {(name, int(code))
+                  for code, name in re.findall(r"(\d) on `(\w+)`", " ".join(paragraph.split()))}
+    own = {(name, cls.exit_code) for name, cls in vars(errors).items()
+           if isinstance(cls, type) and "exit_code" in vars(cls)}
+    assert documented == own

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deltasynth.errors import UnsupportedDimError
 from deltasynth.linalg import (
     ElementaryOp,
     ExactMatrix,
@@ -25,7 +24,7 @@ from deltasynth.ring import (
     from_sqrt2_form,
 )
 from helpers import (D_ONE, D_ZERO, H_EXACT, T_EXACT, adjoint, exact, identity, mat_mul,
-                     op_alphabet as alphabet, random_word_matrix, scaled)
+                     op_alphabet as alphabet, random_word_matrix, raises_synth_error, scaled)
 
 
 small = st.integers(min_value=-3, max_value=3)
@@ -42,7 +41,7 @@ class TestExactMatrix:
     def test_dimension_limits(self):
         identity(1)
         identity(4)
-        with pytest.raises(UnsupportedDimError):
+        with raises_synth_error():
             ExactMatrix([[ZW_ONE] * 5] * 5)
         with pytest.raises(ValueError):
             ExactMatrix([[ZW_ONE, ZW_ZERO]])
