@@ -1,7 +1,7 @@
 """Lowering elementary-operator words to Clifford+T circuits.
 
-A word over row operations on dimension 2 or 4 becomes a circuit on 1 or 2
-qubits (wire 0 is the most significant basis bit).  Two-level Hadamard and
+A word over row operations on dimension 1, 2 or 4 becomes a circuit on 1 or
+2 qubits (wire 0 is the most significant basis bit).  Two-level Hadamard and
 swap operations lower to controlled gates, routed through a CNOT change of
 basis when the two levels differ in both bits.  On two qubits H[a,b] then
 H[c,d] on the other two levels is one Clifford with no T (H on a wire, maybe
@@ -71,19 +71,19 @@ class Gate:
 
     def __post_init__(self) -> None:
         if self.name not in GATE_NAMES:
-            raise ValueError(f"unknown gate {self.name!r}")
+            raise SynthError(f"unknown gate {self.name!r}")
         if self.name == "W":
             if self.wires or not 1 <= self.power <= 7:
-                raise ValueError("W takes no wires and a power in 1..7")
+                raise SynthError("W takes no wires and a power in 1..7")
         elif self.power:
-            raise ValueError(f"{self.name} takes no power")
+            raise SynthError(f"{self.name} takes no power")
         elif self.name == "CNOT":
             if len(self.wires) != 2 or self.wires[0] == self.wires[1]:
-                raise ValueError("CNOT takes two distinct wires")
+                raise SynthError("CNOT takes two distinct wires")
         elif len(self.wires) != 1:
-            raise ValueError(f"{self.name} takes exactly one wire")
+            raise SynthError(f"{self.name} takes exactly one wire")
         if any(w < 0 for w in self.wires):
-            raise ValueError("wires are non-negative")
+            raise SynthError("wires are non-negative")
 
     def __str__(self) -> str:
         if self.name == "W":
@@ -102,16 +102,16 @@ class Circuit:
 
     def __post_init__(self) -> None:
         if self.data_qubits not in (1, 2):
-            raise ValueError("circuits cover 1 or 2 data qubits")
+            raise SynthError("circuits cover 1 or 2 data qubits")
         object.__setattr__(self, "uses_ancilla",
                            any(gate.name == "ANC_INIT" for gate in self.gates))
         bound = self.wire_count
         for gate in self.gates:
             wires = gate.wires
             if wires and max(wires) >= bound:
-                raise ValueError(f"gate {gate} exceeds {bound} wires")
+                raise SynthError(f"gate {gate} exceeds {bound} wires")
             if gate.name in ("ANC_INIT", "ANC_FREE") and wires != (self.data_qubits,):
-                raise ValueError("ancilla markers must name the ancilla wire")
+                raise SynthError("ancilla markers must name the ancilla wire")
 
     @property
     def wire_count(self) -> int:
@@ -301,10 +301,10 @@ def _lowered(op: ElementaryOp, qubits: int) -> tuple[Gate, ...]:
 
 @functools.cache
 def _lowered_diagonal(powers: tuple[int, ...]) -> tuple[Gate, ...]:
-    """The gates of diag(w^p for p in powers), powers mod 8 on 1 or 2 qubits
-    (64 and 4096 diagonals); an odd x0 x1 term acts on the ancilla wire."""
-    if len(powers) == 2:
-        c, a, b, d = powers[0], powers[1] - powers[0], 0, 0
+    """The gates of diag(w^p for p in powers), powers mod 8: 8 + 64 diagonals
+    on 1 qubit, 4096 on 2; an odd x0 x1 term acts on the ancilla wire."""
+    if len(powers) < 4:
+        c, a, b, d = powers[0], powers[-1] - powers[0], 0, 0
     else:
         c, p01, p10, p11 = powers
         a, b, d = p10 - c, p01 - c, (p11 - p10 - p01 + c) % 8
@@ -344,16 +344,17 @@ def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
     a, b read in between become the pending diagonal.  Only the last
     diagonal can be odd, so the ancilla is borrowed exactly when the word's
     phase powers add up to an odd number, that is when det(U) is an odd
-    power of w.  Only dimensions 2 and 4 have a qubit layout.
+    power of w.  Dimensions 1, 2 and 4 have a qubit layout; a 1x1 word is
+    one idle qubit.
     """
-    if dim not in (2, 4):
+    if dim not in (1, 2, 4):
         raise SynthError(f"no qubit layout for dimension {dim}")
     for op in reversed(word):
         if max(op.j, op.m) > dim:
-            raise ValueError(f"operator {op} exceeds dimension {dim}")
+            raise SynthError(f"operator {op} exceeds dimension {dim}")
     if not _templates_verified:
         verify_templates()
-    qubits = 1 if dim == 2 else 2
+    qubits = 1 if dim < 4 else 2
     body: list[Gate] = []
     global_power = 0
     pending = [0] * dim  # powers by level, the w^1 owed included
@@ -476,20 +477,14 @@ def parse_circuit(text: str) -> Circuit:
             args = [plain_int(p) for p in parts[1:]]
         except ValueError:
             raise SynthError(f"bad arguments for {name}", lineno) from None
+        if name == "W" and len(args) != 1:
+            raise SynthError("W takes one power argument", lineno)
         try:
-            if name == "W":
-                if len(args) != 1:
-                    raise ValueError("W takes one power argument")
-                gate = Gate("W", (), args[0])
-            else:
-                gate = Gate(name, tuple(args))
-        except ValueError as exc:
+            gate = Gate("W", (), args[0]) if name == "W" else Gate(name, tuple(args))
+        except SynthError as exc:
             raise SynthError(str(exc), lineno) from None
         parsed[line] = gate
         gates.append(gate)
     if qubits is None:
         raise SynthError("missing qubits header")
-    try:
-        return Circuit(qubits, tuple(gates))
-    except ValueError as exc:
-        raise SynthError(str(exc)) from None
+    return Circuit(qubits, tuple(gates))

@@ -31,7 +31,7 @@ from .circuits import (
     plain_int,
     render_circuit,
 )
-from .engine import Decomposition, synthesize, verify_decomposition
+from .engine import synthesize, verify_decomposition
 from .errors import NotUnitaryError, SynthError, VerificationError
 from .linalg import MAX_DIM, ExactMatrix, is_unitary
 from .ring import (
@@ -170,12 +170,6 @@ def _scalar_identity(m: ExactMatrix) -> ExactMatrix:
     return ExactMatrix([[z, ZW_ZERO], [ZW_ZERO, z]], m.e)
 
 
-def _global_phase_circuit(dec: Decomposition) -> Circuit:
-    power = sum(op.power for op in dec.word) % 8
-    gates = (Gate("W", (), power),) if power else ()
-    return Circuit(1, gates)
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     matrix = parse_matrix(_read_text(args.input))
     if args.debug:
@@ -203,9 +197,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         lines.append(f"# word: {word if word else 'I'}")
     circuit = None
     if dec.dim == 1:
-        circuit = _global_phase_circuit(dec)
         lines.append("# note: 1x1 input; circuit is the global phase on one idle qubit")
-    elif dec.dim != 3:
+    if dec.dim != 3:
         circuit = emit(dec.word, dec.dim)
     else:
         lines.append("# note: dimension 3 has no circuit form; word only")

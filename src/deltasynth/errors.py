@@ -12,10 +12,10 @@ from __future__ import annotations
 
 
 class SynthError(Exception):
-    """Malformed input, or a dimension an operation has no form for; base
-    class for everything raised by this package, and the CLI exits with the
-    class's exit_code.  A message about a line of an input file starts with
-    `line L, column C: `, or `line L: ` when no column is given."""
+    """Malformed input to any library call, or a dimension an operation has
+    no form for; base class of the package's other errors, and the CLI exits
+    with the class's exit_code.  A message about a line of an input file
+    starts with `line L, column C: `, or `line L: ` when no column is given."""
 
     exit_code = 2
 

@@ -41,9 +41,9 @@ class ExactMatrix:
         if not 1 <= dim <= MAX_DIM:
             raise SynthError(f"dimension {dim} not supported")
         if any(len(row) != dim for row in grid):
-            raise ValueError("matrix must be square")
+            raise SynthError("matrix must be square")
         if e < 0:
-            raise ValueError("sqrt(2) exponent must be >= 0")
+            raise SynthError("sqrt(2) exponent must be >= 0")
         grid, self.e = least(grid, e)
         self.rows = tuple(map(tuple, grid))
 
@@ -106,9 +106,9 @@ OpKind = Literal["omega", "H", "X"]
 class ElementaryOp:
     """One-level phase (w^power on basis vector j) or a two-level H / X.
 
-    Indices are 1-based, j < m for two-level kinds.  All three kinds have
-    symmetric matrices, so an op means the same matrix whether it is applied
-    to rows (on the left) or to columns (on the right).
+    Indices are 1-based, j < m for two-level kinds, which take no power.
+    All three kinds have symmetric matrices, so an op means the same matrix
+    whether it is applied to rows (on the left) or to columns (on the right).
     """
 
     kind: OpKind
@@ -118,17 +118,19 @@ class ElementaryOp:
 
     def __post_init__(self) -> None:
         if self.j < 1:
-            raise ValueError("indices are 1-based")
+            raise SynthError("indices are 1-based")
         if self.kind == "omega":
             if not 1 <= self.power <= 7:
-                raise ValueError("phase power must be 1..7")
+                raise SynthError("phase power must be 1..7")
             if self.m:
-                raise ValueError("one-level op takes a single index")
+                raise SynthError("one-level op takes a single index")
         elif self.kind in ("H", "X"):
             if not self.j < self.m:
-                raise ValueError("two-level op needs j < m")
+                raise SynthError("two-level op needs j < m")
+            if self.power:
+                raise SynthError("two-level op takes no power")
         else:
-            raise ValueError(f"unknown kind {self.kind!r}")
+            raise SynthError(f"unknown kind {self.kind!r}")
 
     def __str__(self) -> str:
         if self.kind == "omega":
@@ -217,7 +219,7 @@ def apply_elementary(op: ElementaryOp, rows: Sequence[Sequence[ZOmega]],
     """
     top = op.m if op.kind != "omega" else op.j
     if top > len(rows):
-        raise ValueError(f"op {op} out of range for dimension {len(rows)}")
+        raise SynthError(f"op {op} out of range for dimension {len(rows)}")
     i, j = op.j - 1, op.m - 1
     rows = list(rows)
     row_surgery(rows, op.kind, i, j, op.power)

@@ -21,7 +21,8 @@ from deltasynth.circuits import (
 )
 from deltasynth.errors import InvariantError, VerificationError
 from deltasynth.engine import synthesize
-from deltasynth.linalg import h_op, omega_op, word_matrix, x_op
+from deltasynth.linalg import ExactMatrix, h_op, omega_op, word_matrix, x_op
+from deltasynth.ring import ZW_OMEGA, ZW_ZERO
 from deltasynth.cli import random_unitary
 from helpers import op_alphabet as alphabet, random_word, raises_synth_error
 from test_acceptance import corpus_specs
@@ -35,38 +36,38 @@ class TestGate:
         assert str(Gate("ANC_INIT", (2,))) == "ANC_INIT 2"
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with raises_synth_error():
             Gate("Y", (0,))
-        with pytest.raises(ValueError):
+        with raises_synth_error():
             Gate("W", (0,), 1)
-        with pytest.raises(ValueError):
+        with raises_synth_error():
             Gate("W", (), 0)
-        with pytest.raises(ValueError):
+        with raises_synth_error():
             Gate("W", (), 8)
-        with pytest.raises(ValueError):
+        with raises_synth_error():
             Gate("CNOT", (1, 1))
-        with pytest.raises(ValueError):
+        with raises_synth_error():
             Gate("CNOT", (0,))
-        with pytest.raises(ValueError):
+        with raises_synth_error():
             Gate("H", (0, 1))
-        with pytest.raises(ValueError):
+        with raises_synth_error():
             Gate("H", (0,), power=2)
-        with pytest.raises(ValueError):
+        with raises_synth_error():
             Gate("H", (-1,))
 
 
 class TestCircuit:
     def test_wire_bound(self):
-        with pytest.raises(ValueError):
+        with raises_synth_error():
             Circuit(1, (Gate("H", (1,)),))
-        with pytest.raises(ValueError):
+        with raises_synth_error():
             Circuit(3, ())
 
     def test_ancilla_markers_checked(self):
         # without ANC_INIT the circuit has no ancilla wire
-        with pytest.raises(ValueError, match="exceeds 2 wires"):
+        with raises_synth_error(match="exceeds 2 wires"):
             Circuit(2, (Gate("ANC_FREE", (2,)),))
-        with pytest.raises(ValueError, match="must name the ancilla wire"):
+        with raises_synth_error(match="must name the ancilla wire"):
             Circuit(2, (Gate("ANC_INIT", (1,)),))
 
     def test_shape_properties(self):
@@ -243,12 +244,21 @@ class TestEmit:
         assert circuit_to_matrix(circ) == word_matrix([], 4)
 
     def test_unsupported_dim(self):
-        with raises_synth_error():
+        with raises_synth_error(match="no qubit layout for dimension 3"):
             emit([], 3)
+        with raises_synth_error(match="no qubit layout for dimension 3"):
+            emit([omega_op(1, 1)], 3)
 
     def test_op_outside_dim(self):
-        with pytest.raises(ValueError):
+        with raises_synth_error():
             emit([h_op(1, 4)], 2)
+
+    @pytest.mark.parametrize("power", range(8))
+    def test_dim_1_is_one_idle_qubit(self, power):
+        circ = emit([omega_op(1, power)] if power else [], 1)
+        assert render_circuit(circ) == "qubits 1\n" + (f"W {power}\n" if power else "")
+        z = ZW_OMEGA ** power
+        assert circuit_to_matrix(circ) == ExactMatrix([[z, ZW_ZERO], [ZW_ZERO, z]])
 
     def test_counts(self):
         assert gate_counts(emit([omega_op(2, 2)], 2)) == {
@@ -384,11 +394,6 @@ class TestTextFormat:
             parse_circuit("H 0\n")
         with raises_synth_error():
             parse_circuit("")
-
-    def test_header_must_come_first(self):
-        with raises_synth_error() as info:
-            parse_circuit("qubits 1\nH 0\nqubits 1\n")
-        assert info.value.line == 3
 
     def test_unknown_gate(self):
         with raises_synth_error() as info:

@@ -26,12 +26,12 @@ from deltasynth.cli import (
     random_unitary,
     render_matrix,
 )
-from deltasynth.circuits import emit, parse_circuit
+from deltasynth.circuits import Circuit, Gate, emit, parse_circuit
 from deltasynth.engine import synthesize
 from deltasynth import errors
 from deltasynth.errors import NotUnitaryError
 from deltasynth import linalg
-from deltasynth.linalg import ExactMatrix, is_unitary
+from deltasynth.linalg import ElementaryOp, ExactMatrix, is_unitary, word_matrix, x_op
 from deltasynth.ring import (OMEGA_POWERS, ZW_DELTA, ZW_ONE, ZW_SQRT2, ZW_ZERO, ZOmega,
                              from_sqrt2_form)
 from helpers import domega, identity, random_word_matrix, raises_synth_error
@@ -198,9 +198,9 @@ class TestSynth:
 
 class TestDrawCircuit:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with raises_synth_error():
             draw_circuit(3, 10, 0)
-        with pytest.raises(ValueError):
+        with raises_synth_error():
             draw_circuit(0, 10, 0)
 
     def test_bad_qubits_rejected_before_the_draw(self, monkeypatch):
@@ -213,7 +213,7 @@ class TestDrawCircuit:
 
         monkeypatch.setattr(deltasynth.cli, "random", argparse.Namespace(Random=Random))
         for qubits in (0, 3):
-            with pytest.raises(ValueError, match="circuits cover 1 or 2 data qubits"):
+            with raises_synth_error(match="circuits cover 1 or 2 data qubits"):
                 draw_circuit(qubits, 10, 0)
 
     def test_draw_is_deterministic(self):
@@ -359,20 +359,29 @@ def test_non_utf8_input_exit_2(capsys, tmp_path, monkeypatch):
     assert_one_line_error(run(capsys, "verify", str(matrix), str(circuit)))
 
 
+LIBRARY_CALLS = {"ExactMatrix": ExactMatrix, "ElementaryOp": ElementaryOp, "Gate": Gate,
+                 "Circuit": Circuit, "emit": emit, "word_matrix": word_matrix,
+                 "draw_circuit": draw_circuit}
+
+
 def _call(kind, payload, tmp_path):
-    """Hand one malformed input to the library call its kind names."""
+    """Hand one malformed input to the call its kind names.  A library call
+    takes a tuple payload as its arguments; an int payload is a dimension,
+    of an all-ones grid for ExactMatrix and of the empty word for emit."""
     if kind == "matrix":
         parse_matrix(payload)
     elif kind == "circuit":
         parse_circuit(payload)
-    elif kind == "ExactMatrix":
-        ExactMatrix([[ZW_ONE] * payload] * payload)
-    elif kind == "emit":
-        emit([], payload)
-    else:
+    elif kind == "verify":
         path = tmp_path / "m.txt"
         path.write_text(payload, encoding="utf-8")
         cmd_verify(argparse.Namespace(matrix=str(path), circuit=str(path)))
+    elif kind == "ExactMatrix" and isinstance(payload, int):
+        ExactMatrix([[ZW_ONE] * payload] * payload)
+    elif kind == "emit" and isinstance(payload, int):
+        emit([], payload)
+    else:
+        LIBRARY_CALLS[kind](*payload)
 
 
 @pytest.mark.parametrize("kind, payload, line, column, message", [
@@ -411,6 +420,20 @@ def _call(kind, payload, tmp_path):
     ("circuit", "qubits 3\n", 0, 0, "circuits cover 1 or 2 data qubits"),
     ("ExactMatrix", 5, 0, 0, "dimension 5 not supported"),
     ("emit", 3, 0, 0, "no qubit layout for dimension 3"),
+    ("ExactMatrix", ([[ZW_ONE, ZW_ZERO]],), 0, 0, "matrix must be square"),
+    ("ExactMatrix", ([[ZW_ONE]], -1), 0, 0, "sqrt(2) exponent must be >= 0"),
+    ("ElementaryOp", ("omega", 0, 0, 1), 0, 0, "indices are 1-based"),
+    ("ElementaryOp", ("omega", 1, 0, 8), 0, 0, "phase power must be 1..7"),
+    ("ElementaryOp", ("omega", 1, 2, 1), 0, 0, "one-level op takes a single index"),
+    ("ElementaryOp", ("X", 3, 1), 0, 0, "two-level op needs j < m"),
+    ("ElementaryOp", ("H", 1, 2, 3), 0, 0, "two-level op takes no power"),
+    ("ElementaryOp", ("Y", 1, 2), 0, 0, "unknown kind 'Y'"),
+    ("Gate", ("H", (0,), 2), 0, 0, "H takes no power"),
+    ("Circuit", (2, (Gate("ANC_INIT", (1,)),)), 0, 0,
+     "ancilla markers must name the ancilla wire"),
+    ("emit", ([x_op(1, 3)], 2), 0, 0, "operator X[1,3] exceeds dimension 2"),
+    ("word_matrix", ([x_op(1, 3)], 2), 0, 0, "op X[1,3] out of range for dimension 2"),
+    ("draw_circuit", (3, 10, 0), 0, 0, "circuits cover 1 or 2 data qubits"),
     ("verify", "dim 3\n1 0 0\n0 1 0\n0 0 1\n", 0, 0, "dimension 3 has no circuit form to verify"),
 ])
 def test_malformed_input_is_a_synth_error(tmp_path, kind, payload, line, column, message):

@@ -43,9 +43,9 @@ class TestExactMatrix:
         identity(4)
         with raises_synth_error():
             ExactMatrix([[ZW_ONE] * 5] * 5)
-        with pytest.raises(ValueError):
+        with raises_synth_error():
             ExactMatrix([[ZW_ONE, ZW_ZERO]])
-        with pytest.raises(ValueError):
+        with raises_synth_error():
             ExactMatrix([[ZW_ONE]], -1)
 
     def test_equality_and_hash(self):
@@ -124,16 +124,25 @@ class TestExactMatrix:
 
 class TestElementaryOps:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with raises_synth_error():
             ElementaryOp("omega", 1, 0, 0)
-        with pytest.raises(ValueError):
+        with raises_synth_error():
             ElementaryOp("omega", 0, 0, 1)
-        with pytest.raises(ValueError):
+        with raises_synth_error():
             ElementaryOp("H", 2, 2)
-        with pytest.raises(ValueError):
+        with raises_synth_error():
             ElementaryOp("X", 3, 1)
-        with pytest.raises(ValueError):
+        with raises_synth_error():
             ElementaryOp("Y", 1, 2)
+
+    @pytest.mark.parametrize("kind", ["H", "X"])
+    def test_two_level_takes_no_power(self, kind):
+        # with a power the op would print and multiply as kind[1,2], yet
+        # compare unequal to it
+        for power in (1, 3, 7):
+            with raises_synth_error(match="two-level op takes no power"):
+                ElementaryOp(kind, 1, 2, power)
+        assert ElementaryOp(kind, 1, 2) == (h_op(1, 2) if kind == "H" else x_op(1, 2))
 
     def test_frozen_matrices(self):
         assert word_matrix([h_op(1, 2)], 2) == H_EXACT
@@ -146,9 +155,9 @@ class TestElementaryOps:
         assert swap.rows[3] == ident.rows[2]
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
+        with raises_synth_error():
             word_matrix([h_op(1, 3)], 2)
-        with pytest.raises(ValueError):
+        with raises_synth_error():
             word_matrix([omega_op(4, 1)], 3)
 
     @given(data=st.data())

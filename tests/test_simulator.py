@@ -22,7 +22,7 @@ from deltasynth.cli import render_matrix
 from deltasynth.errors import VerificationError
 from deltasynth.linalg import h_op, least, word_matrix, word_product
 from deltasynth.ring import ZW_ONE, ZW_ZERO, divide_by_sqrt2
-from helpers import op_alphabet
+from helpers import op_alphabet, raises_synth_error
 
 REFERENCE = Path(__file__).resolve().parents[1] / "benchmark" / "reference.py"
 
@@ -125,7 +125,7 @@ def test_ancilla_wire_needs_its_marker(circuit, at):
     circuit's wires."""
     gates = [g for g in circuit.gates if g.name != "ANC_INIT"]
     gates.insert(at % (len(gates) + 1), Gate("H", (circuit.data_qubits,)))
-    with pytest.raises(ValueError, match=f"exceeds {circuit.data_qubits} wires"):
+    with raises_synth_error(match=f"exceeds {circuit.data_qubits} wires"):
         Circuit(circuit.data_qubits, tuple(gates))
 
 
