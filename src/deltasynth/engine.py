@@ -5,19 +5,19 @@ delta-exponent k, from the matrix's numerators over sqrt(2)^e, and reduces
 them in place beside the grid of their residue classes mod delta^3 (one
 3-bit int each), which an op refreshes only where it wrote.  While k > 1,
 the mod-delta pattern must be one of seven shapes, stated as 0/1 templates;
-a table of their row and column permutations names the pattern's shape and
-where the template's rows and columns lie.  Every shape is reduced by one
-step, applied over and over: phase-align two lines that are congruent mod
-delta^3 (or mod delta^2) and mix them with one two-level Hadamard, which
-divides their sum and difference exactly by sqrt(2).  Congruence mod delta^3
-strictly drops both lines below k; congruence mod delta^2 hands off to a
-simpler shape at the same k.  Which two lines to mix is read off the shape,
-except for the all-units 4x4 shape, which mixes the first of its row pairs
-(0, 1), (0, 2) and (1, 2) that agree mod delta^2 up to one phase and differ
-by w^2 in an even number of entries.  Each pass applies one Hadamard; within
-four passes, which the round counts, delta divides every numerator, and
-dividing it out lowers k; at k = 0 the matrix is a monomial unpicked by swaps
-and phases.
+a table of their placements names the pattern's shape.  Every shape is
+reduced by one step, applied over and over: phase-align two lines that are
+congruent mod delta^3 (or mod delta^2) and mix them with one two-level
+Hadamard, which divides their sum and difference exactly by sqrt(2).
+Congruence mod delta^3 strictly drops both lines below k; congruence mod
+delta^2 hands off to a simpler shape at the same k.  The two lines are the
+first two rows whose unit pattern has the fewest units, mixed over its unit
+columns, except in the all-units 4x4 shape, which mixes the first of its row
+pairs (0, 1), (0, 2) and (1, 2) that agree mod delta^2 up to one phase and
+differ by w^2 in an even number of entries.  Each pass applies one Hadamard;
+within four passes, which the round counts, delta divides every numerator,
+and dividing it out lowers k; at k = 0 the matrix is a monomial unpicked by
+swaps and phases.
 
 Ops act on rows; the one column step, the column variant of full_rows,
 transposes the workspace, mixes rows and transposes back, and its ops are
@@ -58,23 +58,6 @@ MAX_HADAMARDS_PER_ROUND = 4
 
 
 @dataclass(frozen=True)
-class CasePattern:
-    """A residue pattern matched to its template, the shape named by its
-    case-chain string.
-
-    row_perm/col_perm map template positions to actual indices (0-based):
-    template row i of the shape lives at row row_perm[i].  transposed marks
-    the column variant of full_rows, the only shape that is not
-    permutation-equivalent to its transpose.
-    """
-
-    tag: str
-    row_perm: tuple[int, ...]
-    col_perm: tuple[int, ...]
-    transposed: bool = False
-
-
-@dataclass(frozen=True)
 class ReductionRound:
     """One full drop of the delta-exponent: k_before -> k_after < k_before."""
 
@@ -96,50 +79,40 @@ class Decomposition:
 
 
 # The reducible shapes as 0/1 templates, each matched up to row and column
-# permutation; the transposed full_rows template is its column variant.
+# permutation; the full_rows template with no full row is its column variant.
 _SHAPES = (
-    ("dense2", ("11", "11"), False),
-    ("block3", ("110", "110", "000"), False),
-    ("dense4", ("1111", "1111", "1111", "1111"), False),
-    ("single_block", ("1100", "1100", "0000", "0000"), False),
-    ("full_rows", ("1111", "1111", "0000", "0000"), False),
-    ("full_rows", ("1100", "1100", "1100", "1100"), True),
-    ("block_and_rows", ("1100", "1100", "1111", "1111"), False),
-    ("double_block", ("1100", "1100", "0011", "0011"), False),
+    ("dense2", ("11", "11")),
+    ("block3", ("110", "110", "000")),
+    ("dense4", ("1111", "1111", "1111", "1111")),
+    ("single_block", ("1100", "1100", "0000", "0000")),
+    ("full_rows", ("1111", "1111", "0000", "0000")),
+    ("full_rows", ("1100", "1100", "1100", "1100")),
+    ("block_and_rows", ("1100", "1100", "1111", "1111")),
+    ("double_block", ("1100", "1100", "0011", "0011")),
 )
 
 
 @functools.cache
-def _shape_table() -> dict[tuple[tuple[int, ...], ...], CasePattern]:
-    """Each placement of each template, mapped to the first row and column
-    permutations (in itertools order) that produce it."""
+def _shape_table() -> dict[tuple[tuple[int, ...], ...], str]:
+    """Each placement of each template, mapped to its shape's name."""
     table = {}
-    for tag, template, transposed in _SHAPES:
-        indices = range(len(template))
-        seen = set()
-        for row_perm in itertools.permutations(indices):
-            rows = tuple(template[row_perm.index(r)] for r in indices)
-            if rows in seen:
-                continue
-            seen.add(rows)
-            for col_perm in itertools.permutations(indices):
-                pattern = tuple(tuple(int(row[col_perm.index(c)]) for c in indices)
-                                for row in rows)
-                table.setdefault(pattern, CasePattern(tag, row_perm, col_perm, transposed))
+    for tag, template in _SHAPES:
+        for rows in set(itertools.permutations(template)):
+            for cols in itertools.permutations(zip(*rows)):
+                table[tuple(zip(*(map(int, col) for col in cols)))] = tag
     return table
 
 
-def classify_pattern(pattern: Sequence[Sequence[int]]) -> CasePattern:
-    """Match a 0/1 unit pattern against the reducible shapes.
+def classify_pattern(pattern: Sequence[Sequence[int]]) -> str:
+    """The name of the reducible shape a 0/1 unit pattern places.
 
     Raises InvariantError for anything else, which a unitary cannot produce
     at delta-exponent k > 1.
     """
-    pat = _shape_table().get(tuple(map(tuple, pattern)))
-    if pat is None:
-        raise InvariantError(
-            f"pattern {pattern!r} does not match any reducible shape")
-    return pat
+    tag = _shape_table().get(tuple(map(tuple, pattern)))
+    if tag is None:
+        raise InvariantError(f"pattern {pattern!r} does not match any reducible shape")
+    return tag
 
 
 def phase_offset(row1: Sequence[int], row2: Sequence[int]) -> int:
@@ -296,29 +269,37 @@ def _reduce_dense4(ws: _Workspace) -> None:
     raise InvariantError(f"unit triple {triple} excluded by unitarity")
 
 
-def _reduce(ws: _Workspace, pat: CasePattern) -> None:
-    """One case step for the matched shape: the dense4 rule, or align
-    and mix the template's first two lines.
+@functools.cache
+def _lines(tag: str, pattern: tuple[tuple[int, ...], ...]
+           ) -> tuple[bool, tuple[int, ...], tuple[int, ...]]:
+    """The rule, once per pattern: whether to flip, the rows whose unit pattern
+    is the first with the fewest units and then the rest, and its unit columns.
+    The column variant of full_rows (no full row) takes it on the transpose."""
+    flip = tag == "full_rows" and not any(map(all, pattern))
+    if flip:
+        pattern = tuple(zip(*pattern))
+    first = min(filter(any, pattern), key=sum)
+    rows = tuple(sorted(range(len(pattern)), key=lambda r: pattern[r] != first))
+    return flip, rows, tuple(c for c, unit in enumerate(first) if unit)
 
-    The support is the shape's unit block, or the whole line for full_rows.
-    """
-    if pat.tag == "dense4":
+
+def _reduce(ws: _Workspace, tag: str, pattern: tuple[tuple[int, ...], ...]) -> None:
+    """One case step for the shape: the dense4 rule, or align and mix the
+    rule's two lines; block_and_rows falls back to its two full rows."""
+    if tag == "dense4":
         _reduce_dense4(ws)
         return
-    if pat.transposed:
-        # the column variant of full_rows mixes its first two columns
+    flip, (a, b, *rest), support = _lines(tag, pattern)
+    if flip:
         ws.flip()
-        _align_and_mix(ws, *pat.col_perm[:2], pat.row_perm)
-        ws.flip()
-        return
-    a, b = pat.row_perm[:2]
-    support = pat.col_perm if pat.tag == "full_rows" else pat.col_perm[:2]
-    if pat.tag == "block_and_rows":
+    if tag == "block_and_rows":
         _align(ws, a, b, support)
         if ws.congruence(a, b) == 2:
             # the light rows keep their defect; mix the full rows instead
-            a, b = pat.row_perm[2:]
+            a, b = rest
     _align_and_mix(ws, a, b, support)
+    if flip:
+        ws.flip()
 
 
 def reduction_round(ws: _Workspace) -> ReductionRound:
@@ -336,9 +317,9 @@ def reduction_round(ws: _Workspace) -> ReductionRound:
         if len(chain) >= MAX_HADAMARDS_PER_ROUND:
             raise InvariantError("Hadamard budget for one round exhausted")
         pattern = tuple(tuple(r & 1 for r in row) for row in ws.bits)
-        pat = classify_pattern(pattern)
-        chain.append(pat.tag)
-        _reduce(ws, pat)
+        tag = classify_pattern(pattern)
+        chain.append(tag)
+        _reduce(ws, tag, pattern)
     ws.divide_out_delta()
     if ws.k >= k:
         raise InvariantError(f"round ended at exponent {ws.k} >= {k}")

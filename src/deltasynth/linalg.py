@@ -42,6 +42,10 @@ class ExactMatrix:
             raise SynthError(f"dimension {dim} not supported")
         if any(len(row) != dim for row in grid):
             raise SynthError("matrix must be square")
+        if not all(isinstance(z, ZOmega) for row in grid for z in row):
+            raise SynthError("matrix entries must be ZOmega numerators")
+        if not isinstance(e, int):
+            raise SynthError("sqrt(2) exponent must be an int")
         if e < 0:
             raise SynthError("sqrt(2) exponent must be >= 0")
         grid, self.e = least(grid, e)
@@ -117,6 +121,9 @@ class ElementaryOp:
     power: int = 0
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.j, int) and isinstance(self.m, int)
+                and isinstance(self.power, int)):
+            raise SynthError("indices and power must be ints")
         if self.j < 1:
             raise SynthError("indices are 1-based")
         if self.kind == "omega":

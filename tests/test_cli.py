@@ -27,7 +27,8 @@ from deltasynth.cli import (
     render_matrix,
 )
 from deltasynth.circuits import Circuit, Gate, emit, parse_circuit
-from deltasynth.engine import synthesize
+import deltasynth.engine
+from deltasynth.engine import synthesize, verify_decomposition
 from deltasynth import errors
 from deltasynth.errors import NotUnitaryError
 from deltasynth import linalg
@@ -195,6 +196,46 @@ class TestSynth:
         assert "debug: row 1" in err
         assert "k 2 -> 0" in err
 
+    def test_word_mismatch_exit_4(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "m.txt"
+        path.write_text(H_FILE)
+        monkeypatch.setattr(deltasynth.cli, "verify_decomposition", lambda m, dec: False)
+        assert run(capsys, "synth", str(path), "--verify") == (
+            4, "", "error: elementary word does not reproduce the input\n")
+
+    def test_circuit_mismatch_exit_4(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "m.txt"
+        path.write_text(H_FILE)
+        # the empty word's circuit is the identity, not H
+        monkeypatch.setattr(deltasynth.cli, "emit", lambda word, dim: emit((), dim))
+        assert run(capsys, "synth", str(path), "--verify") == (
+            4, "", "error: circuit does not reproduce the input\n")
+
+    def test_debug_product_mismatch_exit_4(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "m.txt"
+        path.write_text(H_FILE)
+        monkeypatch.setattr(deltasynth.engine, "verify_decomposition", lambda m, dec: False)
+        code, out, err = run(capsys, "synth", str(path), "--debug")
+        assert (code, out) == (4, "")
+        assert err.splitlines()[-1] == "error: decomposition product mismatch"
+
+    @pytest.mark.parametrize("flags", [["--verify"], ["--debug"], ["--debug", "--verify"]])
+    def test_word_multiplied_out_once(self, capsys, tmp_path, monkeypatch, flags):
+        path = tmp_path / "m.txt"
+        path.write_text(H_FILE)
+        calls = []
+
+        def counted(m, dec):
+            calls.append(dec)
+            return verify_decomposition(m, dec)
+
+        for module in (deltasynth.cli, deltasynth.engine):
+            monkeypatch.setattr(module, "verify_decomposition", counted)
+        code, out, _ = run(capsys, "synth", str(path), *flags)
+        assert code == 0
+        assert ("# verified exact" in out) == ("--verify" in flags)
+        assert len(calls) == 1
+
 
 class TestDrawCircuit:
     def test_validation(self):
@@ -324,6 +365,14 @@ class TestVerify:
         assert code == 1
         assert "ancilla" in err
 
+    def test_not_unitary_exit_3(self, capsys, tmp_path):
+        matrix = tmp_path / "m.txt"
+        matrix.write_text(NOT_UNITARY)
+        circuit = tmp_path / "c.txt"
+        circuit.write_text("qubits 1\n")
+        assert run(capsys, "verify", str(matrix), str(circuit)) == (
+            3, "", f"error: matrix in {matrix} is not unitary\n")
+
     def test_circuit_parse_error_exit_2(self, capsys, tmp_path):
         matrix = tmp_path / "m.txt"
         matrix.write_text(IDENTITY_2)
@@ -435,6 +484,9 @@ def _call(kind, payload, tmp_path):
     ("word_matrix", ([x_op(1, 3)], 2), 0, 0, "op X[1,3] out of range for dimension 2"),
     ("draw_circuit", (3, 10, 0), 0, 0, "circuits cover 1 or 2 data qubits"),
     ("verify", "dim 3\n1 0 0\n0 1 0\n0 0 1\n", 0, 0, "dimension 3 has no circuit form to verify"),
+    ("ExactMatrix", ([[ZW_ONE]], 1.5), 0, 0, "sqrt(2) exponent must be an int"),
+    ("ExactMatrix", ([[1]],), 0, 0, "matrix entries must be ZOmega numerators"),
+    ("ElementaryOp", ("H", 1, 2.5), 0, 0, "indices and power must be ints"),
 ])
 def test_malformed_input_is_a_synth_error(tmp_path, kind, payload, line, column, message):
     """Each malformed input raises SynthError itself, the exit-2 class, with

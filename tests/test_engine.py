@@ -11,6 +11,7 @@ from deltasynth.engine import (
     MAX_HADAMARDS_PER_ROUND,
     _Workspace,
     _div_sqrt2,
+    _lines,
     _reduce,
     _shape_table,
     classify_pattern,
@@ -85,8 +86,7 @@ NO_DROP = "^Hadamard increased the delta-exponent$"
 
 class TestClassifyPattern:
     def test_dense_two(self):
-        pat = classify_pattern([[1, 1], [1, 1]])
-        assert pat.tag == "dense2"
+        assert classify_pattern([[1, 1], [1, 1]]) == "dense2"
 
     def test_sparse_two_rejected(self):
         with pytest.raises(InvariantError, match=NO_SHAPE) as excinfo:
@@ -94,10 +94,7 @@ class TestClassifyPattern:
         assert excinfo.type is InvariantError
 
     def test_block_three(self):
-        pat = classify_pattern([[0, 1, 1], [0, 0, 0], [0, 1, 1]])
-        assert pat.tag == "block3"
-        assert pat.row_perm == (0, 2, 1)
-        assert pat.col_perm == (1, 2, 0)
+        assert classify_pattern([[0, 1, 1], [0, 0, 0], [0, 1, 1]]) == "block3"
 
     def test_three_cycle_rejected(self):
         with pytest.raises(InvariantError, match=NO_SHAPE) as excinfo:
@@ -105,48 +102,36 @@ class TestClassifyPattern:
         assert excinfo.type is InvariantError
 
     def test_single_block(self):
-        pat = classify_pattern([
+        assert classify_pattern([
             [0, 0, 0, 0],
             [1, 0, 1, 0],
             [0, 0, 0, 0],
             [1, 0, 1, 0],
-        ])
-        assert pat.tag == "single_block"
-        assert pat.row_perm == (1, 3, 0, 2)
-        assert pat.col_perm == (0, 2, 1, 3)
+        ]) == "single_block"
 
     def test_full_rows(self):
-        pat = classify_pattern([
+        assert classify_pattern([
             [1, 1, 1, 1],
             [0, 0, 0, 0],
             [0, 0, 0, 0],
             [1, 1, 1, 1],
-        ])
-        assert pat.tag == "full_rows"
-        assert not pat.transposed
-        assert pat.row_perm[:2] == (0, 3)
+        ]) == "full_rows"
 
     def test_full_columns(self):
-        pat = classify_pattern([
+        assert classify_pattern([
             [0, 1, 1, 0],
             [0, 1, 1, 0],
             [0, 1, 1, 0],
             [0, 1, 1, 0],
-        ])
-        assert pat.tag == "full_rows"
-        assert pat.transposed
-        assert pat.col_perm[:2] == (1, 2)
+        ]) == "full_rows"
 
     def test_double_block(self):
-        pat = classify_pattern([
+        assert classify_pattern([
             [1, 1, 0, 0],
             [0, 0, 1, 1],
             [1, 1, 0, 0],
             [0, 0, 1, 1],
-        ])
-        assert pat.tag == "double_block"
-        assert pat.row_perm == (0, 2, 1, 3)
-        assert pat.col_perm == (0, 1, 2, 3)
+        ]) == "double_block"
 
     def test_crossed_blocks_rejected(self):
         with pytest.raises(InvariantError, match=NO_SHAPE) as excinfo:
@@ -159,15 +144,12 @@ class TestClassifyPattern:
         assert excinfo.type is InvariantError
 
     def test_block_and_rows(self):
-        pat = classify_pattern([
+        assert classify_pattern([
             [0, 1, 0, 1],
             [0, 1, 0, 1],
             [1, 1, 1, 1],
             [1, 1, 1, 1],
-        ])
-        assert pat.tag == "block_and_rows"
-        assert pat.row_perm == (0, 1, 2, 3)
-        assert pat.col_perm == (1, 3, 0, 2)
+        ]) == "block_and_rows"
 
     def test_block_and_rows_misaligned_rejected(self):
         with pytest.raises(InvariantError, match=NO_SHAPE) as excinfo:
@@ -180,8 +162,7 @@ class TestClassifyPattern:
         assert excinfo.type is InvariantError
 
     def test_dense_four(self):
-        pat = classify_pattern([[1] * 4 for _ in range(4)])
-        assert pat.tag == "dense4"
+        assert classify_pattern([[1] * 4 for _ in range(4)]) == "dense4"
 
     def test_odd_weights_rejected(self):
         with pytest.raises(InvariantError, match=NO_SHAPE) as excinfo:
@@ -214,26 +195,41 @@ class TestClassifyPattern:
         ("double_block", False): ["1100", "1100", "0011", "0011"],
     }
 
+    @staticmethod
+    def first_placements(template):
+        """Each placement of a template, mapped to the first row and column
+        permutations in itertools order that produce it: template row i
+        lies at row row_perm[i] and template column j at col_perm[j]."""
+        indices = range(len(template))
+        first = {}
+        for row_perm in itertools.permutations(indices):
+            for col_perm in itertools.permutations(indices):
+                placed = [[0] * len(template) for _ in indices]
+                for i, r in enumerate(row_perm):
+                    for j, c in enumerate(col_perm):
+                        placed[r][c] = int(template[i][j])
+                first.setdefault(tuple(map(tuple, placed)), (row_perm, col_perm))
+        return first
+
     def test_every_pattern_is_a_placed_template(self):
-        """Every 0/1 pattern of dimension 2 to 4 is rejected, or is its
-        shape's template placed by row_perm and col_perm."""
+        """Every 0/1 pattern of dimension 2 to 4 is rejected, or is a
+        placement of exactly one template of the shape it is named."""
+        placements = {key: set(self.first_placements(template))
+                      for key, template in self.TEMPLATES.items()}
         counts = collections.Counter()
         for dim in (2, 3, 4):
             for bits in itertools.product((0, 1), repeat=dim * dim):
                 pattern = [list(bits[i:i + dim]) for i in range(0, dim * dim, dim)]
                 try:
-                    pat = classify_pattern(pattern)
+                    tag = classify_pattern(pattern)
                 except InvariantError as exc:
                     assert type(exc) is InvariantError
                     assert str(exc) == f"pattern {pattern!r} does not match any reducible shape"
                     continue
-                template = self.TEMPLATES[pat.tag, pat.transposed]
-                placed = [[0] * dim for _ in range(dim)]
-                for i, r in enumerate(pat.row_perm):
-                    for j, c in enumerate(pat.col_perm):
-                        placed[r][c] = int(template[i][j])
-                assert placed == pattern
-                counts[pat.tag, pat.transposed] += 1
+                keys = [key for key, placed in placements.items()
+                        if key[0] == tag and tuple(map(tuple, pattern)) in placed]
+                assert len(keys) == 1
+                counts[keys[0]] += 1
         assert counts == {
             ("dense2", False): 1, ("block3", False): 9, ("dense4", False): 1,
             ("single_block", False): 36, ("full_rows", False): 6,
@@ -241,6 +237,26 @@ class TestClassifyPattern:
             ("double_block", False): 18,
         }
         assert sum(counts.values()) == 113
+
+    def test_rule_picks_the_template_lines(self):
+        """On every placement but dense4's, the rule flips exactly for the
+        transposed full_rows, and its lines and support are the template's
+        first two lines (columns when transposed) and their unit columns (the
+        whole line for full_rows), placed by the first permutations; the
+        block_and_rows fallback is template rows 2 and 3."""
+        checked = 0
+        for (tag, transposed), template in self.TEMPLATES.items():
+            if tag == "dense4":
+                continue
+            for pattern, (row_perm, col_perm) in self.first_placements(template).items():
+                lines, across = (col_perm, row_perm) if transposed else (row_perm, col_perm)
+                support = across if tag == "full_rows" else across[:2]
+                flip, got, got_support = _lines(tag, pattern)
+                assert (flip, got[:2], got_support) == (transposed, lines[:2], support)
+                if tag == "block_and_rows":
+                    assert got[2:] == row_perm[2:]
+                checked += 1
+        assert checked == 112
 
 
 # one representative per class mod delta^3, in the basis {1, delta, delta^2}
@@ -420,8 +436,8 @@ class TestReductionRound:
         passes that apply no op spend it too."""
         passes = []
 
-        def idle_pass(ws, pat):
-            passes.append(pat.tag)
+        def idle_pass(ws, tag, pattern):
+            passes.append(tag)
             assert len(passes) <= 4, "the budget did not stop the round"
 
         monkeypatch.setattr(deltasynth.engine, "_reduce", idle_pass)
@@ -493,9 +509,9 @@ class TestReductionRound:
         def hadamards(ws):
             return sum(op.kind == "H" for op in (*ws.left_ops, *ws.right_ops))
 
-        def counted(ws, pat):
+        def counted(ws, tag, pattern):
             before = hadamards(ws)
-            reduce(ws, pat)
+            reduce(ws, tag, pattern)
             passes[-1] += 1
             assert hadamards(ws) == before + 1
 
@@ -662,12 +678,13 @@ class TestFlip:
     def test_every_round_returns_unflipped(self, monkeypatch):
         reduce, cases = deltasynth.engine._reduce, set()
 
-        def recorded(ws, pat):
+        def recorded(ws, tag, pattern):
             rights = len(ws.right_ops)
-            reduce(ws, pat)
+            reduce(ws, tag, pattern)
             assert not ws.flipped
             if len(ws.right_ops) > rights:
-                cases.add((pat.tag, pat.transposed))
+                # (tag, transposed): a transposed full_rows has no full row
+                cases.add((tag, not any(all(row) for row in pattern)))
 
         monkeypatch.setattr(deltasynth.engine, "_reduce", recorded)
         for spec in self.INSTANCES:
@@ -830,16 +847,16 @@ def forged(*rows):
     return exact(out)
 
 
-DENSE_4 = classify_pattern([[1] * 4 for _ in range(4)])
-BLOCK_AND_ROWS = classify_pattern([[1, 1, 0, 0],
-                                   [1, 1, 0, 0],
-                                   [1, 1, 1, 1],
-                                   [1, 1, 1, 1]])
+DENSE_4 = ((1, 1, 1, 1),) * 4
+BLOCK_AND_ROWS = ((1, 1, 0, 0),
+                  (1, 1, 0, 0),
+                  (1, 1, 1, 1),
+                  (1, 1, 1, 1))
 
 
-def run_case(m, pat):
+def run_case(m, pattern):
     ws = _Workspace(m)
-    _reduce(ws, pat)
+    _reduce(ws, classify_pattern(pattern), pattern)
     return ws
 
 

@@ -58,6 +58,8 @@ def test_tracer_wraps_and_restores():
     assert dec.rounds
     assert tracer.calls["engine.synthesize"] == 1
     assert tracer.calls["engine.reduction_round"] == len(dec.rounds)
+    # one classification per pass, whatever classify_pattern returns
+    assert tracer.calls["engine.classify_pattern"] == sum(len(r.case_chain) for r in dec.rounds)
     assert tracer.calls["engine.solve_monomial"] == 1
     assert tracer.calls["engine.verify_decomposition"] == 1
     assert tracer.calls["linalg.apply_elementary"] == len(dec.word)
