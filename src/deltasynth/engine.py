@@ -3,7 +3,9 @@
 The engine builds the Z[w] numerators of delta^k * U once, at the least
 delta-exponent k, from the matrix's numerators over sqrt(2)^e, and reduces
 them in place beside the grid of their residue classes mod delta^3 (one
-3-bit int each), which an op refreshes only where it wrote.  While k > 1,
+3-bit int each), which an op refreshes only where it wrote: a Hadamard
+re-reads the two rows that `mix_halved` wrote, a phase maps its row's classes
+through `PHASE_RESIDUES`, and a swap swaps two grid rows.  While k > 1,
 the mod-delta pattern must be one of seven shapes, stated as 0/1 templates;
 a table of their placements names the pattern's shape.  Every shape is
 reduced by one step, applied over and over: phase-align two lines that are
@@ -45,14 +47,15 @@ from .linalg import (
     invert_elementary,
     is_scaled_unitary,
     is_unitary,
+    mix_halved,
     omega_op,
     residue_matrix,
     row_surgery,
     word_matrix,
     x_op,
 )
-from .ring import (OMEGA_POWERS, TWO_PLUS_SQRT2, UNIT_SQRT2, ZOmega, divide_by_delta,
-                   divide_by_sqrt2, residue_bits)
+from .ring import (OMEGA_POWERS, PHASE_RESIDUES, TWO_PLUS_SQRT2, UNIT_SQRT2,
+                   divide_by_delta, residue_bits)
 
 MAX_HADAMARDS_PER_ROUND = 4
 
@@ -154,14 +157,6 @@ def solve_monomial(ws: _Workspace) -> list[ElementaryOp]:
     return ws.left_ops[start:]
 
 
-def _div_sqrt2(z: ZOmega) -> ZOmega:
-    """The Hadamard's mix z / sqrt(2) = z / delta^2 * UNIT_SQRT2, when exact."""
-    q = divide_by_sqrt2(z)
-    if q is None:
-        raise InvariantError("Hadamard increased the delta-exponent")
-    return q
-
-
 class _Workspace:
     """The synthesis state: rows holds the Z[w] numerators of delta^k * U,
     built from the input at its least delta-exponent k and reduced in place
@@ -190,7 +185,7 @@ class _Workspace:
         """Divide every numerator by delta, lowering k, while all of them divide."""
         while self.k and not self.has_unit():
             self.rows = [[divide_by_delta(z) for z in row] for row in self.rows]
-            self.bits = [list(row) for row in residue_matrix(self.rows)]
+            self.bits = [[residue_bits(z) for z in row] for row in self.rows]
             self.k -= 1
 
     def flip(self) -> None:
@@ -211,17 +206,22 @@ class _Workspace:
 
     def apply(self, op: ElementaryOp) -> None:
         """Apply op to the rows in place and refresh the grid rows it touched:
-        one for a phase, two for a Hadamard, and a swap moves two grid rows."""
+        a Hadamard re-reads its two rows, a phase maps its row's classes
+        through the table, and a swap swaps two grid rows."""
         (self.right_ops if self.flipped else self.left_ops).append(op)
         i, j = op.j - 1, op.m - 1
-        row_surgery(self.rows, op.kind, i, j, op.power)
-        if op.kind == "X":
-            row_surgery(self.bits, "X", i, j)
-            return
-        for t in (i,) if op.kind == "omega" else (i, j):
-            if op.kind == "H":
-                self.rows[t] = [_div_sqrt2(z) for z in self.rows[t]]
-            self.bits[t] = [residue_bits(z) for z in self.rows[t]]
+        if op.kind != "H":
+            row_surgery(self.rows, op.kind, i, j, op.power)
+            if op.kind == "X":
+                row_surgery(self.bits, "X", i, j)
+            else:
+                table = PHASE_RESIDUES[op.power & 3]
+                self.bits[i] = [table[r] for r in self.bits[i]]
+        elif (halves := mix_halved(self.rows[i], self.rows[j])) is None:
+            raise InvariantError("Hadamard increased the delta-exponent")
+        else:
+            self.rows[i], self.rows[j] = halves
+            self.bits[i], self.bits[j] = ([residue_bits(z) for z in row] for row in halves)
 
     def phase(self, row: int, power: int) -> None:
         if power % 8:

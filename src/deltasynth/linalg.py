@@ -11,8 +11,11 @@ operators (a phase w^p on one basis vector, or a Hadamard-type or swap-type
 mixing of two basis vectors) are what the synthesis engine emits.
 
 Words multiply through `apply_elementary`, circuits through `circuits._fold`,
-and the engine reduces its workspace by rows; all three use the one kernel,
-`row_surgery`, and words and circuits keep e least with `least`.
+and the engine reduces its workspace by rows; all three use `row_surgery`,
+but an exact Hadamard (always in the engine, when it divides in a word) is
+the one kernel `mix_halved`.  Words and circuits keep e least with `least`.
+`omega_op`, `h_op` and `x_op` share one op per value of the dimension-4
+alphabet.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ class ExactMatrix:
             raise SynthError(f"dimension {dim} not supported")
         if any(len(row) != dim for row in grid):
             raise SynthError("matrix must be square")
-        if not all(isinstance(z, ZOmega) for row in grid for z in row):
+        if not all([isinstance(z, ZOmega) for row in grid for z in row]):
             raise SynthError("matrix entries must be ZOmega numerators")
         if not isinstance(e, int):
             raise SynthError("sqrt(2) exponent must be an int")
@@ -145,16 +148,31 @@ class ElementaryOp:
         return f"{self.kind}[{self.j},{self.m}]"
 
 
+# One shared op per value of the MAX_DIM alphabet, by (kind, j, m or power)
+_SHARED = {(op.kind, op.j, op.m or op.power): op for op in (
+    *(ElementaryOp("omega", j, 0, p) for j in range(1, MAX_DIM + 1) for p in range(1, 8)),
+    *(ElementaryOp(kind, j, m) for kind in ("H", "X")
+      for m in range(2, MAX_DIM + 1) for j in range(1, m)))}
+
+
+def _shared(kind: OpKind, j: int, x: int) -> ElementaryOp:
+    """The shared op when j and x are ints in the alphabet, else a new op,
+    which checks them; 1.0 and True equal 1 but take the second path."""
+    if type(j) is type(x) is int and (op := _SHARED.get((kind, j, x))):
+        return op
+    return ElementaryOp(kind, j, 0, x) if kind == "omega" else ElementaryOp(kind, j, x)
+
+
 def omega_op(j: int, power: int) -> ElementaryOp:
-    return ElementaryOp("omega", j, 0, power % 8)
+    return _shared("omega", j, power % 8)
 
 
 def h_op(j: int, m: int) -> ElementaryOp:
-    return ElementaryOp("H", j, m)
+    return _shared("H", j, m)
 
 
 def x_op(j: int, m: int) -> ElementaryOp:
-    return ElementaryOp("X", j, m)
+    return _shared("X", j, m)
 
 
 def invert_elementary(op: ElementaryOp) -> ElementaryOp:
@@ -180,6 +198,24 @@ def row_surgery(rows: list, kind: OpKind, i: int, j: int = 0,
         top, bot = rows[i], rows[j]
         rows[i] = [x + y for x, y in zip(top, bot)]
         rows[j] = [x - y for x, y in zip(top, bot)]
+
+
+def mix_halved(top: Sequence[ZOmega], bot: Sequence[ZOmega]) -> tuple[list, list] | None:
+    """((x + y) / sqrt(2), (x - y) / sqrt(2)) over the entries of two rows, or
+    None when sqrt(2) does not divide every one.  The sum is halved from
+    (x + y) * sqrt(2) as divide_by_sqrt2 does, and the difference is the
+    halved sum less y * sqrt(2), so the sum's parity decides."""
+    sums, diffs = [], []
+    for x, y in zip(top, bot):
+        ya, yb, yc, yd = y.a, y.b, y.c, y.d
+        a, b, c, d = x.a + ya, x.b + yb, x.c + yc, x.d + yd
+        p, q, r, s = b - d, a + c, b + d, c - a
+        if (p | q | r | s) & 1:
+            return None
+        p, q, r, s = p >> 1, q >> 1, r >> 1, s >> 1
+        sums.append(ZOmega(p, q, r, s))
+        diffs.append(ZOmega(p - yb + yd, q - ya - yc, r - yb - yd, s - yc + ya))
+    return sums, diffs
 
 
 def _halved(rows: list[list[ZOmega]]) -> list[list[ZOmega]] | None:
@@ -229,11 +265,12 @@ def apply_elementary(op: ElementaryOp, rows: Sequence[Sequence[ZOmega]],
         raise SynthError(f"op {op} out of range for dimension {len(rows)}")
     i, j = op.j - 1, op.m - 1
     rows = list(rows)
-    row_surgery(rows, op.kind, i, j, op.power)
     if op.kind != "H":
+        row_surgery(rows, op.kind, i, j, op.power)
         return rows, e
-    halves = _halved([rows[i], rows[j]])
+    halves = mix_halved(rows[i], rows[j])
     if halves is None:
+        row_surgery(rows, "H", i, j)
         return [row if r in (i, j) else [times_sqrt2(z) for z in row]
                 for r, row in enumerate(rows)], e + 1
     rows[i], rows[j] = halves

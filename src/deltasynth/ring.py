@@ -164,6 +164,14 @@ def residue_bits(x: ZOmega) -> int:
     return (a + b + c + d) & 1 | ((a + c) & 1) << 1 | ((a + b) & 1) << 2
 
 
+# PHASE_RESIDUES[p][r] is the class of w^p * x for any x of class r, read off
+# r's representative, the sum of delta^i over its set bits i.  w^4 * x = -x,
+# which is x mod delta^3, so p runs over 0..3.
+PHASE_RESIDUES = tuple(tuple(
+    residue_bits(sum((ZW_DELTA ** i for i in range(3) if r >> i & 1), ZW_ZERO)
+                 .mul_omega_power(p)) for r in range(8)) for p in range(4))
+
+
 class DOmega:
     """num / delta^k in D[w], kept in canonical form: the tests' reference.
 

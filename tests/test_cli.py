@@ -433,6 +433,9 @@ def _call(kind, payload, tmp_path):
         LIBRARY_CALLS[kind](*payload)
 
 
+# pytest names a case by its values, but a tuple payload by its position in
+# the list, so a row inserted above would rename it: those rows carry fixed
+# ids, the names they were first collected under.
 @pytest.mark.parametrize("kind, payload, line, column, message", [
     ("matrix", "size 2\n1 0\n0 1\n", 1, 1, "line 1, column 1: expected header 'dim n'"),
     ("matrix", "dim 2 2\n", 1, 1, "line 1, column 1: expected header 'dim n'"),
@@ -469,24 +472,40 @@ def _call(kind, payload, tmp_path):
     ("circuit", "qubits 3\n", 0, 0, "circuits cover 1 or 2 data qubits"),
     ("ExactMatrix", 5, 0, 0, "dimension 5 not supported"),
     ("emit", 3, 0, 0, "no qubit layout for dimension 3"),
-    ("ExactMatrix", ([[ZW_ONE, ZW_ZERO]],), 0, 0, "matrix must be square"),
-    ("ExactMatrix", ([[ZW_ONE]], -1), 0, 0, "sqrt(2) exponent must be >= 0"),
-    ("ElementaryOp", ("omega", 0, 0, 1), 0, 0, "indices are 1-based"),
-    ("ElementaryOp", ("omega", 1, 0, 8), 0, 0, "phase power must be 1..7"),
-    ("ElementaryOp", ("omega", 1, 2, 1), 0, 0, "one-level op takes a single index"),
-    ("ElementaryOp", ("X", 3, 1), 0, 0, "two-level op needs j < m"),
-    ("ElementaryOp", ("H", 1, 2, 3), 0, 0, "two-level op takes no power"),
-    ("ElementaryOp", ("Y", 1, 2), 0, 0, "unknown kind 'Y'"),
-    ("Gate", ("H", (0,), 2), 0, 0, "H takes no power"),
-    ("Circuit", (2, (Gate("ANC_INIT", (1,)),)), 0, 0,
-     "ancilla markers must name the ancilla wire"),
-    ("emit", ([x_op(1, 3)], 2), 0, 0, "operator X[1,3] exceeds dimension 2"),
-    ("word_matrix", ([x_op(1, 3)], 2), 0, 0, "op X[1,3] out of range for dimension 2"),
-    ("draw_circuit", (3, 10, 0), 0, 0, "circuits cover 1 or 2 data qubits"),
+    pytest.param("ExactMatrix", ([[ZW_ONE, ZW_ZERO]],), 0, 0, "matrix must be square",
+                 id="ExactMatrix-payload29-0-0-matrix must be square"),
+    pytest.param("ExactMatrix", ([[ZW_ONE]], -1), 0, 0, "sqrt(2) exponent must be >= 0",
+                 id="ExactMatrix-payload30-0-0-sqrt(2) exponent must be >= 0"),
+    pytest.param("ElementaryOp", ("omega", 0, 0, 1), 0, 0, "indices are 1-based",
+                 id="ElementaryOp-payload31-0-0-indices are 1-based"),
+    pytest.param("ElementaryOp", ("omega", 1, 0, 8), 0, 0, "phase power must be 1..7",
+                 id="ElementaryOp-payload32-0-0-phase power must be 1..7"),
+    pytest.param("ElementaryOp", ("omega", 1, 2, 1), 0, 0, "one-level op takes a single index",
+                 id="ElementaryOp-payload33-0-0-one-level op takes a single index"),
+    pytest.param("ElementaryOp", ("X", 3, 1), 0, 0, "two-level op needs j < m",
+                 id="ElementaryOp-payload34-0-0-two-level op needs j < m"),
+    pytest.param("ElementaryOp", ("H", 1, 2, 3), 0, 0, "two-level op takes no power",
+                 id="ElementaryOp-payload35-0-0-two-level op takes no power"),
+    pytest.param("ElementaryOp", ("Y", 1, 2), 0, 0, "unknown kind 'Y'",
+                 id="ElementaryOp-payload36-0-0-unknown kind 'Y'"),
+    pytest.param("Gate", ("H", (0,), 2), 0, 0, "H takes no power",
+                 id="Gate-payload37-0-0-H takes no power"),
+    pytest.param("Circuit", (2, (Gate("ANC_INIT", (1,)),)), 0, 0,
+                 "ancilla markers must name the ancilla wire",
+                 id="Circuit-payload38-0-0-ancilla markers must name the ancilla wire"),
+    pytest.param("emit", ([x_op(1, 3)], 2), 0, 0, "operator X[1,3] exceeds dimension 2",
+                 id="emit-payload39-0-0-operator X[1,3] exceeds dimension 2"),
+    pytest.param("word_matrix", ([x_op(1, 3)], 2), 0, 0, "op X[1,3] out of range for dimension 2",
+                 id="word_matrix-payload40-0-0-op X[1,3] out of range for dimension 2"),
+    pytest.param("draw_circuit", (3, 10, 0), 0, 0, "circuits cover 1 or 2 data qubits",
+                 id="draw_circuit-payload41-0-0-circuits cover 1 or 2 data qubits"),
     ("verify", "dim 3\n1 0 0\n0 1 0\n0 0 1\n", 0, 0, "dimension 3 has no circuit form to verify"),
-    ("ExactMatrix", ([[ZW_ONE]], 1.5), 0, 0, "sqrt(2) exponent must be an int"),
-    ("ExactMatrix", ([[1]],), 0, 0, "matrix entries must be ZOmega numerators"),
-    ("ElementaryOp", ("H", 1, 2.5), 0, 0, "indices and power must be ints"),
+    pytest.param("ExactMatrix", ([[ZW_ONE]], 1.5), 0, 0, "sqrt(2) exponent must be an int",
+                 id="ExactMatrix-payload43-0-0-sqrt(2) exponent must be an int"),
+    pytest.param("ExactMatrix", ([[1]],), 0, 0, "matrix entries must be ZOmega numerators",
+                 id="ExactMatrix-payload44-0-0-matrix entries must be ZOmega numerators"),
+    pytest.param("ElementaryOp", ("H", 1, 2.5), 0, 0, "indices and power must be ints",
+                 id="ElementaryOp-payload45-0-0-indices and power must be ints"),
 ])
 def test_malformed_input_is_a_synth_error(tmp_path, kind, payload, line, column, message):
     """Each malformed input raises SynthError itself, the exit-2 class, with

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from deltasynth.engine import (
     MAX_HADAMARDS_PER_ROUND,
     _Workspace,
-    _div_sqrt2,
     _lines,
     _reduce,
     _shape_table,
@@ -28,6 +27,7 @@ from deltasynth.linalg import (
     h_op,
     invert_elementary,
     is_unitary,
+    mix_halved,
     omega_op,
     residue_matrix,
     word_matrix,
@@ -553,17 +553,31 @@ def draw_matrix(data):
     return ExactMatrix(rows, u.e)
 
 
+def mixed_workspace(top):
+    """The workspace's Hadamard applied to rows (top, 0) and (0, 0)."""
+    ws = _Workspace(identity(2))
+    ws.rows = [[top, ZW_ZERO], [ZW_ZERO, ZW_ZERO]]
+    ws.apply(h_op(1, 2))
+    return ws
+
+
 class TestExactMix:
     @given(st.builds(ZOmega, *[st.integers(min_value=-50, max_value=50)] * 4))
     def test_mix_divides_by_delta_squared(self, z):
-        # z * delta^2 / sqrt(2) = z * UNIT_SQRT2
-        assert _div_sqrt2(z * ZW_DELTA2) == z * UNIT_SQRT2
-        assert _div_sqrt2(z * ZW_SQRT2) == z
+        # z * delta^2 / sqrt(2) = z * UNIT_SQRT2, in the kernel and in the
+        # workspace, whose grid follows the mixed rows
+        for top, half in ((z * ZW_DELTA2, z * UNIT_SQRT2), (z * ZW_SQRT2, z)):
+            assert mix_halved([top], [ZW_ZERO]) == ([half], [half])
+            ws = mixed_workspace(top)
+            assert ws.rows == [[half, ZW_ZERO], [half, ZW_ZERO]]
+            assert tuple(map(tuple, ws.bits)) == residue_matrix(ws.rows)
 
     def test_non_divisible_sum_rejected(self):
         # 1 + w = delta is not a multiple of delta^2
+        delta = OMEGA_POWERS[0] + OMEGA_POWERS[1]
+        assert mix_halved([delta], [ZW_ZERO]) is None
         with pytest.raises(InvariantError, match=NO_DROP) as excinfo:
-            _div_sqrt2(OMEGA_POWERS[0] + OMEGA_POWERS[1])
+            mixed_workspace(delta)
         assert excinfo.type is InvariantError
 
     def test_workspace_mix_of_incongruent_rows_rejected(self):
@@ -624,9 +638,10 @@ class TestResidueGrid:
         assert {"single_block", "dense4", "full_rows"} <= tags
 
     def test_residue_reads_per_synthesis(self, monkeypatch):
-        """18 544 reads at k = 602: 16 for the input and after each of the
-        602 divisions by delta, 8 per Hadamard and 4 per phase.  Reading
-        every query off the numerators took 54 326."""
+        """15 864 reads at k = 602: 16 for the input and after each of the
+        602 divisions by delta, and 8 per Hadamard; a phase maps its row
+        through PHASE_RESIDUES and reads none (its 4 reads made 18 544).
+        Reading every query off the numerators took 54 326."""
         calls = 0
 
         def counted(z):
@@ -639,7 +654,7 @@ class TestResidueGrid:
         for module in (deltasynth.engine, deltasynth.linalg):
             monkeypatch.setattr(module, "residue_bits", counted)
         synthesize(m)
-        assert calls <= 19_000
+        assert calls <= 16_000
 
 
 class TestFlip:

@@ -8,11 +8,14 @@ from deltasynth.linalg import (
     h_op,
     invert_elementary,
     is_unitary,
+    mix_halved,
     omega_op,
     residue_matrix,
+    row_surgery,
     word_matrix,
     x_op,
 )
+import deltasynth.linalg
 from deltasynth.ring import (
     DOmega,
     UNIT_SQRT2,
@@ -21,6 +24,7 @@ from deltasynth.ring import (
     ZW_OMEGA,
     ZW_SQRT2,
     ZW_ZERO,
+    divide_by_sqrt2,
     from_sqrt2_form,
 )
 from helpers import (D_ONE, D_ZERO, H_EXACT, T_EXACT, adjoint, exact, identity, mat_mul,
@@ -144,6 +148,23 @@ class TestElementaryOps:
                 ElementaryOp(kind, 1, 2, power)
         assert ElementaryOp(kind, 1, 2) == (h_op(1, 2) if kind == "H" else x_op(1, 2))
 
+    def test_constructors_share_ops(self):
+        # one op per value of the dimension-4 alphabet, and no other is kept
+        assert omega_op(3, 5) is omega_op(3, -3) is invert_elementary(omega_op(3, 3))
+        assert h_op(1, 4) is h_op(1, 4)
+        assert x_op(2, 3) is x_op(2, 3)
+        assert set(deltasynth.linalg._SHARED.values()) == set(alphabet(4))
+        assert h_op(5, 9) == h_op(5, 9)
+        assert len(deltasynth.linalg._SHARED) == len(alphabet(4))
+        with raises_synth_error(match="phase power must be 1..7"):
+            omega_op(1, 8)
+        with raises_synth_error(match="two-level op needs j < m"):
+            h_op(2, 1)
+        # 1.0 equals 1 but is no index; an unhashable index is checked too
+        for j in (1.0, [1]):
+            with raises_synth_error(match="indices and power must be ints"):
+                x_op(j, 2)
+
     def test_frozen_matrices(self):
         assert word_matrix([h_op(1, 2)], 2) == H_EXACT
         assert word_matrix([omega_op(2, 1)], 2) == T_EXACT
@@ -177,6 +198,26 @@ class TestElementaryOps:
     def test_elementary_ops_are_unitary(self):
         for op in alphabet(4):
             assert is_unitary(word_matrix([op], 4))
+
+
+class TestMixHalved:
+    @given(data=st.data())
+    def test_matches_mix_then_halve(self, data):
+        # mix_halved is row_surgery's H mix with divide_by_sqrt2 on each
+        # entry, and None exactly when one of them does not divide
+        dim = data.draw(st.integers(min_value=1, max_value=4))
+        row = st.lists(st.builds(ZOmega, small, small, small, small),
+                       min_size=dim, max_size=dim)
+        top, bot = data.draw(row), data.draw(row)
+        if data.draw(st.booleans()):
+            # top + sqrt(2) * u mixes with top to sums and differences
+            # that sqrt(2) divides
+            bot = [x + ZW_SQRT2 * u for x, u in zip(top, bot)]
+        rows = [top, bot]
+        row_surgery(rows, "H", 0, 1)
+        halves = [[divide_by_sqrt2(z) for z in r] for r in rows]
+        want = None if None in halves[0] + halves[1] else tuple(halves)
+        assert mix_halved(top, bot) == want
 
 
 def unit_pattern(m, k):

@@ -7,6 +7,7 @@ from deltasynth.linalg import ExactMatrix, residue_matrix
 from deltasynth.ring import (
     DOmega,
     OMEGA_POWERS,
+    PHASE_RESIDUES,
     UNIT_SQRT2,
     ZOmega,
     ZW_DELTA,
@@ -217,6 +218,15 @@ class TestResidues:
             assert bits & 1 == 1
             assert bits >> 1 == s % 4
         assert residue_bits(ZW_DELTA) & 1 == 0
+
+    @given(x=zomega)
+    def test_phase_table(self, x):
+        # the class of w^p * z for p in 0..7, for a representative of every
+        # class and for x
+        for z in (x, *(element for element, _ in BASIS_TABLE)):
+            for p in range(8):
+                assert (PHASE_RESIDUES[p % 4][residue_bits(z)]
+                        == residue_bits(z.mul_omega_power(p)))
 
     def test_unit_sum_cancellation(self):
         # w^x + w^y = 0 mod delta^3 exactly when x = y mod 4
