@@ -1,35 +1,35 @@
 """Reduction of exact unitaries to elementary-operator words.
 
-The engine builds the Z[w] numerators of delta^k * U once, at the least
-delta-exponent k, from the matrix's numerators over sqrt(2)^e, and reduces
-them in place beside the grid of their residue classes mod delta^3 (one
-3-bit int each), which an op refreshes only where it wrote: a Hadamard
-re-reads the two rows that `mix_halved` wrote, a phase maps its row's classes
-through `PHASE_RESIDUES`, and a swap swaps two grid rows.  While k > 1,
-the mod-delta pattern must be one of seven shapes, stated as 0/1 templates;
-a table of their placements names the pattern's shape.  Every shape is
-reduced by one step, applied over and over: phase-align two lines that are
-congruent mod delta^3 (or mod delta^2) and mix them with one two-level
-Hadamard, which divides their sum and difference exactly by sqrt(2).
-Congruence mod delta^3 strictly drops both lines below k; congruence mod
-delta^2 hands off to a simpler shape at the same k.  The two lines are the
-first two rows whose unit pattern has the fewest units, mixed over its unit
-columns, except in the all-units 4x4 shape, which mixes the first of its row
-pairs (0, 1), (0, 2) and (1, 2) that agree mod delta^2 up to one phase and
-differ by w^2 in an even number of entries.  Each pass applies one Hadamard;
-within four passes, which the round counts, delta divides every numerator,
-and dividing it out lowers k; at k = 0 the matrix is a monomial unpicked by
-swaps and phases.
+The engine reduces linalg's form U = N / sqrt(2)^e in place, at the least
+delta-exponent k (2e, or 2e - 1), beside a grid of the classes mod delta^3 of
+delta^k * U up to a common unit, one 3-bit int each: those of N at even k,
+and of N / delta, read off N's coefficient parities, at odd k.  An op
+refreshes the grid only where it wrote: a Hadamard re-reads the two rows that
+`mix_halved` wrote, a phase maps its row's classes through `PHASE_RESIDUES`,
+and a swap swaps two grid rows.  While k > 1, the mod-delta pattern must be
+one of seven shapes, stated as 0/1 templates; a table of their placements
+names the pattern's shape.  Every shape is reduced by one step, applied over
+and over: phase-align two lines that are congruent mod delta^3 (or mod
+delta^2) and mix them with one two-level Hadamard, which divides their sum
+and difference exactly by sqrt(2).  Congruence mod delta^3 strictly drops both
+lines below k; congruence mod delta^2 hands off to a simpler shape at the
+same k.  The two lines are the first two rows whose unit pattern has the
+fewest units, mixed over its unit columns, except in the all-units 4x4 shape,
+which mixes the first of its row pairs (0, 1), (0, 2) and (1, 2) that agree
+mod delta^2 up to one phase and differ by w^2 in an even number of entries.
+Each pass applies one Hadamard; within four passes, which the round counts,
+the grid has no unit and k drops: from odd k every numerator is halved by
+sqrt(2), and from even k only the grid is re-read.  At k = 0 the matrix is a
+monomial unpicked by swaps and phases.
 
 Ops act on rows; the one column step, the column variant of full_rows,
 transposes the workspace, mixes rows and transposes back, and its ops are
 right ops.  Inverting and re-ordering the applied ops yields a word whose
 exact product equals the input.
 
-The reduction certifies unitarity: the workspace is always exactly
-delta^k * L * U * R for products L and R of unitary ops, so ending at I
-proves U unitary.  A Gram check runs only after a failure, to tell a
-non-unitary input from an engine bug.
+The reduction certifies unitarity: the workspace is always L * U * R for
+products L and R of unitary ops, so ending at I proves U unitary.  A Gram
+check runs only after a failure, to tell non-unitary input from an engine bug.
 """
 
 from __future__ import annotations
@@ -43,7 +43,9 @@ from .errors import InvariantError, NotUnitaryError, VerificationError
 from .linalg import (
     ElementaryOp,
     ExactMatrix,
+    delta_exponent,
     h_op,
+    halved,
     invert_elementary,
     is_scaled_unitary,
     is_unitary,
@@ -54,8 +56,7 @@ from .linalg import (
     word_matrix,
     x_op,
 )
-from .ring import (OMEGA_POWERS, PHASE_RESIDUES, TWO_PLUS_SQRT2, UNIT_SQRT2,
-                   divide_by_delta, residue_bits)
+from .ring import OMEGA_POWERS, PHASE_RESIDUES, quotient_bits, residue_bits
 
 MAX_HADAMARDS_PER_ROUND = 4
 
@@ -139,12 +140,12 @@ def solve_monomial(ws: _Workspace) -> list[ElementaryOp]:
     """
     if ws.k != 0:
         raise InvariantError("delta-exponent must be 0")
-    if any(sum(map(bool, line)) != 1 for line in (*ws.rows, *zip(*ws.rows))):
+    if any(sum(r & 1 for r in line) != 1 for line in (*ws.bits, *zip(*ws.bits))):
         raise InvariantError("not one unit per row and column")
     dim = len(ws.rows)
     start = len(ws.left_ops)
     for c in range(dim):
-        r = next(i for i in range(dim) if ws.rows[i][c])
+        r = next(i for i in range(dim) if ws.bits[i][c] & 1)
         if r != c:
             ws.apply(x_op(c + 1, r + 1))
         power = _UNIT_EXPONENT.get(ws.rows[c][c])
@@ -158,35 +159,40 @@ def solve_monomial(ws: _Workspace) -> list[ElementaryOp]:
 
 
 class _Workspace:
-    """The synthesis state: rows holds the Z[w] numerators of delta^k * U,
-    built from the input at its least delta-exponent k and reduced in place
-    to k = 0, the grid bits of their residue classes mod delta^3, always
-    equal to residue_matrix(rows), and the ops applied so far.  k stays least
-    (0, or some numerator is a unit mod delta).  Ops act on rows, 0-based,
-    and go to left_ops, or to right_ops while the workspace is flipped.
-    """
+    """The synthesis state: the numerators rows of U = rows / sqrt(2)^e,
+    reduced in place to k = 0, with k least (2e, or 2e - 1 when delta divides
+    every numerator; 0, or the grid has a unit); the grid bits, always
+    residue_matrix(rows) at even k and that of rows / delta at odd k; and the
+    ops so far.  Ops act on rows, 0-based, and go to left_ops, or to
+    right_ops while the workspace is flipped."""
 
     def __init__(self, m: ExactMatrix) -> None:
-        # sqrt(2)^e = delta^(2e) / UNIT_SQRT2^e; with e least, delta^2 does
-        # not divide every numerator, so k drops by at most one
-        unit = UNIT_SQRT2 ** m.e
-        self.rows = [[z * unit for z in row] for row in m.rows]
-        self.bits = [list(row) for row in residue_matrix(self.rows)]
-        self.k = 2 * m.e
-        self.divide_out_delta()
+        self.rows = [list(row) for row in m.rows]
+        self.e = m.e
+        self.k = delta_exponent(m)
+        self.bits = ([self.read(row) for row in self.rows] if self.k & 1
+                     else [list(row) for row in residue_matrix(self.rows)])
         self.left_ops: list[ElementaryOp] = []
         self.right_ops: list[ElementaryOp] = []
         self.flipped = False
+
+    def read(self, row: Sequence) -> list:
+        """The grid row of numerators at this k; None where it is not integral."""
+        read = quotient_bits if self.k & 1 else residue_bits
+        return [read(z) for z in row]
 
     def has_unit(self) -> bool:
         return any(r & 1 for row in self.bits for r in row)
 
     def divide_out_delta(self) -> None:
-        """Divide every numerator by delta, lowering k, while all of them divide."""
+        """Lower k while delta divides delta^k * U, that is while the grid
+        has no unit: from odd k sqrt(2) divides every numerator, and halving
+        them lowers e; from even k only the grid changes."""
         while self.k and not self.has_unit():
-            self.rows = [[divide_by_delta(z) for z in row] for row in self.rows]
-            self.bits = [[residue_bits(z) for z in row] for row in self.rows]
+            if self.k & 1:
+                self.rows, self.e = halved(self.rows), self.e - 1
             self.k -= 1
+            self.bits = [self.read(row) for row in self.rows]
 
     def flip(self) -> None:
         """Transpose rows and bits together; every op is a symmetric matrix,
@@ -217,11 +223,14 @@ class _Workspace:
             else:
                 table = PHASE_RESIDUES[op.power & 3]
                 self.bits[i] = [table[r] for r in self.bits[i]]
-        elif (halves := mix_halved(self.rows[i], self.rows[j])) is None:
-            raise InvariantError("Hadamard increased the delta-exponent")
         else:
+            # k holds exactly when sqrt(2) (at odd k, sqrt(2) * delta) divides x + y and x - y
+            halves = mix_halved(self.rows[i], self.rows[j])
+            bits = halves and [self.read(row) for row in halves]
+            if not bits or None in bits[0] + bits[1]:
+                raise InvariantError("Hadamard increased the delta-exponent")
             self.rows[i], self.rows[j] = halves
-            self.bits[i], self.bits[j] = ([residue_bits(z) for z in row] for row in halves)
+            self.bits[i], self.bits[j] = bits
 
     def phase(self, row: int, power: int) -> None:
         if power % 8:
@@ -342,7 +351,7 @@ def synthesize(m: ExactMatrix, *, debug: bool = False) -> Decomposition:
     try:
         while ws.k:
             rounds.append(reduction_round(ws))
-            if debug and not is_scaled_unitary(ws.rows, TWO_PLUS_SQRT2 ** ws.k):
+            if debug and not is_scaled_unitary(ws.rows, ws.e):
                 raise VerificationError("round output lost unitarity")
         solve_monomial(ws)
     except InvariantError:

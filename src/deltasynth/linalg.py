@@ -83,17 +83,15 @@ def delta_exponent(m: ExactMatrix) -> int:
 
 def is_unitary(m: ExactMatrix) -> bool:
     """U^dagger U = I, checked over Z[w] as conj(N)^T N = 2^e * I."""
-    return is_scaled_unitary(m.rows, ZOmega.from_int(1 << m.e))
+    return is_scaled_unitary(m.rows, m.e)
 
 
-def is_scaled_unitary(rows: Sequence[Sequence[ZOmega]], scale: ZOmega) -> bool:
-    """Whether conj(N)^T N = scale * I for the Z[w] numerators N in rows.
-
-    U = N / s is unitary exactly when that holds with scale = conj(s) * s:
-    2^e for s = sqrt(2)^e, or (2 + sqrt(2))^k for s = delta^k, since
-    conj(delta) * delta = 2 + sqrt(2).  The Gram matrix is Hermitian: its
+def is_scaled_unitary(rows: Sequence[Sequence[ZOmega]], e: int) -> bool:
+    """Whether conj(N)^T N = 2^e * I for the Z[w] numerators N in rows, that
+    is, whether N / sqrt(2)^e is unitary.  The Gram matrix is Hermitian: its
     upper triangle decides.
     """
+    scale = ZOmega.from_int(1 << e)
     cols = list(zip(*rows))
     return all(
         sum((x.conj() * y for x, y in zip(a, b)), ZW_ZERO) == (scale if i == j else ZW_ZERO)
@@ -210,7 +208,7 @@ def mix_halved(top: Sequence[ZOmega], bot: Sequence[ZOmega]) -> tuple[list, list
         ya, yb, yc, yd = y.a, y.b, y.c, y.d
         a, b, c, d = x.a + ya, x.b + yb, x.c + yc, x.d + yd
         p, q, r, s = b - d, a + c, b + d, c - a
-        if (p | q | r | s) & 1:
+        if (p | q) & 1:  # r shares p's parity, and s shares q's
             return None
         p, q, r, s = p >> 1, q >> 1, r >> 1, s >> 1
         sums.append(ZOmega(p, q, r, s))
@@ -218,7 +216,7 @@ def mix_halved(top: Sequence[ZOmega], bot: Sequence[ZOmega]) -> tuple[list, list
     return sums, diffs
 
 
-def _halved(rows: list[list[ZOmega]]) -> list[list[ZOmega]] | None:
+def halved(rows: list[list[ZOmega]]) -> list[list[ZOmega]] | None:
     """Every numerator divided by sqrt(2), or None when one does not divide."""
     out = []
     for row in rows:
@@ -247,7 +245,7 @@ def least(rows: list[list[ZOmega]], e: int) -> tuple[list[list[ZOmega]], int]:
             rows = [[ZOmega(z.a >> shift, z.b >> shift, z.c >> shift, z.d >> shift)
                      for z in row] for row in rows]
             e -= 2 * shift
-    while e and (halves := _halved(rows)) is not None:
+    while e and (halves := halved(rows)) is not None:
         rows, e = halves, e - 1
     return rows, e
 

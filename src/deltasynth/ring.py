@@ -4,10 +4,9 @@ Elements are integer coefficient vectors (a, b, c, d) standing for
 a*w^3 + b*w^2 + c*w + d.  The distinguished element delta = 1 + w satisfies
 delta^2 = sqrt(2) * (unit) and generates the prime ideal above 2, so every
 element of D[w] = Z[1/sqrt(2), i] is num / delta^k for a unique minimal k.
-That exponent is the complexity measure the synthesis engine reduces; the
-residue bits of the Z[w] numerators of delta^k * U (their classes mod
-delta^3, read off the coefficients as one 3-bit int each) drive its case
-analysis.
+That exponent is the complexity measure the synthesis engine reduces: its
+case analysis reads the classes mod delta^3 of N at k = 2e and of N / delta
+at k = 2e - 1, for U = N / sqrt(2)^e, with `residue_bits` and `quotient_bits`.
 
 The package holds D[w] values as Z[w] numerators over a power of sqrt(2);
 `from_sqrt2_form` and `to_sqrt2_form` convert one numerator to and from the
@@ -112,9 +111,6 @@ ZW_ONE = ZOmega(0, 0, 0, 1)
 ZW_OMEGA = ZOmega(0, 0, 1, 0)
 ZW_DELTA = ZW_ONE + ZW_OMEGA
 ZW_SQRT2 = ZOmega(-1, 0, 1, 0)  # w - w^3
-TWO_PLUS_SQRT2 = ZOmega(-1, 0, 1, 2)  # conj(delta) * delta
-# delta^2 = UNIT_SQRT2 * sqrt(2)
-UNIT_SQRT2 = ZOmega(0, 1, 1, 1)
 
 OMEGA_POWERS = tuple(ZW_ONE.mul_omega_power(p) for p in range(8))
 
@@ -160,8 +156,20 @@ def residue_bits(x: ZOmega) -> int:
     n bits are the class mod delta^n.  x is a unit exactly when bit 0 is
     set, and a unit is w^(r >> 1) mod delta^3.
     """
-    a, b, c, d = x.a, x.b, x.c, x.d
-    return (a + b + c + d) & 1 | ((a + c) & 1) << 1 | ((a + b) & 1) << 2
+    a, b, c, d = x.a & 1, x.b & 1, x.c & 1, x.d & 1
+    return a ^ b ^ c ^ d | (a ^ c) << 1 | (a ^ b) << 2
+
+
+# quotient_bits's values by x's coefficient parities a, b, c, d, at 8a + 4b + 2c + d
+QUOTIENT_RESIDUES = tuple(
+    None if (q := divide_by_delta(ZOmega(i >> 3, i >> 2 & 1, i >> 1 & 1, i & 1))) is None
+    else residue_bits(q) for i in range(16))
+
+
+def quotient_bits(x: ZOmega) -> int | None:
+    """residue_bits(x / delta), or None when delta does not divide x; x mod
+    delta^4 decides both, and delta^4 is 2 times a unit."""
+    return QUOTIENT_RESIDUES[(x.a & 1) << 3 | (x.b & 1) << 2 | (x.c & 1) << 1 | x.d & 1]
 
 
 # PHASE_RESIDUES[p][r] is the class of w^p * x for any x of class r, read off

@@ -19,7 +19,7 @@ from deltasynth.cli import gate_pool
 from deltasynth.errors import SynthError
 from deltasynth.linalg import (ElementaryOp, ExactMatrix, apply_elementary, h_op, omega_op,
                                word_matrix, x_op)
-from deltasynth.ring import (UNIT_SQRT2, ZW_DELTA, ZW_ONE, ZW_OMEGA, ZW_ZERO, DOmega, ZOmega,
+from deltasynth.ring import (ZW_DELTA, ZW_ONE, ZW_OMEGA, ZW_ZERO, DOmega, ZOmega,
                              divide_by_sqrt2)
 
 
@@ -49,6 +49,10 @@ def mixing_ops(rnd) -> int:
 
 
 ZW_DELTA2 = ZW_DELTA * ZW_DELTA
+# delta^2 = UNIT_SQRT2 * sqrt(2)
+UNIT_SQRT2 = ZOmega(0, 1, 1, 1)
+# conj(delta) * delta, the Gram scale of numerators over delta
+TWO_PLUS_SQRT2 = ZOmega(-1, 0, 1, 2)
 # 2/delta: delta times it is exactly 2.
 TWO_OVER_DELTA = ZOmega(-1, 1, -1, 1)
 # delta^2 = UNIT_SQRT2 * sqrt(2); its other three conjugates multiply to its inverse.

@@ -336,8 +336,6 @@ def test_no_floating_point_in_package():
 UNUSED_BUT_KEPT = {
     "DOmega": "benchmark/tracing.py's RingCounter counts its arithmetic;"
               " moves to the tests with ROADMAP item 1",
-    "delta_exponent": "benchmark/tracing.py times it by name;"
-                      " moves to the tests with ROADMAP item 1",
 }
 # Member names defined on more than one package class.  A member counts as
 # loaded when any class's member of its name is, so a new name here needs a

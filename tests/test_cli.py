@@ -751,8 +751,8 @@ def test_common_powers_of_two_leave_at_once(monkeypatch, coefficient):
     # shift leaves at most one sqrt(2) pass and the pass that fails
     assert len(coefficient) < MAX_COEFFICIENT_DIGITS
     calls = []
-    halved = linalg._halved
-    monkeypatch.setattr(linalg, "_halved", lambda rows: calls.append(1) or halved(rows))
+    halved = linalg.halved
+    monkeypatch.setattr(linalg, "halved", lambda rows: calls.append(1) or halved(rows))
     entry = ",".join([coefficient] * 4) + f"/{MAX_SQRT2_EXPONENT}"
     text = "dim 4\n" + "".join(" ".join([entry] * 4) + "\n" for _ in range(4))
     assert not is_unitary(parse_matrix(text))

@@ -39,16 +39,17 @@ from deltasynth.cli import random_unitary
 from deltasynth.ring import (
     DOmega,
     OMEGA_POWERS,
-    UNIT_SQRT2,
     ZOmega,
     ZW_DELTA,
     ZW_ONE,
     ZW_SQRT2,
     ZW_ZERO,
+    divide_by_delta,
+    quotient_bits,
     residue_bits,
 )
-from helpers import (D_ONE, D_ZERO, H_EXACT, MONOMIAL_WORD_MAX, T_EXACT, ZW_DELTA2, adjoint,
-                     enumerate_words, exact, identity, mat_mul, mixing_ops,
+from helpers import (D_ONE, D_ZERO, H_EXACT, MONOMIAL_WORD_MAX, T_EXACT, UNIT_SQRT2, ZW_DELTA2,
+                     adjoint, enumerate_words, exact, identity, mat_mul, mixing_ops,
                      random_word_matrix)
 
 
@@ -64,8 +65,15 @@ def replay(ops, m, side="L"):
 
 
 def matrix_of(ws):
-    """The D[w] matrix whose delta^k-scaled numerators the workspace holds."""
-    return exact([[DOmega(z, ws.k) for z in row] for row in ws.rows])
+    """The matrix N / sqrt(2)^e the workspace holds."""
+    return ExactMatrix(ws.rows, ws.e)
+
+
+def grid_of(ws):
+    """The grid the workspace must hold: residue_matrix(rows) at even k, and
+    the classes of the quotients rows / delta at odd k."""
+    rows = ws.rows if ws.k % 2 == 0 else [[divide_by_delta(z) for z in row] for row in ws.rows]
+    return [list(row) for row in residue_matrix(rows)]
 
 
 def monomial(dim, perm, phases):
@@ -401,6 +409,15 @@ class TestSolveMonomial:
             solve_monomial(_Workspace(H_EXACT))
         assert excinfo.type is InvariantError
 
+    def test_non_unit_entry_caught_by_identity_check(self):
+        # the unit checks read the grid's bit 0, which 2 does not set; the
+        # closing exact check still rejects the entry
+        m = ExactMatrix([[ZW_ONE, ZOmega.from_int(2)], [ZW_ZERO, ZW_ONE]])
+        with pytest.raises(InvariantError,
+                           match="^monomial cleanup did not reach the identity$") as excinfo:
+            solve_monomial(_Workspace(m))
+        assert excinfo.type is InvariantError
+
     def test_rejects_dense_row(self):
         with pytest.raises(InvariantError, match="^not one unit per row") as excinfo:
             solve_monomial(_Workspace(NOT_UNITARY_2))
@@ -570,7 +587,7 @@ class TestExactMix:
             assert mix_halved([top], [ZW_ZERO]) == ([half], [half])
             ws = mixed_workspace(top)
             assert ws.rows == [[half, ZW_ZERO], [half, ZW_ZERO]]
-            assert tuple(map(tuple, ws.bits)) == residue_matrix(ws.rows)
+            assert ws.bits == grid_of(ws)
 
     def test_non_divisible_sum_rejected(self):
         # 1 + w = delta is not a multiple of delta^2
@@ -587,15 +604,30 @@ class TestExactMix:
             ws.apply(h_op(1, 2))
         assert excinfo.type is InvariantError
 
+    def test_odd_exponent_mix_must_keep_delta(self):
+        """At odd k the grid holds the classes of rows / delta, so delta must
+        divide every halved entry too: sqrt(2) * delta must divide x + y and
+        x - y.  For delta and delta * w only sqrt(2) does."""
+        rows = [[ZW_DELTA, ZW_ZERO], [ZW_DELTA * OMEGA_POWERS[1], ZW_ZERO]]
+        ws = _Workspace(ExactMatrix(rows, 1))
+        assert (ws.k, ws.e) == (1, 1)
+        assert ws.bits == grid_of(ws)
+        halves = mix_halved(*ws.rows)
+        assert halves is not None
+        assert None in [quotient_bits(z) for z in halves[0]]
+        with pytest.raises(InvariantError, match=NO_DROP) as excinfo:
+            ws.apply(h_op(1, 2))
+        assert excinfo.type is InvariantError
+
 
 class TestResidueGrid:
-    """The workspace's grid equals residue_matrix(rows) after every op and
-    every division by delta, and residue bits are read only where an op or
-    a division changed a numerator."""
+    """The workspace's grid equals residue_matrix(rows) at even k and the
+    classes of rows / delta at odd k, after every op and every lowering of
+    k, and classes are read only where an op or a lowering changed them."""
 
     def test_grid_follows_every_op_and_division(self, monkeypatch):
         def assert_current(ws, *context):
-            assert tuple(map(tuple, ws.bits)) == residue_matrix(ws.rows), context
+            assert ws.bits == grid_of(ws), context
 
         def checked(method):
             def run(ws, *args):
@@ -604,12 +636,14 @@ class TestResidueGrid:
                 return result
             return run
 
-        seen = collections.Counter()
+        seen, parities = collections.Counter(), set()
         apply, has_unit = _Workspace.apply, _Workspace.has_unit
 
         def counted_apply(ws, op):
             # an op applied while the workspace is flipped acts on columns
             seen[op.kind, "R" if ws.flipped else "L"] += 1
+            if op.kind == "H":
+                parities.add(ws.k % 2)
             apply(ws, op)
 
         def checked_has_unit(ws):
@@ -636,25 +670,32 @@ class TestResidueGrid:
         assert set(seen) == {(kind, "L") for kind in ("omega", "H", "X")} | {
             ("omega", "R"), ("H", "R")}
         assert {"single_block", "dense4", "full_rows"} <= tags
+        # Hadamards run on both grids
+        assert parities == {0, 1}
 
     def test_residue_reads_per_synthesis(self, monkeypatch):
-        """15 864 reads at k = 602: 16 for the input and after each of the
-        602 divisions by delta, and 8 per Hadamard; a phase maps its row
-        through PHASE_RESIDUES and reads none (its 4 reads made 18 544).
+        """15 865 reads at k = 602, 7 913 by residue_bits and 7 952 by
+        quotient_bits: 16 for the input and after each of the 602 lowerings
+        of k, 8 per Hadamard, and one by delta_exponent, which stops at the
+        first unit; a phase maps its row through PHASE_RESIDUES and reads
+        none (its 4 reads made 18 544).
         Reading every query off the numerators took 54 326."""
-        calls = 0
+        calls = collections.Counter()
 
-        def counted(z):
-            nonlocal calls
-            calls += 1
-            return residue_bits(z)
+        def counted(read):
+            def run(z):
+                calls[read.__name__] += 1
+                return read(z)
+            return run
 
         m = random_unitary(2, 10000, 1)
         assert delta_exponent(m) == 602
         for module in (deltasynth.engine, deltasynth.linalg):
-            monkeypatch.setattr(module, "residue_bits", counted)
+            monkeypatch.setattr(module, "residue_bits", counted(residue_bits))
+        monkeypatch.setattr(deltasynth.engine, "quotient_bits", counted(quotient_bits))
         synthesize(m)
-        assert calls <= 16_000
+        assert calls["residue_bits"] and calls["quotient_bits"]
+        assert sum(calls.values()) <= 16_000
 
 
 class TestFlip:
@@ -687,7 +728,7 @@ class TestFlip:
         ws.flip()
         assert ws.left_ops == ops[:1]
         assert ws.right_ops == ops[1:]
-        assert tuple(map(tuple, ws.bits)) == residue_matrix(ws.rows)
+        assert ws.bits == grid_of(ws)
         assert matrix_of(ws) == replay(ops[1:], replay(ops[:1], m), "R")
 
     def test_every_round_returns_unflipped(self, monkeypatch):

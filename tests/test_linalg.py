@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +20,6 @@ from deltasynth.linalg import (
 import deltasynth.linalg
 from deltasynth.ring import (
     DOmega,
-    UNIT_SQRT2,
     ZOmega,
     ZW_ONE,
     ZW_OMEGA,
@@ -27,8 +28,9 @@ from deltasynth.ring import (
     divide_by_sqrt2,
     from_sqrt2_form,
 )
-from helpers import (D_ONE, D_ZERO, H_EXACT, T_EXACT, adjoint, exact, identity, mat_mul,
-                     op_alphabet as alphabet, random_word_matrix, raises_synth_error, scaled)
+from helpers import (D_ONE, D_ZERO, H_EXACT, T_EXACT, UNIT_SQRT2, adjoint, exact, identity,
+                     mat_mul, op_alphabet as alphabet, random_word_matrix, raises_synth_error,
+                     scaled)
 
 
 small = st.integers(min_value=-3, max_value=3)
@@ -200,11 +202,18 @@ class TestElementaryOps:
             assert is_unitary(word_matrix([op], 4))
 
 
+def mix_then_halve(top, bot):
+    """The reference for mix_halved: row_surgery's H mix, then
+    divide_by_sqrt2 on each entry, and None when one does not divide."""
+    rows = [top, bot]
+    row_surgery(rows, "H", 0, 1)
+    halves = [[divide_by_sqrt2(z) for z in r] for r in rows]
+    return None if None in halves[0] + halves[1] else tuple(halves)
+
+
 class TestMixHalved:
     @given(data=st.data())
     def test_matches_mix_then_halve(self, data):
-        # mix_halved is row_surgery's H mix with divide_by_sqrt2 on each
-        # entry, and None exactly when one of them does not divide
         dim = data.draw(st.integers(min_value=1, max_value=4))
         row = st.lists(st.builds(ZOmega, small, small, small, small),
                        min_size=dim, max_size=dim)
@@ -213,11 +222,23 @@ class TestMixHalved:
             # top + sqrt(2) * u mixes with top to sums and differences
             # that sqrt(2) divides
             bot = [x + ZW_SQRT2 * u for x, u in zip(top, bot)]
-        rows = [top, bot]
-        row_surgery(rows, "H", 0, 1)
-        halves = [[divide_by_sqrt2(z) for z in r] for r in rows]
-        want = None if None in halves[0] + halves[1] else tuple(halves)
-        assert mix_halved(top, bot) == want
+        assert mix_halved(top, bot) == mix_then_halve(top, bot)
+
+    def test_seeded_entries(self):
+        # large coefficients, odd and even alike; half the pairs mix to
+        # multiples of sqrt(2), and some of the rest do by chance
+        rng = random.Random(32)
+        outcomes = set()
+        for _ in range(500):
+            dim = rng.randint(1, 4)
+            top, bot = ([ZOmega(*(rng.randrange(-2 ** 64, 2 ** 64) for _ in range(4)))
+                         for _ in range(dim)] for _ in range(2))
+            if rng.random() < 0.5:
+                bot = [x + ZW_SQRT2 * u for x, u in zip(top, bot)]
+            want = mix_then_halve(top, bot)
+            assert mix_halved(top, bot) == want
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
 
 
 def unit_pattern(m, k):

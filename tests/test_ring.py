@@ -1,3 +1,5 @@
+import random
+
 from hypothesis import example, given, settings, strategies as st
 
 import pytest
@@ -8,7 +10,7 @@ from deltasynth.ring import (
     DOmega,
     OMEGA_POWERS,
     PHASE_RESIDUES,
-    UNIT_SQRT2,
+    QUOTIENT_RESIDUES,
     ZOmega,
     ZW_DELTA,
     ZW_OMEGA,
@@ -18,12 +20,13 @@ from deltasynth.ring import (
     divide_by_delta,
     divide_by_sqrt2,
     from_sqrt2_form,
+    quotient_bits,
     residue_bits,
     times_sqrt2,
     to_sqrt2_form,
 )
-from helpers import (D_INV_SQRT2, D_ONE, D_ZERO, TWO_OVER_DELTA, UNIT_SQRT2_INV, ZW_DELTA2,
-                     conj_sq2, domega, exact, scaled)
+from helpers import (D_INV_SQRT2, D_ONE, D_ZERO, TWO_OVER_DELTA, TWO_PLUS_SQRT2, UNIT_SQRT2,
+                     UNIT_SQRT2_INV, ZW_DELTA2, conj_sq2, domega, exact, scaled)
 
 coeff = st.integers(min_value=-30, max_value=30)
 zomega = st.builds(ZOmega, coeff, coeff, coeff, coeff)
@@ -43,6 +46,7 @@ class TestZOmega:
         # UNIT_SQRT2 is a unit; its inverse is built from its conjugates
         assert UNIT_SQRT2 * UNIT_SQRT2_INV == ZW_ONE
         assert ZW_DELTA2 == ZW_SQRT2 * UNIT_SQRT2
+        assert ZW_DELTA.conj() * ZW_DELTA == TWO_PLUS_SQRT2
 
     def test_omega_power_rotation(self):
         @given(x=zomega, p=st.integers(min_value=-8, max_value=16))
@@ -234,6 +238,38 @@ class TestResidues:
             for y in range(8):
                 total = OMEGA_POWERS[x] + OMEGA_POWERS[y]
                 assert (residue_bits(total) == 0) == ((x - y) % 4 == 0)
+
+
+def quotient_class(x):
+    """The reference for quotient_bits: divide, then read the class."""
+    q = divide_by_delta(x)
+    return None if q is None else residue_bits(q)
+
+
+class TestQuotientResidues:
+    def test_table_on_parity_classes(self):
+        # index 8a + 4b + 2c + d for coefficient parities a, b, c, d
+        assert len(QUOTIENT_RESIDUES) == 16
+        for i in range(16):
+            x = ZOmega(i >> 3 & 1, i >> 2 & 1, i >> 1 & 1, i & 1)
+            assert QUOTIENT_RESIDUES[i] == quotient_bits(x) == quotient_class(x)
+
+    def test_seeded_sweep(self):
+        # x mod 2 fixes x / delta mod delta^3, for coefficients of any size
+        rng = random.Random(33)
+        seen = set()
+        for _ in range(2000):
+            x = ZOmega(*(rng.randrange(-2 ** 80, 2 ** 80) for _ in range(4)))
+            if rng.random() < 0.5:
+                x = x * ZW_DELTA
+            assert quotient_bits(x) == quotient_class(x)
+            seen.add(quotient_bits(x))
+        assert seen == {None, *range(8)}
+
+    @given(x=st.builds(ZOmega, *[st.integers()] * 4))
+    def test_none_iff_delta_does_not_divide(self, x):
+        assert (quotient_bits(x) is None) == (divide_by_delta(x) is None)
+        assert quotient_bits(x * ZW_DELTA) == residue_bits(x)
 
 
 class TestDOmega:
