@@ -164,8 +164,11 @@ def _load_unitary(path: str) -> ExactMatrix:
     return matrix
 
 
-def _scalar_identity(m: ExactMatrix) -> ExactMatrix:
-    """The 1x1 matrix m's entry times the 2x2 identity."""
+def _circuit_target(m: ExactMatrix) -> ExactMatrix:
+    """The matrix a circuit for m must equal: m itself, or for a 1x1 m, a
+    global phase on one qubit, m's entry times the 2x2 identity."""
+    if m.dim != 1:
+        return m
     z = m.rows[0][0]
     return ExactMatrix([[z, ZW_ZERO], [ZW_ZERO, z]], m.e)
 
@@ -177,9 +180,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         for i, row in enumerate(matrix.rows):
             internal = "  ".join(map(str, row))
             print(f"debug: row {i + 1}: {internal}", file=sys.stderr)
-    dec = synthesize(matrix, debug=args.debug)
-    # with debug, synthesize has already multiplied the word out
-    if args.verify and not args.debug and not verify_decomposition(matrix, dec):
+    dec = synthesize(matrix)
+    if args.verify and not verify_decomposition(matrix, dec):
         raise VerificationError("elementary word does not reproduce the input")
     lines = [
         f"# dim {dec.dim}",
@@ -196,25 +198,22 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.elementary or dec.dim == 3:
         word = " ".join(str(op) for op in dec.word)
         lines.append(f"# word: {word if word else 'I'}")
-    circuit = None
     if dec.dim == 1:
         lines.append("# note: 1x1 input; circuit is the global phase on one idle qubit")
-    if dec.dim != 3:
-        circuit = emit(dec.word, dec.dim)
-    else:
+    if dec.dim == 3:
         lines.append("# note: dimension 3 has no circuit form; word only")
-    if circuit is not None:
+        body = ""
+    else:
+        circuit = emit(dec.word, dec.dim)
         counts = gate_counts(circuit)
         lines.append(f"# gates {counts['total']}")
         lines.append(f"# t-count {counts['t_count']}")
         lines.append(f"# ancilla {'yes' if counts['uses_ancilla'] else 'no'}")
-        if args.verify:
-            expected = _scalar_identity(matrix) if dec.dim == 1 else matrix
-            if circuit_to_matrix(circuit) != expected:
-                raise VerificationError("circuit does not reproduce the input")
+        if args.verify and circuit_to_matrix(circuit) != _circuit_target(matrix):
+            raise VerificationError("circuit does not reproduce the input")
+        body = render_circuit(circuit)
     if args.verify:
         lines.append("# verified exact")
-    body = render_circuit(circuit) if circuit is not None else ""
     _write_text(args.out, "\n".join(lines) + "\n" + body)
     return 0
 
@@ -272,7 +271,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if matrix.dim == 3:
         raise SynthError("dimension 3 has no circuit form to verify")
     circuit = parse_circuit(_read_text(args.circuit))
-    expected = _scalar_identity(matrix) if matrix.dim == 1 else matrix
+    expected = _circuit_target(matrix)
     try:
         actual = circuit_to_matrix(circuit)
     except VerificationError as exc:

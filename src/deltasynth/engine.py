@@ -39,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import InvariantError, NotUnitaryError, VerificationError
+from .errors import InvariantError, NotUnitaryError
 from .linalg import (
     ElementaryOp,
     ExactMatrix,
@@ -47,7 +47,6 @@ from .linalg import (
     h_op,
     halved,
     invert_elementary,
-    is_scaled_unitary,
     is_unitary,
     mix_halved,
     omega_op,
@@ -161,14 +160,13 @@ def solve_monomial(ws: _Workspace) -> list[ElementaryOp]:
 class _Workspace:
     """The synthesis state: the numerators rows of U = rows / sqrt(2)^e,
     reduced in place to k = 0, with k least (2e, or 2e - 1 when delta divides
-    every numerator; 0, or the grid has a unit); the grid bits, always
-    residue_matrix(rows) at even k and that of rows / delta at odd k; and the
-    ops so far.  Ops act on rows, 0-based, and go to left_ops, or to
-    right_ops while the workspace is flipped."""
+    every numerator; 0, or the grid has a unit), so e is (k + 1) // 2; the
+    grid bits, always residue_matrix(rows) at even k and that of rows / delta
+    at odd k; and the ops so far.  Ops act on rows, 0-based, and go to
+    left_ops, or to right_ops while the workspace is flipped."""
 
     def __init__(self, m: ExactMatrix) -> None:
         self.rows = [list(row) for row in m.rows]
-        self.e = m.e
         self.k = delta_exponent(m)
         self.bits = ([self.read(row) for row in self.rows] if self.k & 1
                      else [list(row) for row in residue_matrix(self.rows)])
@@ -190,7 +188,7 @@ class _Workspace:
         them lowers e; from even k only the grid changes."""
         while self.k and not self.has_unit():
             if self.k & 1:
-                self.rows, self.e = halved(self.rows), self.e - 1
+                self.rows = halved(self.rows)
             self.k -= 1
             self.bits = [self.read(row) for row in self.rows]
 
@@ -336,14 +334,13 @@ def reduction_round(ws: _Workspace) -> ReductionRound:
                           k, ws.k, tuple(chain))
 
 
-def synthesize(m: ExactMatrix, *, debug: bool = False) -> Decomposition:
+def synthesize(m: ExactMatrix) -> Decomposition:
     """Exact elementary-operator word for a unitary over D[w].
 
     The word multiplies out (left factor first) to exactly m.  Reaching I
     proves m unitary, so the Gram check runs only when the reduction raises
     an InvariantError: NotUnitaryError for a non-unitary m, else the error
-    itself, an engine bug.  debug re-checks unitarity after every round and
-    the final product.
+    itself, an engine bug.
     """
     ws = _Workspace(m)
     source_k = ws.k
@@ -351,8 +348,6 @@ def synthesize(m: ExactMatrix, *, debug: bool = False) -> Decomposition:
     try:
         while ws.k:
             rounds.append(reduction_round(ws))
-            if debug and not is_scaled_unitary(ws.rows, ws.e):
-                raise VerificationError("round output lost unitarity")
         solve_monomial(ws)
     except InvariantError:
         if not is_unitary(m):
@@ -360,10 +355,7 @@ def synthesize(m: ExactMatrix, *, debug: bool = False) -> Decomposition:
         raise
 
     word = [invert_elementary(op) for op in (*ws.left_ops, *reversed(ws.right_ops))]
-    dec = Decomposition(tuple(word), tuple(rounds), source_k, m.dim)
-    if debug and not verify_decomposition(m, dec):
-        raise VerificationError("decomposition product mismatch")
-    return dec
+    return Decomposition(tuple(word), tuple(rounds), source_k, m.dim)
 
 
 def verify_decomposition(m: ExactMatrix, dec: Decomposition) -> bool:

@@ -42,5 +42,5 @@ class InvariantError(SynthError):
 
 
 class VerificationError(InvariantError):
-    """A requested exactness re-check failed: --verify, debug, or a borrowed
+    """A requested exactness re-check failed: --verify, or a borrowed
     ancilla's return to zero in circuit_to_matrix."""

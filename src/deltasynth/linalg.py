@@ -82,17 +82,10 @@ def delta_exponent(m: ExactMatrix) -> int:
 
 
 def is_unitary(m: ExactMatrix) -> bool:
-    """U^dagger U = I, checked over Z[w] as conj(N)^T N = 2^e * I."""
-    return is_scaled_unitary(m.rows, m.e)
-
-
-def is_scaled_unitary(rows: Sequence[Sequence[ZOmega]], e: int) -> bool:
-    """Whether conj(N)^T N = 2^e * I for the Z[w] numerators N in rows, that
-    is, whether N / sqrt(2)^e is unitary.  The Gram matrix is Hermitian: its
-    upper triangle decides.
-    """
-    scale = ZOmega.from_int(1 << e)
-    cols = list(zip(*rows))
+    """U^dagger U = I, checked over Z[w] as conj(N)^T N = 2^e * I.  The Gram
+    matrix is Hermitian: its upper triangle decides."""
+    scale = ZOmega.from_int(1 << m.e)
+    cols = list(zip(*m.rows))
     return all(
         sum((x.conj() * y for x, y in zip(a, b)), ZW_ZERO) == (scale if i == j else ZW_ZERO)
         for i, a in enumerate(cols) for j, b in enumerate(cols) if i <= j)

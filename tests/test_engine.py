@@ -20,7 +20,7 @@ from deltasynth.engine import (
     synthesize,
     verify_decomposition,
 )
-from deltasynth.errors import InvariantError, NotUnitaryError, VerificationError
+from deltasynth.errors import InvariantError, NotUnitaryError
 from deltasynth.linalg import (
     ExactMatrix,
     delta_exponent,
@@ -65,8 +65,8 @@ def replay(ops, m, side="L"):
 
 
 def matrix_of(ws):
-    """The matrix N / sqrt(2)^e the workspace holds."""
-    return ExactMatrix(ws.rows, ws.e)
+    """The matrix N / sqrt(2)^e the workspace holds, with e = (k + 1) // 2."""
+    return ExactMatrix(ws.rows, (ws.k + 1) // 2)
 
 
 def grid_of(ws):
@@ -466,6 +466,8 @@ class TestReductionRound:
 
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_progress_on_random_words(self, dim):
+        """Every round lowers k within the budget, and after every round the
+        workspace holds L * m * R for the ops applied so far, a unitary."""
         done = 0
         for seed in range(40):
             m = random_word_matrix(dim, 40, 31 * seed + dim)
@@ -473,15 +475,17 @@ class TestReductionRound:
             if k <= 1:
                 continue
             ws = _Workspace(m)
-            rnd = reduction_round(ws)
-            out = matrix_of(ws)
-            assert rnd.k_before == k
-            assert rnd.k_after < k
-            assert rnd.k_after != 1
-            assert mixing_ops(rnd) <= 4
-            assert delta_exponent(out) == rnd.k_after
-            assert is_unitary(out)
-            assert replay(rnd.right_ops, replay(rnd.left_ops, m), "R") == out
+            while ws.k:
+                rnd = reduction_round(ws)
+                out = matrix_of(ws)
+                assert rnd.k_before == k
+                assert rnd.k_after < k
+                assert rnd.k_after != 1
+                assert mixing_ops(rnd) <= 4
+                assert delta_exponent(out) == rnd.k_after
+                assert is_unitary(out)
+                assert replay(ws.right_ops, replay(ws.left_ops, m), "R") == out
+                k = rnd.k_after
             done += 1
         assert done > 20
 
@@ -610,7 +614,7 @@ class TestExactMix:
         x - y.  For delta and delta * w only sqrt(2) does."""
         rows = [[ZW_DELTA, ZW_ZERO], [ZW_DELTA * OMEGA_POWERS[1], ZW_ZERO]]
         ws = _Workspace(ExactMatrix(rows, 1))
-        assert (ws.k, ws.e) == (1, 1)
+        assert (ws.k, matrix_of(ws).e) == (1, 1)
         assert ws.bits == grid_of(ws)
         halves = mix_halved(*ws.rows)
         assert halves is not None
@@ -784,7 +788,6 @@ class TestSynthesize:
         for dim in (1, 2, 3, 4):
             m = random_word_matrix(dim, 40, dim)
             synthesize(m)
-            synthesize(m, debug=True)
         assert checks == []
         u = random_unitary(2, 300, 1)
         c = ZW_ONE + ZW_DELTA ** 3
@@ -795,11 +798,10 @@ class TestSynthesize:
             ExactMatrix([[ZW_ZERO] * 3] * 3),
         ]
         for m in rejected:
-            for debug in (False, True):
-                checks.clear()
-                with pytest.raises(NotUnitaryError, match="^input matrix is not unitary$"):
-                    synthesize(m, debug=debug)
-                assert checks == [m]
+            checks.clear()
+            with pytest.raises(NotUnitaryError, match="^input matrix is not unitary$"):
+                synthesize(m)
+            assert checks == [m]
 
         def broken(ws):
             raise error("engine bug")
@@ -814,18 +816,6 @@ class TestSynthesize:
                 synthesize(m)
             assert checks == checked
 
-    def test_debug_checks_every_round(self, monkeypatch):
-        # a round that phased one entry would leave a non-unitary workspace
-        def round_and_phase(ws):
-            rnd = reduction_round(ws)
-            ws.rows[0] = [ws.rows[0][0].mul_omega_power(1), *ws.rows[0][1:]]
-            return rnd
-
-        monkeypatch.setattr(deltasynth.engine, "reduction_round", round_and_phase)
-        m = random_word_matrix(4, 40, 54)
-        with pytest.raises(VerificationError, match="round output lost unitarity"):
-            synthesize(m, debug=True)
-
     def test_deterministic(self):
         m = random_word_matrix(4, 50, 1234)
         assert synthesize(m) == synthesize(m)
@@ -835,7 +825,7 @@ class TestSynthesize:
     def test_random_round_trips(self, dim, length):
         for seed in range(8):
             m = random_word_matrix(dim, length, 17 * seed + length + dim)
-            dec = synthesize(m, debug=True)
+            dec = synthesize(m)
             assert verify_decomposition(m, dec)
             assert dec.source_k == delta_exponent(m)
             k = dec.source_k
