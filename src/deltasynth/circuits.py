@@ -318,6 +318,9 @@ def _less_one(powers: Sequence[int], level: int) -> tuple[int, ...]:
     return tuple((p - (i == level)) % 8 for i, p in enumerate(powers))
 
 
+# The count keeps the diagonal's W gate, though emit folds it into the global
+# W: without it, 96 of the 12 288 owing choices change and gates rose on both
+# word sets measured, so W stays in, and with it the circuit digests.
 @functools.cache
 def _diagonal_cost(powers: tuple[int, ...]) -> tuple[int, int]:
     """T count, then gate count, of a diagonal's lowering."""

@@ -145,9 +145,10 @@ def render_matrix(m: ExactMatrix, comments: Sequence[str] = ()) -> str:
 
 
 def _read_text(path: str) -> str:
+    """The text of path, or of stdin for "-", without one leading byte-order mark."""
     if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+        return sys.stdin.read().removeprefix("\ufeff")
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _write_text(path: str | None, text: str) -> None:

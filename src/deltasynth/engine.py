@@ -7,9 +7,9 @@ and of N / delta, read off N's coefficient parities, at odd k.  An op
 refreshes the grid only where it wrote: a Hadamard re-reads the two rows that
 `mix_halved` wrote, a phase maps its row's classes through `PHASE_RESIDUES`,
 and a swap swaps two grid rows.  While k > 1, the mod-delta pattern must be
-one of seven shapes, stated as 0/1 templates; a table of their placements
-names the pattern's shape.  Every shape is reduced by one step, applied over
-and over: phase-align two lines that are congruent mod delta^3 (or mod
+one of seven shapes, stated as 0/1 templates; a table maps each placement
+to its shape and step lines.  Every shape is reduced by one step, applied
+over and over: phase-align two lines that are congruent mod delta^3 (or mod
 delta^2) and mix them with one two-level Hadamard, which divides their sum
 and difference exactly by sqrt(2).  Congruence mod delta^3 strictly drops both
 lines below k; congruence mod delta^2 hands off to a simpler shape at the
@@ -96,13 +96,22 @@ _SHAPES = (
 
 
 @functools.cache
-def _shape_table() -> dict[tuple[tuple[int, ...], ...], str]:
-    """Each placement of each template, mapped to its shape's name."""
+def _shape_table() -> dict[tuple[tuple[int, ...], ...],
+                           tuple[str, bool, tuple[int, ...], tuple[int, ...]]]:
+    """Each placement of each template, mapped to its case step: the shape's
+    name, whether to flip (full_rows with no full row), and, after the flip, the
+    rows with the first fewest-units pattern, then the rest, and its unit columns."""
     table = {}
     for tag, template in _SHAPES:
         for rows in set(itertools.permutations(template)):
             for cols in itertools.permutations(zip(*rows)):
-                table[tuple(zip(*(map(int, col) for col in cols)))] = tag
+                pattern = tuple(zip(*(map(int, col) for col in cols)))
+                flip = tag == "full_rows" and not any(map(all, pattern))
+                lines = tuple(zip(*pattern)) if flip else pattern
+                first = min(filter(any, lines), key=sum)
+                order = tuple(sorted(range(len(lines)), key=lambda r: lines[r] != first))
+                support = tuple(c for c, unit in enumerate(first) if unit)
+                table[pattern] = tag, flip, order, support
     return table
 
 
@@ -112,10 +121,10 @@ def classify_pattern(pattern: Sequence[Sequence[int]]) -> str:
     Raises InvariantError for anything else, which a unitary cannot produce
     at delta-exponent k > 1.
     """
-    tag = _shape_table().get(tuple(map(tuple, pattern)))
-    if tag is None:
+    step = _shape_table().get(tuple(map(tuple, pattern)))
+    if step is None:
         raise InvariantError(f"pattern {pattern!r} does not match any reducible shape")
-    return tag
+    return step[0]
 
 
 def phase_offset(row1: Sequence[int], row2: Sequence[int]) -> int:
@@ -255,12 +264,6 @@ def _align(ws: _Workspace, a: int, b: int, support: Sequence[int]) -> None:
     ws.phase(a, phase_offset(*([ws.bits[r][c] for c in support] for r in (a, b))))
 
 
-def _align_and_mix(ws: _Workspace, a: int, b: int, support: Sequence[int]) -> None:
-    """The reduction step: align row a to row b over support, then mix them."""
-    _align(ws, a, b, support)
-    ws.hadamard(a, b)
-
-
 def _reduce_dense4(ws: _Workspace) -> None:
     """The all-units 4x4 shape: mix the first row pair that passes its rule."""
     # each row's unit exponents relative to its column-0 entry
@@ -270,41 +273,28 @@ def _reduce_dense4(ws: _Workspace) -> None:
         # entries: for such rows, orthogonality mod delta^3
         diffs = [(x - y) % 4 for x, y in zip(rel[a], rel[b])]
         if all(d % 2 == 0 for d in diffs) and diffs.count(2) % 2 == 0:
-            _align_and_mix(ws, a, b, (0,))
+            _align(ws, a, b, (0,))
+            ws.hadamard(a, b)
             return
     triple = tuple((x - y) % 4 for x, y in zip(rel[2][1:], rel[0][1:]))
     raise InvariantError(f"unit triple {triple} excluded by unitarity")
 
 
-@functools.cache
-def _lines(tag: str, pattern: tuple[tuple[int, ...], ...]
-           ) -> tuple[bool, tuple[int, ...], tuple[int, ...]]:
-    """The rule, once per pattern: whether to flip, the rows whose unit pattern
-    is the first with the fewest units and then the rest, and its unit columns.
-    The column variant of full_rows (no full row) takes it on the transpose."""
-    flip = tag == "full_rows" and not any(map(all, pattern))
-    if flip:
-        pattern = tuple(zip(*pattern))
-    first = min(filter(any, pattern), key=sum)
-    rows = tuple(sorted(range(len(pattern)), key=lambda r: pattern[r] != first))
-    return flip, rows, tuple(c for c, unit in enumerate(first) if unit)
-
-
-def _reduce(ws: _Workspace, tag: str, pattern: tuple[tuple[int, ...], ...]) -> None:
-    """One case step for the shape: the dense4 rule, or align and mix the
-    rule's two lines; block_and_rows falls back to its two full rows."""
+def _reduce(ws: _Workspace, pattern: tuple[tuple[int, ...], ...]) -> None:
+    """One case step for the pattern's table entry: the dense4 rule, or align
+    and mix its two lines; block_and_rows falls back to its two full rows."""
+    tag, flip, (a, b, *rest), support = _shape_table()[pattern]
     if tag == "dense4":
         _reduce_dense4(ws)
         return
-    flip, (a, b, *rest), support = _lines(tag, pattern)
     if flip:
         ws.flip()
-    if tag == "block_and_rows":
+    _align(ws, a, b, support)
+    if tag == "block_and_rows" and ws.congruence(a, b) == 2:
+        # the light rows keep their defect; align and mix the full rows instead
+        a, b = rest
         _align(ws, a, b, support)
-        if ws.congruence(a, b) == 2:
-            # the light rows keep their defect; mix the full rows instead
-            a, b = rest
-    _align_and_mix(ws, a, b, support)
+    ws.hadamard(a, b)
     if flip:
         ws.flip()
 
@@ -324,9 +314,8 @@ def reduction_round(ws: _Workspace) -> ReductionRound:
         if len(chain) >= MAX_HADAMARDS_PER_ROUND:
             raise InvariantError("Hadamard budget for one round exhausted")
         pattern = tuple(tuple(r & 1 for r in row) for row in ws.bits)
-        tag = classify_pattern(pattern)
-        chain.append(tag)
-        _reduce(ws, tag, pattern)
+        chain.append(classify_pattern(pattern))
+        _reduce(ws, pattern)
     ws.divide_out_delta()
     if ws.k >= k:
         raise InvariantError(f"round ended at exponent {ws.k} >= {k}")

@@ -439,6 +439,46 @@ def test_non_utf8_input_exit_2(capsys, tmp_path, monkeypatch):
     assert_one_line_error(run(capsys, "verify", str(matrix), str(circuit)))
 
 
+BOM = "\ufeff".encode()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_leading_bom_is_ignored(capsys, tmp_path, monkeypatch, newline):
+    """A matrix or circuit that starts with a UTF-8 byte-order mark reads as
+    the same text without it, from a file or from stdin."""
+    _, text, _ = run(capsys, "gen", "--qubits", "2", "--budget", "30", "--seed", "7")
+    text = text.replace("\n", newline)
+    plain, marked = tmp_path / "m.txt", tmp_path / "bom.txt"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(BOM + text.encode())
+    for extra in ([], ["--verify"]):
+        expected = run(capsys, "synth", str(plain), *extra)
+        assert expected[0] == 0
+        assert run(capsys, "synth", str(marked), *extra) == expected
+    monkeypatch.setattr("sys.stdin", io.StringIO(BOM.decode() + text))
+    assert run(capsys, "synth", "-") == run(capsys, "synth", str(plain))
+
+    circuit, marked_circuit = tmp_path / "c.txt", tmp_path / "bom_c.txt"
+    run(capsys, "synth", str(plain), "--out", str(circuit))
+    marked_circuit.write_bytes(BOM + circuit.read_bytes().replace(b"\n", newline.encode()))
+    for pair in ((marked, circuit), (plain, marked_circuit)):
+        code, out, _ = run(capsys, "verify", *map(str, pair))
+        assert code == 0 and "exact match" in out
+
+
+def test_bom_after_the_first_character_exit_2(capsys, tmp_path):
+    """Only one leading byte-order mark is dropped: a second one, or one
+    further in, stays in the text and fails to parse, and a file with a
+    mark that is not UTF-8 is still rejected as such."""
+    matrix = tmp_path / "m.txt"
+    for data in (BOM * 2 + IDENTITY_2.encode(), IDENTITY_2.replace("1 0", "\ufeff1 0").encode(),
+                 BOM + NOT_UTF8):
+        matrix.write_bytes(data)
+        result = run(capsys, "synth", str(matrix))
+        assert_one_line_error(result)
+        assert ("input is not UTF-8 text" in result[2]) == (data == BOM + NOT_UTF8)
+
+
 LIBRARY_CALLS = {"ExactMatrix": ExactMatrix, "ElementaryOp": ElementaryOp, "Gate": Gate,
                  "Circuit": Circuit, "emit": emit, "word_matrix": word_matrix,
                  "draw_circuit": draw_circuit}
@@ -874,3 +914,25 @@ def test_readme_names_every_error_class():
     own = {(name, cls.exit_code) for name, cls in vars(errors).items()
            if isinstance(cls, type) and "exit_code" in vars(cls)}
     assert documented == own
+
+
+def test_readme_names_are_in_the_package():
+    """Every backticked name in README.md with a `_` or a `.`, file names
+    aside, occurs as a whole word in the package: a module-qualified name's
+    last part in that module, any other name in some module."""
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in (root / "src" / "deltasynth").glob("*.py")}
+    names = {name for name in re.findall(r"`(_*[A-Za-z][\w.]*)`", readme)
+             if ("_" in name or "." in name) and not name.endswith((".py", ".md", ".json"))}
+    missing = []
+    for name in sorted(names):
+        module, _, last = name.removeprefix("deltasynth.").rpartition(".")
+        if module in sources:
+            texts, word = [sources[module]], last
+        else:
+            texts, word = sources.values(), name
+        if not any(re.search(rf"\b{re.escape(word)}\b", text) for text in texts):
+            missing.append(name)
+    assert names and missing == []

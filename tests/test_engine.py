@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from deltasynth.engine import (
     MAX_HADAMARDS_PER_ROUND,
     _Workspace,
-    _lines,
     _reduce,
     _shape_table,
     classify_pattern,
@@ -259,7 +258,7 @@ class TestClassifyPattern:
             for pattern, (row_perm, col_perm) in self.first_placements(template).items():
                 lines, across = (col_perm, row_perm) if transposed else (row_perm, col_perm)
                 support = across if tag == "full_rows" else across[:2]
-                flip, got, got_support = _lines(tag, pattern)
+                _, flip, got, got_support = _shape_table()[pattern]
                 assert (flip, got[:2], got_support) == (transposed, lines[:2], support)
                 if tag == "block_and_rows":
                     assert got[2:] == row_perm[2:]
@@ -453,8 +452,8 @@ class TestReductionRound:
         passes that apply no op spend it too."""
         passes = []
 
-        def idle_pass(ws, tag, pattern):
-            passes.append(tag)
+        def idle_pass(ws, pattern):
+            passes.append(_shape_table()[pattern][0])
             assert len(passes) <= 4, "the budget did not stop the round"
 
         monkeypatch.setattr(deltasynth.engine, "_reduce", idle_pass)
@@ -530,9 +529,9 @@ class TestReductionRound:
         def hadamards(ws):
             return sum(op.kind == "H" for op in (*ws.left_ops, *ws.right_ops))
 
-        def counted(ws, tag, pattern):
+        def counted(ws, pattern):
             before = hadamards(ws)
-            reduce(ws, tag, pattern)
+            reduce(ws, pattern)
             passes[-1] += 1
             assert hadamards(ws) == before + 1
 
@@ -738,13 +737,13 @@ class TestFlip:
     def test_every_round_returns_unflipped(self, monkeypatch):
         reduce, cases = deltasynth.engine._reduce, set()
 
-        def recorded(ws, tag, pattern):
+        def recorded(ws, pattern):
             rights = len(ws.right_ops)
-            reduce(ws, tag, pattern)
+            reduce(ws, pattern)
             assert not ws.flipped
             if len(ws.right_ops) > rights:
                 # (tag, transposed): a transposed full_rows has no full row
-                cases.add((tag, not any(all(row) for row in pattern)))
+                cases.add((_shape_table()[pattern][0], not any(all(row) for row in pattern)))
 
         monkeypatch.setattr(deltasynth.engine, "_reduce", recorded)
         for spec in self.INSTANCES:
@@ -902,7 +901,7 @@ BLOCK_AND_ROWS = ((1, 1, 0, 0),
 
 def run_case(m, pattern):
     ws = _Workspace(m)
-    _reduce(ws, classify_pattern(pattern), pattern)
+    _reduce(ws, pattern)
     return ws
 
 
