@@ -1,11 +1,12 @@
 """Lowering elementary-operator words to Clifford+T circuits.
 
-A word over row operations on dimension 1, 2 or 4 becomes a circuit on 1 or
-2 qubits (wire 0 is the most significant basis bit).  Two-level Hadamard and
-swap operations lower to controlled gates, routed through a CNOT change of
-basis when the two levels differ in both bits.  On two qubits H[a,b] then
-H[c,d] on the other two levels is one Clifford with no T (H on a wire, maybe
-between CNOTs), and the phases read between them commute out around it.
+A word over row operations on dimension 1 to 4 becomes a circuit on 1 or 2
+qubits (wire 0 is the most significant basis bit), a 3x3 word with level 4
+idle.  Two-level Hadamard and swap operations lower to controlled gates,
+routed through a CNOT change of basis when the two levels differ in both
+bits.  On two qubits H[a,b] then H[c,d] on the other two levels is one
+Clifford with no T (H on a wire, maybe between CNOTs), and the phases read
+between them commute out around it.
 Phase ops commute, so each maximal run of them lowers as one diagonal, the
 phase polynomial c + a x0 + b x1 + d x0 x1 (mod 8): w^c, phases on wires 0
 and 1, and a controlled S or S^dag for d = 2 or 6, a CZ for d = 4, or for
@@ -49,7 +50,7 @@ from typing import Iterable, Sequence
 from .errors import InvariantError, SynthError, VerificationError
 from .linalg import (ElementaryOp, ExactMatrix, h_op, least, omega_op, row_surgery,
                      word_product)
-from .ring import ZW_ONE, ZW_ZERO, ZOmega
+from .ring import ZW_ONE, ZW_SQRT2, ZW_ZERO, ZOmega
 
 SINGLE_WIRE_GATES = frozenset({"H", "S", "SDG", "T", "TDG", "X"})
 GATE_NAMES = SINGLE_WIRE_GATES | {"CNOT", "W", "ANC_INIT", "ANC_FREE"}
@@ -347,20 +348,21 @@ def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
     a, b read in between become the pending diagonal.  Only the last
     diagonal can be odd, so the ancilla is borrowed exactly when the word's
     phase powers add up to an odd number, that is when det(U) is an odd
-    power of w.  Dimensions 1, 2 and 4 have a qubit layout; a 1x1 word is
-    one idle qubit.
+    power of w.  Dimensions 1 to 4 have a qubit layout: a 1x1 word is one
+    idle qubit, and a 3x3 word runs on two qubits with level 4 idle.
     """
-    if dim not in (1, 2, 4):
+    if dim not in (1, 2, 3, 4):
         raise SynthError(f"no qubit layout for dimension {dim}")
     for op in reversed(word):
         if max(op.j, op.m) > dim:
             raise SynthError(f"operator {op} exceeds dimension {dim}")
     if not _templates_verified:
         verify_templates()
-    qubits = 1 if dim < 4 else 2
+    levels = 4 if dim == 3 else dim
+    qubits = 1 if levels < 4 else 2
     body: list[Gate] = []
     global_power = 0
-    pending = [0] * dim  # powers by level, the w^1 owed included
+    pending = [0] * levels  # powers by level, the w^1 owed included
     phased = False  # a phase op was read since the last non-phase op
 
     def lower_diagonal(powers: Sequence[int]) -> None:
@@ -379,7 +381,7 @@ def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
             phased = True
             continue
         busy = (op.j - 1, op.m - 1)
-        if dim == 4 and op.kind == "H":
+        if levels == 4 and op.kind == "H":
             nxt = i
             while nxt < len(ops) and ops[nxt].kind == "omega":
                 nxt += 1
@@ -394,14 +396,14 @@ def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
                 continue
         if op.kind == "X" and not phased:
             pending[busy[0]], pending[busy[1]] = pending[busy[1]], pending[busy[0]]
-        elif dim == 4 and sum(pending) % 2:
+        elif levels == 4 and sum(pending) % 2:
             owing = min((lv for lv in range(4) if lv not in busy),
                         key=lambda lv: _diagonal_cost(_less_one(pending, lv)))
             lower_diagonal(_less_one(pending, owing))
             pending = [int(lv == owing) for lv in range(4)]
         elif phased:  # with no phase read, an even pending diagonal is zero
             lower_diagonal(pending)
-            pending = [0] * dim
+            pending = [0] * levels
         phased = False
         _push(body, _lowered(op, qubits))
     lower_diagonal(pending)
@@ -410,6 +412,16 @@ def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
     if any(qubits in gate.wires for gate in body):
         body = [Gate("ANC_INIT", (qubits,)), *body, Gate("ANC_FREE", (qubits,))]
     return Circuit(qubits, tuple(body))
+
+
+def circuit_target(m: ExactMatrix) -> ExactMatrix:
+    """The matrix emit's circuit for m's word equals: m itself on 2 or 4
+    levels, a 1x1 (z) as z times the 2x2 identity, a 3x3 U as diag(U, 1)."""
+    if m.dim in (2, 4):
+        return m
+    corner = m.rows[0][0] if m.dim == 1 else ZW_SQRT2 ** m.e
+    rows = [[*row, ZW_ZERO] for row in m.rows] + [[ZW_ZERO] * m.dim + [corner]]
+    return ExactMatrix(rows, m.e)
 
 
 def circuit_to_matrix(circuit: Circuit) -> ExactMatrix:

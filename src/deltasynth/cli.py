@@ -24,6 +24,7 @@ from typing import Sequence
 from .circuits import (
     Circuit,
     Gate,
+    circuit_target,
     circuit_to_matrix,
     emit,
     gate_counts,
@@ -165,15 +166,6 @@ def _load_unitary(path: str) -> ExactMatrix:
     return matrix
 
 
-def _circuit_target(m: ExactMatrix) -> ExactMatrix:
-    """The matrix a circuit for m must equal: m itself, or for a 1x1 m, a
-    global phase on one qubit, m's entry times the 2x2 identity."""
-    if m.dim != 1:
-        return m
-    z = m.rows[0][0]
-    return ExactMatrix([[z, ZW_ZERO], [ZW_ZERO, z]], m.e)
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     matrix = parse_matrix(_read_text(args.input))
     if args.debug:
@@ -196,26 +188,21 @@ def cmd_synth(args: argparse.Namespace) -> int:
             mixing = sum(op.kind == "H" for op in rnd.left_ops + rnd.right_ops)
             print(f"debug: round {i}: k {rnd.k_before} -> {rnd.k_after}"
                   f" via {chain} ({mixing} mixing ops)", file=sys.stderr)
-    if args.elementary or dec.dim == 3:
+    if args.elementary:
         word = " ".join(str(op) for op in dec.word)
         lines.append(f"# word: {word if word else 'I'}")
     if dec.dim == 1:
         lines.append("# note: 1x1 input; circuit is the global phase on one idle qubit")
-    if dec.dim == 3:
-        lines.append("# note: dimension 3 has no circuit form; word only")
-        body = ""
-    else:
-        circuit = emit(dec.word, dec.dim)
-        counts = gate_counts(circuit)
-        lines.append(f"# gates {counts['total']}")
-        lines.append(f"# t-count {counts['t_count']}")
-        lines.append(f"# ancilla {'yes' if counts['uses_ancilla'] else 'no'}")
-        if args.verify and circuit_to_matrix(circuit) != _circuit_target(matrix):
-            raise VerificationError("circuit does not reproduce the input")
-        body = render_circuit(circuit)
+    circuit = emit(dec.word, dec.dim)
+    counts = gate_counts(circuit)
+    lines.append(f"# gates {counts['total']}")
+    lines.append(f"# t-count {counts['t_count']}")
+    lines.append(f"# ancilla {'yes' if counts['uses_ancilla'] else 'no'}")
+    if args.verify and circuit_to_matrix(circuit) != circuit_target(matrix):
+        raise VerificationError("circuit does not reproduce the input")
     if args.verify:
         lines.append("# verified exact")
-    _write_text(args.out, "\n".join(lines) + "\n" + body)
+    _write_text(args.out, "\n".join(lines) + "\n" + render_circuit(circuit))
     return 0
 
 
@@ -269,18 +256,17 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     matrix = _load_unitary(args.matrix)
-    if matrix.dim == 3:
-        raise SynthError("dimension 3 has no circuit form to verify")
     circuit = parse_circuit(_read_text(args.circuit))
-    expected = _circuit_target(matrix)
+    expected = circuit_target(matrix)
     try:
         actual = circuit_to_matrix(circuit)
     except VerificationError as exc:
         print(f"mismatch: {exc}", file=sys.stderr)
         return 1
     if actual.dim != expected.dim:
-        # a 1x1 matrix is checked as a global phase on one qubit
-        needs = " (needs a 1-qubit circuit)" if matrix.dim == 1 else ""
+        # a 1x1 or 3x3 matrix is checked padded, so name the circuit size it needs
+        qubits = expected.dim.bit_length() - 1
+        needs = f" (needs a {qubits}-qubit circuit)" if expected.dim != matrix.dim else ""
         print(f"mismatch: circuit acts on dimension {actual.dim}, "
               f"matrix has dimension {matrix.dim}{needs}", file=sys.stderr)
         return 1

@@ -12,6 +12,7 @@ from deltasynth.circuits import (
     _lowered,
     _lowered_diagonal,
     _push,
+    circuit_target,
     circuit_to_matrix,
     emit,
     gate_counts,
@@ -22,9 +23,9 @@ from deltasynth.circuits import (
 from deltasynth.errors import InvariantError, VerificationError
 from deltasynth.engine import synthesize
 from deltasynth.linalg import ExactMatrix, h_op, omega_op, word_matrix, x_op
-from deltasynth.ring import ZW_OMEGA, ZW_ZERO
+from deltasynth.ring import OMEGA_POWERS, ZW_OMEGA, ZW_SQRT2, ZW_ZERO
 from deltasynth.cli import random_unitary
-from helpers import op_alphabet as alphabet, random_word, raises_synth_error
+from helpers import op_alphabet as alphabet, random_word, random_word_matrix, raises_synth_error
 from test_acceptance import corpus_specs
 
 
@@ -244,10 +245,31 @@ class TestEmit:
         assert circuit_to_matrix(circ) == word_matrix([], 4)
 
     def test_unsupported_dim(self):
-        with raises_synth_error(match="no qubit layout for dimension 3"):
-            emit([], 3)
-        with raises_synth_error(match="no qubit layout for dimension 3"):
-            emit([omega_op(1, 1)], 3)
+        with raises_synth_error(match="no qubit layout for dimension 5"):
+            emit([], 5)
+        with raises_synth_error(match="no qubit layout for dimension 5"):
+            emit([omega_op(1, 1)], 5)
+
+    def test_dim_3_range_is_three_levels(self):
+        """A 3x3 word runs on four levels, but level 4 is not its own."""
+        for op in (x_op(3, 4), omega_op(4, 1)):
+            with raises_synth_error(match="exceeds dimension 3"):
+                emit([op], 3)
+
+    def test_dim_3_runs_as_u_plus_one(self):
+        """A 3x3 U lowers on two qubits to diag(U, 1), level 4 idle, and borrows
+        the ancilla exactly when det U is an odd power of w."""
+        for seed in range(300):
+            u = random_word_matrix(3, 1 + seed % 12, seed)
+            word = synthesize(u).word
+            circ = emit(word, 3)
+            # the word touches levels 1-3 only, so on four levels it is diag(U, 1)
+            assert circuit_target(u) == word_matrix(word, 4)
+            assert circ.data_qubits == 2 and circuit_to_matrix(circ) == circuit_target(u)
+            (a, b, c), (d, e, f), (g, h, i) = u.rows
+            det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+            power = next(p for p in range(8) if det == OMEGA_POWERS[p] * ZW_SQRT2 ** (3 * u.e))
+            assert circ.uses_ancilla == (power % 2 == 1)
 
     def test_op_outside_dim(self):
         with raises_synth_error():

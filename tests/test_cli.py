@@ -17,7 +17,6 @@ from deltasynth.cli import (
     MAX_SQRT2_EXPONENT,
     _stats,
     build_parser,
-    cmd_verify,
     draw_circuit,
     format_entry,
     gate_pool,
@@ -210,20 +209,23 @@ class TestSynth:
         assert code == 3
         assert "not unitary" in err
 
-    def test_dim_3_word_only(self, capsys, tmp_path):
+    def test_dim_3_two_qubit_circuit(self, capsys, tmp_path):
+        """diag(1, i, 1) runs as diag(1, i, 1, 1) on two qubits, level 4 idle."""
         path = tmp_path / "m.txt"
         path.write_text("dim 3\n1 0 0\n0 0,0,1,0/0 0\n0 0 1\n")
-        code, out, _ = run(capsys, "synth", str(path), "--verify")
-        assert code == 0
-        assert "# word: w[2]^2" in out
-        assert "qubits" not in out
+        assert run(capsys, "synth", str(path), "--verify") == (0, (
+            "# dim 3\n# k 0\n# rounds 0\n# word-length 1\n"
+            "# gates 6\n# t-count 3\n# ancilla no\n# verified exact\n"
+            "qubits 2\nS 1\nTDG 0\nTDG 1\nCNOT 0 1\nT 1\nCNOT 0 1\n"), "")
 
     def test_dim_1_global_phase(self, capsys, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("dim 1\n1,0,1,0/1\n")
-        code, out, _ = run(capsys, "synth", str(path), "--verify")
-        assert code == 0
-        assert "W 1" in out
+        assert run(capsys, "synth", str(path), "--verify") == (0, (
+            "# dim 1\n# k 0\n# rounds 0\n# word-length 1\n"
+            "# note: 1x1 input; circuit is the global phase on one idle qubit\n"
+            "# gates 1\n# t-count 0\n# ancilla no\n# verified exact\n"
+            "qubits 1\nW 1\n"), "")
 
     def test_debug_logs_rounds(self, capsys, tmp_path):
         """--debug only logs: the input's numerators and one line per round."""
@@ -382,10 +384,34 @@ class TestVerify:
         matrix.write_text("dim 1\n1,0,1,0/1\n")
         circuit = tmp_path / "c.txt"
         circuit.write_text("qubits 2\nH 0\n")
-        code, _, err = run(capsys, "verify", str(matrix), str(circuit))
-        assert code == 1
-        assert "matrix has dimension 1" in err
-        assert "1-qubit circuit" in err
+        assert run(capsys, "verify", str(matrix), str(circuit)) == (1, "", (
+            "mismatch: circuit acts on dimension 4, matrix has dimension 1"
+            " (needs a 1-qubit circuit)\n"))
+
+    def test_three_by_three_is_checked_as_u_plus_one(self, capsys, tmp_path):
+        """A 3x3 U needs a 2-qubit circuit equal to diag(U, 1): a CZ, diag(I, -1),
+        matches I on levels 1-3 but not on the idle level 4."""
+        matrix = tmp_path / "m.txt"
+        matrix.write_text("dim 3\n1 0 0\n0 1 0\n0 0 1\n")
+        circuit = tmp_path / "c.txt"
+        circuit.write_text("qubits 1\n")
+        assert run(capsys, "verify", str(matrix), str(circuit)) == (1, "", (
+            "mismatch: circuit acts on dimension 2, matrix has dimension 3"
+            " (needs a 2-qubit circuit)\n"))
+        circuit.write_text("qubits 2\nH 1\nCNOT 0 1\nH 1\n")
+        assert run(capsys, "verify", str(matrix), str(circuit)) == (
+            1, "", "mismatch: circuit does not equal the matrix\n")
+        circuit.write_text("qubits 2\n")
+        assert run(capsys, "verify", str(matrix), str(circuit)) == (0, "exact match\n", "")
+
+    @pytest.mark.parametrize("seed", range(4))  # seeds 0 and 1 borrow the ancilla
+    def test_dim_3_synth_output_matches(self, capsys, tmp_path, seed):
+        matrix, circuit = tmp_path / "m.txt", tmp_path / "c.txt"
+        matrix.write_text(render_matrix(random_word_matrix(3, 12, seed)))
+        assert run(capsys, "synth", str(matrix), "--verify", "--out", str(circuit)) == (
+            0, "", "")
+        assert "\nqubits 2\n" in circuit.read_text()
+        assert run(capsys, "verify", str(matrix), str(circuit)) == (0, "exact match\n", "")
 
     def test_leaked_ancilla_fails(self, capsys, tmp_path):
         matrix = tmp_path / "m.txt"
@@ -484,7 +510,7 @@ LIBRARY_CALLS = {"ExactMatrix": ExactMatrix, "ElementaryOp": ElementaryOp, "Gate
                  "draw_circuit": draw_circuit}
 
 
-def _call(kind, payload, tmp_path):
+def _call(kind, payload):
     """Hand one malformed input to the call its kind names.  A library call
     takes a tuple payload as its arguments; an int payload is a dimension,
     of an all-ones grid for ExactMatrix and of the empty word for emit."""
@@ -492,10 +518,6 @@ def _call(kind, payload, tmp_path):
         parse_matrix(payload)
     elif kind == "circuit":
         parse_circuit(payload)
-    elif kind == "verify":
-        path = tmp_path / "m.txt"
-        path.write_text(payload, encoding="utf-8")
-        cmd_verify(argparse.Namespace(matrix=str(path), circuit=str(path)))
     elif kind == "ExactMatrix" and isinstance(payload, int):
         ExactMatrix([[ZW_ONE] * payload] * payload)
     elif kind == "emit" and isinstance(payload, int):
@@ -542,7 +564,7 @@ def _call(kind, payload, tmp_path):
     ("circuit", "qubits 1\nH 1\n", 0, 0, "gate H 1 exceeds 1 wires"),
     ("circuit", "qubits 3\n", 0, 0, "circuits cover 1 or 2 data qubits"),
     ("ExactMatrix", 5, 0, 0, "dimension 5 not supported"),
-    ("emit", 3, 0, 0, "no qubit layout for dimension 3"),
+    ("emit", 5, 0, 0, "no qubit layout for dimension 5"),
     pytest.param("ExactMatrix", ([[ZW_ONE, ZW_ZERO]],), 0, 0, "matrix must be square",
                  id="ExactMatrix-payload29-0-0-matrix must be square"),
     pytest.param("ExactMatrix", ([[ZW_ONE]], -1), 0, 0, "sqrt(2) exponent must be >= 0",
@@ -570,7 +592,6 @@ def _call(kind, payload, tmp_path):
                  id="word_matrix-payload40-0-0-op X[1,3] out of range for dimension 2"),
     pytest.param("draw_circuit", (3, 10, 0), 0, 0, "circuits cover 1 or 2 data qubits",
                  id="draw_circuit-payload41-0-0-circuits cover 1 or 2 data qubits"),
-    ("verify", "dim 3\n1 0 0\n0 1 0\n0 0 1\n", 0, 0, "dimension 3 has no circuit form to verify"),
     pytest.param("ExactMatrix", ([[ZW_ONE]], 1.5), 0, 0, "sqrt(2) exponent must be an int",
                  id="ExactMatrix-payload43-0-0-sqrt(2) exponent must be an int"),
     pytest.param("ExactMatrix", ([[1]],), 0, 0, "matrix entries must be ZOmega numerators",
@@ -578,11 +599,11 @@ def _call(kind, payload, tmp_path):
     pytest.param("ElementaryOp", ("H", 1, 2.5), 0, 0, "indices and power must be ints",
                  id="ElementaryOp-payload45-0-0-indices and power must be ints"),
 ])
-def test_malformed_input_is_a_synth_error(tmp_path, kind, payload, line, column, message):
+def test_malformed_input_is_a_synth_error(kind, payload, line, column, message):
     """Each malformed input raises SynthError itself, the exit-2 class, with
     its location and its whole message."""
     with raises_synth_error() as info:
-        _call(kind, payload, tmp_path)
+        _call(kind, payload)
     exc = info.value
     assert exc.exit_code == 2
     assert (exc.line, exc.column) == (line, column)
