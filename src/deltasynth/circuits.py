@@ -8,20 +8,20 @@ bits.  On two qubits H[a,b] then H[c,d] on the other two levels is one
 Clifford with no T (H on a wire, maybe between CNOTs), and the phases read
 between them commute out around it.
 Phase ops commute, so each maximal run of them lowers as one diagonal, the
-phase polynomial c + a x0 + b x1 + d x0 x1 (mod 8): w^c, phases on wires 0
-and 1, and a controlled S or S^dag for d = 2 or 6, a CZ for d = 4, or for
-odd d the product x0 x1 computed into one borrowed ancilla by a
-relative-phase Toffoli, turned by w^d and uncomputed, so the ancilla returns
-to zero.  d is odd when the run's powers add up to an odd number; such a
-run, unless it is the last, lowers evenly and leaves w^1 owed to a later
-run.  The ancilla is therefore borrowed exactly when det(U) is an odd power
-of w, which no product of two-qubit Clifford+T gates has: their determinants
-are powers of i.  A circuit borrows the ancilla, the wire after the data
-wires, exactly when it holds an ANC_INIT marker; emit brackets its gates
-with ANC_INIT and ANC_FREE when one of them acts on that wire.  The w^c of
-all diagonals add up to one W gate.  Each op and each diagonal is lowered
-once per process, and a gate that meets its inverse on the same wires, past
-gates on other wires only, cancels it.
+phase polynomial c + a x0 + b x1 + d x0 x1 (mod 8): phases on wires 0 and 1,
+and a controlled S or S^dag for d = 2 or 6, a CZ for d = 4, or for odd d the
+product x0 x1 computed into one borrowed ancilla by a relative-phase
+Toffoli, turned by w^d and uncomputed, so the ancilla returns to zero.  d is
+odd when the run's powers add up to an odd number; such a run, unless it is
+the last, lowers evenly and leaves w^1 owed to a later run.  The ancilla is
+therefore borrowed exactly when det(U) is an odd power of w, which no
+product of two-qubit Clifford+T gates has: their determinants are powers of
+i.  emit keeps the global phase and the ancilla as two numbers: the w^c of
+all diagonals add up to one W gate, placed first, and an odd last diagonal
+brackets the circuit with ANC_INIT and ANC_FREE on the ancilla, the wire
+after the data wires.  Each op and each diagonal is lowered once per
+process, and a gate that meets its inverse on the same wires, past gates on
+other wires only, cancels it.
 
 Circuits are simulated exactly on linalg's matrix form, Z[w] numerators N
 over one least power of sqrt(2), the unitary being N / sqrt(2)^e.  X, CNOT,
@@ -71,12 +71,14 @@ class Gate:
     power: int = 0
 
     def __post_init__(self) -> None:
-        if self.name not in GATE_NAMES:
+        if type(self.name) is not str or self.name not in GATE_NAMES:
             raise SynthError(f"unknown gate {self.name!r}")
+        if type(self.wires) is not tuple or not all(type(w) is int for w in self.wires):
+            raise SynthError("wires must be a tuple of ints")
         if self.name == "W":
-            if self.wires or not 1 <= self.power <= 7:
+            if self.wires or type(self.power) is not int or not 1 <= self.power <= 7:
                 raise SynthError("W takes no wires and a power in 1..7")
-        elif self.power:
+        elif type(self.power) is not int or self.power:
             raise SynthError(f"{self.name} takes no power")
         elif self.name == "CNOT":
             if len(self.wires) != 2 or self.wires[0] == self.wires[1]:
@@ -102,8 +104,10 @@ class Circuit:
     uses_ancilla: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.data_qubits not in (1, 2):
+        if type(self.data_qubits) is not int or self.data_qubits not in (1, 2):
             raise SynthError("circuits cover 1 or 2 data qubits")
+        if type(self.gates) is not tuple or not all(isinstance(g, Gate) for g in self.gates):
+            raise SynthError("circuit gates must be a tuple of Gates")
         object.__setattr__(self, "uses_ancilla",
                            any(gate.name == "ANC_INIT" for gate in self.gates))
         bound = self.wire_count
@@ -302,15 +306,14 @@ def _lowered(op: ElementaryOp, qubits: int) -> tuple[Gate, ...]:
 
 @functools.cache
 def _lowered_diagonal(powers: tuple[int, ...]) -> tuple[Gate, ...]:
-    """The gates of diag(w^p for p in powers), powers mod 8: 8 + 64 diagonals
-    on 1 qubit, 4096 on 2; an odd x0 x1 term acts on the ancilla wire."""
-    if len(powers) < 4:
-        c, a, b, d = powers[0], powers[-1] - powers[0], 0, 0
-    else:
-        c, p01, p10, p11 = powers
-        a, b, d = p10 - c, p01 - c, (p11 - p10 - p01 + c) % 8
-    gates: list[Gate] = [Gate("W", (), c)] if c else []
-    _push(gates, _phase_gates(0, a) + _phase_gates(1, b) + _PRODUCT_TERMS.get(d, []))
+    """The wire gates of diag(w^p for p in powers), powers mod 8, without its
+    global phase w^powers[0]: 8 + 64 diagonals on 1 qubit, 4096 on 2.  One and
+    two levels pad to (p, p, p, p) and (p0, p0, p1, p1), so one polynomial
+    serves every layout; an odd x0 x1 term acts on the ancilla wire."""
+    c, p01, p10, p11 = (p for p in powers for _ in range(4 // len(powers)))
+    gates: list[Gate] = []
+    _push(gates, _phase_gates(0, p10 - c) + _phase_gates(1, p01 - c)
+          + _PRODUCT_TERMS.get((p11 - p10 - p01 + c) % 8, []))
     return tuple(gates)
 
 
@@ -319,22 +322,21 @@ def _less_one(powers: Sequence[int], level: int) -> tuple[int, ...]:
     return tuple((p - (i == level)) % 8 for i, p in enumerate(powers))
 
 
-# The count keeps the diagonal's W gate, though emit folds it into the global
-# W: without it, 96 of the 12 288 owing choices change and gates rose on both
-# word sets measured, so W stays in, and with it the circuit digests.
+# The W counts as a gate, though emit adds it to the one global W: without it,
+# 96 of the 12 288 owing choices change and gates rose on both word sets measured.
 @functools.cache
 def _diagonal_cost(powers: tuple[int, ...]) -> tuple[int, int]:
-    """T count, then gate count, of a diagonal's lowering."""
+    """T count, then gate count with the W, of a diagonal's lowering."""
     gates = _lowered_diagonal(powers)
-    return sum(g.name in ("T", "TDG") for g in gates), len(gates)
+    return sum(g.name in ("T", "TDG") for g in gates), len(gates) + (powers[0] != 0)
 
 
 def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
     """Clifford+T circuit whose unitary equals the product of the word.
 
     Gates are listed in application order, so the word's rightmost factor
-    lowers first; each run of phase ops lowers as one diagonal, and the W
-    powers of all diagonals add up to one global phase W, placed first.
+    lowers first; each run of phase ops lowers as one diagonal on the wires,
+    and the diagonals' first powers add up to one global W, placed first.
 
     One pending diagonal holds the phases read since the last non-phase op,
     plus any w^1 owed.  An X read with no phase since then swaps its two
@@ -351,7 +353,7 @@ def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
     power of w.  Dimensions 1 to 4 have a qubit layout: a 1x1 word is one
     idle qubit, and a 3x3 word runs on two qubits with level 4 idle.
     """
-    if dim not in (1, 2, 3, 4):
+    if type(dim) is not int or dim not in (1, 2, 3, 4):
         raise SynthError(f"no qubit layout for dimension {dim}")
     for op in reversed(word):
         if max(op.j, op.m) > dim:
@@ -367,11 +369,8 @@ def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
 
     def lower_diagonal(powers: Sequence[int]) -> None:
         nonlocal global_power
-        gates = _lowered_diagonal(tuple(p % 8 for p in powers))
-        if gates and gates[0].name == "W":
-            global_power += gates[0].power
-            gates = gates[1:]
-        _push(body, gates)
+        global_power += powers[0]
+        _push(body, _lowered_diagonal(tuple(p % 8 for p in powers)))
 
     ops, i = word[::-1], 0
     while i < len(ops):
@@ -401,7 +400,7 @@ def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
                         key=lambda lv: _diagonal_cost(_less_one(pending, lv)))
             lower_diagonal(_less_one(pending, owing))
             pending = [int(lv == owing) for lv in range(4)]
-        elif phased:  # with no phase read, an even pending diagonal is zero
+        else:  # with no phase read, pending is zero and lowers to nothing
             lower_diagonal(pending)
             pending = [0] * levels
         phased = False
@@ -409,7 +408,7 @@ def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
     lower_diagonal(pending)
     if global_power % 8:
         body.insert(0, Gate("W", (), global_power % 8))
-    if any(qubits in gate.wires for gate in body):
+    if levels == 4 and sum(pending) % 2:
         body = [Gate("ANC_INIT", (qubits,)), *body, Gate("ANC_FREE", (qubits,))]
     return Circuit(qubits, tuple(body))
 

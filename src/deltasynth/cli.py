@@ -159,13 +159,6 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _load_unitary(path: str) -> ExactMatrix:
-    matrix = parse_matrix(_read_text(path))
-    if not is_unitary(matrix):
-        raise NotUnitaryError(f"matrix in {path} is not unitary")
-    return matrix
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     matrix = parse_matrix(_read_text(args.input))
     if args.debug:
@@ -255,7 +248,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    matrix = _load_unitary(args.matrix)
+    matrix = parse_matrix(_read_text(args.matrix))
+    if not is_unitary(matrix):
+        raise NotUnitaryError(f"matrix in {args.matrix} is not unitary")
     circuit = parse_circuit(_read_text(args.circuit))
     expected = circuit_target(matrix)
     try:

@@ -47,7 +47,7 @@ class ExactMatrix:
             raise SynthError("matrix must be square")
         if not all([isinstance(z, ZOmega) for row in grid for z in row]):
             raise SynthError("matrix entries must be ZOmega numerators")
-        if not isinstance(e, int):
+        if type(e) is not int:
             raise SynthError("sqrt(2) exponent must be an int")
         if e < 0:
             raise SynthError("sqrt(2) exponent must be >= 0")
@@ -115,8 +115,7 @@ class ElementaryOp:
     power: int = 0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.j, int) and isinstance(self.m, int)
-                and isinstance(self.power, int)):
+        if not type(self.j) is type(self.m) is type(self.power) is int:
             raise SynthError("indices and power must be ints")
         if self.j < 1:
             raise SynthError("indices are 1-based")

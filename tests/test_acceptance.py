@@ -11,9 +11,11 @@ word <= 6.17*k + 7 and gates <= 148.5*k + 182, and no monomial word exceeded
 import ast
 import collections
 import hashlib
+import io
 import math
 import random
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import combinations
 from pathlib import Path
 
@@ -23,13 +25,13 @@ import deltasynth
 import deltasynth.engine
 from deltasynth.circuits import (Circuit, Gate, circuit_to_matrix, emit, gate_counts,
                                  render_circuit, verify_templates)
-from deltasynth.cli import random_unitary
+from deltasynth.cli import main, parse_matrix, random_unitary, render_matrix
 from deltasynth.engine import synthesize, verify_decomposition
 from deltasynth.linalg import (ExactMatrix, delta_exponent, is_unitary, residue_matrix,
                               word_matrix)
 from deltasynth.ring import DOmega, OMEGA_POWERS
 from helpers import (D_ZERO, MONOMIAL_WORD_MAX, enumerate_words, exact, identity, mixing_ops,
-                     random_word, scaled, t_count_bound)
+                     random_word, random_word_matrix, scaled, t_count_bound)
 
 WORD_SLOPE = 8
 WORD_OFFSET = 7
@@ -53,6 +55,9 @@ CIRCUIT_DIGEST = "5f67199f7d57aa06223d81532929343b23efcc12b35531bc3d856df075a960
 # often add up odd: 1091 of their circuits borrow the ancilla, which no corpus
 # circuit does, and an X moves an owed w^1 284 times, against 3 in the corpus.
 RANDOM_WORD_CIRCUIT_DIGEST = "9489b101da28c4605b70da37ca8d77fbc443f99cd8453b065ba93cb18d0bf3f4"
+# sha256 over the argv, exit code, stdout and stderr of each call of
+# test_cli_digest's sweep: any change to what the command line prints shows.
+CLI_DIGEST = "740b666cc65b638d622966a93e3dd83ee85bc81f789d345dd1b7865e6b82f54c"
 
 
 def digest_line(dec) -> str:
@@ -164,6 +169,48 @@ def test_random_word_circuits_digest():
     assert borrowed == 1091
     print(f"emitted circuits of 3000 random words match the pinned digest,"
           f" {borrowed} borrow the ancilla")
+
+
+def test_cli_digest(tmp_path, monkeypatch):
+    """gen, then synth plain, --verify, --elementary and --debug and verify
+    with its own circuit and with one extra X, on dimensions 1 to 4 and on
+    each with its first row times w (odd det, so dimensions 3 and 4 borrow
+    the ancilla), on a malformed and on a non-unitary file; a circuit of the
+    wrong size; and a small bench on each qubit count."""
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+
+    def call(*argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(list(argv))
+        digest.update(f"{' '.join(argv)}\n{code}\n{out.getvalue()}\n{err.getvalue()}\n".encode())
+        return out.getvalue()
+
+    files = {"d1": render_matrix(ExactMatrix([[OMEGA_POWERS[2]]])),
+             "d2": call("gen", "--qubits", "1", "--budget", "12", "--seed", "3"),
+             "d3": render_matrix(random_word_matrix(3, 10, 4)),
+             "d4": call("gen", "--qubits", "2", "--budget", "16", "--seed", "5")}
+    for name, text in list(files.items()):
+        m = parse_matrix(text)
+        files[name + "odd"] = render_matrix(
+            ExactMatrix([[z.mul_omega_power(1) for z in m.rows[0]], *m.rows[1:]], m.e))
+    files |= {"bad": "dim 2\n1 0\n", "nonunitary": "dim 2\n1 1\n0 1\n"}
+    for name, text in files.items():
+        Path(name).write_text(text)
+        for flags in ((), ("--verify",), ("--elementary",), ("--debug",)):
+            call("synth", name, *flags)
+        Path(name + ".c").write_text(call("synth", name))
+        call("verify", name, name + ".c")
+        Path("wrong.c").write_text(call("synth", name) + "X 0\n")
+        call("verify", name, "wrong.c")
+    call("verify", "d3", "d2.c")
+    call("verify", "d2", "d4.c")
+    call("bench", "--qubits", "1", "--budgets", "4,8", "--trials", "2", "--seed", "1")
+    call("bench", "--qubits", "2", "--budgets", "6", "--trials", "2", "--seed", "2")
+    assert digest.hexdigest() == CLI_DIGEST
+    print(f"{len(files)} input files through synth, verify, gen and bench match the"
+          f" pinned digest")
 
 
 def test_channel_bound_known_values():

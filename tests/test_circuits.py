@@ -1,5 +1,6 @@
+import hashlib
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,8 @@ from deltasynth.circuits import (
     _INVERSE,
     Circuit,
     Gate,
+    _diagonal_cost,
+    _less_one,
     _lowered,
     _lowered_diagonal,
     _push,
@@ -27,6 +30,11 @@ from deltasynth.ring import OMEGA_POWERS, ZW_OMEGA, ZW_SQRT2, ZW_ZERO
 from deltasynth.cli import random_unitary
 from helpers import op_alphabet as alphabet, random_word, random_word_matrix, raises_synth_error
 from test_acceptance import corpus_specs
+
+# sha256 over every diagonal's lowering, as its global power of w and its wire
+# gates, then over the level each odd two-qubit diagonal owes w^1 on, for each
+# pair of levels an op can use: any change to a lowering or an owing choice shows.
+LOWERING_DIGEST = "c0bddbfd8f5a0651e10364a574d6c83f20bb1024f4ef9bf3dce3b8a29f6d2600"
 
 
 class TestGate:
@@ -120,6 +128,20 @@ class TestLowering:
         for op in alphabet(2):
             assert not emit([op], 2).uses_ancilla
 
+    def test_every_lowering_digest(self):
+        digest = hashlib.sha256()
+        for n in (1, 2, 4):
+            for powers in product(range(8), repeat=n):
+                wires = " ".join(map(str, _lowered_diagonal(powers)))
+                digest.update(f"{powers} W {powers[0] % 8}: {wires}\n".encode())
+        for powers in product(range(8), repeat=4):
+            if sum(powers) % 2:
+                for busy in combinations(range(4), 2):
+                    owing = min((lv for lv in range(4) if lv not in busy),
+                                key=lambda lv: _diagonal_cost(_less_one(powers, lv)))
+                    digest.update(f"{powers} {busy} owes on {owing}\n".encode())
+        assert digest.hexdigest() == LOWERING_DIGEST
+
     def test_cached_lowering_matches_uncached(self):
         rng = random.Random(5)
         for dim in (2, 4):
@@ -136,6 +158,8 @@ class TestLowering:
                 for op in run:
                     powers[op.j - 1] += op.power
                 gates = _lowered_diagonal(tuple(p % 8 for p in powers))
+                if powers[0] % 8:
+                    gates = (Gate("W", (), powers[0] % 8), *gates)
                 # the x0 x1 term is odd exactly when the powers add up odd
                 used = dim == 4 and sum(powers) % 2 == 1
                 if used:
@@ -143,9 +167,10 @@ class TestLowering:
                 circ = emit(run, dim)
                 assert circ.gates == gates
                 assert circ.uses_ancilla == used
-        # dimensions 2 and 4 have 2 and 12 two-level ops, 64 and 4096 diagonals
+        # dimensions 2 and 4 have 2 and 12 two-level ops; dimensions 1, 2 and 4
+        # have 8, 64 and 4096 diagonals
         assert _lowered.cache_info().currsize <= 2 + 12
-        assert _lowered_diagonal.cache_info().currsize <= 64 + 4096
+        assert _lowered_diagonal.cache_info().currsize <= 8 + 64 + 4096
 
 
 def inverse_pairs(circuit):

@@ -598,6 +598,30 @@ def _call(kind, payload):
                  id="ExactMatrix-payload44-0-0-matrix entries must be ZOmega numerators"),
     pytest.param("ElementaryOp", ("H", 1, 2.5), 0, 0, "indices and power must be ints",
                  id="ElementaryOp-payload45-0-0-indices and power must be ints"),
+    pytest.param("Gate", ("H", (0.5,)), 0, 0, "wires must be a tuple of ints",
+                 id="Gate-payload46-0-0-wires must be a tuple of ints"),
+    pytest.param("Gate", ("H", ("0",)), 0, 0, "wires must be a tuple of ints",
+                 id="Gate-payload47-0-0-wires must be a tuple of ints"),
+    pytest.param("Gate", ("H", 0), 0, 0, "wires must be a tuple of ints",
+                 id="Gate-payload48-0-0-wires must be a tuple of ints"),
+    pytest.param("Gate", ("W", (), True), 0, 0, "W takes no wires and a power in 1..7",
+                 id="Gate-payload49-0-0-W takes no wires and a power in 1..7"),
+    pytest.param("Gate", ("H", (0,), False), 0, 0, "H takes no power",
+                 id="Gate-payload50-0-0-H takes no power"),
+    pytest.param("Gate", (["H"], (0,)), 0, 0, "unknown gate ['H']",
+                 id="Gate-payload51-0-0-unknown gate ['H']"),
+    pytest.param("Circuit", (1, ("H 0",)), 0, 0, "circuit gates must be a tuple of Gates",
+                 id="Circuit-payload52-0-0-circuit gates must be a tuple of Gates"),
+    pytest.param("Circuit", (True, ()), 0, 0, "circuits cover 1 or 2 data qubits",
+                 id="Circuit-payload53-0-0-circuits cover 1 or 2 data qubits"),
+    pytest.param("ElementaryOp", ("omega", True, 0, 1), 0, 0, "indices and power must be ints",
+                 id="ElementaryOp-payload54-0-0-indices and power must be ints"),
+    pytest.param("ExactMatrix", ([[ZW_ONE]], True), 0, 0, "sqrt(2) exponent must be an int",
+                 id="ExactMatrix-payload55-0-0-sqrt(2) exponent must be an int"),
+    pytest.param("emit", ([], True), 0, 0, "no qubit layout for dimension True",
+                 id="emit-payload56-0-0-no qubit layout for dimension True"),
+    pytest.param("emit", ([], 2.0), 0, 0, "no qubit layout for dimension 2.0",
+                 id="emit-payload57-0-0-no qubit layout for dimension 2.0"),
 ])
 def test_malformed_input_is_a_synth_error(kind, payload, line, column, message):
     """Each malformed input raises SynthError itself, the exit-2 class, with
