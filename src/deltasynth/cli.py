@@ -146,10 +146,15 @@ def render_matrix(m: ExactMatrix, comments: Sequence[str] = ()) -> str:
 
 
 def _read_text(path: str) -> str:
-    """The text of path, or of stdin for "-", without one leading byte-order mark."""
-    if path == "-":
-        return sys.stdin.read().removeprefix("\ufeff")
-    return Path(path).read_text(encoding="utf-8-sig")
+    """The bytes of path, or of stdin for "-", decoded as UTF-8 whatever the
+    locale, without one leading byte-order mark."""
+    if path == "-" and sys.stdin is None:
+        raise SynthError("standard input is closed")
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise SynthError(f"input is not UTF-8 text: {exc}") from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -297,35 +302,24 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _budget_list(text: str) -> list[int]:
+def _integer(text: str, least: int | None = None) -> int:
+    """A plain integer option; with `least` (0 or 1), a smaller value is
+    refused as negative or as zero."""
     try:
-        budgets = [plain_int(part) for part in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad budget list {text!r}") from None
-    if not budgets or any(b < 0 for b in budgets):
-        raise argparse.ArgumentTypeError(f"bad budget list {text!r}")
-    return budgets
-
-
-def _integer(text: str) -> int:
-    try:
-        return plain_int(text)
+        value = plain_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad integer {text!r}") from None
-
-
-def _nonneg(text: str) -> int:
-    value = _integer(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
+    if least is not None and value < least:
+        raise argparse.ArgumentTypeError("must be non-negative" if value < 0
+                                         else "must be positive")
     return value
 
 
-def _positive(text: str) -> int:
-    value = _nonneg(text)
-    if value == 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return value
+def _budget_list(text: str) -> list[int]:
+    try:
+        return [_integer(part, 0) for part in text.split(",")]
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(f"bad budget list {text!r}") from None
 
 
 @functools.cache
@@ -348,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a random unitary matrix file")
     gen.add_argument("--qubits", type=_integer, choices=(1, 2), required=True)
-    gen.add_argument("--budget", type=_nonneg, required=True,
+    gen.add_argument("--budget", type=functools.partial(_integer, least=0), required=True,
                      help="number of gates in the generating word")
     gen.add_argument("--seed", type=_integer, required=True)
     gen.add_argument("--out", help="write the matrix here instead of stdout")
@@ -358,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--qubits", type=_integer, choices=(1, 2), default=2)
     bench.add_argument("--budgets", type=_budget_list, default=[10, 20, 40],
                        help="comma-separated gate budgets")
-    bench.add_argument("--trials", type=_positive, default=10)
+    bench.add_argument("--trials", type=functools.partial(_integer, least=1), default=10)
     bench.add_argument("--seed", type=_integer, required=True)
     bench.set_defaults(func=cmd_bench)
 
@@ -374,9 +368,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SynthError, OSError, UnicodeDecodeError) as exc:
-        what = "input is not UTF-8 text: " if isinstance(exc, UnicodeDecodeError) else ""
-        print(f"error: {what}{exc}", file=sys.stderr)
+    except (SynthError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, SynthError) else 2
 
 

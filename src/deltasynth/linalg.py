@@ -39,7 +39,10 @@ class ExactMatrix:
     __slots__ = ("rows", "e")
 
     def __init__(self, rows: Iterable[Iterable[ZOmega]], e: int = 0) -> None:
-        grid = [list(row) for row in rows]
+        try:
+            grid = [list(row) for row in rows]
+        except TypeError:
+            raise SynthError("matrix rows must be iterable") from None
         dim = len(grid)
         if not 1 <= dim <= MAX_DIM:
             raise SynthError(f"dimension {dim} not supported")
@@ -269,6 +272,8 @@ def apply_elementary(op: ElementaryOp, rows: Sequence[Sequence[ZOmega]],
 
 def word_product(word: Sequence[ElementaryOp], dim: int) -> tuple[list, int]:
     """(N, e) of the word's product as written, left factor first."""
+    if type(dim) is not int:
+        raise SynthError(f"dimension {dim} not supported")
     rows = [[ZW_ONE if i == j else ZW_ZERO for j in range(dim)] for i in range(dim)]
     e = 0
     for op in reversed(word):

@@ -9,6 +9,7 @@ T-count lower bound is computed exactly from the channel representation.
 """
 
 import contextlib
+import io
 import random
 from typing import Sequence
 
@@ -41,6 +42,12 @@ def raises_synth_error(match=None):
     with pytest.raises(SynthError, match=match) as info:
         yield info
     assert type(info.value) is SynthError
+
+
+def stdin_bytes(data: bytes) -> io.TextIOWrapper:
+    """A stand-in for sys.stdin that a shell feeds data: a text layer with
+    the byte buffer beneath it that the CLI reads."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
 
 def mixing_ops(rnd) -> int:

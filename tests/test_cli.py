@@ -31,10 +31,11 @@ from deltasynth.engine import synthesize, verify_decomposition
 from deltasynth import errors
 from deltasynth.errors import NotUnitaryError
 from deltasynth import linalg
-from deltasynth.linalg import ElementaryOp, ExactMatrix, is_unitary, word_matrix, x_op
+from deltasynth.linalg import (ElementaryOp, ExactMatrix, is_unitary, omega_op, word_matrix,
+                               word_product, x_op)
 from deltasynth.ring import (OMEGA_POWERS, ZW_DELTA, ZW_ONE, ZW_SQRT2, ZW_ZERO, ZOmega,
                              from_sqrt2_form)
-from helpers import domega, identity, random_word_matrix, raises_synth_error
+from helpers import domega, identity, random_word_matrix, raises_synth_error, stdin_bytes
 
 IDENTITY_2 = "dim 2\n1 0\n0 1\n"
 H_FILE = "dim 2\n1,0,0,0/1 1,0,0,0/1\n1,0,0,0/1 -1,0,0,0/1\n"
@@ -177,7 +178,7 @@ class TestSynth:
         assert out.rstrip().splitlines()[-1] == "H 0"
 
     def test_reads_stdin(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", __import__("io").StringIO(H_FILE))
+        monkeypatch.setattr("sys.stdin", stdin_bytes(H_FILE.encode()))
         code, out, _ = run(capsys, "synth", "-")
         assert code == 0
         assert "H 0" in out
@@ -455,8 +456,7 @@ def test_non_utf8_input_exit_2(capsys, tmp_path, monkeypatch):
     matrix.write_bytes(NOT_UTF8)
     assert_one_line_error(run(capsys, "synth", str(matrix)))
 
-    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8),
-                                                      encoding="utf-8"))
+    monkeypatch.setattr("sys.stdin", stdin_bytes(NOT_UTF8))
     assert_one_line_error(run(capsys, "synth", "-"))
 
     matrix.write_text(IDENTITY_2)
@@ -481,7 +481,7 @@ def test_leading_bom_is_ignored(capsys, tmp_path, monkeypatch, newline):
         expected = run(capsys, "synth", str(plain), *extra)
         assert expected[0] == 0
         assert run(capsys, "synth", str(marked), *extra) == expected
-    monkeypatch.setattr("sys.stdin", io.StringIO(BOM.decode() + text))
+    monkeypatch.setattr("sys.stdin", stdin_bytes(BOM + text.encode()))
     assert run(capsys, "synth", "-") == run(capsys, "synth", str(plain))
 
     circuit, marked_circuit = tmp_path / "c.txt", tmp_path / "bom_c.txt"
@@ -507,7 +507,7 @@ def test_bom_after_the_first_character_exit_2(capsys, tmp_path):
 
 LIBRARY_CALLS = {"ExactMatrix": ExactMatrix, "ElementaryOp": ElementaryOp, "Gate": Gate,
                  "Circuit": Circuit, "emit": emit, "word_matrix": word_matrix,
-                 "draw_circuit": draw_circuit}
+                 "word_product": word_product, "draw_circuit": draw_circuit}
 
 
 def _call(kind, payload):
@@ -622,6 +622,16 @@ def _call(kind, payload):
                  id="emit-payload56-0-0-no qubit layout for dimension True"),
     pytest.param("emit", ([], 2.0), 0, 0, "no qubit layout for dimension 2.0",
                  id="emit-payload57-0-0-no qubit layout for dimension 2.0"),
+    pytest.param("ExactMatrix", (5,), 0, 0, "matrix rows must be iterable",
+                 id="ExactMatrix-payload58-0-0-matrix rows must be iterable"),
+    pytest.param("ExactMatrix", ([5],), 0, 0, "matrix rows must be iterable",
+                 id="ExactMatrix-payload59-0-0-matrix rows must be iterable"),
+    pytest.param("word_matrix", ([omega_op(1, 2)], True), 0, 0, "dimension True not supported",
+                 id="word_matrix-payload60-0-0-dimension True not supported"),
+    pytest.param("word_matrix", ([], 2.0), 0, 0, "dimension 2.0 not supported",
+                 id="word_matrix-payload61-0-0-dimension 2.0 not supported"),
+    pytest.param("word_product", ([], True), 0, 0, "dimension True not supported",
+                 id="word_product-payload62-0-0-dimension True not supported"),
 ])
 def test_malformed_input_is_a_synth_error(kind, payload, line, column, message):
     """Each malformed input raises SynthError itself, the exit-2 class, with
@@ -692,10 +702,16 @@ def test_options_take_only_plain_integers(capsys, command, option, value):
     assert f"argument {option}:" in capsys.readouterr().err
 
 
+# each out-of-range value and the whole message the parser gives for it
+OUT_OF_RANGE = {"-1": "must be non-negative", "0": "must be positive",
+                "5,-1": "bad budget list '5,-1'"}
+
+
 @pytest.mark.parametrize("command, option, value", [
     ("gen", "--budget", "-1"),
     ("bench", "--budgets", "5,-1"),
     ("bench", "--trials", "0"),
+    ("bench", "--trials", "-1"),
 ])
 def test_options_out_of_range(capsys, command, option, value):
     """Budgets and trial counts are range-checked by the parser alone."""
@@ -703,7 +719,7 @@ def test_options_out_of_range(capsys, command, option, value):
     with pytest.raises(SystemExit) as exc:
         main([command, *(part for item in options.items() for part in item)])
     assert exc.value.code == 2
-    assert f"argument {option}:" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(f"argument {option}: {OUT_OF_RANGE[value]}\n")
 
 
 @pytest.mark.parametrize("command, option, value", [
@@ -908,10 +924,10 @@ class TestProcess:
 
     SRC = Path(__file__).resolve().parent.parent / "src"
 
-    def run_module(self, *argv):
-        env = {**os.environ, "PYTHONPATH": str(self.SRC)}
+    def run_module(self, *argv, env=None, **kwargs):
+        env = {**os.environ, "PYTHONPATH": str(self.SRC), **(env or {})}
         return subprocess.run([sys.executable, "-m", "deltasynth", *argv],
-                              capture_output=True, text=True, env=env, timeout=120)
+                              capture_output=True, text=True, env=env, timeout=120, **kwargs)
 
     def test_gen_matches_in_process(self, capsys):
         argv = ("gen", "--qubits", "1", "--budget", "3", "--seed", "1")
@@ -935,6 +951,29 @@ class TestProcess:
         lines = result.stderr.splitlines()
         assert len(lines) == n_lines and lines[-1].startswith(error)
         assert sum("error:" in line for line in lines) == 1
+
+    # PYTHONUTF8=1 gives stdin's text layer surrogateescape on any host, so
+    # bytes that are not UTF-8 are refused on stdin only if the bytes beneath
+    # that layer are read and decoded as a file's are
+    @pytest.mark.parametrize("data", [b"# caf\xe9\ndim 1\n1\n", b"dim 1\n1,0,0,0/\xe9\n"],
+                             ids=["comment", "entry"])
+    def test_non_utf8_stdin_exits_as_a_file_does(self, tmp_path, data):
+        matrix = tmp_path / "m.txt"
+        matrix.write_bytes(data)
+        utf8_mode = {"PYTHONUTF8": "1"}
+        from_file = self.run_module("synth", str(matrix), env=utf8_mode)
+        with matrix.open("rb") as stdin:
+            from_stdin = self.run_module("synth", "-", env=utf8_mode, stdin=stdin)
+        assert from_file.returncode == from_stdin.returncode == 2
+        assert from_stdin.stderr == from_file.stderr
+        assert from_stdin.stderr.startswith("error: input is not UTF-8 text: ")
+        assert from_stdin.stderr.count("\n") == 1
+
+    def test_closed_stdin_exits_2(self):
+        """`deltasynth synth - <&-`: the interpreter starts with no stdin."""
+        result = self.run_module("synth", "-", preexec_fn=lambda: os.close(0))
+        assert (result.returncode, result.stdout, result.stderr) == (
+            2, "", "error: standard input is closed\n")
 
 
 def test_readme_names_every_command():
