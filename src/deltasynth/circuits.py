@@ -452,12 +452,15 @@ def render_circuit(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def plain_int(text: str) -> int:
-    """int(text) for ASCII digits with an optional sign; int() alone also
-    reads "_" separators and every Unicode decimal digit."""
+def plain_int(text: str) -> int | None:
+    """int(text) for ASCII digits with an optional sign, else None; int()
+    alone also reads "_" separators and every Unicode decimal digit."""
     if not text.isascii() or "_" in text:
-        raise ValueError(f"not a plain integer: {text!r}")
-    return int(text)
+        return None
+    try:
+        return int(text)
+    except ValueError:  # not digits, or past int()'s digit limit
+        return None
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -477,20 +480,18 @@ def parse_circuit(text: str) -> Circuit:
         if parts[0] == "qubits":
             if qubits is not None:
                 raise SynthError("duplicate qubits header", lineno)
-            if (len(parts) != 2 or not parts[1].isascii()
-                    or not parts[1].isdecimal() or len(parts[1]) > 9):
+            qubits = plain_int(parts[1]) if len(parts) == 2 else None
+            if qubits not in (1, 2):
                 raise SynthError("expected: qubits <1|2>", lineno)
-            qubits = int(parts[1])
             continue
         if qubits is None:
             raise SynthError("missing qubits header", lineno)
         name = parts[0]
         if name not in GATE_NAMES:
             raise SynthError(f"unknown gate {name!r}", lineno)
-        try:
-            args = [plain_int(p) for p in parts[1:]]
-        except ValueError:
-            raise SynthError(f"bad arguments for {name}", lineno) from None
+        args = [plain_int(p) for p in parts[1:]]
+        if None in args:
+            raise SynthError(f"bad arguments for {name}", lineno)
         if name == "W" and len(args) != 1:
             raise SynthError("W takes one power argument", lineno)
         try:

@@ -66,14 +66,10 @@ def _parse_entry(token: str, line: int, column: int) -> tuple[ZOmega, int]:
         raise SynthError(
             f"entry numbers must have at most {MAX_COEFFICIENT_DIGITS} digits,"
             f" got {token[:40]!r}", line, column)
-    try:
-        if not token.isascii() or "_" in token:  # plain_int, once per token
-            raise ValueError
-        a, b, c, d = (int(p) for p in parts)
-        m = int(tail) if slash else 0
-    except ValueError:
-        raise SynthError(
-            f"entry must use integers, got {token[:40]!r}", line, column) from None
+    numbers = [plain_int(p) for p in (*parts, tail if slash else "0")]
+    if None in numbers:
+        raise SynthError(f"entry must use integers, got {token[:40]!r}", line, column)
+    a, b, c, d, m = numbers
     if m < 0:
         raise SynthError(
             f"denominator exponent must be >= 0, got {token[:40]!r}", line, column)
@@ -99,12 +95,10 @@ def parse_matrix(text: str) -> ExactMatrix:
             if first.group() != "dim" or second is None or next(tokens, None):
                 raise SynthError(
                     "expected header 'dim n'", lineno, first.start() + 1)
-            try:
-                dim = plain_int(second.group())
-            except ValueError:
+            dim = plain_int(second.group())
+            if dim is None:
                 raise SynthError(
-                    f"bad dimension {second.group()!r}",
-                    lineno, second.start() + 1) from None
+                    f"bad dimension {second.group()!r}", lineno, second.start() + 1)
             if not 1 <= dim <= MAX_DIM:
                 raise SynthError(
                     f"dimension must be 1..{MAX_DIM}, got {dim}",
@@ -305,10 +299,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def _integer(text: str, least: int | None = None) -> int:
     """A plain integer option; with `least` (0 or 1), a smaller value is
     refused as negative or as zero."""
-    try:
-        value = plain_int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer {text!r}") from None
+    value = plain_int(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"bad integer {text!r}")
     if least is not None and value < least:
         raise argparse.ArgumentTypeError("must be non-negative" if value < 0
                                          else "must be positive")

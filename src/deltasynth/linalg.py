@@ -272,7 +272,7 @@ def apply_elementary(op: ElementaryOp, rows: Sequence[Sequence[ZOmega]],
 
 def word_product(word: Sequence[ElementaryOp], dim: int) -> tuple[list, int]:
     """(N, e) of the word's product as written, left factor first."""
-    if type(dim) is not int:
+    if type(dim) is not int or dim < 1:
         raise SynthError(f"dimension {dim} not supported")
     rows = [[ZW_ONE if i == j else ZW_ZERO for j in range(dim)] for i in range(dim)]
     e = 0

@@ -436,6 +436,11 @@ class TestTextFormat:
         circ = parse_circuit("# leading note\n\nqubits 1\nH 0  # inline\n\nW 3\n")
         assert circ == Circuit(1, (Gate("H", (0,)), Gate("W", (), 3)))
 
+    @pytest.mark.parametrize("header", ["qubits 01", "qubits +1"])
+    def test_signed_and_zero_padded_numbers(self, header):
+        circ = parse_circuit(f"{header}\nH +0\nW +3\n")
+        assert circ == Circuit(1, (Gate("H", (0,)), Gate("W", (), 3)))
+
     def test_missing_header(self):
         with raises_synth_error():
             parse_circuit("H 0\n")

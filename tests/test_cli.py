@@ -102,6 +102,10 @@ class TestParseMatrix:
         text = "# heading\n\ndim 2\n1 0  # trailing\n\n0 1\n"
         assert parse_matrix(text) == identity(2)
 
+    def test_signed_and_zero_padded_numbers(self):
+        assert parse_matrix("dim +1\n+1,-0,+0,0/0\n") == identity(1)
+        assert parse_matrix("dim 01\n1,0,0,0/00\n") == identity(1)
+
     def test_exponent_defaults_to_zero(self):
         m = parse_matrix("dim 1\n1,0,0,0\n")
         assert m == identity(1)
@@ -534,10 +538,15 @@ def _call(kind, payload):
     ("matrix", "dim 2 2\n", 1, 1, "line 1, column 1: expected header 'dim n'"),
     ("matrix", "dim two\n", 1, 5, "line 1, column 5: bad dimension 'two'"),
     ("matrix", "dim 5\n", 1, 5, "line 1, column 5: dimension must be 1..4, got 5"),
+    pytest.param("matrix", "dim " + "2" * 5000 + "\n", 1, 5,
+                 "line 1, column 5: bad dimension '" + "2" * 5000 + "'",
+                 id="matrix-dim of 5000 digits"),
     ("matrix", "dim 2\n1 1,2,3,4,5/0\n0 1\n", 2, 3,
      "line 2, column 3: entry must be a,b,c,d/m or 0 or 1, got '1,2,3,4,5/0'"),
     ("matrix", "dim 2\n1 0\n0 1,0,0,x\n", 3, 3,
      "line 3, column 3: entry must use integers, got '1,0,0,x'"),
+    ("matrix", "dim 1\n1,0,0,0/\n", 2, 1,
+     "line 2, column 1: entry must use integers, got '1,0,0,0/'"),
     ("matrix", "dim 2\n1 0\n0 1,0,0,0/-1\n", 3, 3,
      "line 3, column 3: denominator exponent must be >= 0, got '1,0,0,0/-1'"),
     ("matrix", "dim 1\n  1,0,0,0/4097\n", 2, 3,
@@ -558,11 +567,14 @@ def _call(kind, payload):
     ("circuit", "# nothing\n", 0, 0, "missing qubits header"),
     ("circuit", "qubits 1\nRZ 0\n", 2, 0, "line 2: unknown gate 'RZ'"),
     ("circuit", "qubits 1\nH zero\n", 2, 0, "line 2: bad arguments for H"),
+    pytest.param("circuit", "qubits 1\nH " + "1" * 5000 + "\n", 2, 0,
+                 "line 2: bad arguments for H", id="circuit-H of 5000 digits"),
     ("circuit", "qubits 2\nCNOT 0 0\n", 2, 0, "line 2: CNOT takes two distinct wires"),
     ("circuit", "qubits 1\nW 1 2\n", 2, 0, "line 2: W takes one power argument"),
     ("circuit", "qubits 1\nW 0\n", 2, 0, "line 2: W takes no wires and a power in 1..7"),
     ("circuit", "qubits 1\nH 1\n", 0, 0, "gate H 1 exceeds 1 wires"),
-    ("circuit", "qubits 3\n", 0, 0, "circuits cover 1 or 2 data qubits"),
+    ("circuit", "qubits 3\n", 1, 0, "line 1: expected: qubits <1|2>"),
+    ("circuit", "qubits 0\n", 1, 0, "line 1: expected: qubits <1|2>"),
     ("ExactMatrix", 5, 0, 0, "dimension 5 not supported"),
     ("emit", 5, 0, 0, "no qubit layout for dimension 5"),
     pytest.param("ExactMatrix", ([[ZW_ONE, ZW_ZERO]],), 0, 0, "matrix must be square",
@@ -632,6 +644,12 @@ def _call(kind, payload):
                  id="word_matrix-payload61-0-0-dimension 2.0 not supported"),
     pytest.param("word_product", ([], True), 0, 0, "dimension True not supported",
                  id="word_product-payload62-0-0-dimension True not supported"),
+    pytest.param("word_product", ([], -3), 0, 0, "dimension -3 not supported",
+                 id="word_product-payload66-0-0-dimension -3 not supported"),
+    pytest.param("word_product", ([], 0), 0, 0, "dimension 0 not supported",
+                 id="word_product-payload67-0-0-dimension 0 not supported"),
+    pytest.param("word_matrix", ([], -1), 0, 0, "dimension -1 not supported",
+                 id="word_matrix-payload68-0-0-dimension -1 not supported"),
 ])
 def test_malformed_input_is_a_synth_error(kind, payload, line, column, message):
     """Each malformed input raises SynthError itself, the exit-2 class, with
