@@ -94,6 +94,19 @@ class Gate:
         return " ".join([self.name, *map(str, self.wires)])
 
 
+def _wire_fault(gates: Iterable[Gate], data_qubits: int,
+                ancilla: bool) -> tuple[Gate, str] | None:
+    """The first of gates that does not fit on data_qubits wires, plus the
+    ancilla wire after them when ancilla is set, and why; None when all fit."""
+    bound = data_qubits + ancilla
+    for gate in gates:
+        if gate.wires and max(gate.wires) >= bound:
+            return gate, f"gate {gate} exceeds {bound} wires"
+        if gate.name in ("ANC_INIT", "ANC_FREE") and gate.wires != (data_qubits,):
+            return gate, "ancilla markers must name the ancilla wire"
+    return None
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Gates on data_qubits wires, plus the ancilla wire after them when an
@@ -110,13 +123,8 @@ class Circuit:
             raise SynthError("circuit gates must be a tuple of Gates")
         object.__setattr__(self, "uses_ancilla",
                            any(gate.name == "ANC_INIT" for gate in self.gates))
-        bound = self.wire_count
-        for gate in self.gates:
-            wires = gate.wires
-            if wires and max(wires) >= bound:
-                raise SynthError(f"gate {gate} exceeds {bound} wires")
-            if gate.name in ("ANC_INIT", "ANC_FREE") and wires != (self.data_qubits,):
-                raise SynthError("ancilla markers must name the ancilla wire")
+        if fault := _wire_fault(self.gates, self.data_qubits, self.uses_ancilla):
+            raise SynthError(fault[1])
 
     @property
     def wire_count(self) -> int:
@@ -469,6 +477,7 @@ def parse_circuit(text: str) -> Circuit:
     gates: list[Gate] = []
     # a line that parsed once stands for the same gate wherever it repeats
     parsed: dict[str, Gate] = {}
+    first_line: dict[Gate, int] = {}  # each distinct gate's first line
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -487,8 +496,6 @@ def parse_circuit(text: str) -> Circuit:
         if qubits is None:
             raise SynthError("missing qubits header", lineno)
         name = parts[0]
-        if name not in GATE_NAMES:
-            raise SynthError(f"unknown gate {name!r}", lineno)
         args = [plain_int(p) for p in parts[1:]]
         if None in args:
             raise SynthError(f"bad arguments for {name}", lineno)
@@ -499,7 +506,12 @@ def parse_circuit(text: str) -> Circuit:
         except SynthError as exc:
             raise SynthError(str(exc), lineno) from None
         parsed[line] = gate
+        first_line.setdefault(gate, lineno)
         gates.append(gate)
     if qubits is None:
         raise SynthError("missing qubits header")
+    # the wire bound depends on whether an ANC_INIT appears anywhere
+    ancilla = any(gate.name == "ANC_INIT" for gate in first_line)
+    if fault := _wire_fault(first_line, qubits, ancilla):
+        raise SynthError(fault[1], first_line[fault[0]])
     return Circuit(qubits, tuple(gates))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import random
 import re
 import sys
@@ -198,28 +199,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-ONE_QUBIT_POOL = (
-    Gate("H", (0,)),
-    Gate("S", (0,)),
-    Gate("T", (0,)),
-    Gate("W", (), 1),
-)
-
-TWO_QUBIT_POOL = (
-    Gate("H", (0,)),
-    Gate("H", (1,)),
-    Gate("S", (0,)),
-    Gate("S", (1,)),
-    Gate("T", (0,)),
-    Gate("T", (1,)),
-    Gate("CNOT", (0, 1)),
-    Gate("CNOT", (1, 0)),
-    Gate("W", (), 1),
-)
-
-
+@functools.cache
 def gate_pool(qubits: int) -> tuple[Gate, ...]:
-    return ONE_QUBIT_POOL if qubits == 1 else TWO_QUBIT_POOL
+    """The gates a random instance draws from, in draw order: H, S and T on
+    each wire, a CNOT on each ordered pair of wires, then W."""
+    return (*(Gate(name, (wire,)) for name in ("H", "S", "T") for wire in range(qubits)),
+            *(Gate("CNOT", pair) for pair in itertools.permutations(range(qubits), 2)),
+            Gate("W", (), 1))
 
 
 def draw_circuit(qubits: int, budget: int, seed: int) -> Circuit:

@@ -309,6 +309,13 @@ class TestDrawCircuit:
         assert len(circuit.gates) == 25
         assert set(circuit.gates) <= set(gate_pool(1))
 
+    def test_pool_draw_order(self):
+        """A seeded draw picks pool positions, so every recorded digest
+        depends on this order."""
+        assert [str(g) for g in gate_pool(1)] == ["H 0", "S 0", "T 0", "W 1"]
+        assert [str(g) for g in gate_pool(2)] == ["H 0", "H 1", "S 0", "S 1", "T 0", "T 1",
+                                                  "CNOT 0 1", "CNOT 1 0", "W 1"]
+
 
 class TestRandomUnitary:
     @pytest.mark.parametrize("qubits", [1, 2])
@@ -566,13 +573,19 @@ def _call(kind, payload):
     ("circuit", "\nH 0\nqubits 1\n", 2, 0, "line 2: missing qubits header"),
     ("circuit", "# nothing\n", 0, 0, "missing qubits header"),
     ("circuit", "qubits 1\nRZ 0\n", 2, 0, "line 2: unknown gate 'RZ'"),
+    ("circuit", "qubits 1\nRZ x\n", 2, 0, "line 2: bad arguments for RZ"),
     ("circuit", "qubits 1\nH zero\n", 2, 0, "line 2: bad arguments for H"),
     pytest.param("circuit", "qubits 1\nH " + "1" * 5000 + "\n", 2, 0,
                  "line 2: bad arguments for H", id="circuit-H of 5000 digits"),
     ("circuit", "qubits 2\nCNOT 0 0\n", 2, 0, "line 2: CNOT takes two distinct wires"),
     ("circuit", "qubits 1\nW 1 2\n", 2, 0, "line 2: W takes one power argument"),
     ("circuit", "qubits 1\nW 0\n", 2, 0, "line 2: W takes no wires and a power in 1..7"),
-    ("circuit", "qubits 1\nH 1\n", 0, 0, "gate H 1 exceeds 1 wires"),
+    ("circuit", "qubits 1\nH 1\n", 2, 0, "line 2: gate H 1 exceeds 1 wires"),
+    ("circuit", "qubits 2\nCNOT 0 2\n", 2, 0, "line 2: gate CNOT 0 2 exceeds 2 wires"),
+    ("circuit", "qubits 2\nANC_INIT 0\n", 2, 0,
+     "line 2: ancilla markers must name the ancilla wire"),
+    ("circuit", "qubits 2\nH 0\nANC_FREE 2\n", 3, 0, "line 3: gate ANC_FREE 2 exceeds 2 wires"),
+    ("circuit", "qubits 1\nH 0\nH 1\nS 0\nH 1\n", 3, 0, "line 3: gate H 1 exceeds 1 wires"),
     ("circuit", "qubits 3\n", 1, 0, "line 1: expected: qubits <1|2>"),
     ("circuit", "qubits 0\n", 1, 0, "line 1: expected: qubits <1|2>"),
     ("ExactMatrix", 5, 0, 0, "dimension 5 not supported"),

@@ -1,4 +1,5 @@
-"""The benchmark's tracer still finds and restores the functions it wraps.
+"""The benchmark's tracer still finds and restores the functions it wraps,
+and a traced benchmark run still passes its checks.
 
 `benchmark/run.py --trace 1` wraps deltasynth functions by name from
 outside the package; a rename or a changed call pattern would otherwise
@@ -6,6 +7,9 @@ only show as a crash or as silent zero counts in a benchmark run.
 """
 
 import importlib.util
+import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -73,3 +77,16 @@ def test_tracer_wraps_and_restores():
     for (module, name), original in originals.items():
         assert getattr(module, name) is original
     assert (DOmega.__add__, DOmega.__sub__, DOmega.__mul__) == ring_ops
+
+
+def test_traced_benchmark_run_is_correct():
+    """One traced `deep` round: every name the tracer wraps, the ring counter
+    and the workload's reference checks run against the program as it is."""
+    run = TRACING.parent / "run.py"
+    proc = subprocess.run([sys.executable, str(run), "--workload", "deep", "--seed", "1",
+                           "--seconds", "0", "--trace", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
