@@ -22,18 +22,24 @@ brackets the circuit with ANC_INIT and ANC_FREE on the ancilla, the wire
 after the data wires.  Each op and each diagonal is lowered once per
 process, and a gate that meets its inverse on the same wires, past gates on
 other wires only, cancels it.
+Last, emit folds phases across the whole circuit, the phase half of T-par
+(Amy, Maslov and Mosca, arXiv:1303.2042): the T and S gates on one affine
+parity of the wires' path variables merge, so the terms of different
+diagonals, and a controlled S's terms and the wire phases, meet.
 
 Circuits are simulated exactly on linalg's matrix form, Z[w] numerators N
-over one least power of sqrt(2), the unitary being N / sqrt(2)^e.  X, CNOT,
-the phases and W only permute rows and multiply them by powers of w, so they
-are composed on the basis labels as (source row, phase) and touch no row.  H
-raises e by one and replaces every amplitude pair by its sum and difference:
-the two source rows its labels name are mixed after turning one by their
-phase difference.  A zero row is mixed like any other, since an ancilla-free
-fold has no zero row.  `least` lowers e once per batch of Hs and again at
-the end; the labels meet the rows once, at the end.  With a borrowed
-ancilla only the ancilla-|0> input columns are simulated; the rest of the
-unitary does not bear on the data block or on the ancilla's return to zero.
+over one least power of sqrt(2), the unitary being N / sqrt(2)^e.  X, CNOT
+and the phases only permute rows and multiply them by powers of w, so they
+are composed on the basis labels as (source row, phase) and touch no row;
+the W gates add up to one power of w for every row.  H raises e by one and
+replaces every amplitude pair by its sum and difference: the two source
+rows its labels name are mixed after turning one by their phase
+difference.  A zero row is mixed like any other, since an ancilla-free fold
+has no zero row.  `least` lowers e once per batch of Hs and again at the
+end; the labels and the W power meet the rows once, at the end.  With a
+borrowed ancilla only the ancilla-|0> input columns are simulated; the rest
+of the unitary does not bear on the data block or on the ancilla's return
+to zero.
 
 Every gate template is compared as (N, e), on all columns, with the
 elementary-operator word it implements, once, the first time a circuit is
@@ -119,11 +125,15 @@ class Circuit:
     def __post_init__(self) -> None:
         if type(self.data_qubits) is not int or self.data_qubits not in (1, 2):
             raise SynthError("circuits cover 1 or 2 data qubits")
-        if type(self.gates) is not tuple or not all(isinstance(g, Gate) for g in self.gates):
+        if type(self.gates) is not tuple:
+            raise SynthError("circuit gates must be a tuple of Gates")
+        # emit and parse_circuit share Gates: check each object once, in order
+        distinct = dict(zip(map(id, self.gates), self.gates)).values()
+        if not all(isinstance(g, Gate) for g in distinct):
             raise SynthError("circuit gates must be a tuple of Gates")
         object.__setattr__(self, "uses_ancilla",
-                           any(gate.name == "ANC_INIT" for gate in self.gates))
-        if fault := _wire_fault(self.gates, self.data_qubits, self.uses_ancilla):
+                           any(gate.name == "ANC_INIT" for gate in distinct))
+        if fault := _wire_fault(distinct, self.data_qubits, self.uses_ancilla):
             raise SynthError(fault[1])
 
     @property
@@ -147,14 +157,15 @@ def _fold(gates: Iterable[Gate], rows: Sequence[Sequence[ZOmega]], e: int,
           n_wires: int) -> tuple[list, int]:
     """The gates, in order, applied to N / sqrt(2)^e, as a new (N, e) with e
     least when it was least before; rows itself is not changed.  Basis state
-    i holds w^p times working row s, kept as the label p * 2^n_wires + s;
-    only H changes the working rows, and the labels meet them at the end.
+    i holds w^p times working row s, kept as the label p * 2^n_wires + s, and
+    the W gates add up to one power of w on every row; only H changes the
+    working rows, and the labels and that power meet them at the end.
     `least` runs after every _LEAST_EVERY Hs and once more at the end."""
     size = 1 << n_wires
     mask = size - 1
     labels = list(range(size))
     rows = list(rows)
-    pending = 0
+    pending = global_power = 0
     for gate in gates:
         name = gate.name
         if name == "H":
@@ -175,7 +186,7 @@ def _fold(gates: Iterable[Gate], rows: Sequence[Sequence[ZOmega]], e: int,
                 rows, e = least(rows, e)
                 pending = 0
         elif name == "W":
-            labels = [label + gate.power * size for label in labels]
+            global_power += gate.power
         elif name in _DIAG_POWER:
             target = _wire_mask(gate.wires[0], n_wires)
             step = _DIAG_POWER[name] * size
@@ -187,7 +198,7 @@ def _fold(gates: Iterable[Gate], rows: Sequence[Sequence[ZOmega]], e: int,
                       for i in range(size)]
     if pending:
         rows, e = least(rows, e)
-    return [[z.mul_omega_power(label >> n_wires) for z in rows[label & mask]]
+    return [[z.mul_omega_power((label >> n_wires) + global_power) for z in rows[label & mask]]
             for label in labels], e
 
 
@@ -201,8 +212,10 @@ def _simulate(gates: Iterable[Gate], n_wires: int,
     return _fold(gates, rows, 0, n_wires)
 
 
-def _phase_gates(wire: int, power: int) -> list[Gate]:
-    return [Gate(name, (wire,)) for name in _PHASE_SEQ[power % 8]]
+@functools.cache
+def _phase_gates(wire: int, power: int) -> tuple[Gate, ...]:
+    """w^power on one wire; shared Gates, since emit writes many."""
+    return tuple(Gate(name, (wire,)) for name in _PHASE_SEQ[power % 8])
 
 
 def _lambda_s(c: int, t: int, s: int = 1) -> list[Gate]:
@@ -230,7 +243,7 @@ _PRODUCT_TERMS = {
     2: _lambda_s(0, 1),
     4: [Gate("H", (1,)), Gate("CNOT", (0, 1)), Gate("H", (1,))],
     6: _lambda_s(0, 1, -1),
-    **{d: _RTOF + _phase_gates(2, d) + _RTOF for d in (1, 3, 5, 7)},
+    **{d: [*_RTOF, *_phase_gates(2, d), *_RTOF] for d in (1, 3, 5, 7)},
 }
 
 # H[a,b] H[c,d] on disjoint levels, by a xor b (levels from 0), which both
@@ -320,8 +333,8 @@ def _lowered_diagonal(powers: tuple[int, ...]) -> tuple[Gate, ...]:
     serves every layout; an odd x0 x1 term acts on the ancilla wire."""
     c, p01, p10, p11 = (p for p in powers for _ in range(4 // len(powers)))
     gates: list[Gate] = []
-    _push(gates, _phase_gates(0, p10 - c) + _phase_gates(1, p01 - c)
-          + _PRODUCT_TERMS.get((p11 - p10 - p01 + c) % 8, []))
+    _push(gates, (*_phase_gates(0, p10 - c), *_phase_gates(1, p01 - c),
+                  *_PRODUCT_TERMS.get((p11 - p10 - p01 + c) % 8, ())))
     return tuple(gates)
 
 
@@ -339,12 +352,65 @@ def _diagonal_cost(powers: tuple[int, ...]) -> tuple[int, int]:
     return sum(g.name in ("T", "TDG") for g in gates), len(gates) + (powers[0] != 0)
 
 
+def _fold_phases(body: Iterable[Gate], qubits: int) -> tuple[list[Gate], int]:
+    """body's wire gates with the phases on each parity merged, and the power
+    of w that adds to the global phase.  A wire's parity is a bitmask, bit 0
+    the constant: a data wire starts as a variable of its own, the ancilla as
+    0, H gives its wire a new one, X flips bit 0 and CNOT adds the control's
+    parity to the target's.  The phases on parity v add up to P_v, written
+    where v first occurs.  As w^(P (v xor 1)) = w^P w^(-P v), P_v and
+    P_(v xor 1) merge on the first of the two, w^P_(v xor 1) going global,
+    when that saves a gate, which pays for the W it may add."""
+    values = [2 << wire for wire in range(qubits)] + [0]
+    fresh = 2 << qubits
+    totals: dict[int, int] = {}  # by parity, in order of first occurrence
+    out: list = []  # the other gates, and (wire, parity) where a total goes
+    for gate in body:
+        name = gate.name
+        power = _DIAG_POWER.get(name)
+        if power:
+            wire = gate.wires[0]
+            value = values[wire]
+            if value in totals:
+                totals[value] += power
+            else:
+                totals[value] = power
+                out.append((wire, value))
+        else:
+            out.append(gate)
+            wires = gate.wires
+            if name == "H":
+                values[wires[0]] = fresh
+                fresh <<= 1
+            elif name == "X":
+                values[wires[0]] ^= 1
+            else:  # CNOT
+                values[wires[1]] ^= values[wires[0]]
+    global_power = 0
+    for v in totals:
+        if v ^ 1 in totals:
+            p, q = totals[v], totals[v ^ 1]
+            if len(_PHASE_SEQ[(p - q) % 8]) < len(_PHASE_SEQ[p % 8]) + len(_PHASE_SEQ[q % 8]):
+                totals[v], totals[v ^ 1] = p - q, 0
+                global_power += q
+    folded: list[Gate] = []
+    for item in out:
+        if type(item) is tuple:
+            folded += _phase_gates(item[0], totals[item[1]] % 8)
+        else:
+            folded.append(item)
+    gates: list[Gate] = []
+    _push(gates, folded)
+    return gates, global_power
+
+
 def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
     """Clifford+T circuit whose unitary equals the product of the word.
 
     Gates are listed in application order, so the word's rightmost factor
     lowers first; each run of phase ops lowers as one diagonal on the wires,
     and the diagonals' first powers add up to one global W, placed first.
+    Last, _fold_phases merges the phases on each parity across the body.
 
     One pending diagonal holds the phases read since the last non-phase op,
     plus any w^1 owed.  An X read with no phase since then swaps its two
@@ -414,6 +480,8 @@ def emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
         phased = False
         _push(body, _lowered(op, qubits))
     lower_diagonal(pending)
+    body, folded_power = _fold_phases(body, qubits)
+    global_power += folded_power
     if global_power % 8:
         body.insert(0, Gate("W", (), global_power % 8))
     if levels == 4 and sum(pending) % 2:
@@ -510,8 +578,9 @@ def parse_circuit(text: str) -> Circuit:
         gates.append(gate)
     if qubits is None:
         raise SynthError("missing qubits header")
-    # the wire bound depends on whether an ANC_INIT appears anywhere
-    ancilla = any(gate.name == "ANC_INIT" for gate in first_line)
-    if fault := _wire_fault(first_line, qubits, ancilla):
-        raise SynthError(fault[1], first_line[fault[0]])
-    return Circuit(qubits, tuple(gates))
+    try:
+        return Circuit(qubits, tuple(gates))
+    except SynthError as exc:  # a wire fault: name the first line of its gate
+        ancilla = any(gate.name == "ANC_INIT" for gate in first_line)
+        fault = _wire_fault(first_line, qubits, ancilla)
+        raise SynthError(str(exc), first_line[fault[0]]) from None

@@ -15,7 +15,8 @@ from typing import Sequence
 
 import pytest
 
-from deltasynth.circuits import Gate, _fold
+import deltasynth.circuits
+from deltasynth.circuits import Circuit, Gate, _fold, emit
 from deltasynth.cli import gate_pool
 from deltasynth.errors import SynthError
 from deltasynth.linalg import (ElementaryOp, ExactMatrix, apply_elementary, h_op, omega_op,
@@ -177,6 +178,14 @@ def search_gate_word(target: ExactMatrix, max_len: int,
                 fresh[grown] = (*word, gate)
         frontier = fresh
     return None
+
+
+def unfolded_emit(word: Sequence[ElementaryOp], dim: int) -> Circuit:
+    """emit's circuit without its phase fold: the wire body as emit's _push
+    leaves it, under the same W and ancilla bracket."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(deltasynth.circuits, "_fold_phases", lambda body, qubits: (body, 0))
+        return emit(word, dim)
 
 
 def random_word(dim, length, rng):

@@ -31,7 +31,7 @@ from deltasynth.linalg import (ExactMatrix, delta_exponent, is_unitary, residue_
                               word_matrix)
 from deltasynth.ring import DOmega, OMEGA_POWERS
 from helpers import (D_ZERO, MONOMIAL_WORD_MAX, enumerate_words, exact, identity, mixing_ops,
-                     random_word, random_word_matrix, scaled, t_count_bound)
+                     random_word, random_word_matrix, scaled, t_count_bound, unfolded_emit)
 
 WORD_SLOPE = 8
 WORD_OFFSET = 7
@@ -50,14 +50,19 @@ CORPUS_DIGEST = "f431d20ea092d7b76b743250fdd2db73442e0738bdb3a042d57f096a0cff010
 ENUMERATED_DIGEST = "7a95441b1df85875ff7b8468652084205a3cd1b5ed72f10dae44f3a2001af110"
 # sha256 over the rendered circuit emitted for each corpus word, in corpus
 # order: any change to a lowering template or to gate order shows.
-CIRCUIT_DIGEST = "5f67199f7d57aa06223d81532929343b23efcc12b35531bc3d856df075a960bd"
-# The same over 3000 random words (random_word_circuits), whose phase powers
+CIRCUIT_DIGEST = "e64794f2539fbe3b3fa7587c903820801b4706c9f7ec008930866c1641ecbb95"
+# The same over 3000 random words (random_word_inputs), whose phase powers
 # often add up odd: 1091 of their circuits borrow the ancilla, which no corpus
 # circuit does, and an X moves an owed w^1 284 times, against 3 in the corpus.
-RANDOM_WORD_CIRCUIT_DIGEST = "9489b101da28c4605b70da37ca8d77fbc443f99cd8453b065ba93cb18d0bf3f4"
+RANDOM_WORD_CIRCUIT_DIGEST = "532acd1d427498252efce3fb479d4ab0df77de7785404ecd9dde7963e633fc13"
 # sha256 over the argv, exit code, stdout and stderr of each call of
 # test_cli_digest's sweep: any change to what the command line prints shows.
-CLI_DIGEST = "740b666cc65b638d622966a93e3dd83ee85bc81f789d345dd1b7865e6b82f54c"
+CLI_DIGEST = "dead7268b0cd6b24f2afd7e6509d7f7515f7f739fa1b3d066fc9a97ccad7fd55"
+# T over the emitted circuits of the 1000 corpus words and of the 3000 random
+# words: ceilings that may only go down.  The phase fold took them from 5790
+# and 29003.
+CORPUS_T_CEILING = 3608
+RANDOM_WORD_T_CEILING = 24103
 
 
 def digest_line(dec) -> str:
@@ -151,24 +156,45 @@ def test_emitted_circuits_digest(corpus):
     print(f"emitted circuits of {len(entries)} corpus words match the pinned digest")
 
 
-def random_word_circuits():
-    """emit over 3000 seeded random words, every fourth in dimension 2."""
+def random_word_inputs():
+    """3000 seeded random words, every fourth in dimension 2, with their
+    dimension."""
     rng = random.Random(22)
     for i in range(3000):
         dim = 4 if i % 4 else 2
-        yield emit(random_word(dim, rng.randrange(1, 25), rng), dim)
+        yield random_word(dim, rng.randrange(1, 25), rng), dim
 
 
 def test_random_word_circuits_digest():
     digest = hashlib.sha256()
     borrowed = 0
-    for circuit in random_word_circuits():
+    for word, dim in random_word_inputs():
+        circuit = emit(word, dim)
         digest.update(render_circuit(circuit).encode())
         borrowed += circuit.uses_ancilla
     assert digest.hexdigest() == RANDOM_WORD_CIRCUIT_DIGEST
     assert borrowed == 1091
     print(f"emitted circuits of 3000 random words match the pinned digest,"
           f" {borrowed} borrow the ancilla")
+
+
+def test_fold_never_raises_t_or_gates(corpus):
+    """emit's phase fold keeps each circuit's unitary and raises neither T
+    nor the gate count, on every corpus word and every random word."""
+    entries, *_ = corpus
+    inputs = {"corpus": ([(dec.word, 2 ** qubits) for qubits, _, dec in entries],
+                         CORPUS_T_CEILING),
+              "random words": (random_word_inputs(), RANDOM_WORD_T_CEILING)}
+    for name, (words, ceiling) in inputs.items():
+        before = after = 0
+        for word, dim in words:
+            unfolded, folded = unfolded_emit(word, dim), emit(word, dim)
+            plain, fold = gate_counts(unfolded), gate_counts(folded)
+            assert fold["t_count"] <= plain["t_count"] and fold["total"] <= plain["total"]
+            assert circuit_to_matrix(folded) == circuit_to_matrix(unfolded)
+            before, after = before + plain["t_count"], after + fold["t_count"]
+        assert after <= ceiling
+        print(f"{name}: T {before} unfolded, {after} folded (ceiling {ceiling})")
 
 
 def test_cli_digest(tmp_path, monkeypatch):

@@ -11,6 +11,7 @@ from deltasynth.circuits import (
     Circuit,
     Gate,
     _diagonal_cost,
+    _fold_phases,
     _less_one,
     _lowered,
     _lowered_diagonal,
@@ -28,7 +29,8 @@ from deltasynth.engine import synthesize
 from deltasynth.linalg import ExactMatrix, h_op, omega_op, word_matrix, x_op
 from deltasynth.ring import OMEGA_POWERS, ZW_OMEGA, ZW_SQRT2, ZW_ZERO
 from deltasynth.cli import random_unitary
-from helpers import op_alphabet as alphabet, random_word, random_word_matrix, raises_synth_error
+from helpers import (op_alphabet as alphabet, random_word, random_word_matrix, raises_synth_error,
+                     unfolded_emit)
 from test_acceptance import corpus_specs
 
 # sha256 over every diagonal's lowering, as its global power of w and its wire
@@ -164,7 +166,7 @@ class TestLowering:
                 used = dim == 4 and sum(powers) % 2 == 1
                 if used:
                     gates = (Gate("ANC_INIT", (2,)), *gates, Gate("ANC_FREE", (2,)))
-                circ = emit(run, dim)
+                circ = unfolded_emit(run, dim)
                 assert circ.gates == gates
                 assert circ.uses_ancilla == used
         # dimensions 2 and 4 have 2 and 12 two-level ops; dimensions 1, 2 and 4
@@ -249,6 +251,39 @@ class TestCancellation:
         for spec in corpus_specs():
             circ = emit(synthesize(random_unitary(*spec)).word, 2 ** spec[0])
             assert inverse_pairs(circ) == [], spec
+
+
+def gate_list(text):
+    return list(parse_circuit("qubits 2\n" + text.replace("; ", "\n")).gates)
+
+
+class TestPhaseFold:
+    @pytest.mark.parametrize("qubits, body, folded, power", [
+        # T on x1 before, between and after a CNOT pair: the first and last merge
+        (2, "T 1; CNOT 0 1; T 1; CNOT 0 1; T 1", "S 1; CNOT 0 1; T 1; CNOT 0 1", 0),
+        # T on x0 and on its complement: w^x0 w^(1 - x0) is w^1, global
+        (1, "T 0; X 0; T 0; X 0", "", 1),
+        # H gives its wire a new variable
+        (1, "T 0; H 0; T 0", "T 0; H 0; T 0", 0),
+        # merging S 0 and TDG 0 through the X would write S T and a W 7: the
+        # two stay apart, since that saves no gate
+        (1, "S 0; X 0; TDG 0", "S 0; X 0; TDG 0", 0),
+    ])
+    def test_phases_on_one_parity_merge(self, qubits, body, folded, power):
+        body, folded = gate_list(body), gate_list(folded)
+        assert _fold_phases(body, qubits) == (folded, power)
+        w = [Gate("W", (), power)] if power else []
+        assert (circuit_to_matrix(Circuit(qubits, (*w, *folded)))
+                == circuit_to_matrix(Circuit(qubits, tuple(body))))
+
+    def test_controlled_s_merges_with_wire_phases(self):
+        # diag(1, w, w, w^4): the controlled S's parity terms meet S and T on
+        # the wires, 1 T where the unfolded lowering has 5
+        word = [omega_op(2, 1), omega_op(3, 1), omega_op(4, 4)]
+        circ = emit(word, 4)
+        assert circ.gates == tuple(gate_list("S 0; S 1; CNOT 0 1; TDG 1; CNOT 0 1"))
+        assert circuit_to_matrix(circ) == word_matrix(word, 4)
+        assert gate_counts(unfolded_emit(word, 4))["t_count"] == 5
 
 
 class TestEmit:
@@ -391,7 +426,7 @@ class TestHadamardPairs:
     def test_odd_diagonal_before_pair_blocks_it(self):
         # w[3]^1 would act before the pair and adds up odd: two controlled-Hs
         word = applied(h_op(1, 2), omega_op(3, 1), h_op(3, 4), omega_op(1, 1))
-        circ = emit(word, 4)
+        circ = unfolded_emit(word, 4)
         assert circuit_to_matrix(circ) == word_matrix(word, 4)
         assert not circ.uses_ancilla
         hadamards = sum(gate.name == "H" for gate in circ.gates)
@@ -402,7 +437,7 @@ class TestHadamardPairs:
         # it even, so the pair fuses and nothing is owed at the end
         word = applied(omega_op(1, 1), h_op(3, 4), h_op(1, 2), omega_op(3, 1),
                        h_op(3, 4))
-        circ = emit(word, 4)
+        circ = unfolded_emit(word, 4)
         assert circuit_to_matrix(circ) == word_matrix(word, 4)
         assert not circ.uses_ancilla
         assert [str(g) for g in circ.gates[-2:]] == ["TDG 1", "H 1"]

@@ -60,22 +60,15 @@ DEBUG_OUT = """\
 # k 4
 # rounds 2
 # word-length 11
-# gates 16
+# gates 9
 # t-count 2
 # ancilla no
 qubits 2
 W 1
-S 0
-S 0
-CNOT 0 1
-S 0
-S 0
-CNOT 0 1
 H 0
 CNOT 0 1
 S 0
-S 1
-TDG 1
+T 1
 CNOT 0 1
 T 1
 CNOT 0 1
@@ -220,8 +213,8 @@ class TestSynth:
         path.write_text("dim 3\n1 0 0\n0 0,0,1,0/0 0\n0 0 1\n")
         assert run(capsys, "synth", str(path), "--verify") == (0, (
             "# dim 3\n# k 0\n# rounds 0\n# word-length 1\n"
-            "# gates 6\n# t-count 3\n# ancilla no\n# verified exact\n"
-            "qubits 2\nS 1\nTDG 0\nTDG 1\nCNOT 0 1\nT 1\nCNOT 0 1\n"), "")
+            "# gates 5\n# t-count 3\n# ancilla no\n# verified exact\n"
+            "qubits 2\nT 1\nTDG 0\nCNOT 0 1\nT 1\nCNOT 0 1\n"), "")
 
     def test_dim_1_global_phase(self, capsys, tmp_path):
         path = tmp_path / "m.txt"
